@@ -7,6 +7,14 @@ different tapes without a reset in between sums both contributions into the
 same slots, which is exactly what the joint adaptation step needs to combine
 task and adversarial gradients.  `ParamStore.reset_grads` zeroes every slot.
 
+Parameter storage is flat.  A `ParamStore` owns four contiguous 1-D float64
+arenas, `value`, `grad`, `m` and `v`; parameter i occupies the span
+[start_i, stop_i) of each, in insertion order, and its `.value`/`.grad`/`.m`/
+`.v` are reshaped views of that span.  Whole-store operations are therefore
+single vector operations over a span: `reset_grads` zeroes the grad arena
+once, and the optimizer updates each run of adjacent parameters at once
+(`ParamStore.spans`).
+
 Everything is 64-bit: finite-difference checks at 1e-4 relative tolerance are
 not reliable in float32.  All values must stay finite; any operation that
 produces a NaN/Inf raises `NumericError` immediately.
@@ -14,6 +22,8 @@ produces a NaN/Inf raises `NumericError` immediately.
 
 from __future__ import annotations
 
+import heapq
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -37,42 +47,82 @@ def _as_matrix(x) -> np.ndarray:
     return arr
 
 
-class Param:
-    """A named trainable matrix with a gradient slot and optimizer state.
+def all_finite(a: np.ndarray) -> bool:
+    """True when every entry of `a` is finite.
 
-    `m`, `v` are the first/second moment accumulators and `step` the
+    The sum is the fast path: any NaN or Inf makes it non-finite.  Only a
+    non-finite sum, which a finite array can also reach by overflow (numpy
+    then warns about the overflow), pays for the exact elementwise check.
+    """
+    return math.isfinite(a.sum()) or bool(np.all(np.isfinite(a)))
+
+
+class Param:
+    """A named trainable matrix: views of one span of its store's arenas.
+
+    `value`, `grad`, `m`, `v` (the first/second moment accumulators) are
+    reshaped views of [start, stop) in the store's arenas, so write through
+    them (`p.value[...] = x`) and never rebind them.  `step` is the
     per-parameter update count used for bias correction.
     """
 
-    __slots__ = ("name", "value", "grad", "m", "v", "step")
+    __slots__ = ("name", "shape", "start", "stop", "step", "value", "grad", "m", "v")
 
-    def __init__(self, name: str, value):
+    def __init__(self, name: str, shape: tuple[int, int], start: int):
         self.name = name
-        self.value = _as_matrix(value).copy()
-        self.grad = np.zeros_like(self.value)
-        self.m = np.zeros_like(self.value)
-        self.v = np.zeros_like(self.value)
+        self.shape = shape
+        self.start = start
+        self.stop = start + shape[0] * shape[1]
         self.step = 0
 
+    def _bind(self, store: "ParamStore") -> None:
+        span = slice(self.start, self.stop)
+        self.value = store.value[span].reshape(self.shape)
+        self.grad = store.grad[span].reshape(self.shape)
+        self.m = store.m[span].reshape(self.shape)
+        self.v = store.v[span].reshape(self.shape)
+
     def __repr__(self):
-        return f"Param({self.name!r}, shape={self.value.shape})"
+        return f"Param({self.name!r}, shape={self.shape})"
 
 
 class ParamStore:
-    """Ordered mapping from hierarchical names to parameters.
+    """Ordered mapping from hierarchical names to parameters in flat arenas.
 
-    Iteration order is insertion order, which keeps every whole-store
-    operation (global gradient norms, optimizer sweeps) deterministic.
+    Iteration order is insertion order, which is also arena order, and keeps
+    every whole-store operation (global gradient norms, optimizer sweeps)
+    deterministic.  `layout` lists (name, shape) pairs that are allocated at
+    once with zero values; `add` appends one more parameter, reallocating
+    the arenas and rebinding every parameter's views.
     """
 
-    def __init__(self):
+    def __init__(self, layout: Iterable[tuple[str, tuple[int, int]]] = ()):
         self._params: dict[str, Param] = {}
+        size = 0
+        for name, shape in layout:
+            size = self._insert(name, tuple(shape), size).stop
+        self._allocate(size)
 
-    def add(self, name: str, value) -> Param:
+    def _insert(self, name: str, shape: tuple[int, int], start: int) -> Param:
         if name in self._params:
             raise ParameterError(f"duplicate parameter name: {name}")
-        p = Param(name, value)
+        p = Param(name, shape, start)
         self._params[name] = p
+        return p
+
+    def _allocate(self, size: int) -> None:
+        self.value, self.grad, self.m, self.v = (np.zeros(size) for _ in range(4))
+        for p in self._params.values():
+            p._bind(self)
+
+    def add(self, name: str, value) -> Param:
+        value = _as_matrix(value)
+        old = (self.value, self.grad, self.m, self.v)
+        p = self._insert(name, value.shape, old[0].size)
+        self._allocate(p.stop)
+        for new, prev in zip((self.value, self.grad, self.m, self.v), old):
+            new[:prev.size] = prev
+        p.value[...] = value
         return p
 
     def __getitem__(self, name: str) -> Param:
@@ -90,10 +140,21 @@ class ParamStore:
     def params(self) -> Iterable[Param]:
         return self._params.values()
 
+    def spans(self, names: Sequence[str] | None = None) -> list[tuple[slice, list[Param]]]:
+        """The named parameters (all by default), in the given order, cut into
+        maximal runs that lie back to back in the arenas; each run comes
+        with the arena slice it covers."""
+        runs: list[list[Param]] = []
+        for p in (self._params.values() if names is None else map(self.__getitem__, names)):
+            if runs and runs[-1][-1].stop == p.start:
+                runs[-1].append(p)
+            else:
+                runs.append([p])
+        return [(slice(run[0].start, run[-1].stop), run) for run in runs]
+
     def reset_grads(self) -> None:
         """Zero every gradient slot."""
-        for p in self._params.values():
-            p.grad[...] = 0.0
+        self.grad[...] = 0.0
 
 
 class TapeNode:
@@ -117,12 +178,16 @@ class TapeNode:
 class Tape:
     """Define-by-run record of a single forward pass.
 
-    Nodes are appended in execution order, so the list itself is a
-    topological order and `backward` can walk it in reverse.
+    Nodes are numbered in execution order, so the numbering is a
+    topological order and `backward` can visit a loss's ancestors from the
+    highest number down.  The tape keeps no list of its nodes: nodes point
+    to their tape and parents, never back, so a finished pass is freed by
+    reference counting as soon as its last node is dropped, not at the next
+    cyclic garbage collection.
     """
 
     def __init__(self):
-        self.nodes: list[TapeNode] = []
+        self.size = 0
 
     def _record(
         self,
@@ -131,10 +196,10 @@ class Tape:
         vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None,
         param: Param | None = None,
     ) -> TapeNode:
-        if not np.all(np.isfinite(value)):
+        if not all_finite(value):
             raise NumericError("operation produced a non-finite value")
-        node = TapeNode(self, len(self.nodes), value, parents, vjp, param)
-        self.nodes.append(node)
+        node = TapeNode(self, self.size, value, parents, vjp, param)
+        self.size += 1
         return node
 
     def constant(self, x) -> TapeNode:
@@ -208,8 +273,9 @@ def activation(x: TapeNode, kind: str) -> TapeNode:
 def sigmoid(x: TapeNode) -> TapeNode:
     """Elementwise logistic function, computed in the overflow-safe split form."""
     xv = x.value
-    out = np.where(xv >= 0.0, 1.0 / (1.0 + np.exp(-np.abs(xv))),
-                   np.exp(-np.abs(xv)) / (1.0 + np.exp(-np.abs(xv))))
+    e = np.exp(-np.abs(xv))
+    d = 1.0 + e
+    out = np.where(xv >= 0.0, 1.0 / d, e / d)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -346,17 +412,18 @@ def binary_cross_entropy(p: TapeNode, y) -> TapeNode:
 def backward(loss: TapeNode) -> None:
     """Accumulate d(loss)/d(param) into every watched parameter's grad slot.
 
-    Walks the tape in reverse topological (creation) order, visiting each
-    node at most once.  Repeated calls without `reset_grads` in between add
-    their contributions.
+    Visits the loss and its ancestors in reverse topological (creation)
+    order, each at most once.  Repeated calls without `reset_grads` in
+    between add their contributions.
     """
     if loss.value.shape != (1, 1):
         raise ShapeError(f"backward requires a scalar (1x1) loss, got shape {loss.value.shape}")
     grads: dict[int, np.ndarray] = {loss.idx: np.ones((1, 1))}
-    for node in reversed(loss.tape.nodes[: loss.idx + 1]):
-        g = grads.pop(node.idx, None)
-        if g is None:
-            continue
+    pending = {loss.idx: loss}
+    order = [-loss.idx]  # max-heap of the pending nodes' numbers
+    while order:
+        node = pending.pop(-heapq.heappop(order))
+        g = grads.pop(node.idx)
         if node.param is not None:
             node.param.grad += g
         if node.vjp is None:
@@ -366,6 +433,8 @@ def backward(loss: TapeNode) -> None:
                 grads[parent.idx] = grads[parent.idx] + pg
             else:
                 grads[parent.idx] = pg
+                pending[parent.idx] = parent
+                heapq.heappush(order, -parent.idx)
 
 
 def finite_diff_check(

@@ -4,11 +4,17 @@ The encoder maps input feature vectors to a shared representation; a single
 affine classifier head predicts task classes; and each target domain gets its
 own small discriminator (feature_dim -> 64 -> 1 with tanh hidden layer and a
 sigmoid head) that scores whether a representation came from the source
-domain.  All parameters live in one ParamStore under hierarchical names:
+domain.  All parameters live in one ParamStore under hierarchical names,
+laid out in its flat arenas in this order (`param_layout`):
 
     encoder.layer{i}.W / .b
     classifier.W / .b
-    disc.{target}.layer0.W / .b   and   disc.{target}.head.W / .b
+    disc.{target}.layer0.W / .b   and   disc.{target}.head.W / .b   (sorted ids)
+
+So the task parameters (encoder + classifier) form one span of the arenas
+and each discriminator another; the optimizer and SAM touch each span with a
+handful of vector operations.  The store is allocated once, zero-filled, when
+the bundle is built; `init_params` and `load_checkpoint` then fill it.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ParamStore, Tape, TapeNode, activation, affine, sigmoid
-from .errors import ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError
 from .rng import Rng
 
 DISC_HIDDEN = 64
@@ -52,11 +58,31 @@ class EncoderSpec:
         return self.hidden_dims[-1]
 
 
+def param_layout(
+    spec: EncoderSpec, num_classes: int, target_ids: Sequence[str]
+) -> list[tuple[str, tuple[int, int]]]:
+    """(name, shape) of every parameter, in arena order."""
+    layout = []
+    fan_in = spec.input_dim
+    for i, width in enumerate(spec.hidden_dims):
+        layout += [(f"encoder.layer{i}.W", (fan_in, width)), (f"encoder.layer{i}.b", (1, width))]
+        fan_in = width
+    layout += [("classifier.W", (spec.feature_dim, num_classes)),
+               ("classifier.b", (1, num_classes))]
+    for t in target_ids:
+        layout += [(f"disc.{t}.layer0.W", (spec.feature_dim, DISC_HIDDEN)),
+                   (f"disc.{t}.layer0.b", (1, DISC_HIDDEN)),
+                   (f"disc.{t}.head.W", (DISC_HIDDEN, 1)),
+                   (f"disc.{t}.head.b", (1, 1))]
+    return layout
+
+
 class ModelBundle:
     """Encoder + classifier + one discriminator per target domain.
 
     Construct through `init_params` or `load_checkpoint`; the bundle owns its
-    ParamStore for the duration of a training run.
+    ParamStore, allocated zero-filled from `param_layout`, for the duration
+    of a training run.
     """
 
     def __init__(self, spec: EncoderSpec, num_classes: int, target_ids: Sequence[str]):
@@ -67,7 +93,7 @@ class ModelBundle:
         self.target_ids = tuple(sorted(str(t) for t in target_ids))
         if len(set(self.target_ids)) != len(self.target_ids):
             raise ParameterError(f"duplicate target ids: {target_ids}")
-        self.store = ParamStore()
+        self.store = ParamStore(param_layout(spec, num_classes, self.target_ids))
 
     @property
     def feature_dim(self) -> int:
@@ -105,29 +131,18 @@ def init_params(
     """Glorot-uniform weights (a = sqrt(6/(fan_in+fan_out))), zero biases.
 
     `targets` may be a count (ids become t0..t{n-1}) or explicit domain ids.
-    Initialization is deterministic given the rng seed: parameters are drawn
-    in a fixed order (encoder layers, classifier, discriminators by sorted
-    target id).
+    Initialization is deterministic given the rng seed: weights are drawn in
+    arena order (encoder layers, classifier, discriminators by sorted target
+    id).
     """
     if isinstance(targets, int):
         if targets < 0:
             raise ParameterError(f"target count must be >= 0, got {targets}")
         targets = [f"t{i}" for i in range(targets)]
     bundle = ModelBundle(spec, num_classes, targets)
-    store = bundle.store
-
-    fan_in = spec.input_dim
-    for i, width in enumerate(spec.hidden_dims):
-        store.add(f"encoder.layer{i}.W", _glorot(rng, fan_in, width))
-        store.add(f"encoder.layer{i}.b", np.zeros((1, width)))
-        fan_in = width
-    store.add("classifier.W", _glorot(rng, spec.feature_dim, num_classes))
-    store.add("classifier.b", np.zeros((1, num_classes)))
-    for t in bundle.target_ids:
-        store.add(f"disc.{t}.layer0.W", _glorot(rng, spec.feature_dim, DISC_HIDDEN))
-        store.add(f"disc.{t}.layer0.b", np.zeros((1, DISC_HIDDEN)))
-        store.add(f"disc.{t}.head.W", _glorot(rng, DISC_HIDDEN, 1))
-        store.add(f"disc.{t}.head.b", np.zeros((1, 1)))
+    for p in bundle.store.params():
+        if p.name.endswith(".W"):
+            p.value[...] = _glorot(rng, *p.shape)
     return bundle
 
 
@@ -205,12 +220,26 @@ def save_checkpoint(bundle: ModelBundle, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelBundle:
-    """Rebuild a bundle from `save_checkpoint` output."""
+    """Rebuild a bundle from `save_checkpoint` output.
+
+    The stored parameters must match the layout the metadata implies: a
+    missing, extra or wrong-shaped `param::` entry raises DataError.
+    """
     with np.load(path) as data:
         meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
         spec = EncoderSpec(meta["input_dim"], list(meta["hidden_dims"]), meta["activation"])
         bundle = ModelBundle(spec, meta["num_classes"], meta["target_ids"])
-        for key in data.files:
-            if key.startswith("param::"):
-                bundle.store.add(key[len("param::"):], data[key])
+        keys = {key for key in data.files if key.startswith("param::")}
+        extra = sorted(keys - {f"param::{name}" for name in bundle.store.names()})
+        if extra:
+            raise DataError(f"{path}: unexpected parameter {extra[0]!r}")
+        for p in bundle.store.params():
+            key = f"param::{p.name}"
+            if key not in keys:
+                raise DataError(f"{path}: missing parameter {key!r}")
+            value = data[key]
+            if value.shape != p.shape:
+                raise DataError(f"{path}: parameter {key!r} has shape {value.shape}, "
+                                f"expected {p.shape}")
+            p.value[...] = value
     return bundle

@@ -17,13 +17,15 @@ also falls back to the plain step for that batch.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .autodiff import ParamStore, TapeNode, backward
+from .autodiff import ParamStore, TapeNode, all_finite, backward
 from .errors import DegenerateGradientError, NumericError, ParameterError, StateError
 
 DEGENERATE_NORM = 1e-12
@@ -85,28 +87,39 @@ def adamw_step(
     w <- w - lr_t*wd*w - lr_t * m_hat / (sqrt(v_hat) + eps), with the usual
     bias-corrected moments; lr_t comes from the linear schedule at `step`,
     while bias correction uses each parameter's own update count (so rarely
-    updated discriminators are corrected properly).
+    updated discriminators are corrected properly).  Every gradient is
+    checked before any value moves.  The update is elementwise, so it runs
+    once per stretch of arena whose parameters share an update count.
     """
     lr_t = lr_at(config, step)
-    for name in (names if names is not None else store.names()):
-        p = store[name]
-        if not np.all(np.isfinite(p.grad)):
-            raise NumericError(f"non-finite gradient in parameter {name!r}")
-        p.step += 1
-        p.m = config.beta1 * p.m + (1.0 - config.beta1) * p.grad
-        p.v = config.beta2 * p.v + (1.0 - config.beta2) * p.grad * p.grad
-        m_hat = p.m / (1.0 - config.beta1 ** p.step)
-        v_hat = p.v / (1.0 - config.beta2 ** p.step)
-        update = lr_t * m_hat / (np.sqrt(v_hat) + config.eps)
-        if config.weight_decay:
-            update = update + lr_t * config.weight_decay * p.value
-        p.value -= update
+    spans = store.spans(names)
+    for span, run in spans:
+        if not all_finite(store.grad[span]):
+            bad = next(p for p in run if not np.all(np.isfinite(p.grad)))
+            raise NumericError(f"non-finite gradient in parameter {bad.name!r}")
+    for _, run in spans:
+        for count, group in itertools.groupby(run, key=attrgetter("step")):
+            group = list(group)
+            t = count + 1
+            for p in group:
+                p.step = t
+            span = slice(group[0].start, group[-1].stop)
+            w, g, m, v = (arena[span] for arena in (store.value, store.grad, store.m, store.v))
+            m[...] = config.beta1 * m + (1.0 - config.beta1) * g
+            v[...] = config.beta2 * v + (1.0 - config.beta2) * g * g
+            m_hat = m / (1.0 - config.beta1 ** t)
+            v_hat = v / (1.0 - config.beta2 ** t)
+            update = lr_t * m_hat / (np.sqrt(v_hat) + config.eps)
+            if config.weight_decay:
+                update = update + lr_t * config.weight_decay * w
+            w -= update
 
 
 class Perturbation:
-    """Record of one sam_perturb: the exact pre-perturbation values."""
+    """Record of one sam_perturb: exact copies of the perturbed arena spans."""
 
-    def __init__(self, store: ParamStore, originals: dict[str, np.ndarray], norm: float):
+    def __init__(self, store: ParamStore, originals: list[tuple[slice, np.ndarray]],
+                 norm: float):
         self.store = store
         self.originals = originals
         self.grad_norm = norm
@@ -117,26 +130,26 @@ def sam_perturb(store: ParamStore, rho: float, names: Sequence[str] | None = Non
     """Set w <- w + eps_hat with eps_hat = rho * grad / ||grad||_2.
 
     The norm is a single global L2 norm over the concatenation of all named
-    parameters' gradients, so ||eps_hat||_2 = rho exactly.  A norm below
-    1e-12 raises DegenerateGradientError and leaves parameters untouched;
-    callers skip the perturbation for that step.
+    parameters' gradients, so ||eps_hat||_2 = rho exactly; it is accumulated
+    matrix by matrix in name order.  A norm below 1e-12 raises
+    DegenerateGradientError and leaves parameters untouched; callers skip
+    the perturbation for that step.
     """
     if rho < 0:
         raise ParameterError(f"rho must be >= 0, got {rho}")
-    chosen = list(names) if names is not None else store.names()
+    spans = store.spans(names)
     sq = 0.0
-    for name in chosen:
-        g = store[name].grad
-        sq += float((g * g).sum())
+    for _, run in spans:
+        for p in run:
+            sq += float((p.grad * p.grad).sum())
     norm = float(np.sqrt(sq))
     if norm < DEGENERATE_NORM:
         raise DegenerateGradientError(f"gradient norm {norm:.3e} below {DEGENERATE_NORM}")
     scale = rho / norm
-    originals = {}
-    for name in chosen:
-        p = store[name]
-        originals[name] = p.value.copy()
-        p.value += scale * p.grad
+    originals = []
+    for span, _ in spans:
+        originals.append((span, store.value[span].copy()))
+        store.value[span] += scale * store.grad[span]
     return Perturbation(store, originals, norm)
 
 
@@ -146,8 +159,8 @@ def sam_restore(store: ParamStore, perturbation: Perturbation) -> None:
         raise StateError("perturbation was produced for a different ParamStore")
     if perturbation.restored:
         raise StateError("perturbation already restored")
-    for name, value in perturbation.originals.items():
-        store[name].value[...] = value
+    for span, value in reversed(perturbation.originals):
+        store.value[span] = value
     perturbation.restored = True
 
 

@@ -5,6 +5,9 @@ Every differentiable operation is checked with central finite differences
 recomputations that share no code with the tape.
 """
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -12,6 +15,7 @@ from ditto import ParamStore, Rng, Tape, backward, finite_diff_check
 from ditto.autodiff import (
     BCE_CLAMP,
     activation,
+    all_finite,
     affine,
     binary_cross_entropy,
     grad_reverse,
@@ -467,3 +471,43 @@ def test_duplicate_parameter_name_rejected():
     store.add("w", np.ones((1, 1)))
     with pytest.raises(ParameterError):
         store.add("w", np.zeros((1, 1)))
+
+
+def test_finite_arrays_whose_sum_overflows_are_accepted():
+    huge = np.array([[1e308, 1e308]])
+    with np.errstate(over="ignore"):  # the fast-path sum overflows to inf
+        assert all_finite(huge)
+        assert np.array_equal(Tape().constant(huge).value, huge)
+    assert not all_finite(np.array([[1.0, np.nan]]))
+    with np.errstate(invalid="ignore"):  # inf + -inf sums to nan
+        assert not all_finite(np.array([[np.inf, -np.inf]]))
+
+
+def test_reset_grads_zeroes_every_slot_after_the_arena_grows():
+    store = ParamStore()
+    a = store.add("a", np.array([[1.0, 2.0]]))
+    a.grad[...] = 3.0
+    b = store.add("b", np.array([[4.0], [5.0]]))  # reallocates the arenas
+    assert store.grad.size == 4
+    assert np.array_equal(a.value, [[1.0, 2.0]]) and np.array_equal(a.grad, [[3.0, 3.0]])
+    b.grad[...] = 6.0
+    assert np.array_equal(store.grad, [3.0, 3.0, 6.0, 6.0])
+    store.reset_grads()
+    assert np.array_equal(store.grad, np.zeros(4))
+    assert not a.grad.any() and not b.grad.any()
+
+
+def test_finished_pass_is_freed_without_cyclic_gc():
+    store = ParamStore()
+    store.add("w", np.array([[1.0, -2.0]]))
+    gc.disable()
+    try:
+        tape = Tape()
+        w = tape.watch(store["w"])
+        loss = summation(hadamard(w, affine(w, tape.constant(np.eye(2)), tape.constant([[0.0, 1.0]]))))
+        backward(loss)
+        freed = weakref.ref(tape)
+        del tape, w, loss
+        assert freed() is None
+    finally:
+        gc.enable()

@@ -3,7 +3,7 @@ import pytest
 
 from ditto import EncoderSpec, Rng, Tape, init_params, load_checkpoint, save_checkpoint
 from ditto.analysis import linear_cka
-from ditto.errors import ParameterError, ShapeError
+from ditto.errors import DataError, ParameterError, ShapeError
 from ditto.model import (
     DISC_HIDDEN,
     classify,
@@ -168,6 +168,26 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
 
     X = Rng(0).normal(0, 1, (5, 3))
     assert np.array_equal(predict_logits(loaded, X), predict_logits(bundle, X))
+
+
+def rewrite_checkpoint(path, edit):
+    with np.load(path) as data:
+        arrays = {key: data[key] for key in data.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("edit, key", [
+    (lambda a: a.pop("param::classifier.W"), "param::classifier.W"),
+    (lambda a: a.update({"param::encoder.layer2.W": np.ones((5, 5))}), "param::encoder.layer2.W"),
+    (lambda a: a.update({"param::encoder.layer0.W": np.ones((4, 8))}), "param::encoder.layer0.W"),
+], ids=["missing", "extra", "wrong_shape"])
+def test_checkpoint_layout_mismatch_raises_data_error_naming_key(tmp_path, edit, key):
+    path = tmp_path / "model.npz"
+    save_checkpoint(make_bundle(seed=13), path)
+    rewrite_checkpoint(path, edit)
+    with pytest.raises(DataError, match=key.replace(".", r"\.")):
+        load_checkpoint(path)
 
 
 def test_duplicate_target_ids_rejected():

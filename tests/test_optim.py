@@ -318,3 +318,108 @@ def test_double_well_basin_selection():
     assert abs(w_adamw - SHARP_CENTER) < 0.05
     # SAM ends where the flat branch is active
     assert w_sam < LEFT_CROSSING
+
+
+# --- flat arenas ---------------------------------------------------------------
+
+ARENA_SHAPES = {"enc.W": (2, 32), "enc.b": (1, 32), "mid.W": (32, 16), "mid.b": (1, 16),
+                "cls.W": (16, 3), "cls.b": (1, 3)}
+
+
+def arena_store(seed):
+    rng = Rng(seed)
+    store = ParamStore()
+    for name, shape in ARENA_SHAPES.items():
+        store.add(name, rng.normal(0, 1, shape))
+    return store
+
+
+def reference_adamw(state, config, step, names):
+    """Per-matrix AdamW on plain arrays: the oracle the arena update must match."""
+    lr_t = lr_at(config, step)
+    for name in names:
+        p = state[name]
+        p["step"] += 1
+        p["m"] = config.beta1 * p["m"] + (1.0 - config.beta1) * p["grad"]
+        p["v"] = config.beta2 * p["v"] + (1.0 - config.beta2) * p["grad"] * p["grad"]
+        m_hat = p["m"] / (1.0 - config.beta1 ** p["step"])
+        v_hat = p["v"] / (1.0 - config.beta2 ** p["step"])
+        update = lr_t * m_hat / (np.sqrt(v_hat) + config.eps)
+        if config.weight_decay:
+            update = update + lr_t * config.weight_decay * p["value"]
+        p["value"] = p["value"] - update
+
+
+def test_arena_adamw_bit_identical_to_per_matrix_loop():
+    # whole-store, contiguous-subset and non-contiguous-subset updates, so
+    # runs split both by adjacency and by differing update counts
+    store = arena_store(3)
+    state = {n: {"value": store[n].value.copy(), "m": np.zeros(s), "v": np.zeros(s), "step": 0}
+             for n, s in ARENA_SHAPES.items()}
+    cfg = AdamWConfig(lr=0.02, total_steps=50, weight_decay=0.01)
+    schedule = [None, ["enc.W", "enc.b"], ["mid.b", "enc.W", "cls.W"], None, []]
+    rng = Rng(4)
+    for step in range(12):
+        names = schedule[step % len(schedule)]
+        chosen = list(ARENA_SHAPES) if names is None else names
+        for n, s in ARENA_SHAPES.items():
+            g = rng.normal(0, 1, s)
+            store[n].grad[...] = g
+            state[n]["grad"] = g
+        adamw_step(store, cfg, step, names)
+        reference_adamw(state, cfg, step, chosen)
+        for n in ARENA_SHAPES:
+            p = store[n]
+            assert p.step == state[n]["step"], (step, n)
+            for field in ("value", "m", "v"):
+                assert np.array_equal(getattr(p, field), state[n][field]), (step, n, field)
+
+
+def test_adamw_nonfinite_gradient_in_large_matrix_names_it_and_moves_nothing():
+    store = ParamStore()
+    store.add("a", np.ones((3, 3)))
+    store.add("big", np.ones((64, 32)))
+    store.add("c", np.ones((1, 4)))
+    store.grad[...] = 1.0
+    store["big"].grad[17, 5] = np.nan
+    before = store.value.copy()
+    with pytest.raises(NumericError, match="'big'"):
+        adamw_step(store, AdamWConfig(lr=0.1, total_steps=10), 0)
+    assert np.array_equal(store.value, before)
+    assert all(p.step == 0 for p in store.params())
+
+
+def test_param_views_alias_the_arena():
+    store = arena_store(5)
+    p = store["mid.W"]
+    assert np.shares_memory(p.value, store.value) and np.shares_memory(p.grad, store.grad)
+    x = Rng(6).normal(0, 1, p.shape)
+    p.value[...] = x  # zero gradient: only the decay term moves the weights
+    cfg = AdamWConfig(lr=0.1, total_steps=10, weight_decay=0.5)
+    adamw_step(store, cfg, 0, names=["mid.W"])
+    assert np.array_equal(store["mid.W"].value, x - lr_at(cfg, 0) * cfg.weight_decay * x)
+    assert np.array_equal(store.value[p.start:p.stop], store["mid.W"].value.ravel())
+
+
+def test_sam_perturb_restore_bit_exact_over_multi_param_store():
+    for names in (None, ["cls.W", "enc.W", "enc.b"]):
+        store = arena_store(7)
+        before = store.value.copy()
+        rng = Rng(8)
+        for n, s in ARENA_SHAPES.items():
+            store[n].grad[...] = rng.normal(0, 1, s)
+        chosen = list(ARENA_SHAPES) if names is None else names
+        sq = 0.0
+        for n in chosen:
+            g = store[n].grad
+            sq += float((g * g).sum())
+        scale = 0.05 / float(np.sqrt(sq))
+        expected = {n: store[n].value + scale * store[n].grad for n in ARENA_SHAPES
+                    if n in chosen}
+        pert = sam_perturb(store, rho=0.05, names=names)
+        assert pert.grad_norm == float(np.sqrt(sq))
+        for n in ARENA_SHAPES:
+            want = expected[n] if n in chosen else before[store[n].start:store[n].stop]
+            assert np.array_equal(store[n].value.ravel(), want.ravel()), n
+        sam_restore(store, pert)
+        assert np.array_equal(store.value, before)
