@@ -21,6 +21,7 @@ ditto_minus_la, and with rho = 0 as well it is bit-for-bit the baseline.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -300,6 +301,14 @@ class Optimizers:
 # training steps
 
 
+@functools.lru_cache(maxsize=8)
+def _domain_labels(m: int) -> np.ndarray:
+    """Read-only (2m x 1) discriminator labels: m source ones, m target zeros."""
+    labels = np.concatenate([np.ones(m), np.zeros(m)]).reshape(-1, 1)
+    labels.flags.writeable = False
+    return labels
+
+
 def _task_loss_proc(bundle: ModelBundle, X: np.ndarray, y: np.ndarray):
     def proc():
         tape = Tape()
@@ -381,14 +390,12 @@ def ditto_step(
     else:
         source_rows = X
     domain_X = np.vstack([source_rows, target_rows])
-    domain_y = np.concatenate([np.ones(m, dtype=np.int64),
-                               np.zeros(m, dtype=np.int64)])
 
     tape = Tape()
     feats = encode(bundle, tape, domain_X)
     reversed_feats = grad_reverse(feats, lam)
     probs = discriminate(bundle, t, tape, reversed_feats)
-    adv = binary_cross_entropy(probs, domain_y)
+    adv = binary_cross_entropy(probs, _domain_labels(m))
     backward(adv)  # adds encoder gradients onto the task slots
 
     adamw_step(store, opts.enc, step, task_names)
@@ -527,12 +534,15 @@ def train(
             disc_loss=mean_adv,  # one shared pass: same scalar both sides
             per_domain_acc=domain_accuracies(bundle, datasets),
         ))
+    # no step runs after the last epoch's evaluation, so it is the final one
+    final_acc = (dict(records[-1].per_domain_acc) if records
+                 else domain_accuracies(bundle, datasets))
     report = TrainReport(
         variant=variant.name,
         seed=seed,
         epochs=records,
         target_sample_counts=sample_counts,
-        final_per_domain_acc=domain_accuracies(bundle, datasets),
+        final_per_domain_acc=final_acc,
         wall_clock_seconds=time.perf_counter() - started,
     )
     return bundle, report

@@ -7,6 +7,15 @@ different tapes without a reset in between sums both contributions into the
 same slots, which is exactly what the joint adaptation step needs to combine
 task and adversarial gradients.  `ParamStore.reset_grads` zeroes every slot.
 
+Parameters enter a pass in one of two ways.  An operation takes a `Param`
+directly as an operand next to at least one TapeNode operand, whose tape it
+records on: the parameter's values are checked for finiteness, it gets no
+node of its own, and `backward` adds its gradient straight into
+`param.grad`.  The model passes its weights this way.  `Tape.watch` records
+a parameter as a leaf node instead; only an operation whose operands are
+all parameters, such as `hadamard(w, w)`, needs it, because an operation
+takes its tape from a TapeNode operand.
+
 Parameter storage is flat.  A `ParamStore` owns four contiguous 1-D float64
 arenas, `value`, `grad`, `m` and `v`; parameter i occupies the span
 [start_i, stop_i) of each, in insertion order, and its `.value`/`.grad`/`.m`/
@@ -54,7 +63,7 @@ def all_finite(a: np.ndarray) -> bool:
     non-finite sum, which a finite array can also reach by overflow (numpy
     then warns about the overflow), pays for the exact elementwise check.
     """
-    return math.isfinite(a.sum()) or bool(np.all(np.isfinite(a)))
+    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.all(np.isfinite(a)))
 
 
 class Param:
@@ -158,7 +167,11 @@ class ParamStore:
 
 
 class TapeNode:
-    """One recorded value in a forward pass."""
+    """One recorded value in a forward pass.
+
+    `parents` holds the operation's operands, TapeNodes and Params alike;
+    `param` is set on a `Tape.watch` leaf only.
+    """
 
     __slots__ = ("tape", "idx", "value", "parents", "vjp", "param")
 
@@ -207,19 +220,37 @@ class Tape:
         return self._record(_as_matrix(x), (), None)
 
     def watch(self, param: Param) -> TapeNode:
-        """Record a leaf whose gradient accumulates into `param.grad`."""
+        """Record a leaf whose gradient accumulates into `param.grad`.
+
+        An operation takes its tape from a TapeNode operand, so one whose
+        operands are all parameters, such as `hadamard(w, w)`, needs them
+        watched; next to a TapeNode operand a parameter is passed as is.
+        """
         return self._record(param.value, (), None, param=param)
 
 
-def _same_tape(*nodes: TapeNode) -> Tape:
-    tape = nodes[0].tape
-    for n in nodes[1:]:
-        if n.tape is not tape:
+def _same_tape(*operands: TapeNode | Param) -> Tape:
+    """The tape of the operation's TapeNode operands, which must all share it.
+
+    A `Param` operand is checked for finite values, as `Tape.watch` checks
+    it; an operation needs at least one TapeNode operand to have a tape.
+    """
+    tape = None
+    for x in operands:
+        if x.__class__ is Param:
+            if not all_finite(x.value):
+                raise NumericError(f"parameter {x.name!r} holds a non-finite value")
+        elif tape is None:
+            tape = x.tape
+        elif x.tape is not tape:
             raise StateError("operands were recorded on different tapes")
+    if tape is None:
+        raise StateError("an operation needs a recorded operand; watch a parameter "
+                         "to use it without one")
     return tape
 
 
-def matmul(a: TapeNode, b: TapeNode) -> TapeNode:
+def matmul(a: TapeNode | Param, b: TapeNode | Param) -> TapeNode:
     """Matrix product a @ b.
 
     Backward: dL/da = g @ b^T, dL/db = a^T @ g.
@@ -235,7 +266,7 @@ def matmul(a: TapeNode, b: TapeNode) -> TapeNode:
     return tape._record(av @ bv, (a, b), vjp)
 
 
-def affine(x: TapeNode, W: TapeNode, b: TapeNode) -> TapeNode:
+def affine(x: TapeNode | Param, W: TapeNode | Param, b: TapeNode | Param) -> TapeNode:
     """x @ W + b, the bias row broadcast over rows of x."""
     tape = _same_tape(x, W, b)
     xv, Wv, bv = x.value, W.value, b.value
@@ -247,7 +278,9 @@ def affine(x: TapeNode, W: TapeNode, b: TapeNode) -> TapeNode:
     def vjp(g):
         return g @ Wv.T, xv.T @ g, g.sum(axis=0, keepdims=True)
 
-    return tape._record(xv @ Wv + bv, (x, W, b), vjp)
+    out = xv @ Wv
+    out += bv
+    return tape._record(out, (x, W, b), vjp)
 
 
 def activation(x: TapeNode, kind: str) -> TapeNode:
@@ -267,7 +300,7 @@ def activation(x: TapeNode, kind: str) -> TapeNode:
 
     else:
         raise ParameterError(f"unknown activation kind: {kind!r}")
-    return x.tape._record(out, (x,), vjp)
+    return _same_tape(x)._record(out, (x,), vjp)
 
 
 def sigmoid(x: TapeNode) -> TapeNode:
@@ -280,10 +313,10 @@ def sigmoid(x: TapeNode) -> TapeNode:
     def vjp(g):
         return (g * out * (1.0 - out),)
 
-    return x.tape._record(out, (x,), vjp)
+    return _same_tape(x)._record(out, (x,), vjp)
 
 
-def hadamard(a: TapeNode, b: TapeNode) -> TapeNode:
+def hadamard(a: TapeNode | Param, b: TapeNode | Param) -> TapeNode:
     """Elementwise product of equal-shape matrices."""
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
@@ -296,7 +329,7 @@ def hadamard(a: TapeNode, b: TapeNode) -> TapeNode:
     return tape._record(av * bv, (a, b), vjp)
 
 
-def minimum(a: TapeNode, b: TapeNode) -> TapeNode:
+def minimum(a: TapeNode | Param, b: TapeNode | Param) -> TapeNode:
     """Elementwise minimum; the gradient follows the active branch (ties to a)."""
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
@@ -316,7 +349,7 @@ def summation(x: TapeNode) -> TapeNode:
     def vjp(g):
         return (np.full_like(x.value, g[0, 0]),)
 
-    return x.tape._record(np.array([[x.value.sum()]]), (x,), vjp)
+    return _same_tape(x)._record(np.array([[x.value.sum()]]), (x,), vjp)
 
 
 def grad_reverse(x: TapeNode, lam: float) -> TapeNode:
@@ -338,7 +371,7 @@ def grad_reverse(x: TapeNode, lam: float) -> TapeNode:
         return (-lam * g,)
 
     # forward output shares the input array: bit-identical by construction
-    return x.tape._record(x.value, (x,), vjp)
+    return _same_tape(x)._record(x.value, (x,), vjp)
 
 
 def softmax_cross_entropy(logits: TapeNode, labels) -> TapeNode:
@@ -357,24 +390,24 @@ def softmax_cross_entropy(logits: TapeNode, labels) -> TapeNode:
         raise ShapeError(f"labels must be a vector of length {lv.shape[0]}, got shape {y.shape}")
     if y.dtype.kind not in "iu":
         raise LabelError(f"labels must be integers, got dtype {y.dtype}")
-    num_classes = lv.shape[1]
-    if np.any(y < 0) or np.any(y >= num_classes):
+    m, num_classes = lv.shape
+    if m and (np.minimum.reduce(y) < 0 or np.maximum.reduce(y) >= num_classes):
         raise LabelError(f"labels must lie in [0, {num_classes}), got range "
                          f"[{y.min()}, {y.max()}]")
-    m = lv.shape[0]
+    rows = np.arange(m)
     shifted = lv - lv.max(axis=1, keepdims=True)
     exps = np.exp(shifted)
     total = exps.sum(axis=1, keepdims=True)
     log_probs = shifted - np.log(total)
-    loss = -log_probs[np.arange(m), y].mean()
+    loss = -(log_probs[rows, y].sum() / m)
     softmax = exps / total
 
     def vjp(g):
         grad = softmax.copy()
-        grad[np.arange(m), y] -= 1.0
+        grad[rows, y] -= 1.0
         return (g[0, 0] * grad / m,)
 
-    return logits.tape._record(np.array([[loss]]), (logits,), vjp)
+    return _same_tape(logits)._record(np.array([[loss]]), (logits,), vjp)
 
 
 def binary_cross_entropy(p: TapeNode, y) -> TapeNode:
@@ -395,26 +428,28 @@ def binary_cross_entropy(p: TapeNode, y) -> TapeNode:
     yv = np.asarray(y, dtype=np.float64).reshape(-1, 1)
     if yv.shape[0] != pv.shape[0]:
         raise ShapeError(f"labels must have length {pv.shape[0]}, got {yv.shape[0]}")
-    if not np.all((yv == 0.0) | (yv == 1.0)):
+    if not np.logical_and.reduce((yv == 0.0) | (yv == 1.0), axis=None):
         raise LabelError("binary labels must be 0 or 1")
     m = pv.shape[0]
     clamped = np.clip(pv, BCE_CLAMP, 1.0 - BCE_CLAMP)
     inside = (pv >= BCE_CLAMP) & (pv <= 1.0 - BCE_CLAMP)
-    loss = -np.mean(yv * np.log(clamped) + (1.0 - yv) * np.log(1.0 - clamped))
+    loss = -((yv * np.log(clamped) + (1.0 - yv) * np.log(1.0 - clamped)).sum() / m)
 
     def vjp(g):
         local = (-yv / clamped + (1.0 - yv) / (1.0 - clamped)) / m
         return (g[0, 0] * local * inside,)
 
-    return p.tape._record(np.array([[loss]]), (p,), vjp)
+    return _same_tape(p)._record(np.array([[loss]]), (p,), vjp)
 
 
 def backward(loss: TapeNode) -> None:
-    """Accumulate d(loss)/d(param) into every watched parameter's grad slot.
+    """Accumulate d(loss)/d(param) into the grad slot of every parameter the
+    loss depends on, whether it was an operand or watched.
 
     Visits the loss and its ancestors in reverse topological (creation)
-    order, each at most once.  Repeated calls without `reset_grads` in
-    between add their contributions.
+    order, each at most once.  A `Param` operand receives its share at once,
+    one `+=` per use; a watched one receives the sum over its uses.
+    Repeated calls without `reset_grads` in between add their contributions.
     """
     if loss.value.shape != (1, 1):
         raise ShapeError(f"backward requires a scalar (1x1) loss, got shape {loss.value.shape}")
@@ -429,7 +464,9 @@ def backward(loss: TapeNode) -> None:
         if node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):
-            if parent.idx in grads:
+            if parent.__class__ is Param:
+                parent.grad += pg
+            elif parent.idx in grads:
                 grads[parent.idx] = grads[parent.idx] + pg
             else:
                 grads[parent.idx] = pg

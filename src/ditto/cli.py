@@ -21,7 +21,7 @@ from pathlib import Path
 from .adaptation import TrainVariant, compute_prior, few_shot_augment, train
 from .analysis import write_eval_csv, zero_shot_eval
 from .data import generate_synthetic, load_dataset, subsample_source
-from .errors import ConfigError
+from .errors import ConfigError, DataError, ParseError
 from .experiment import (
     BASELINE,
     analyze_results,
@@ -206,7 +206,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except (ConfigError, DataError, ParseError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -93,19 +93,20 @@ class ModelBundle:
         self.target_ids = tuple(sorted(str(t) for t in target_ids))
         if len(set(self.target_ids)) != len(self.target_ids):
             raise ParameterError(f"duplicate target ids: {target_ids}")
-        self.store = ParamStore(param_layout(spec, num_classes, self.target_ids))
+        layout = param_layout(spec, num_classes, self.target_ids)
+        self.store = ParamStore(layout)
+        self._task_names = [name for name, _ in layout if not name.startswith("disc.")]
 
     @property
     def feature_dim(self) -> int:
         return self.spec.feature_dim
 
     def task_param_names(self) -> list[str]:
-        """Encoder and classifier parameters, the ones SAM perturbs."""
-        names = []
-        for i in range(len(self.spec.hidden_dims)):
-            names += [f"encoder.layer{i}.W", f"encoder.layer{i}.b"]
-        names += ["classifier.W", "classifier.b"]
-        return names
+        """Encoder and classifier parameters, the ones SAM perturbs.
+
+        The list is built once per bundle and shared: do not modify it.
+        """
+        return self._task_names
 
     def disc_param_names(self, t: str) -> list[str]:
         self._check_target(t)
@@ -152,44 +153,44 @@ def encode(bundle: ModelBundle, tape: Tape, x) -> TapeNode:
     if node.value.shape[1] != bundle.spec.input_dim:
         raise ShapeError(f"encoder expects {bundle.spec.input_dim} input columns, "
                          f"got {node.value.shape[1]}")
+    store = bundle.store
     for i in range(len(bundle.spec.hidden_dims)):
-        W = tape.watch(bundle.store[f"encoder.layer{i}.W"])
-        b = tape.watch(bundle.store[f"encoder.layer{i}.b"])
-        node = activation(affine(node, W, b), bundle.spec.activation)
+        node = activation(affine(node, store[f"encoder.layer{i}.W"],
+                                 store[f"encoder.layer{i}.b"]), bundle.spec.activation)
     return node
 
 
 def classify(bundle: ModelBundle, tape: Tape, features: TapeNode) -> TapeNode:
     """Affine classifier head producing m x num_classes logits."""
-    W = tape.watch(bundle.store["classifier.W"])
-    b = tape.watch(bundle.store["classifier.b"])
-    return affine(features, W, b)
+    return affine(features, bundle.store["classifier.W"], bundle.store["classifier.b"])
 
 
 def discriminate(bundle: ModelBundle, t: str, tape: Tape, features: TapeNode) -> TapeNode:
     """Target t's discriminator: m x 1 probabilities, strictly inside (0, 1)."""
     bundle._check_target(t)
-    W0 = tape.watch(bundle.store[f"disc.{t}.layer0.W"])
-    b0 = tape.watch(bundle.store[f"disc.{t}.layer0.b"])
-    hidden = activation(affine(features, W0, b0), "tanh")
-    W1 = tape.watch(bundle.store[f"disc.{t}.head.W"])
-    b1 = tape.watch(bundle.store[f"disc.{t}.head.b"])
-    return sigmoid(affine(hidden, W1, b1))
+    store = bundle.store
+    hidden = activation(affine(features, store[f"disc.{t}.layer0.W"],
+                               store[f"disc.{t}.layer0.b"]), "tanh")
+    return sigmoid(affine(hidden, store[f"disc.{t}.head.W"], store[f"disc.{t}.head.b"]))
 
 
 def extract_features(bundle: ModelBundle, x) -> np.ndarray:
     """Encoder outputs with no tape recording (inference); row order preserved.
 
     Performs the same float64 operations in the same order as `encode`, so
-    the values are bit-identical to a recorded forward pass.
+    the values are bit-identical to a recorded forward pass.  Each layer's
+    matmul allocates the array the bias and tanh then update in place, so
+    `x` is never written.
     """
     h = np.asarray(x, dtype=np.float64)
     if h.ndim != 2 or h.shape[1] != bundle.spec.input_dim:
         raise ShapeError(f"expected m x {bundle.spec.input_dim} inputs, got shape {h.shape}")
+    store = bundle.store
     for i in range(len(bundle.spec.hidden_dims)):
-        h = h @ bundle.store[f"encoder.layer{i}.W"].value + bundle.store[f"encoder.layer{i}.b"].value
+        h = h @ store[f"encoder.layer{i}.W"].value
+        h += store[f"encoder.layer{i}.b"].value
         if bundle.spec.activation == "tanh":
-            h = np.tanh(h)
+            np.tanh(h, out=h)
         else:
             h = np.where(h > 0.0, h, 0.0)
     return h
@@ -197,8 +198,9 @@ def extract_features(bundle: ModelBundle, x) -> np.ndarray:
 
 def predict_logits(bundle: ModelBundle, x) -> np.ndarray:
     """Inference-mode logits: classifier head applied to extracted features."""
-    feats = extract_features(bundle, x)
-    return feats @ bundle.store["classifier.W"].value + bundle.store["classifier.b"].value
+    logits = extract_features(bundle, x) @ bundle.store["classifier.W"].value
+    logits += bundle.store["classifier.b"].value
+    return logits
 
 
 def save_checkpoint(bundle: ModelBundle, path: str) -> None:

@@ -257,6 +257,9 @@ def test_softmax_cross_entropy_label_validation():
         softmax_cross_entropy(logits, [0, 1, 4])
     with pytest.raises(LabelError):
         softmax_cross_entropy(logits, [0, -1, 2])
+    # no rows: the mean loss is undefined, not a label error
+    with pytest.warns(RuntimeWarning), pytest.raises(NumericError):
+        softmax_cross_entropy(tape.constant(np.zeros((0, 4))), np.zeros(0, dtype=np.int64))
 
 
 def test_binary_cross_entropy_matches_direct_formula():
@@ -302,8 +305,9 @@ def test_binary_cross_entropy_validation():
         binary_cross_entropy(tape.constant(np.full((3, 2), 0.5)), [0, 1, 0])
     with pytest.raises(ShapeError):
         binary_cross_entropy(tape.constant(np.full((3, 1), 0.5)), [0, 1])
-    with pytest.raises(LabelError):
-        binary_cross_entropy(tape.constant(np.full((3, 1), 0.5)), [0, 1, 2])
+    for bad in ([0, 1, 2], [0.5, 1.0, 0.0], [0.0, 1.0, np.nan]):
+        with pytest.raises(LabelError, match="binary labels must be 0 or 1"):
+            binary_cross_entropy(tape.constant(np.full((3, 1), 0.5)), bad)
 
 
 def test_grad_reverse_negates_and_scales():
@@ -403,6 +407,47 @@ def test_cross_tape_operands_raise_state_error():
     b = t2.constant(np.ones((2, 2)))
     with pytest.raises(StateError):
         hadamard(a, b)
+    # parameter operands take no part in choosing the tape
+    store = ParamStore()
+    W = store.add("W", np.ones((2, 2)))
+    with pytest.raises(StateError):
+        affine(a, W, t2.constant(np.ones((1, 2))))
+    # with no recorded operand there is no tape to record on
+    with pytest.raises(StateError):
+        hadamard(W, W)
+    with pytest.raises(StateError):
+        sigmoid(W)
+
+
+def test_nonfinite_param_operand_raises_numeric_error():
+    store = ParamStore()
+    W = store.add("W", np.array([[1.0], [np.nan]]))
+    b = store.add("b", np.zeros((1, 1)))
+    tape = Tape()
+    with pytest.raises(NumericError, match="'W'"):
+        affine(tape.constant(np.ones((3, 2))), W, b)
+    W.value[1, 0] = np.inf
+    with pytest.raises(NumericError, match="'W'"):
+        matmul(tape.constant(np.ones((3, 2))), W)
+
+
+def test_param_operand_gradient_lands_in_its_slot():
+    # a parameter passed as is gets no node; its gradient goes straight into
+    # its slot, and adds onto what an earlier pass left there
+    store = ParamStore()
+    W = store.add("W", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    b = store.add("b", np.array([[0.5, -0.5]]))
+    tape = Tape()
+    x = tape.constant(np.array([[1.0, -1.0], [2.0, 0.0]]))
+    out = affine(x, W, b)
+    assert out.parents[1] is W and out.parents[2] is b
+    assert tape.size == 2  # the constant and the affine node
+    backward(summation(out))
+    assert np.array_equal(W.grad, np.array([[3.0, 3.0], [-1.0, -1.0]]))
+    assert np.array_equal(b.grad, np.array([[2.0, 2.0]]))
+    backward(summation(affine(Tape().constant(np.ones((1, 2))), W, b)))
+    assert np.array_equal(W.grad, np.array([[4.0, 4.0], [0.0, 0.0]]))
+    assert np.array_equal(b.grad, np.array([[3.0, 3.0]]))
 
 
 def test_shape_errors():

@@ -13,9 +13,11 @@ from ditto import (
     TrainConfig,
     TrainVariant,
     analyze_results,
+    init_params,
     linear_cka,
     load_checkpoint,
     run_experiment,
+    save_checkpoint,
     train,
 )
 from ditto.analysis import read_eval_csv, relative_gain
@@ -320,6 +322,42 @@ def test_cli_run_all_and_downstream(cli_config, tmp_path):
 def test_cli_missing_config_is_error(tmp_path):
     assert main(["generate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "d")]) == 2
+
+
+def _drop_classifier_weight(run_dir, data_dir):
+    with np.load(run_dir / "model.npz") as data:
+        arrays = {key: data[key] for key in data.files if key != "param::classifier.W"}
+    np.savez(run_dir / "model.npz", **arrays)
+    return "param::classifier.W"
+
+
+def _drop_manifest(run_dir, data_dir):
+    (data_dir / "manifest.json").unlink()
+    return "manifest.json"
+
+
+def _corrupt_csv(run_dir, data_dir):
+    (data_dir / "rot30.eval.csv").write_text("not,a,header\n")
+    return "rot30.eval.csv:1"
+
+
+@pytest.mark.parametrize("spoil", [_drop_classifier_weight, _drop_manifest, _corrupt_csv],
+                         ids=["checkpoint_missing_param", "no_manifest", "bad_csv"])
+def test_cli_eval_bad_input_is_one_line_error(cli_config, tmp_path, capsys, spoil):
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
+    cfg = json.loads(cli_config.read_text())["experiment"]
+    spec = EncoderSpec(**cfg["encoder"])
+    run_dir.mkdir()
+    save_checkpoint(init_params(spec, cfg["num_classes"], ["rot30", "rot60"], Rng(0)),
+                    run_dir / "model.npz")
+    named = spoil(run_dir, data_dir)
+    capsys.readouterr()
+    assert main(["eval", "--model", str(run_dir / "model.npz"), "--data", str(data_dir),
+                 "--out", str(tmp_path / "scores.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
 
 
 def test_cli_run_all_respects_variant_restriction(cli_config, tmp_path):

@@ -1,9 +1,17 @@
 import numpy as np
 import pytest
 
-from ditto import EncoderSpec, Rng, Tape, init_params, load_checkpoint, save_checkpoint
+from ditto import EncoderSpec, Rng, Tape, backward, init_params, load_checkpoint, save_checkpoint
 from ditto.analysis import linear_cka
-from ditto.errors import DataError, ParameterError, ShapeError
+from ditto.autodiff import (
+    activation,
+    affine,
+    binary_cross_entropy,
+    grad_reverse,
+    sigmoid,
+    softmax_cross_entropy,
+)
+from ditto.errors import DataError, NumericError, ParameterError, ShapeError
 from ditto.model import (
     DISC_HIDDEN,
     classify,
@@ -111,6 +119,80 @@ def test_extract_features_bit_identical_to_encode():
     assert np.array_equal(node.value, feats)
     # pure: repeated calls agree bit for bit
     assert np.array_equal(feats, extract_features(bundle, X))
+
+
+@pytest.mark.parametrize("kind", ["tanh", "relu"])
+def test_inference_leaves_input_unchanged(kind):
+    spec = EncoderSpec(input_dim=3, hidden_dims=[8, 5], activation=kind)
+    bundle = init_params(spec, num_classes=4, targets=["t0"], rng=Rng(4))
+    X = Rng(2).normal(0, 1, (10, 3))
+    before = X.copy()
+    feats = extract_features(bundle, X)
+    logits = predict_logits(bundle, X)
+    assert np.array_equal(X, before)
+    tape = Tape()
+    node = encode(bundle, tape, X)
+    assert np.array_equal(feats, node.value)
+    assert np.array_equal(logits, classify(bundle, tape, node).value)
+
+
+def _watched_losses(bundle, X, y, domain_y, t, lam):
+    """The task and adversarial losses of `ditto_step`, built with every
+    parameter watched: the reference for parameters passed as operands."""
+    def layer(tape, h, prefix, kind):
+        W = tape.watch(bundle.store[f"{prefix}.W"])
+        return activation(affine(h, W, tape.watch(bundle.store[f"{prefix}.b"])), kind)
+
+    def features(tape):
+        h = tape.constant(X)
+        for i in range(len(SPEC.hidden_dims)):
+            h = layer(tape, h, f"encoder.layer{i}", SPEC.activation)
+        return h
+
+    tape = Tape()
+    logits = affine(features(tape), tape.watch(bundle.store["classifier.W"]),
+                    tape.watch(bundle.store["classifier.b"]))
+    task = softmax_cross_entropy(logits, y)
+    tape = Tape()
+    hidden = layer(tape, grad_reverse(features(tape), lam), f"disc.{t}.layer0", "tanh")
+    head = affine(hidden, tape.watch(bundle.store[f"disc.{t}.head.W"]),
+                  tape.watch(bundle.store[f"disc.{t}.head.b"]))
+    return task, binary_cross_entropy(sigmoid(head), domain_y)
+
+
+def _operand_losses(bundle, X, y, domain_y, t, lam):
+    tape = Tape()
+    task = softmax_cross_entropy(classify(bundle, tape, encode(bundle, tape, X)), y)
+    tape = Tape()
+    probs = discriminate(bundle, t, tape, grad_reverse(encode(bundle, tape, X), lam))
+    return task, binary_cross_entropy(probs, domain_y)
+
+
+def test_param_operands_match_watched_gradients_bit_for_bit():
+    bundle = make_bundle(seed=6)
+    rng = Rng(3)
+    X = rng.normal(0, 1, (12, 3))
+    y = rng.integers(0, 4, 12)
+    domain_y = np.repeat([1, 0], 6)
+    results = []
+    for build in (_watched_losses, _operand_losses):
+        bundle.store.reset_grads()
+        task, adv = build(bundle, X, y, domain_y, "t1", 0.7)
+        backward(task)
+        backward(adv)  # reversed encoder gradients add onto the task ones
+        results.append((task.value, adv.value, bundle.store.grad.copy()))
+    (task_w, adv_w, grad_w), (task_o, adv_o, grad_o) = results
+    assert np.array_equal(task_w, task_o) and np.array_equal(adv_w, adv_o)
+    assert np.array_equal(grad_w, grad_o)
+    assert np.count_nonzero(grad_o) > 0
+    assert not bundle.store["disc.t0.head.W"].grad.any()
+
+
+def test_nonfinite_parameter_in_forward_raises_numeric_error():
+    bundle = make_bundle(seed=6)
+    bundle.store["encoder.layer1.W"].value[0, 0] = np.nan
+    with pytest.raises(NumericError, match="encoder.layer1.W"):
+        encode(bundle, Tape(), np.ones((2, 3)))
 
 
 def test_predict_logits_matches_tape_path():
