@@ -21,7 +21,6 @@ ditto_minus_la, and with rho = 0 as well it is bit-for-bit the baseline.
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field, replace
@@ -301,14 +300,6 @@ class Optimizers:
 # training steps
 
 
-@functools.lru_cache(maxsize=8)
-def _domain_labels(m: int) -> np.ndarray:
-    """Read-only (2m x 1) discriminator labels: m source ones, m target zeros."""
-    labels = np.concatenate([np.ones(m), np.zeros(m)]).reshape(-1, 1)
-    labels.flags.writeable = False
-    return labels
-
-
 def _task_loss_proc(bundle: ModelBundle, X: np.ndarray, y: np.ndarray):
     def proc():
         tape = Tape()
@@ -395,7 +386,7 @@ def ditto_step(
     feats = encode(bundle, tape, domain_X)
     reversed_feats = grad_reverse(feats, lam)
     probs = discriminate(bundle, t, tape, reversed_feats)
-    adv = binary_cross_entropy(probs, _domain_labels(m))
+    adv = binary_cross_entropy(probs, np.repeat([1.0, 0.0], m))
     backward(adv)  # adds encoder gradients onto the task slots
 
     adamw_step(store, opts.enc, step, task_names)
@@ -534,15 +525,12 @@ def train(
             disc_loss=mean_adv,  # one shared pass: same scalar both sides
             per_domain_acc=domain_accuracies(bundle, datasets),
         ))
-    # no step runs after the last epoch's evaluation, so it is the final one
-    final_acc = (dict(records[-1].per_domain_acc) if records
-                 else domain_accuracies(bundle, datasets))
     report = TrainReport(
         variant=variant.name,
         seed=seed,
         epochs=records,
         target_sample_counts=sample_counts,
-        final_per_domain_acc=final_acc,
+        final_per_domain_acc=domain_accuracies(bundle, datasets),
         wall_clock_seconds=time.perf_counter() - started,
     )
     return bundle, report

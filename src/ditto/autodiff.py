@@ -12,9 +12,10 @@ directly as an operand next to at least one TapeNode operand, whose tape it
 records on: the parameter's values are checked for finiteness, it gets no
 node of its own, and `backward` adds its gradient straight into
 `param.grad`.  The model passes its weights this way.  `Tape.watch` records
-a parameter as a leaf node instead; only an operation whose operands are
-all parameters, such as `hadamard(w, w)`, needs it, because an operation
-takes its tape from a TapeNode operand.
+a parameter as an identity node over it instead, which sums the parameter's
+gradient over its uses before the one `+=`; only an operation whose
+operands are all parameters, such as `hadamard(w, w)`, needs it, because an
+operation takes its tape from a TapeNode operand.
 
 Parameter storage is flat.  A `ParamStore` owns four contiguous 1-D float64
 arenas, `value`, `grad`, `m` and `v`; parameter i occupies the span
@@ -169,19 +170,17 @@ class ParamStore:
 class TapeNode:
     """One recorded value in a forward pass.
 
-    `parents` holds the operation's operands, TapeNodes and Params alike;
-    `param` is set on a `Tape.watch` leaf only.
+    `parents` holds the operation's operands, TapeNodes and Params alike.
     """
 
-    __slots__ = ("tape", "idx", "value", "parents", "vjp", "param")
+    __slots__ = ("tape", "idx", "value", "parents", "vjp")
 
-    def __init__(self, tape, idx, value, parents, vjp, param):
+    def __init__(self, tape, idx, value, parents, vjp):
         self.tape = tape
         self.idx = idx
         self.value = value
         self.parents = parents
         self.vjp = vjp
-        self.param = param
 
     @property
     def shape(self):
@@ -209,9 +208,11 @@ class Tape:
         vjp: Callable[[np.ndarray], tuple[np.ndarray, ...]] | None,
         param: Param | None = None,
     ) -> TapeNode:
+        # `param` is unused: a watched parameter is the parent of its node.
+        # The argument stays so that wrappers passing it keep working.
         if not all_finite(value):
             raise NumericError("operation produced a non-finite value")
-        node = TapeNode(self, self.size, value, parents, vjp, param)
+        node = TapeNode(self, self.size, value, parents, vjp)
         self.size += 1
         return node
 
@@ -220,13 +221,18 @@ class Tape:
         return self._record(_as_matrix(x), (), None)
 
     def watch(self, param: Param) -> TapeNode:
-        """Record a leaf whose gradient accumulates into `param.grad`.
+        """Record `param` as an identity node whose gradient, summed over its
+        uses, accumulates into `param.grad`.
 
         An operation takes its tape from a TapeNode operand, so one whose
         operands are all parameters, such as `hadamard(w, w)`, needs them
         watched; next to a TapeNode operand a parameter is passed as is.
         """
-        return self._record(param.value, (), None, param=param)
+        return self._record(param.value, (param,), _identity_vjp)
+
+
+def _identity_vjp(g):
+    return (g,)
 
 
 def _same_tape(*operands: TapeNode | Param) -> Tape:
@@ -300,7 +306,7 @@ def activation(x: TapeNode, kind: str) -> TapeNode:
 
     else:
         raise ParameterError(f"unknown activation kind: {kind!r}")
-    return _same_tape(x)._record(out, (x,), vjp)
+    return x.tape._record(out, (x,), vjp)
 
 
 def sigmoid(x: TapeNode) -> TapeNode:
@@ -313,7 +319,7 @@ def sigmoid(x: TapeNode) -> TapeNode:
     def vjp(g):
         return (g * out * (1.0 - out),)
 
-    return _same_tape(x)._record(out, (x,), vjp)
+    return x.tape._record(out, (x,), vjp)
 
 
 def hadamard(a: TapeNode | Param, b: TapeNode | Param) -> TapeNode:
@@ -349,7 +355,7 @@ def summation(x: TapeNode) -> TapeNode:
     def vjp(g):
         return (np.full_like(x.value, g[0, 0]),)
 
-    return _same_tape(x)._record(np.array([[x.value.sum()]]), (x,), vjp)
+    return x.tape._record(np.array([[x.value.sum()]]), (x,), vjp)
 
 
 def grad_reverse(x: TapeNode, lam: float) -> TapeNode:
@@ -371,7 +377,7 @@ def grad_reverse(x: TapeNode, lam: float) -> TapeNode:
         return (-lam * g,)
 
     # forward output shares the input array: bit-identical by construction
-    return _same_tape(x)._record(x.value, (x,), vjp)
+    return x.tape._record(x.value, (x,), vjp)
 
 
 def softmax_cross_entropy(logits: TapeNode, labels) -> TapeNode:
@@ -407,7 +413,7 @@ def softmax_cross_entropy(logits: TapeNode, labels) -> TapeNode:
         grad[rows, y] -= 1.0
         return (g[0, 0] * grad / m,)
 
-    return _same_tape(logits)._record(np.array([[loss]]), (logits,), vjp)
+    return logits.tape._record(np.array([[loss]]), (logits,), vjp)
 
 
 def binary_cross_entropy(p: TapeNode, y) -> TapeNode:
@@ -439,7 +445,7 @@ def binary_cross_entropy(p: TapeNode, y) -> TapeNode:
         local = (-yv / clamped + (1.0 - yv) / (1.0 - clamped)) / m
         return (g[0, 0] * local * inside,)
 
-    return _same_tape(p)._record(np.array([[loss]]), (p,), vjp)
+    return p.tape._record(np.array([[loss]]), (p,), vjp)
 
 
 def backward(loss: TapeNode) -> None:
@@ -459,8 +465,6 @@ def backward(loss: TapeNode) -> None:
     while order:
         node = pending.pop(-heapq.heappop(order))
         g = grads.pop(node.idx)
-        if node.param is not None:
-            node.param.grad += g
         if node.vjp is None:
             continue
         for parent, pg in zip(node.parents, node.vjp(g)):

@@ -415,8 +415,6 @@ def test_cross_tape_operands_raise_state_error():
     # with no recorded operand there is no tape to record on
     with pytest.raises(StateError):
         hadamard(W, W)
-    with pytest.raises(StateError):
-        sigmoid(W)
 
 
 def test_nonfinite_param_operand_raises_numeric_error():
