@@ -12,10 +12,7 @@ CSV/JSONL artifacts derived from them.
 """
 
 from .adaptation import (
-    DomainDataset,
-    DomainSplits,
     LanguagePrior,
-    Rows,
     TrainConfig,
     TrainReport,
     TrainVariant,
@@ -39,8 +36,11 @@ from .analysis import (
 )
 from .autodiff import ParamStore, Tape, backward, finite_diff_check
 from .data import (
+    DomainDataset,
+    DomainSplits,
     DomainSpec,
     MixtureSpec,
+    Rows,
     SizeSpec,
     generate_synthetic,
     load_dataset,

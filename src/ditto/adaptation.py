@@ -29,6 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tape, backward
+from .data import DomainDataset, Rows
 from .errors import ConfigError, DataError, LabelError, ParameterError
 from .model import (
     EncoderSpec,
@@ -45,82 +46,6 @@ from .rng import Rng
 
 VARIANT_KINDS = ("baseline", "ditto", "ditto_minus_sam", "ditto_minus_la",
                  "ditto_single", "ditto_uniform")
-
-
-# ---------------------------------------------------------------------------
-# datasets
-
-
-@dataclass
-class Rows:
-    """A block of feature rows with optional integer class labels."""
-
-    X: np.ndarray
-    y: np.ndarray | None = None
-
-    def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=np.float64)
-        if self.X.ndim != 2:
-            raise DataError(f"feature rows must be 2-D, got shape {self.X.shape}")
-        if self.y is not None:
-            self.y = np.asarray(self.y, dtype=np.int64)
-            if self.y.shape != (self.X.shape[0],):
-                raise DataError(f"labels length {self.y.shape} does not match "
-                                f"{self.X.shape[0]} rows")
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-
-def empty_rows(dim: int, labeled: bool = True) -> Rows:
-    return Rows(np.zeros((0, dim)), np.zeros(0, dtype=np.int64) if labeled else None)
-
-
-@dataclass
-class DomainSplits:
-    """The four splits of one domain; unlabeled rows carry no labels."""
-
-    labeled: Rows
-    unlabeled: np.ndarray
-    fewshot: Rows
-    eval: Rows
-
-    def __post_init__(self):
-        self.unlabeled = np.asarray(self.unlabeled, dtype=np.float64)
-
-
-@dataclass
-class DomainDataset:
-    """All domains of one benchmark; exactly one is the source."""
-
-    source: str
-    domains: dict[str, DomainSplits]
-
-    def target_ids(self) -> list[str]:
-        return sorted(d for d in self.domains if d != self.source)
-
-    @property
-    def feature_dim(self) -> int:
-        return self.domains[self.source].eval.X.shape[1]
-
-    def validate(self) -> "DomainDataset":
-        if self.source not in self.domains:
-            raise DataError(f"source domain {self.source!r} missing from dataset")
-        dim = self.feature_dim
-        for dom, splits in self.domains.items():
-            for tag, X in (("labeled", splits.labeled.X), ("unlabeled", splits.unlabeled),
-                           ("fewshot", splits.fewshot.X), ("eval", splits.eval.X)):
-                if X.shape[1] != dim and X.shape[0] > 0:
-                    raise DataError(f"domain {dom!r} split {tag} has {X.shape[1]} "
-                                    f"feature columns, expected {dim}")
-            if splits.eval.n == 0 or splits.eval.y is None:
-                raise DataError(f"domain {dom!r} needs a labeled, non-empty eval split")
-            if dom != self.source and splits.unlabeled.shape[0] == 0:
-                raise DataError(f"target domain {dom!r} has an empty unlabeled split")
-        if self.domains[self.source].labeled.n == 0:
-            raise DataError(f"source domain {self.source!r} has no labeled rows")
-        return self
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +152,11 @@ class TrainVariant:
         return self
 
     @property
+    def needs_prior(self) -> bool:
+        """Whether the target prior comes from a baseline's zero-shot scores."""
+        return self.kind in ("ditto", "ditto_minus_sam")
+
+    @property
     def effective_lambda(self) -> float:
         """The adversarial weight actually applied; 0 disables the phase."""
         if self.kind in ("baseline", "ditto_minus_la"):
@@ -304,7 +234,7 @@ def _task_loss_proc(bundle: ModelBundle, X: np.ndarray, y: np.ndarray):
     def proc():
         tape = Tape()
         feats = encode(bundle, tape, X)
-        logits = classify(bundle, tape, feats)
+        logits = classify(bundle, feats)
         return softmax_cross_entropy(logits, y)
     return proc
 
@@ -385,7 +315,7 @@ def ditto_step(
     tape = Tape()
     feats = encode(bundle, tape, domain_X)
     reversed_feats = grad_reverse(feats, lam)
-    probs = discriminate(bundle, t, tape, reversed_feats)
+    probs = discriminate(bundle, t, reversed_feats)
     adv = binary_cross_entropy(probs, np.repeat([1.0, 0.0], m))
     backward(adv)  # adds encoder gradients onto the task slots
 
@@ -471,7 +401,7 @@ def train(
         prior = LanguagePrior.single(variant.single_target)
     elif variant.kind == "ditto_uniform":
         prior = LanguagePrior.uniform(targets)
-    elif variant.kind in ("ditto", "ditto_minus_sam"):
+    elif variant.needs_prior:
         if prior is None:
             raise ConfigError(f"variant {variant.kind!r} needs a target prior "
                               "computed from baseline zero-shot scores")

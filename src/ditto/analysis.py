@@ -9,7 +9,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptation import DomainDataset, domain_accuracies
+from .adaptation import domain_accuracies
+from .data import DomainDataset
 from .errors import DataError, ParameterError, ShapeError, UndefinedResultError
 from .model import ModelBundle
 

@@ -16,14 +16,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
-from .adaptation import TrainVariant, compute_prior, few_shot_augment, train
 from .analysis import write_eval_csv, zero_shot_eval
-from .data import generate_synthetic, load_dataset, subsample_source
+from .data import generate_synthetic, load_dataset
 from .errors import ConfigError, DataError, ParseError
 from .experiment import (
     BASELINE,
+    Cell,
+    ExperimentConfig,
     analyze_results,
     dataset_from_dict,
     experiment_from_dict,
@@ -35,6 +37,17 @@ from .experiment import (
 )
 from .model import load_checkpoint, save_checkpoint
 from .rng import Rng
+
+
+def _few_shot_k(text: str) -> int:
+    """argparse type of `--k`: a few-shot size, an integer >= 0."""
+    try:
+        k = int(text)
+    except ValueError:
+        k = -1
+    if k < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return k
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
@@ -56,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True, help="dataset directory")
     p.add_argument("--variant", type=str, default="ditto")
     p.add_argument("--source-fraction", type=int, default=100, choices=(1, 10, 100))
-    p.add_argument("--k", type=int, default=0, help="few-shot rows per target")
+    p.add_argument("--k", type=_few_shot_k, default=0, help="few-shot rows per target")
 
     p = sub.add_parser("eval", help="score a checkpoint on the eval splits")
     p.add_argument("--model", type=Path, required=True, help="checkpoint (.npz)")
@@ -75,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cs", type=float, default=None, help="cents per source label")
     p.add_argument("--ct-over-s", type=float, default=None,
                    help="target/source labeling cost ratio")
-    p.add_argument("--k", type=int, action="append", default=None,
+    p.add_argument("--k", type=_few_shot_k, action="append", default=None,
                    help="extra few-shot sizes to list (repeatable)")
 
     p = sub.add_parser("run-all", help="generate+train+analyze in one go")
@@ -86,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to these variants (repeatable)")
     p.add_argument("--source-fraction", type=int, action="append", default=None,
                    choices=(1, 10, 100), help="restrict source fractions (repeatable)")
-    p.add_argument("--k", type=int, action="append", default=None,
+    p.add_argument("--k", type=_few_shot_k, action="append", default=None,
                    help="restrict few-shot sizes (repeatable)")
     return parser
 
@@ -95,10 +108,9 @@ def _generate(args) -> int:
     cfg = load_config(args.config)
     if "dataset" not in cfg:
         raise ConfigError("config has no 'dataset' section")
-    mixture, domains, seed = dataset_from_dict(cfg["dataset"])
-    if args.seed is not None:
-        seed = args.seed
-    generate_synthetic(mixture, domains, Rng(seed), out_dir=args.out)
+    data = dataset_from_dict(cfg["dataset"])
+    seed = args.seed if args.seed is not None else data.seed
+    generate_synthetic(data.base, data.domains, Rng(seed), out_dir=args.out)
     print(f"wrote dataset to {args.out}")
     return 0
 
@@ -107,26 +119,19 @@ def _train(args) -> int:
     cfg = load_config(args.config)
     exp = experiment_from_dict(cfg.get("experiment", {}))
     seed = args.seed if args.seed is not None else exp.seeds[0]
-    dataset = load_dataset(args.data)
-    ds = subsample_source(dataset, args.source_fraction, Rng(seed).child("subsample"))
-    if args.k > 0:
-        ds = few_shot_augment(ds, args.k, Rng(seed).child("fewshot"))
-
-    variant = TrainVariant.parse(args.variant, lam=exp.lam, rho=exp.rho)
-    prior = None
-    if variant.kind in ("ditto", "ditto_minus_sam"):
+    cell = Cell(exp, load_dataset(args.data), args.source_fraction, args.k, seed)
+    variant = exp.variant_of(args.variant)
+    if variant.needs_prior:
         print("computing target prior from an internal baseline run")
-        base_variant = TrainVariant.parse(BASELINE, lam=exp.lam, rho=exp.rho)
-        _, base_report = train(exp.train, ds, base_variant, seed)
-        prior = compute_prior(base_report.final_per_domain_acc, ds.source)
+        cell.run(exp.variant_of(BASELINE))
 
-    bundle, report = train(exp.train, ds, variant, seed, prior)
+    bundle, report = cell.run(variant)
     args.out.mkdir(parents=True, exist_ok=True)
     write_report_jsonl(report, args.out / "metrics.jsonl")
-    write_eval_csv(zero_shot_eval(bundle, ds, method=variant.name),
+    write_eval_csv(zero_shot_eval(bundle, cell.dataset, method=variant.name),
                    args.out / "eval.csv")
     save_checkpoint(bundle, args.out / "model.npz")
-    export_features(bundle, ds, args.out / "features.csv")
+    export_features(bundle, cell.dataset, args.out / "features.csv")
     accs = ", ".join(f"{d}={a:.2f}" for d, a in
                      sorted(report.final_per_domain_acc.items()))
     print(f"{variant.name} seed={seed}: {accs}")
@@ -153,10 +158,7 @@ def _analyze(args) -> int:
 def _cost(args) -> int:
     cfg = load_config(args.config)
     exp = experiment_from_dict(cfg.get("experiment", {}))
-    if args.cs is not None:
-        exp.c_s = args.cs
-    if args.ct_over_s is not None:
-        exp.c_t_over_s = args.ct_over_s
+    exp = _override(exp, c_s=args.cs, c_t_over_s=args.ct_over_s)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_cost_csv(exp, Path(args.results), args.out, extra_ks=args.k)
     print(f"wrote {args.out}")
@@ -166,30 +168,32 @@ def _cost(args) -> int:
 def _run_all(args) -> int:
     cfg = load_config(args.config)
     exp = experiment_from_dict(cfg.get("experiment", {}))
-    if args.seed is not None:
-        exp.seeds = [args.seed]
-    if args.variant:
-        exp.variants = list(args.variant)
-        exp.__post_init__()
-    if args.source_fraction:
-        exp.source_fractions = list(args.source_fraction)
-    if args.k:
-        exp.ks = list(args.k)
+    exp = _override(exp, seeds=None if args.seed is None else [args.seed],
+                    variants=args.variant, source_fractions=args.source_fraction,
+                    ks=args.k)
 
     if args.data is not None:
         dataset = load_dataset(args.data)
     else:
         if "dataset" not in cfg:
             raise ConfigError("config has no 'dataset' section and no --data given")
-        mixture, domains, dseed = dataset_from_dict(cfg["dataset"])
+        data = dataset_from_dict(cfg["dataset"])
         data_dir = args.out / "data"
-        dataset = generate_synthetic(mixture, domains, Rng(dseed), out_dir=data_dir)
+        dataset = generate_synthetic(data.base, data.domains, Rng(data.seed),
+                                     out_dir=data_dir)
         print(f"wrote dataset to {data_dir}")
 
     results = run_experiment(exp, dataset, args.out / "results")
     analyze_results(results, args.out / "analysis")
     print(f"results under {results}, tables under {args.out / 'analysis'}")
     return 0
+
+
+def _override(exp: ExperimentConfig, **flags) -> ExperimentConfig:
+    """`exp` with the given flags' values (None: flag not given), validated
+    and ordered again as a fresh config."""
+    return replace(exp, **{name: value for name, value in flags.items()
+                           if value is not None})
 
 
 _HANDLERS = {

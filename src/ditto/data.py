@@ -1,4 +1,5 @@
-"""Synthetic multi-domain datasets and their on-disk CSV format.
+"""Multi-domain datasets: the in-memory containers (`Rows`, `DomainSplits`,
+`DomainDataset`), synthetic generation, and the on-disk CSV format.
 
 Each domain is a transformed view of a shared Gaussian class mixture, which
 plays the role of a separate language over a common task.  Training splits
@@ -27,12 +28,87 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptation import DomainDataset, DomainSplits, Rows
 from .errors import ConfigError, DataError, ParameterError, ParseError
 from .rng import Rng
 
 SPLITS = ("labeled", "unlabeled", "fewshot", "eval")
 TRANSFORM_KINDS = ("identity", "rotation", "translation", "permutation", "noise")
+
+
+# ---------------------------------------------------------------------------
+# in-memory containers
+
+
+@dataclass
+class Rows:
+    """A block of feature rows with optional integer class labels."""
+
+    X: np.ndarray
+    y: np.ndarray | None = None
+
+    def __post_init__(self):
+        self.X = np.asarray(self.X, dtype=np.float64)
+        if self.X.ndim != 2:
+            raise DataError(f"feature rows must be 2-D, got shape {self.X.shape}")
+        if self.y is not None:
+            self.y = np.asarray(self.y, dtype=np.int64)
+            if self.y.shape != (self.X.shape[0],):
+                raise DataError(f"labels length {self.y.shape} does not match "
+                                f"{self.X.shape[0]} rows")
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+
+@dataclass
+class DomainSplits:
+    """The four splits of one domain; unlabeled rows carry no labels."""
+
+    labeled: Rows
+    unlabeled: np.ndarray
+    fewshot: Rows
+    eval: Rows
+
+    def __post_init__(self):
+        self.unlabeled = np.asarray(self.unlabeled, dtype=np.float64)
+
+
+@dataclass
+class DomainDataset:
+    """All domains of one benchmark; exactly one is the source."""
+
+    source: str
+    domains: dict[str, DomainSplits]
+
+    def target_ids(self) -> list[str]:
+        return sorted(d for d in self.domains if d != self.source)
+
+    @property
+    def feature_dim(self) -> int:
+        return self.domains[self.source].eval.X.shape[1]
+
+    def validate(self) -> "DomainDataset":
+        if self.source not in self.domains:
+            raise DataError(f"source domain {self.source!r} missing from dataset")
+        dim = self.feature_dim
+        for dom, splits in self.domains.items():
+            for tag, X in (("labeled", splits.labeled.X), ("unlabeled", splits.unlabeled),
+                           ("fewshot", splits.fewshot.X), ("eval", splits.eval.X)):
+                if X.shape[1] != dim and X.shape[0] > 0:
+                    raise DataError(f"domain {dom!r} split {tag} has {X.shape[1]} "
+                                    f"feature columns, expected {dim}")
+            if splits.eval.n == 0 or splits.eval.y is None:
+                raise DataError(f"domain {dom!r} needs a labeled, non-empty eval split")
+            if dom != self.source and splits.unlabeled.shape[0] == 0:
+                raise DataError(f"target domain {dom!r} has an empty unlabeled split")
+        if self.domains[self.source].labeled.n == 0:
+            raise DataError(f"source domain {self.source!r} has no labeled rows")
+        return self
+
+
+# ---------------------------------------------------------------------------
+# generation specs
 
 
 @dataclass

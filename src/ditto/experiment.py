@@ -27,13 +27,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+import typing
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .adaptation import (
-    DomainDataset,
     TrainConfig,
     TrainReport,
     TrainVariant,
@@ -56,9 +56,9 @@ from .analysis import (
     write_eval_csv,
     zero_shot_eval,
 )
-from .data import DomainSpec, MixtureSpec, subsample_source
-from .errors import ConfigError, UndefinedResultError
-from .model import EncoderSpec, ModelBundle, extract_features, save_checkpoint
+from .data import DomainDataset, DomainSpec, MixtureSpec, subsample_source
+from .errors import ConfigError, ParameterError, UndefinedResultError
+from .model import ModelBundle, extract_features, save_checkpoint
 from .rng import Rng
 
 BASELINE = "baseline"
@@ -66,18 +66,22 @@ BASELINE = "baseline"
 
 @dataclass
 class ExperimentConfig:
-    """The full grid: variants x source fractions x few-shot ks x seeds."""
+    """The full grid: variants x source fractions x few-shot ks x seeds.
 
-    train: TrainConfig
+    In the JSON `experiment` section the TrainConfig keys sit flat beside
+    the grid keys, `lam` is spelled "lambda", and the cost constants sit
+    under "cost"; the `json` key paths in the field metadata say so.
+    """
+
+    train: TrainConfig = field(metadata={"json": ""})
     variants: list[str] = field(default_factory=lambda: [BASELINE, "ditto"])
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"json": "lambda"})
     rho: float = 0.05
-    rho_grid: list[float] = field(default_factory=lambda: [0.01, 0.05, 0.1])
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
     source_fractions: list[int] = field(default_factory=lambda: [100])
     ks: list[int] = field(default_factory=lambda: [0])
-    c_s: float = 3.0
-    c_t_over_s: float = 1.0
+    c_s: float = field(default=3.0, metadata={"json": "cost.c_s"})
+    c_t_over_s: float = field(default=1.0, metadata={"json": "cost.c_t_over_s"})
     out_dir: str = "results"
 
     def __post_init__(self):
@@ -88,6 +92,9 @@ class ExperimentConfig:
                 raise ConfigError(f"source fractions must be in {{1,10,100}}, got {f}")
         if any(k < 0 for k in self.ks):
             raise ConfigError(f"few-shot ks must be >= 0, got {self.ks}")
+        if self.c_s < 0 or self.c_t_over_s < 0:
+            raise ConfigError(f"cost constants must be >= 0, got c_s={self.c_s}, "
+                              f"c_t_over_s={self.c_t_over_s}")
         ordered = [v for v in self.variants if v != BASELINE]
         self.variants = [BASELINE] + ordered  # baseline first: it seeds the prior
 
@@ -95,70 +102,127 @@ class ExperimentConfig:
         return TrainVariant.parse(name, lam=self.lam, rho=self.rho)
 
 
+@dataclass
+class DatasetConfig:
+    """The JSON `dataset` section: class mixture, domains, generation seed."""
+
+    base: MixtureSpec
+    domains: list[DomainSpec]
+    seed: int = 0
+
+
 # ---------------------------------------------------------------------------
 # config file handling (JSON; CLI flags override individual fields)
+#
+# One strict parser builds every config dataclass by walking its fields, so
+# the dataclass defaults are the only defaults.  A field's JSON key is its
+# name unless its metadata gives a `json` key path: a dotted path nests the
+# key in a sub-object, and "" puts a nested config's keys in the enclosing
+# object.
+
+_JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
+               float: ((int, float), "a number"), str: ((str,), "a string"),
+               list: ((list,), "a list"), dict: ((dict,), "an object")}
+
+
+def _expect(tp: type, raw, path: str):
+    """`raw` as JSON type `tp` (bool is not a number), else ConfigError."""
+    types, wanted = _JSON_TYPES[tp]
+    if not isinstance(raw, types) or (isinstance(raw, bool) and tp is not bool):
+        raise ConfigError(f"{path}: expected {wanted}, got {json.dumps(raw, default=repr)}")
+    return float(raw) if tp is float else raw
+
+
+def _key_path(f) -> tuple[str, ...]:
+    key = f.metadata.get("json", f.name)
+    return tuple(key.split(".")) if key else ()
+
+
+def _known_keys(cls) -> set[tuple[str, ...]]:
+    """Every key path an object for `cls` may hold."""
+    hints = typing.get_type_hints(cls)
+    known = set()
+    for f in fields(cls):
+        key = _key_path(f)
+        known |= {key} if key else _known_keys(hints[f.name])
+    return known
+
+
+def _check_keys(obj: dict, known: set, path: str, prefix: tuple = ()) -> None:
+    for key, raw in obj.items():
+        here = prefix + (key,)
+        if here in known:
+            continue
+        where = ".".join((path,) + here)
+        if not any(k[:len(here)] == here for k in known):
+            raise ConfigError(f"{where}: unknown key")
+        _check_keys(_expect(dict, raw, where), known, path, here)  # e.g. "cost"
+
+
+def _build(cls, obj: dict, path: str):
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for f in fields(cls):
+        key = _key_path(f)
+        if not key:
+            kwargs[f.name] = _build(hints[f.name], obj, path)
+            continue
+        node = obj
+        for part in key[:-1]:
+            node = node.get(part, {})
+        where = ".".join((path,) + key)
+        if key[-1] in node:
+            kwargs[f.name] = _value(hints[f.name], node[key[-1]], where)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError(f"{where}: required key missing")
+    try:
+        return cls(**kwargs)
+    except (ConfigError, ParameterError) as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _value(tp, raw, path: str):
+    if is_dataclass(tp):
+        return parse_config(tp, raw, path)
+    if typing.get_origin(tp) is list:
+        (item,) = typing.get_args(tp)
+        return [_value(item, v, f"{path}[{i}]") for i, v in enumerate(_expect(list, raw, path))]
+    return dict(_expect(dict, raw, path)) if tp is dict else _expect(tp, raw, path)
+
+
+def parse_config(cls, data, path: str):
+    """Build the config dataclass `cls` from the JSON value at `path`.
+
+    Unknown keys, missing required keys, values of the wrong JSON type (a
+    float is not an int, a string is not a list) and values the dataclass
+    itself rejects all raise ConfigError naming the JSON path, e.g.
+    `experiment.lamda` or `dataset.domains[1].sizes`.
+    """
+    obj = _expect(dict, data, path)
+    _check_keys(obj, _known_keys(cls), path)
+    return _build(cls, obj, path)
 
 
 def experiment_from_dict(d: dict) -> ExperimentConfig:
-    enc = d.get("encoder", {})
-    spec = EncoderSpec(
-        input_dim=int(enc.get("input_dim", 2)),
-        hidden_dims=[int(h) for h in enc.get("hidden_dims", [32, 16])],
-        activation=enc.get("activation", "tanh"),
-    )
-    train_cfg = TrainConfig(
-        encoder=spec,
-        num_classes=int(d.get("num_classes", 2)),
-        epochs=int(d.get("epochs", 10)),
-        batch_size=int(d.get("batch_size", 32)),
-        lr=float(d.get("lr", 0.01)),
-        disc_lr=float(d.get("disc_lr", 0.05)),
-        weight_decay=float(d.get("weight_decay", 0.0)),
-        adv_source_from_unlabeled=bool(d.get("adv_source_from_unlabeled", False)),
-    )
-    cost = d.get("cost", {})
-    return ExperimentConfig(
-        train=train_cfg,
-        variants=list(d.get("variants", [BASELINE, "ditto"])),
-        lam=float(d.get("lambda", 1.0)),
-        rho=float(d.get("rho", 0.05)),
-        rho_grid=[float(r) for r in d.get("rho_grid", [0.01, 0.05, 0.1])],
-        seeds=[int(s) for s in d.get("seeds", [0, 1, 2])],
-        source_fractions=[int(f) for f in d.get("source_fractions", [100])],
-        ks=[int(k) for k in d.get("ks", [0])],
-        c_s=float(cost.get("c_s", 3.0)),
-        c_t_over_s=float(cost.get("c_t_over_s", 1.0)),
-        out_dir=str(d.get("out_dir", "results")),
-    )
+    return parse_config(ExperimentConfig, d, "experiment")
 
 
-def dataset_from_dict(d: dict) -> tuple[MixtureSpec, list[DomainSpec], int]:
-    base = d.get("base", {})
-    mixture = MixtureSpec(
-        means=[list(map(float, m)) for m in base["means"]],
-        sigma=float(base.get("sigma", 0.5)),
-    )
-    domains = []
-    for spec in d["domains"]:
-        sizes = spec.get("sizes", {})
-        from .data import SizeSpec
-        domains.append(DomainSpec(
-            id=str(spec["id"]),
-            kind=str(spec["kind"]),
-            transform=dict(spec.get("transform", {"kind": "identity"})),
-            sizes=SizeSpec(
-                labeled=int(sizes.get("labeled", 0)),
-                unlabeled=int(sizes.get("unlabeled", 0)),
-                fewshot=int(sizes.get("fewshot", 0)),
-                eval=int(sizes.get("eval", 200)),
-            ),
-        ))
-    return mixture, domains, int(d.get("seed", 0))
+def dataset_from_dict(d: dict) -> DatasetConfig:
+    return parse_config(DatasetConfig, d, "dataset")
 
 
 def load_config(path: str | Path) -> dict:
+    """The JSON object in `path`, holding a `dataset` and/or an `experiment`
+    section."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    for key in _expect(dict, cfg, str(path)):
+        if key not in ("dataset", "experiment"):
+            raise ConfigError(f"{key}: unknown config section")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +278,40 @@ def _run_dir(out: Path, frac: int, k: int, variant: str, seed: int) -> Path:
     return out / f"S{frac}" / f"k{k}" / _variant_dirname(variant) / f"seed{seed}"
 
 
+class Cell:
+    """One (source fraction, k, seed) cell of the grid.
+
+    Its training set keeps `frac` percent of the source labeled rows (a
+    seeded subsample), then gains k few-shot rows per target.  Variants run
+    on it one at a time; one that needs a target prior builds it from the
+    zero-shot scores of the cell's baseline, which must have run before it.
+    """
+
+    def __init__(self, config: ExperimentConfig, dataset: DomainDataset,
+                 frac: int, k: int, seed: int):
+        self.config = config
+        self.seed = seed
+        ds = subsample_source(dataset, frac, Rng(seed).child("subsample"))
+        self.n_labeled_source = ds.domains[ds.source].labeled.n
+        if k > 0:
+            ds = few_shot_augment(ds, k, Rng(seed).child("fewshot"))
+        self.dataset = ds
+        self.baseline_scores: dict[str, float] | None = None
+
+    def run(self, variant: TrainVariant) -> tuple[ModelBundle, TrainReport]:
+        """Train `variant` on the cell; a baseline's scores seed later priors."""
+        prior = None
+        if variant.needs_prior:
+            if self.baseline_scores is None:
+                raise ConfigError("baseline run unavailable; cannot build the "
+                                  "target prior")
+            prior = compute_prior(self.baseline_scores, self.dataset.source)
+        bundle, report = train(self.config.train, self.dataset, variant, self.seed, prior)
+        if variant.kind == BASELINE:
+            self.baseline_scores = report.final_per_domain_acc
+        return bundle, report
+
+
 def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
                    out_dir: str | Path | None = None) -> Path:
     """Run the whole grid and write per-run artifacts plus aggregate tables.
@@ -231,11 +329,8 @@ def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
     for frac in config.source_fractions:
         for k in config.ks:
             for seed in config.seeds:
-                ds = subsample_source(dataset, frac, Rng(seed).child("subsample"))
-                n_source = ds.domains[ds.source].labeled.n
-                if k > 0:
-                    ds = few_shot_augment(ds, k, Rng(seed).child("fewshot"))
-                baseline_scores: dict[str, float] | None = None
+                cell = Cell(config, dataset, frac, k, seed)
+                ds = cell.dataset
                 baseline_table: EvalTable | None = None
                 for name in config.variants:
                     run_dir = _run_dir(out, frac, k, name, seed)
@@ -243,24 +338,16 @@ def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
                     meta = {
                         "variant": name, "seed": seed, "S": frac, "k": k,
                         "source": ds.source, "targets": targets,
-                        "n_labeled_source": n_source, "status": "ok",
+                        "n_labeled_source": cell.n_labeled_source, "status": "ok",
                     }
                     try:
-                        variant = config.variant_of(name)
-                        prior = None
-                        if variant.kind in ("ditto", "ditto_minus_sam"):
-                            if baseline_scores is None:
-                                raise ConfigError("baseline run unavailable; cannot "
-                                                  "build the target prior")
-                            prior = compute_prior(baseline_scores, ds.source)
-                        bundle, report = train(config.train, ds, variant, seed, prior)
-                        if name == BASELINE:
-                            baseline_scores = report.final_per_domain_acc
-                            baseline_table = zero_shot_eval(bundle, ds, method=BASELINE)
-                        write_report_jsonl(report, run_dir / "metrics.jsonl")
+                        bundle, report = cell.run(config.variant_of(name))
                         table = zero_shot_eval(bundle, ds, method=name)
-                        if name != BASELINE and baseline_table is not None:
+                        if name == BASELINE:
+                            baseline_table = table
+                        elif baseline_table is not None:
                             table.merge(baseline_table)
+                        write_report_jsonl(report, run_dir / "metrics.jsonl")
                         write_eval_csv(table, run_dir / "eval.csv")
                         feats = {dom: extract_features(bundle, ds.domains[dom].eval.X)
                                  for dom in [ds.source] + targets}

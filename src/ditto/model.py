@@ -160,12 +160,12 @@ def encode(bundle: ModelBundle, tape: Tape, x) -> TapeNode:
     return node
 
 
-def classify(bundle: ModelBundle, tape: Tape, features: TapeNode) -> TapeNode:
+def classify(bundle: ModelBundle, features: TapeNode) -> TapeNode:
     """Affine classifier head producing m x num_classes logits."""
     return affine(features, bundle.store["classifier.W"], bundle.store["classifier.b"])
 
 
-def discriminate(bundle: ModelBundle, t: str, tape: Tape, features: TapeNode) -> TapeNode:
+def discriminate(bundle: ModelBundle, t: str, features: TapeNode) -> TapeNode:
     """Target t's discriminator: m x 1 probabilities, strictly inside (0, 1)."""
     bundle._check_target(t)
     store = bundle.store

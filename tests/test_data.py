@@ -1,5 +1,8 @@
 """Synthetic data generation, the CSV dataset format, and its failure modes."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from ditto import (
     save_dataset,
     subsample_source,
 )
+import ditto.data
 from ditto.data import apply_transform
 from ditto.errors import ConfigError, DataError, ParameterError, ParseError
 
@@ -317,3 +321,17 @@ def test_subsample_invalid_fraction():
     ds = two_domain()
     with pytest.raises(ConfigError):
         subsample_source(ds, 50, Rng(0))
+
+
+def test_data_does_not_import_the_training_module():
+    # the dataset containers live in `data`, below the training code
+    tree = ast.parse(Path(ditto.data.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "ditto" if node.level else ""
+            module = ".".join(p for p in (base, node.module) if p)
+            imported |= {module} | {f"{module}.{alias.name}" for alias in node.names}
+    assert not {m for m in imported if m.startswith("ditto.adaptation")}

@@ -2,14 +2,19 @@
 
 import csv
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ditto import (
+    DomainSpec,
     EncoderSpec,
     ExperimentConfig,
+    MixtureSpec,
     Rng,
+    SizeSpec,
     TrainConfig,
     TrainVariant,
     analyze_results,
@@ -24,6 +29,7 @@ from ditto.analysis import read_eval_csv, relative_gain
 from ditto.cli import main
 from ditto.errors import ConfigError
 from ditto.experiment import (
+    dataset_from_dict,
     experiment_from_dict,
     export_features,
     write_report_jsonl,
@@ -368,3 +374,151 @@ def test_cli_run_all_respects_variant_restriction(cli_config, tmp_path):
     assert runs == ["seed5"]
     variants = sorted(p.name for p in (out / "results" / "S100" / "k0").iterdir())
     assert variants == ["baseline"]
+
+
+# --- strict config parsing -----------------------------------------------------
+
+
+MALFORMED = {
+    # (section, spoil the section in place, JSON path the error must name)
+    "typo_keys": ("experiment", lambda e: e.update(lamda=0.0, epoch=1), "experiment.lamda"),
+    "bool_as_string": ("experiment", lambda e: e.update(adv_source_from_unlabeled="false"),
+                       "experiment.adv_source_from_unlabeled"),
+    "float_epochs": ("experiment", lambda e: e.update(epochs=2.9), "experiment.epochs"),
+    "bool_as_int": ("experiment", lambda e: e.update(num_classes=True),
+                    "experiment.num_classes"),
+    "variants_string": ("experiment", lambda e: e.update(variants="ditto"),
+                        "experiment.variants"),
+    "hidden_dims_string": ("experiment", lambda e: e["encoder"].update(hidden_dims="32"),
+                           "experiment.encoder.hidden_dims"),
+    "sigmoid_activation": ("experiment", lambda e: e["encoder"].update(activation="sigmoid"),
+                           "experiment.encoder"),
+    "unknown_cost_key": ("experiment", lambda e: e["cost"].update(c_u=1.0),
+                         "experiment.cost.c_u"),
+    "rho_grid": ("experiment", lambda e: e.update(rho_grid=[0.01, 0.05]),
+                 "experiment.rho_grid"),
+    "no_base": ("dataset", lambda d: d.pop("base"), "dataset.base"),
+    "no_eval_size": ("dataset", lambda d: d["domains"][1]["sizes"].pop("eval"),
+                     "dataset.domains[1].sizes"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED), ids=list(MALFORMED))
+def test_malformed_config_names_its_json_path(cli_config, case):
+    section, spoil, path = MALFORMED[case]
+    cfg = json.loads(cli_config.read_text())[section]
+    spoil(cfg)
+    parse = experiment_from_dict if section == "experiment" else dataset_from_dict
+    with pytest.raises(ConfigError) as exc:
+        parse(cfg)
+    assert str(exc.value).startswith(path + ":"), str(exc.value)
+
+
+@pytest.mark.parametrize("command,case", [("run-all", "typo_keys"), ("generate", "no_base")])
+def test_cli_malformed_config_is_one_line_error(cli_config, tmp_path, capsys, command, case):
+    section, spoil, path = MALFORMED[case]
+    cfg = json.loads(cli_config.read_text())
+    spoil(cfg[section])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([command, "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path in err
+    assert not (tmp_path / "out").exists()  # nothing generated or trained
+
+
+@pytest.mark.parametrize("text,named", [
+    ('{"dataset": {}, "experimnt": {}}', "experimnt"),
+    ('{"experiment": {"epochs": 3,}}', "not valid JSON"),
+    ('[{"experiment": {}}]', "expected an object"),
+], ids=["unknown_section", "not_json", "not_an_object"])
+def test_cli_bad_config_file_is_one_line_error(tmp_path, capsys, text, named):
+    bad = tmp_path / "bad.json"
+    bad.write_text(text)
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(bad), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+
+
+def test_criterion_10_config_parses_as_before():
+    from ditto.experiment import DatasetConfig
+    experiment = {
+        "encoder": {"input_dim": 2, "hidden_dims": [16, 8], "activation": "tanh"},
+        "num_classes": 3, "epochs": 3, "batch_size": 32, "lr": 0.02,
+        "disc_lr": 0.1, "variants": ["baseline", "ditto", "ditto_minus_sam"],
+        "lambda": 0.25, "rho": 0.05, "seeds": [0, 1], "source_fractions": [100, 10],
+        "ks": [0, 4], "cost": {"c_s": 3.0, "c_t_over_s": 1.0},
+    }
+    sizes = {"labeled": 0, "unlabeled": 128, "fewshot": 16, "eval": 90}
+    dataset = {
+        "seed": 5,
+        "base": {"means": [[0.0, 1.8], [3.0, 0.0], [-3.44, -2.409]], "sigma": 0.55},
+        "domains": [
+            {"id": "src", "kind": "source", "transform": {"kind": "identity"},
+             "sizes": {**sizes, "labeled": 128}},
+            {"id": "rot25", "kind": "target",
+             "transform": {"kind": "rotation", "angle": 25}, "sizes": sizes},
+        ],
+    }
+    assert experiment_from_dict(experiment) == ExperimentConfig(
+        train=TrainConfig(encoder=EncoderSpec(input_dim=2, hidden_dims=[16, 8],
+                                              activation="tanh"),
+                          num_classes=3, epochs=3, batch_size=32, lr=0.02, disc_lr=0.1,
+                          weight_decay=0.0, adv_source_from_unlabeled=False),
+        variants=["baseline", "ditto", "ditto_minus_sam"], lam=0.25, rho=0.05,
+        seeds=[0, 1], source_fractions=[100, 10], ks=[0, 4], c_s=3.0, c_t_over_s=1.0,
+        out_dir="results")
+    assert dataset_from_dict(dataset) == DatasetConfig(
+        base=MixtureSpec(means=[[0.0, 1.8], [3.0, 0.0], [-3.44, -2.409]], sigma=0.55),
+        domains=[
+            DomainSpec("src", "source", {"kind": "identity"},
+                       SizeSpec(labeled=128, unlabeled=128, fewshot=16, eval=90)),
+            DomainSpec("rot25", "target", {"kind": "rotation", "angle": 25},
+                       SizeSpec(labeled=0, unlabeled=128, fewshot=16, eval=90)),
+        ],
+        seed=5)
+
+
+def test_readme_config_example_parses_strictly():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("### Config file", 1)[1]
+    block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+    cfg = json.loads(block)
+    assert set(cfg) == {"dataset", "experiment"}
+    exp = experiment_from_dict(cfg["experiment"])
+    data = dataset_from_dict(cfg["dataset"])
+    assert exp.variants[0] == "baseline"
+    assert [d.kind for d in data.domains].count("source") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["train", "--variant", "baseline", "--k", "-1"],
+    ["run-all", "--k", "0", "--k", "-1"],
+    ["cost", "--results", "results", "--k", "-1"],
+], ids=["train", "run-all", "cost"])
+def test_cli_negative_k_rejected_before_training(cli_config, tmp_path, capsys, argv):
+    data_dir = tmp_path / "data"
+    assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
+    command, *flags = argv
+    extra = ["--data", str(data_dir)] if command == "train" else []
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", str(cli_config), "--out", str(tmp_path / "out"),
+              *extra, *flags])
+    assert exc.value.code == 2
+    assert "--k" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_cost_rejects_negative_cost_constant(cli_config, tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["cost", "--config", str(cli_config), "--results", str(tmp_path),
+                 "--out", str(tmp_path / "cost.csv"), "--cs", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "c_s=-1.0" in err
+    assert not (tmp_path / "cost.csv").exists()

@@ -105,7 +105,7 @@ def test_forward_matches_manual_recomputation():
 
     tape = Tape()
     feats_node = encode(bundle, tape, X)
-    logits_node = classify(bundle, tape, feats_node)
+    logits_node = classify(bundle, feats_node)
     assert np.max(np.abs(feats_node.value - h)) < 1e-12
     assert np.max(np.abs(logits_node.value - logits)) < 1e-12
 
@@ -133,7 +133,7 @@ def test_inference_leaves_input_unchanged(kind):
     tape = Tape()
     node = encode(bundle, tape, X)
     assert np.array_equal(feats, node.value)
-    assert np.array_equal(logits, classify(bundle, tape, node).value)
+    assert np.array_equal(logits, classify(bundle, node).value)
 
 
 def _watched_losses(bundle, X, y, domain_y, t, lam):
@@ -162,9 +162,9 @@ def _watched_losses(bundle, X, y, domain_y, t, lam):
 
 def _operand_losses(bundle, X, y, domain_y, t, lam):
     tape = Tape()
-    task = softmax_cross_entropy(classify(bundle, tape, encode(bundle, tape, X)), y)
+    task = softmax_cross_entropy(classify(bundle, encode(bundle, tape, X)), y)
     tape = Tape()
-    probs = discriminate(bundle, t, tape, grad_reverse(encode(bundle, tape, X), lam))
+    probs = discriminate(bundle, t, grad_reverse(encode(bundle, tape, X), lam))
     return task, binary_cross_entropy(probs, domain_y)
 
 
@@ -199,7 +199,7 @@ def test_predict_logits_matches_tape_path():
     bundle = make_bundle(seed=4)
     X = Rng(2).normal(0, 1, (7, 3))
     tape = Tape()
-    node = classify(bundle, tape, encode(bundle, tape, X))
+    node = classify(bundle, encode(bundle, tape, X))
     assert np.array_equal(predict_logits(bundle, X), node.value)
 
 
@@ -207,11 +207,11 @@ def test_discriminator_output_open_interval():
     bundle = make_bundle(seed=1)
     X = Rng(5).normal(0, 3, (20, 3))
     tape = Tape()
-    probs = discriminate(bundle, "t0", tape, encode(bundle, tape, X))
+    probs = discriminate(bundle, "t0", encode(bundle, tape, X))
     assert probs.value.shape == (20, 1)
     assert np.all(probs.value > 0.0) and np.all(probs.value < 1.0)
     with pytest.raises(KeyError):
-        discriminate(bundle, "t9", tape, encode(bundle, tape, X))
+        discriminate(bundle, "t9", encode(bundle, tape, X))
 
 
 def test_discriminator_hidden_width():
