@@ -25,15 +25,19 @@ single vector operations over a span: `reset_grads` zeroes the grad arena
 once, and the optimizer updates each run of adjacent parameters at once
 (`ParamStore.spans`).
 
+A constant (`Tape.constant`, such as the encoder's input) is a leaf that
+takes no gradient: `affine` and `matmul` return None for it instead of
+computing its product, and `backward` never queues a leaf.
+
 Everything is 64-bit: finite-difference checks at 1e-4 relative tolerance are
 not reliable in float32.  All values must stay finite; any operation that
-produces a NaN/Inf raises `NumericError` immediately.
+produces a NaN/Inf raises `NumericError` immediately (`all_finite`).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
+from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -60,11 +64,12 @@ def _as_matrix(x) -> np.ndarray:
 def all_finite(a: np.ndarray) -> bool:
     """True when every entry of `a` is finite.
 
-    The sum is the fast path: any NaN or Inf makes it non-finite.  Only a
-    non-finite sum, which a finite array can also reach by overflow (numpy
-    then warns about the overflow), pays for the exact elementwise check.
+    The sum of squares `np.vdot(a, a)` is the fast path: its terms are never
+    negative, so a NaN or Inf entry always makes it non-finite.  Only a
+    non-finite result, which finite entries beyond about 1e154 also reach by
+    overflow, pays for the exact elementwise check.
     """
-    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.all(np.isfinite(a)))
+    return math.isfinite(np.vdot(a, a)) or bool(np.all(np.isfinite(a)))
 
 
 class Param:
@@ -108,6 +113,7 @@ class ParamStore:
 
     def __init__(self, layout: Iterable[tuple[str, tuple[int, int]]] = ()):
         self._params: dict[str, Param] = {}
+        self._spans: dict[tuple[str, ...] | None, list[tuple[slice, list[Param]]]] = {}
         size = 0
         for name, shape in layout:
             size = self._insert(name, tuple(shape), size).stop
@@ -122,6 +128,7 @@ class ParamStore:
 
     def _allocate(self, size: int) -> None:
         self.value, self.grad, self.m, self.v = (np.zeros(size) for _ in range(4))
+        self._spans.clear()
         for p in self._params.values():
             p._bind(self)
 
@@ -153,14 +160,23 @@ class ParamStore:
     def spans(self, names: Sequence[str] | None = None) -> list[tuple[slice, list[Param]]]:
         """The named parameters (all by default), in the given order, cut into
         maximal runs that lie back to back in the arenas; each run comes
-        with the arena slice it covers."""
+        with the arena slice it covers.
+
+        The result is computed once per name sequence and shared until the
+        next `add`: do not modify it.
+        """
+        key = None if names is None else tuple(names)
+        cached = self._spans.get(key)
+        if cached is not None:
+            return cached
         runs: list[list[Param]] = []
         for p in (self._params.values() if names is None else map(self.__getitem__, names)):
             if runs and runs[-1][-1].stop == p.start:
                 runs[-1].append(p)
             else:
                 runs.append([p])
-        return [(slice(run[0].start, run[-1].stop), run) for run in runs]
+        cached = self._spans[key] = [(slice(run[0].start, run[-1].stop), run) for run in runs]
+        return cached
 
     def reset_grads(self) -> None:
         """Zero every gradient slot."""
@@ -235,6 +251,11 @@ def _identity_vjp(g):
     return (g,)
 
 
+def _is_constant(x: TapeNode | Param) -> bool:
+    """Whether `x` is a recorded leaf with no VJP, which takes no gradient."""
+    return x.__class__ is TapeNode and x.vjp is None
+
+
 def _same_tape(*operands: TapeNode | Param) -> Tape:
     """The tape of the operation's TapeNode operands, which must all share it.
 
@@ -259,30 +280,39 @@ def _same_tape(*operands: TapeNode | Param) -> Tape:
 def matmul(a: TapeNode | Param, b: TapeNode | Param) -> TapeNode:
     """Matrix product a @ b.
 
-    Backward: dL/da = g @ b^T, dL/db = a^T @ g.
+    Backward: dL/da = g @ b^T, dL/db = a^T @ g; a constant operand gets None.
     """
     tape = _same_tape(a, b)
     av, bv = a.value, b.value
     if av.shape[1] != bv.shape[0]:
         raise ShapeError(f"matmul inner dimensions disagree: {av.shape} x {bv.shape}")
+    a_const, b_const = _is_constant(a), _is_constant(b)
 
     def vjp(g):
-        return g @ bv.T, av.T @ g
+        return (None if a_const else g @ bv.T,
+                None if b_const else av.T @ g)
 
     return tape._record(av @ bv, (a, b), vjp)
 
 
 def affine(x: TapeNode | Param, W: TapeNode | Param, b: TapeNode | Param) -> TapeNode:
-    """x @ W + b, the bias row broadcast over rows of x."""
+    """x @ W + b, the bias row broadcast over rows of x.
+
+    Backward: g @ W^T, x^T @ g and the column sums of g; a constant operand,
+    such as the encoder's input, gets None instead.
+    """
     tape = _same_tape(x, W, b)
     xv, Wv, bv = x.value, W.value, b.value
     if xv.shape[1] != Wv.shape[0]:
         raise ShapeError(f"affine inner dimensions disagree: {xv.shape} x {Wv.shape}")
     if bv.shape != (1, Wv.shape[1]):
         raise ShapeError(f"bias shape {bv.shape} does not match (1, {Wv.shape[1]})")
+    x_const, W_const, b_const = _is_constant(x), _is_constant(W), _is_constant(b)
 
     def vjp(g):
-        return g @ Wv.T, xv.T @ g, g.sum(axis=0, keepdims=True)
+        return (None if x_const else g @ Wv.T,
+                None if W_const else xv.T @ g,
+                None if b_const else np.add.reduce(g, axis=0, keepdims=True))
 
     out = xv @ Wv
     out += bv
@@ -295,7 +325,10 @@ def activation(x: TapeNode, kind: str) -> TapeNode:
         out = np.tanh(x.value)
 
         def vjp(g):
-            return (g * (1.0 - out * out),)
+            local = out * out
+            np.subtract(1.0, local, out=local)
+            local *= g  # g * (1 - out^2), built in one array
+            return (local,)
 
     elif kind == "relu":
         mask = x.value > 0.0
@@ -310,11 +343,13 @@ def activation(x: TapeNode, kind: str) -> TapeNode:
 
 
 def sigmoid(x: TapeNode) -> TapeNode:
-    """Elementwise logistic function, computed in the overflow-safe split form."""
+    """Elementwise logistic function in the overflow-safe split form:
+    1/(1+e) where x >= 0 and e/(1+e) elsewhere, with e = exp(-|x|)."""
     xv = x.value
     e = np.exp(-np.abs(xv))
     d = 1.0 + e
-    out = np.where(xv >= 0.0, 1.0 / d, e / d)
+    out = np.divide(e, d)
+    np.divide(1.0, d, out=out, where=xv >= 0.0)
 
     def vjp(g):
         return (g * out * (1.0 - out),)
@@ -401,17 +436,20 @@ def softmax_cross_entropy(logits: TapeNode, labels) -> TapeNode:
         raise LabelError(f"labels must lie in [0, {num_classes}), got range "
                          f"[{y.min()}, {y.max()}]")
     rows = np.arange(m)
-    shifted = lv - lv.max(axis=1, keepdims=True)
+    shifted = lv - np.maximum.reduce(lv, axis=1, keepdims=True)
     exps = np.exp(shifted)
-    total = exps.sum(axis=1, keepdims=True)
-    log_probs = shifted - np.log(total)
-    loss = -(log_probs[rows, y].sum() / m)
-    softmax = exps / total
+    total = np.add.reduce(exps, axis=1, keepdims=True)
+    # the log-softmax at the labels only: shifted - log(total), row by row
+    picked = shifted[rows, y]
+    picked -= np.log(total).ravel()
+    loss = -(np.add.reduce(picked) / m)
 
     def vjp(g):
-        grad = softmax.copy()
+        grad = exps / total
         grad[rows, y] -= 1.0
-        return (g[0, 0] * grad / m,)
+        grad *= g[0, 0]
+        grad /= m
+        return (grad,)
 
     return logits.tape._record(np.array([[loss]]), (logits,), vjp)
 
@@ -437,45 +475,56 @@ def binary_cross_entropy(p: TapeNode, y) -> TapeNode:
     if not np.logical_and.reduce((yv == 0.0) | (yv == 1.0), axis=None):
         raise LabelError("binary labels must be 0 or 1")
     m = pv.shape[0]
-    clamped = np.clip(pv, BCE_CLAMP, 1.0 - BCE_CLAMP)
-    inside = (pv >= BCE_CLAMP) & (pv <= 1.0 - BCE_CLAMP)
-    loss = -((yv * np.log(clamped) + (1.0 - yv) * np.log(1.0 - clamped)).sum() / m)
+    clamped = np.minimum(np.maximum(pv, BCE_CLAMP), 1.0 - BCE_CLAMP)
+    inside = clamped == pv  # pv lies in [BCE_CLAMP, 1 - BCE_CLAMP]
+    not_y, not_clamped = 1.0 - yv, 1.0 - clamped
+    loss = -(np.add.reduce(yv * np.log(clamped) + not_y * np.log(not_clamped),
+                           axis=None) / m)
 
     def vjp(g):
-        local = (-yv / clamped + (1.0 - yv) / (1.0 - clamped)) / m
+        local = (-yv / clamped + not_y / not_clamped) / m
         return (g[0, 0] * local * inside,)
 
     return p.tape._record(np.array([[loss]]), (p,), vjp)
+
+
+_SEED_GRADIENT = np.ones((1, 1))
+_SEED_GRADIENT.flags.writeable = False
 
 
 def backward(loss: TapeNode) -> None:
     """Accumulate d(loss)/d(param) into the grad slot of every parameter the
     loss depends on, whether it was an operand or watched.
 
-    Visits the loss and its ancestors in reverse topological (creation)
-    order, each at most once.  A `Param` operand receives its share at once,
-    one `+=` per use; a watched one receives the sum over its uses.
-    Repeated calls without `reset_grads` in between add their contributions.
+    Visits the loss and its non-leaf ancestors in reverse topological
+    (creation) order, each at most once.  A `Param` operand receives its
+    share at once, one `+=` per use; a watched one receives the sum over its
+    uses.  A None from a VJP is no gradient, and a constant leaf is never
+    queued, so a constant loss returns at once.  Repeated calls without
+    `reset_grads` in between add their contributions.
     """
     if loss.value.shape != (1, 1):
         raise ShapeError(f"backward requires a scalar (1x1) loss, got shape {loss.value.shape}")
-    grads: dict[int, np.ndarray] = {loss.idx: np.ones((1, 1))}
-    pending = {loss.idx: loss}
-    order = [-loss.idx]  # max-heap of the pending nodes' numbers
+    if loss.vjp is None:
+        return
+    # node number -> (node, gradient summed so far); the heap holds the
+    # negated numbers, so it pops the highest-numbered pending node first
+    pending = {loss.idx: (loss, _SEED_GRADIENT)}
+    order = [-loss.idx]
     while order:
-        node = pending.pop(-heapq.heappop(order))
-        g = grads.pop(node.idx)
-        if node.vjp is None:
-            continue
+        node, g = pending.pop(-heappop(order))
         for parent, pg in zip(node.parents, node.vjp(g)):
+            if pg is None:
+                continue
             if parent.__class__ is Param:
                 parent.grad += pg
-            elif parent.idx in grads:
-                grads[parent.idx] = grads[parent.idx] + pg
-            else:
-                grads[parent.idx] = pg
-                pending[parent.idx] = parent
-                heapq.heappush(order, -parent.idx)
+            elif parent.vjp is not None:
+                idx = parent.idx
+                if idx in pending:
+                    pending[idx] = (parent, pending[idx][1] + pg)
+                else:
+                    pending[idx] = (parent, pg)
+                    heappush(order, -idx)
 
 
 def finite_diff_check(

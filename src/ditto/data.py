@@ -32,7 +32,9 @@ from .errors import ConfigError, DataError, ParameterError, ParseError
 from .rng import Rng
 
 SPLITS = ("labeled", "unlabeled", "fewshot", "eval")
-TRANSFORM_KINDS = ("identity", "rotation", "translation", "permutation", "noise")
+# each transform kind and the parameter key it requires
+TRANSFORM_KINDS = {"identity": None, "rotation": "angle", "translation": "offset",
+                   "permutation": "perm", "noise": "sigma"}
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +170,14 @@ class DomainSpec:
         if self.kind not in ("source", "target"):
             raise ConfigError(f"domain kind must be source or target, got {self.kind!r}")
         tkind = self.transform.get("kind")
-        if tkind not in TRANSFORM_KINDS:
+        if not isinstance(tkind, str) or tkind not in TRANSFORM_KINDS:
             raise ConfigError(f"unknown transform kind {tkind!r} for domain {self.id!r}")
+        key = TRANSFORM_KINDS[tkind]
+        if key and key not in self.transform:
+            raise ConfigError(f"required key missing: the {tkind} transform of domain "
+                              f"{self.id!r} needs {key!r}", key=f"transform.{key}")
         if tkind == "rotation":
-            angle = float(self.transform.get("angle", 0.0))
+            angle = float(self.transform["angle"])
             if not (0.0 <= angle < 360.0):
                 raise ConfigError(f"rotation angle must lie in [0, 360), got {angle}")
 

@@ -31,7 +31,16 @@ class DataError(ValueError):
 
 
 class ConfigError(ValueError):
-    """A configuration is internally contradictory or incomplete."""
+    """A configuration is internally contradictory or incomplete.
+
+    `key` optionally names the offending JSON key path inside the object
+    being built (`"variants[1]"`); the config parser appends it to the
+    object's own path when it reports the error.
+    """
+
+    def __init__(self, message: str, key: str = ""):
+        super().__init__(message)
+        self.key = key
 
 
 class ParseError(ValueError):

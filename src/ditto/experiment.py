@@ -95,6 +95,11 @@ class ExperimentConfig:
         if self.c_s < 0 or self.c_t_over_s < 0:
             raise ConfigError(f"cost constants must be >= 0, got c_s={self.c_s}, "
                               f"c_t_over_s={self.c_t_over_s}")
+        for i, name in enumerate(self.variants):
+            try:
+                TrainVariant.parse(name)  # the name only: a ditto_single target
+            except ConfigError as exc:  # is checked against the dataset per run
+                raise ConfigError(str(exc), key=f"variants[{i}]") from None
         ordered = [v for v in self.variants if v != BASELINE]
         self.variants = [BASELINE] + ordered  # baseline first: it seeds the prior
 
@@ -178,7 +183,8 @@ def _build(cls, obj: dict, path: str):
     try:
         return cls(**kwargs)
     except (ConfigError, ParameterError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        key = getattr(exc, "key", "")
+        raise ConfigError(f"{path}.{key}: {exc}" if key else f"{path}: {exc}") from None
 
 
 def _value(tp, raw, path: str):

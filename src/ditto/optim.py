@@ -18,6 +18,7 @@ also falls back to the plain step for that batch.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from dataclasses import dataclass
 from operator import attrgetter
@@ -89,7 +90,11 @@ def adamw_step(
     while bias correction uses each parameter's own update count (so rarely
     updated discriminators are corrected properly).  Every gradient is
     checked before any value moves.  The update is elementwise, so it runs
-    once per stretch of arena whose parameters share an update count.
+    once per stretch of arena whose parameters share an update count.  The
+    moments are updated in place and the update is built in two scratch
+    arrays, with the same operations in the same order as
+    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
+    update = (lr_t*m_hat) / (sqrt(v_hat) + eps) + (lr_t*wd)*w, w -= update.
     """
     lr_t = lr_at(config, step)
     spans = store.spans(names)
@@ -97,6 +102,7 @@ def adamw_step(
         if not all_finite(store.grad[span]):
             bad = next(p for p in run if not np.all(np.isfinite(p.grad)))
             raise NumericError(f"non-finite gradient in parameter {bad.name!r}")
+    beta1, beta2 = config.beta1, config.beta2
     for _, run in spans:
         for count, group in itertools.groupby(run, key=attrgetter("step")):
             group = list(group)
@@ -105,13 +111,25 @@ def adamw_step(
                 p.step = t
             span = slice(group[0].start, group[-1].stop)
             w, g, m, v = (arena[span] for arena in (store.value, store.grad, store.m, store.v))
-            m[...] = config.beta1 * m + (1.0 - config.beta1) * g
-            v[...] = config.beta2 * v + (1.0 - config.beta2) * g * g
-            m_hat = m / (1.0 - config.beta1 ** t)
-            v_hat = v / (1.0 - config.beta2 ** t)
-            update = lr_t * m_hat / (np.sqrt(v_hat) + config.eps)
+            # m <- beta1*m + (1-beta1)*g
+            m *= beta1
+            scratch = np.multiply(g, 1.0 - beta1)
+            m += scratch
+            # v <- beta2*v + ((1-beta2)*g)*g
+            np.multiply(g, 1.0 - beta2, out=scratch)
+            scratch *= g
+            v *= beta2
+            v += scratch
+            # update = (lr_t * m_hat) / (sqrt(v_hat) + eps)
+            np.divide(v, 1.0 - beta2 ** t, out=scratch)
+            np.sqrt(scratch, out=scratch)
+            scratch += config.eps
+            update = np.divide(m, 1.0 - beta1 ** t)
+            update *= lr_t
+            update /= scratch
             if config.weight_decay:
-                update = update + lr_t * config.weight_decay * w
+                np.multiply(w, lr_t * config.weight_decay, out=scratch)
+                update += scratch
             w -= update
 
 
@@ -130,8 +148,10 @@ def sam_perturb(store: ParamStore, rho: float, names: Sequence[str] | None = Non
     """Set w <- w + eps_hat with eps_hat = rho * grad / ||grad||_2.
 
     The norm is a single global L2 norm over the concatenation of all named
-    parameters' gradients, so ||eps_hat||_2 = rho exactly; it is accumulated
-    matrix by matrix in name order.  A norm below 1e-12 raises
+    parameters' gradients, so ||eps_hat||_2 = rho exactly.  Each arena span
+    is squared once; the squares are then summed matrix by matrix in name
+    order, each matrix's sum over its own slice of the squares, and those
+    sums added up as Python floats.  A norm below 1e-12 raises
     DegenerateGradientError and leaves parameters untouched; callers skip
     the perturbation for that step.
     """
@@ -139,10 +159,12 @@ def sam_perturb(store: ParamStore, rho: float, names: Sequence[str] | None = Non
         raise ParameterError(f"rho must be >= 0, got {rho}")
     spans = store.spans(names)
     sq = 0.0
-    for _, run in spans:
+    for span, run in spans:
+        g = store.grad[span]
+        squares = g * g
         for p in run:
-            sq += float((p.grad * p.grad).sum())
-    norm = float(np.sqrt(sq))
+            sq += float(np.add.reduce(squares[p.start - span.start:p.stop - span.start]))
+    norm = math.sqrt(sq)
     if norm < DEGENERATE_NORM:
         raise DegenerateGradientError(f"gradient norm {norm:.3e} below {DEGENERATE_NORM}")
     scale = rho / norm

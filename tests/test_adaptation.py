@@ -376,3 +376,44 @@ def test_few_shot_pool_exhaustion_raises(small_dataset):
         few_shot_augment(small_dataset, 31, Rng(0))  # pools hold 30 rows
     with pytest.raises(ParameterError):
         few_shot_augment(small_dataset, -1, Rng(0))
+
+
+# --- the recorded graph of a training step ---------------------------------------
+
+
+def test_training_steps_record_a_fixed_graph(small_dataset, monkeypatch):
+    # Non-leaf tape records per step, counted at `Tape._record` as the bench
+    # tracer counts them (its autodiff.ops_per_step).  A baseline step is one
+    # task pass: 2 x (affine, tanh), classifier affine, cross-entropy.  A ditto
+    # step with SAM and lambda > 0 is two task passes plus the adversarial
+    # pass: encoder (4), grad_reverse, discriminator (affine, tanh, affine,
+    # sigmoid) and binary cross-entropy.
+    from ditto.adaptation import Optimizers, baseline_step, ditto_step
+    from ditto.autodiff import Tape
+    from ditto.optim import AdamWConfig
+
+    recorded = []
+    record = Tape._record
+
+    def counted(tape, value, parents, vjp, param=None):
+        if parents:
+            recorded.append(vjp)
+        return record(tape, value, parents, vjp, param)
+
+    monkeypatch.setattr(Tape, "_record", counted)
+    bundle = init_params(CFG.encoder, CFG.num_classes, small_dataset.target_ids(), Rng(0))
+    opts = Optimizers(enc=AdamWConfig(lr=0.02, total_steps=10),
+                      disc=AdamWConfig(lr=0.05, total_steps=10))
+    src = small_dataset.domains[small_dataset.source].labeled
+    X, y = src.X[:32], src.y[:32]
+    prior = LanguagePrior.uniform(small_dataset.target_ids())
+    per_step = {}
+    for step, name in enumerate(["baseline", "ditto", "ditto_minus_la", "ditto_minus_sam"]):
+        variant = TrainVariant.parse(name, lam=0.25, rho=0.05)
+        recorded.clear()
+        if name == "baseline":
+            baseline_step(bundle, X, y, opts, variant, step)
+        else:
+            ditto_step(bundle, X, y, prior, small_dataset, opts, variant, step, Rng(1))
+        per_step[name] = len(recorded)
+    assert per_step == {"baseline": 6, "ditto": 22, "ditto_minus_la": 12, "ditto_minus_sam": 16}

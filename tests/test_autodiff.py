@@ -554,3 +554,125 @@ def test_finished_pass_is_freed_without_cyclic_gc():
         assert freed() is None
     finally:
         gc.enable()
+
+
+# --- the lean primitives keep the old results ---------------------------------
+
+
+def _bits(a):
+    """The raw bit patterns of a float64 array, so -0.0 and 0.0 differ."""
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.int64)
+
+
+def test_constant_operand_gets_no_gradient():
+    store = ParamStore()
+    W = store.add("W", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    b = store.add("b", np.array([[0.5, -0.5]]))
+    tape = Tape()
+    x = tape.constant(np.array([[1.0, -1.0], [2.0, 0.0]]))
+    g = np.array([[1.0, -2.0], [0.5, 3.0]])
+    out = affine(x, W, b)
+    dx, dW, db = out.vjp(g)
+    assert dx is None
+    assert np.array_equal(dW, x.value.T @ g) and np.array_equal(db, g.sum(axis=0, keepdims=True))
+    # a recorded operand, a watched parameter and a parameter operand all get one
+    h = activation(out, "tanh")
+    w = tape.watch(W)
+    for grads in (affine(h, W, b).vjp(g), affine(h, w, b).vjp(g)):
+        assert all(grad is not None for grad in grads)
+    assert np.array_equal(affine(h, W, b).vjp(g)[0], g @ W.value.T)
+    # constant weights and bias get None as well
+    assert affine(h, x, tape.constant(np.zeros((1, 2)))).vjp(g)[1:] == (None, None)
+    da, db_ = matmul(x, W).vjp(g)
+    assert da is None and np.array_equal(db_, x.value.T @ g)
+    da, db_ = matmul(h, x).vjp(g)
+    assert np.array_equal(da, g @ x.value.T) and db_ is None
+    assert all(grad is not None for grad in matmul(h, w).vjp(g))
+
+
+def test_constant_input_changes_no_parameter_gradient():
+    # backward skips the None a VJP returns for the constant input
+    store = ParamStore()
+    W = store.add("W", np.array([[1.0, 2.0], [3.0, 4.0]]))
+    b = store.add("b", np.array([[0.5, -0.5]]))
+    x = np.array([[1.0, -1.0], [2.0, 0.0]])
+    backward(summation(activation(affine(Tape().constant(x), W, b), "tanh")))
+    local = 1.0 - np.tanh(x @ W.value + b.value) ** 2
+    assert np.array_equal(W.grad, x.T @ local)
+    assert np.array_equal(b.grad, local.sum(axis=0, keepdims=True))
+
+
+def test_backward_on_a_constant_loss_is_a_no_op():
+    store = ParamStore()
+    store.add("w", np.array([[2.0]]))
+    backward(Tape().constant([[3.0]]))
+    assert not store.grad.any()
+    with pytest.raises(ShapeError):
+        backward(Tape().constant(np.ones((1, 2))))
+
+
+def test_all_finite_fast_path_and_its_exact_fallback():
+    # squares beyond the float64 range send finite arrays to the exact check
+    assert all_finite(np.full((3, 4), 1e200)) and all_finite(np.full((3, 4), -1e200))
+    assert all_finite(np.empty((0, 5))) and all_finite(np.empty((4, 0)))
+    for bad in (np.nan, np.inf, -np.inf):
+        a = np.arange(20.0).reshape(4, 5)
+        a[0, 0] = 1e200
+        a[2, 3] = bad
+        assert not all_finite(a)
+        assert not all_finite(a.T)
+        assert not all_finite(a[::2, 1::2])  # a strided view holding (2, 3)
+        assert all_finite(a[1::2, ::2]) and all_finite(a[:, :3].T)  # views without it
+        assert not all_finite(a.ravel()[13:14])
+
+
+def test_sigmoid_matches_the_where_split_form_bit_for_bit():
+    xv = np.array([[0.0, -0.0, 1e-300, -1e-300, 700.0, -700.0, 2.5, -2.5, 36.7, -745.0]])
+    e = np.exp(-np.abs(xv))
+    d = 1.0 + e
+    want = np.where(xv >= 0.0, 1.0 / d, e / d)
+    assert np.array_equal(_bits(sigmoid(Tape().constant(xv)).value), _bits(want))
+
+
+def test_binary_cross_entropy_clamp_matches_np_clip_bit_for_bit():
+    lo, hi = BCE_CLAMP, 1.0 - BCE_CLAMP
+    p = np.array([0.0, 1e-300, np.nextafter(lo, 0.0), lo, np.nextafter(lo, 1.0), 0.3, 0.5,
+                  np.nextafter(hi, 0.0), hi, np.nextafter(hi, 1.0), 1.0]).reshape(-1, 1)
+    y = np.array([1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0]).reshape(-1, 1)
+    m = p.shape[0]
+    # the loss and gradient as written with np.clip and an explicit range mask
+    clamped = np.clip(p, lo, hi)
+    inside = (p >= lo) & (p <= hi)
+    want_loss = -((y * np.log(clamped) + (1.0 - y) * np.log(1.0 - clamped)).sum() / m)
+    want_grad = 0.75 * ((-y / clamped + (1.0 - y) / (1.0 - clamped)) / m) * inside
+    loss = binary_cross_entropy(Tape().constant(p), y.ravel())
+    assert _bits(loss.value)[0, 0] == _bits(np.array([want_loss]))[0]
+    (grad,) = loss.vjp(np.array([[0.75]]))
+    assert np.array_equal(_bits(grad), _bits(want_grad))
+
+
+def test_softmax_cross_entropy_matches_the_full_log_softmax_form_bit_for_bit():
+    rng = Rng(12)
+    lv = rng.normal(0, 3, (64, 3))
+    lv[5] = [0.0, -0.0, 0.0]
+    y = rng.integers(0, 3, 64)
+    rows = np.arange(64)
+    # the loss and gradient through the whole log-softmax matrix and a copy
+    shifted = lv - lv.max(axis=1, keepdims=True)
+    exps = np.exp(shifted)
+    total = exps.sum(axis=1, keepdims=True)
+    want_loss = -((shifted - np.log(total))[rows, y].sum() / 64)
+    want_grad = (exps / total).copy()
+    want_grad[rows, y] -= 1.0
+    want_grad = 0.375 * want_grad / 64
+    loss = softmax_cross_entropy(Tape().constant(lv), y)
+    assert _bits(loss.value)[0, 0] == _bits(np.array([want_loss]))[0]
+    assert np.array_equal(_bits(loss.vjp(np.array([[0.375]]))[0]), _bits(want_grad))
+
+
+def test_tanh_vjp_matches_the_textbook_form_bit_for_bit():
+    rng = Rng(13)
+    node = activation(Tape().constant(rng.normal(0, 2, (16, 8))), "tanh")
+    g = rng.normal(0, 1, (16, 8))
+    (got,) = node.vjp(g)
+    assert np.array_equal(_bits(got), _bits(g * (1.0 - node.value * node.value)))

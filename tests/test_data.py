@@ -148,6 +148,15 @@ def test_translation_and_permutation():
         apply_transform(X, {"kind": "permutation", "perm": [0, 0, 1]})
 
 
+@pytest.mark.parametrize("kind,key", [("rotation", "angle"), ("translation", "offset"),
+                                      ("permutation", "perm"), ("noise", "sigma")])
+def test_transform_without_its_parameter_is_rejected_at_the_spec(kind, key):
+    with pytest.raises(ConfigError) as exc:
+        DomainSpec(id="far", kind="target", transform={"kind": kind}, sizes=SizeSpec(eval=5))
+    assert "'far'" in str(exc.value) and repr(key) in str(exc.value)
+    assert exc.value.key == f"transform.{key}"
+
+
 def test_noise_transform():
     X = np.zeros((2000, 2))
     N = apply_transform(X, {"kind": "noise", "sigma": 0.5}, rng=Rng(6))

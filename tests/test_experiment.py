@@ -400,6 +400,10 @@ MALFORMED = {
     "no_base": ("dataset", lambda d: d.pop("base"), "dataset.base"),
     "no_eval_size": ("dataset", lambda d: d["domains"][1]["sizes"].pop("eval"),
                      "dataset.domains[1].sizes"),
+    "unknown_variant": ("experiment", lambda e: e.update(variants=["baseline", "dito"]),
+                        "experiment.variants[1]"),
+    "rotation_without_angle": ("dataset", lambda d: d["domains"][1]["transform"].pop("angle"),
+                               "dataset.domains[1].transform.angle"),
 }
 
 
@@ -414,7 +418,9 @@ def test_malformed_config_names_its_json_path(cli_config, case):
     assert str(exc.value).startswith(path + ":"), str(exc.value)
 
 
-@pytest.mark.parametrize("command,case", [("run-all", "typo_keys"), ("generate", "no_base")])
+@pytest.mark.parametrize("command,case", [("run-all", "typo_keys"), ("generate", "no_base"),
+                                          ("run-all", "unknown_variant"),
+                                          ("generate", "rotation_without_angle")])
 def test_cli_malformed_config_is_one_line_error(cli_config, tmp_path, capsys, command, case):
     section, spoil, path = MALFORMED[case]
     cfg = json.loads(cli_config.read_text())

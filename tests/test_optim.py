@@ -423,3 +423,39 @@ def test_sam_perturb_restore_bit_exact_over_multi_param_store():
             assert np.array_equal(store[n].value.ravel(), want.ravel()), n
         sam_restore(store, pert)
         assert np.array_equal(store.value, before)
+
+
+def test_sam_norm_sums_each_matrix_over_its_own_elements():
+    # gradients over many magnitudes, in matrices large enough for numpy's
+    # pairwise summation to split them: any other grouping of the squares
+    # would change the last bits of the norm
+    shapes = {"a": (64, 32), "b": (1, 32), "c": (32, 48), "d": (7, 3)}
+    store = ParamStore()
+    rng = Rng(9)
+    for name, shape in shapes.items():
+        p = store.add(name, np.zeros(shape))
+        p.grad[...] = rng.normal(0, 1, shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    for names in (None, ["c", "a", "d"]):
+        chosen = list(shapes) if names is None else names
+        sq = 0.0
+        for n in chosen:
+            g = store[n].grad
+            sq += float((g * g).sum())
+        pert = sam_perturb(store, rho=0.05, names=names)
+        assert pert.grad_norm == float(np.sqrt(sq))
+        sam_restore(store, pert)
+
+
+def test_spans_are_shared_until_the_store_grows():
+    store = arena_store(2)
+    names = ["enc.W", "enc.b", "cls.W"]
+    spans = store.spans(names)
+    assert store.spans(tuple(names)) is spans
+    assert [(s.start, s.stop) for s, _ in spans] == [
+        (store["enc.W"].start, store["enc.b"].stop), (store["cls.W"].start, store["cls.W"].stop)]
+    everything = store.spans()
+    extra = store.add("extra.W", np.ones((2, 2)))
+    assert store.spans() is not everything
+    assert store.spans()[-1][1][-1] is extra
+    assert [(s, [p.name for p in run]) for s, run in store.spans(names)] == \
+        [(s, [p.name for p in run]) for s, run in spans]
