@@ -1,20 +1,28 @@
 """Synthetic data generation, the CSV dataset format, and its failure modes."""
 
 import ast
+import csv
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ditto import (
+    DomainDataset,
     DomainSpec,
+    DomainSplits,
+    EncoderSpec,
     MixtureSpec,
     Rng,
+    Rows,
     SizeSpec,
+    TrainConfig,
+    TrainVariant,
     generate_synthetic,
     load_dataset,
     save_dataset,
     subsample_source,
+    train,
 )
 import ditto.data
 from ditto.data import apply_transform
@@ -157,6 +165,36 @@ def test_transform_without_its_parameter_is_rejected_at_the_spec(kind, key):
     assert exc.value.key == f"transform.{key}"
 
 
+@pytest.mark.parametrize("transform,key", [
+    ({"kind": "rotation", "angle": "abc"}, "angle"),
+    ({"kind": "rotation", "angle": True}, "angle"),
+    ({"kind": "noise", "sigma": "x"}, "sigma"),
+    ({"kind": "noise", "sigma": -0.5}, "sigma"),
+    ({"kind": "permutation", "perm": "ab"}, "perm"),
+    ({"kind": "permutation", "perm": [1, 0.5]}, "perm"),
+    ({"kind": "translation", "offset": 1.0}, "offset"),
+    ({"kind": "translation", "offset": [1.0, float("inf")]}, "offset"),
+    ({"kind": "translation", "offset": [1.0], "bogus": 3}, "bogus"),
+    ({"kind": "identity", "angle": 30.0}, "angle"),
+], ids=["angle_string", "angle_bool", "sigma_string", "sigma_negative", "perm_string",
+        "perm_float", "offset_number", "offset_inf", "translation_extra_key",
+        "identity_extra_key"])
+def test_transform_parameter_of_wrong_type_or_unknown_key_is_rejected(transform, key):
+    with pytest.raises(ConfigError) as exc:
+        DomainSpec(id="far", kind="target", transform=transform, sizes=SizeSpec(eval=5))
+    assert "'far'" in str(exc.value)
+    assert exc.value.key == f"transform.{key}"
+
+
+def test_well_typed_transform_parameters_are_accepted():
+    for transform in ({"kind": "identity"}, {"kind": "rotation", "angle": 25},
+                      {"kind": "rotation", "angle": np.float64(359.5)},
+                      {"kind": "noise", "sigma": 0}, {"kind": "permutation", "perm": (1, 0)},
+                      {"kind": "translation", "offset": [1, -2.5]}):
+        assert DomainSpec(id="t", kind="target", transform=transform,
+                          sizes=SizeSpec(eval=5)).transform is transform
+
+
 def test_noise_transform():
     X = np.zeros((2000, 2))
     N = apply_transform(X, {"kind": "noise", "sigma": 0.5}, rng=Rng(6))
@@ -290,6 +328,181 @@ def test_parse_error_non_numeric_feature(tmp_path):
                "s,labeled,0,1.0,abc\n")
     with pytest.raises(ParseError, match=":2"):
         _write_and_load(tmp_path, "s.labeled.csv", content)
+
+
+# each error kind: the file it spoils, a row with that fault, and the message
+GOOD_ROW = {"s.labeled.csv": "s,labeled,0,1.0,2.0", "t.unlabeled.csv": "t,unlabeled,,1.0,2.0"}
+BAD_ROWS = {
+    "columns": ("s.labeled.csv", "s,labeled,1,3.0", "expected 5 columns, got 4"),
+    "blank_line": ("s.labeled.csv", "", "expected 5 columns, got 0"),
+    "domain": ("s.labeled.csv", "OTHER,labeled,0,1.0,2.0",
+               "domain 'OTHER' does not match file domain 's'"),
+    "split": ("s.labeled.csv", "s,fewshot,0,1.0,2.0",
+              "split 'fewshot' does not match file split 'labeled'"),
+    "missing_label": ("s.labeled.csv", "s,labeled,,1.0,2.0", "missing label in labeled split"),
+    "label_not_int": ("s.labeled.csv", "s,labeled,1.5,1.0,2.0", "label '1.5' is not an integer"),
+    "negative_label": ("s.labeled.csv", "s,labeled,-1,1.0,2.0", "label must be >= 0"),
+    "label_beyond_int64": ("s.labeled.csv", "s,labeled,9223372036854775808,1.0,2.0",
+                           "label '9223372036854775808' does not fit in int64"),
+    "label_in_unlabeled": ("t.unlabeled.csv", "t,unlabeled,1,1.0,2.0",
+                           "unlabeled rows must have an empty label, got '1'"),
+    "non_numeric": ("s.labeled.csv", "s,labeled,0,1.0,abc", "non-numeric feature value"),
+    "non_finite": ("s.labeled.csv", "s,labeled,0,nan,-inf", "non-finite feature value"),
+}
+
+
+# (first bad line, second bad line): within the first block of rows, the
+# last line of the first block and the first of the second, and both deep in
+# a later block; line 2 is the first row
+BLOCK = ditto.data._BLOCK_ROWS
+BAD_LINES = {"first_block": (2, 5), "block_boundary": (BLOCK + 1, BLOCK + 2),
+             "later_block": (2 * BLOCK + 90, 2 * BLOCK + 91)}
+
+
+@pytest.mark.parametrize("where", list(BAD_LINES))
+@pytest.mark.parametrize("kind", list(BAD_ROWS))
+def test_parse_error_names_the_first_of_two_bad_lines(tmp_path, kind, where):
+    # the second bad line fails a check that runs earlier in a row, so a
+    # parser that checked whole columns in turn would name it instead
+    filename, bad, message = BAD_ROWS[kind]
+    lines = BAD_LINES[where]
+    later = "s,labeled,0" if kind != "columns" else "OTHER,labeled,0,1.0,2.0"
+    if filename == "t.unlabeled.csv":
+        later = "t,unlabeled,,1.0"
+    rows = [GOOD_ROW[filename]] * (3 * BLOCK)
+    rows[lines[0] - 2], rows[lines[1] - 2] = bad, later
+    content = "domain,split,label,f0,f1\n" + "\n".join(rows) + "\n"
+    with pytest.raises(ParseError) as exc:
+        _write_and_load(tmp_path, filename, content)
+    assert str(exc.value) == f"{tmp_path / filename}:{lines[0]}: {message}"
+
+
+# --- CSV format edge cases ---------------------------------------------------
+
+
+def _dataset_of(X, source="s", target="t"):
+    """Every split of both domains holds the rows X (labels 0, 1, 2, ...)."""
+    y = np.arange(X.shape[0]) % 3
+    splits = lambda: DomainSplits(labeled=Rows(X, y), unlabeled=X, fewshot=Rows(X, y),
+                                  eval=Rows(X, y))
+    return DomainDataset(source=source, domains={source: splits(), target: splits()})
+
+
+def _assert_bit_identical(a, b):
+    assert a.source == b.source and list(a.domains) == list(b.domains)
+    for dom in a.domains:
+        x, y = a.domains[dom], b.domains[dom]
+        for u, v in ((x.labeled.X, y.labeled.X), (x.labeled.y, y.labeled.y),
+                     (x.unlabeled, y.unlabeled), (x.fewshot.X, y.fewshot.X),
+                     (x.fewshot.y, y.fewshot.y), (x.eval.X, y.eval.X), (x.eval.y, y.eval.y)):
+            assert u.dtype == v.dtype and u.shape == v.shape
+            assert v.flags["C_CONTIGUOUS"]
+            assert u.tobytes() == v.tobytes()
+
+
+def test_round_trip_is_bit_exact_at_the_edges_of_float64(tmp_path):
+    edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.797e308, -1.797e308,
+             np.finfo(np.float64).max, 0.1, -0.1, 1 / 3]
+    bits = np.random.default_rng(0).integers(0, 2**64, size=4000, dtype=np.uint64)
+    noise = bits.view(np.float64)
+    values = np.concatenate([edges, noise[np.isfinite(noise)]])
+    X = values[: values.size // 2 * 2].reshape(-1, 2)
+    ds = _dataset_of(X)
+    save_dataset(ds, tmp_path)
+    _assert_bit_identical(ds, load_dataset(tmp_path))
+
+
+def test_domain_id_that_needs_csv_quoting_round_trips(tmp_path):
+    ds = _dataset_of(np.array([[0.5, -1.5], [2.0, 3.0]]), source="a,b", target='say "hi"')
+    save_dataset(ds, tmp_path)
+    first_row = (tmp_path / "a,b.eval.csv").read_text().splitlines()[1]
+    assert first_row == '"a,b",eval,0,0.5,-1.5'
+    _assert_bit_identical(ds, load_dataset(tmp_path))
+
+
+def test_header_only_splits_load_as_empty_arrays(tmp_path):
+    sizes = SizeSpec(labeled=6, unlabeled=4, fewshot=3, eval=5)
+    ds = two_domain(sizes=sizes)
+    for split in ("labeled", "fewshot"):
+        setattr(ds.domains["t"], split, Rows(np.empty((0, 2)), np.empty(0, np.int64)))
+    ds.domains["s"].unlabeled = np.empty((0, 2))
+    save_dataset(ds, tmp_path)
+    assert (tmp_path / "t.labeled.csv").read_text() == "domain,split,label,f0,f1\n"
+    loaded = load_dataset(tmp_path)
+    t = loaded.domains["t"]
+    for X in (t.labeled.X, t.fewshot.X, loaded.domains["s"].unlabeled):
+        assert X.shape == (0, 2) and X.dtype == np.float64
+    for y in (t.labeled.y, t.fewshot.y):
+        assert y.shape == (0,) and y.dtype == np.int64
+    _assert_bit_identical(ds, loaded)
+
+
+def test_crlf_files_load_like_lf_files(tmp_path):
+    lf, crlf = tmp_path / "lf", tmp_path / "crlf"
+    save_dataset(make_dataset(angles=(15,)), lf)
+    crlf.mkdir()
+    for f in lf.iterdir():
+        data = f.read_bytes()
+        if f.suffix == ".csv":
+            assert b"\r" not in data
+            data = data.replace(b"\n", b"\r\n")
+        (crlf / f.name).write_bytes(data)
+    _assert_bit_identical(load_dataset(lf), load_dataset(crlf))
+
+
+def _save_row_by_row(dataset, out):
+    """Reference writer: one csv row per feature row, each value through repr."""
+    dim = dataset.feature_dim
+    for dom, splits in dataset.domains.items():
+        for split, X, y in (("labeled", splits.labeled.X, splits.labeled.y),
+                            ("unlabeled", splits.unlabeled, None),
+                            ("fewshot", splits.fewshot.X, splits.fewshot.y),
+                            ("eval", splits.eval.X, splits.eval.y)):
+            with open(out / f"{dom}.{split}.csv", "w", newline="") as fh:
+                writer = csv.writer(fh, lineterminator="\n")
+                writer.writerow(["domain", "split", "label"] + [f"f{i}" for i in range(dim)])
+                for i in range(X.shape[0]):
+                    label = "" if y is None else str(int(y[i]))
+                    writer.writerow([dom, split, label] + [repr(float(v)) for v in X[i]])
+
+
+@pytest.mark.parametrize("case", ["generated", "edges_and_quoting"])
+def test_save_dataset_bytes_match_a_row_by_row_writer(tmp_path, case):
+    if case == "generated":
+        ds = make_dataset(angles=(15, 30))
+    else:
+        bits = np.random.default_rng(1).integers(0, 2**64, size=600, dtype=np.uint64)
+        noise = bits.view(np.float64)
+        X = np.concatenate([[0.0, -0.0, 5e-324, 1.797e308], noise[np.isfinite(noise)]])
+        ds = _dataset_of(X[: X.size // 2 * 2].reshape(-1, 2), source="a,b", target="t\"q")
+    save_dataset(ds, tmp_path / "cols")
+    (tmp_path / "rows").mkdir()
+    _save_row_by_row(ds, tmp_path / "rows")
+    written = sorted(f.name for f in (tmp_path / "cols").glob("*.csv"))
+    assert written == sorted(f.name for f in (tmp_path / "rows").iterdir())
+    for name in written:
+        assert (tmp_path / "cols" / name).read_bytes() == (tmp_path / "rows" / name).read_bytes()
+
+
+@pytest.mark.parametrize("split", ["labeled", "unlabeled", "fewshot", "eval"])
+def test_non_finite_features_fail_validation(split):
+    ds = make_dataset(angles=(15,), sizes=SizeSpec(labeled=12, unlabeled=12, fewshot=3,
+                                                   eval=9))
+    X = ds.domains["rot15"].unlabeled if split == "unlabeled" else \
+        getattr(ds.domains["rot15"], split).X
+    X[1, 0] = np.nan
+    with pytest.raises(DataError, match=f"domain 'rot15' split {split} has a non-finite"):
+        ds.validate()
+
+
+def test_train_rejects_a_dataset_with_non_finite_features():
+    ds = make_dataset(angles=(15,), sizes=SizeSpec(labeled=12, unlabeled=12, fewshot=3,
+                                                   eval=9))
+    ds.domains["src"].labeled.X[0, 1] = np.inf
+    cfg = TrainConfig(encoder=EncoderSpec(input_dim=2, hidden_dims=[4]), num_classes=3,
+                      epochs=1)
+    with pytest.raises(DataError, match="domain 'src' split labeled"):
+        train(cfg, ds, TrainVariant.parse("baseline"), 0)
 
 
 # --- source subsampling ------------------------------------------------------

@@ -404,6 +404,15 @@ MALFORMED = {
                         "experiment.variants[1]"),
     "rotation_without_angle": ("dataset", lambda d: d["domains"][1]["transform"].pop("angle"),
                                "dataset.domains[1].transform.angle"),
+    "angle_string": ("dataset", lambda d: d["domains"][1]["transform"].update(angle="abc"),
+                     "dataset.domains[1].transform.angle"),
+    "sigma_string": ("dataset", lambda d: d["domains"][1].update(
+        transform={"kind": "noise", "sigma": "x"}), "dataset.domains[1].transform.sigma"),
+    "perm_string": ("dataset", lambda d: d["domains"][1].update(
+        transform={"kind": "permutation", "perm": "ab"}), "dataset.domains[1].transform.perm"),
+    "unknown_transform_key": ("dataset", lambda d: d["domains"][1].update(
+        transform={"kind": "translation", "offset": [1.0], "bogus": 3}),
+        "dataset.domains[1].transform.bogus"),
 }
 
 
@@ -420,7 +429,9 @@ def test_malformed_config_names_its_json_path(cli_config, case):
 
 @pytest.mark.parametrize("command,case", [("run-all", "typo_keys"), ("generate", "no_base"),
                                           ("run-all", "unknown_variant"),
-                                          ("generate", "rotation_without_angle")])
+                                          ("generate", "rotation_without_angle"),
+                                          ("generate", "angle_string"),
+                                          ("generate", "unknown_transform_key")])
 def test_cli_malformed_config_is_one_line_error(cli_config, tmp_path, capsys, command, case):
     section, spoil, path = MALFORMED[case]
     cfg = json.loads(cli_config.read_text())
