@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tape, backward
-from .data import DomainDataset, Rows
+from .data import DomainDataset, Rows, valid_domain_id
 from .errors import ConfigError, DataError, LabelError, ParameterError
 from .model import (
     EncoderSpec,
@@ -182,9 +182,9 @@ class TrainVariant:
         if kind == "ditto_minus_la":
             return TrainVariant("ditto_minus_la", lam=0.0, sam=SamConfig(rho))
         if kind == "ditto_single":
-            if not target:
-                raise ConfigError("ditto_single variant name must be "
-                                  "'ditto_single:<target>'")
+            if not valid_domain_id(target):  # the name becomes a run directory
+                raise ConfigError(f"ditto_single variant name must be 'ditto_single:"
+                                  f"<target>', the target without '/' or '\\', got {name!r}")
             return TrainVariant("ditto_single", lam=lam, sam=SamConfig(rho),
                                 single_target=target)
         if kind == "ditto_uniform":

@@ -237,23 +237,39 @@ def write_eval_csv(table: EvalTable, path, baseline_method: str = "baseline") ->
                 writer.writerow([domain, method, fmt_acc(table.get(method, domain)), gain])
 
 
-def read_eval_csv(path) -> tuple[EvalTable, dict[tuple[str, str], str]]:
-    """Load a write_eval_csv file; returns the table (source unknown -> '')
-    and the raw relative_gain strings."""
-    entries: dict[tuple[str, str], float] = {}
-    gains: dict[tuple[str, str], str] = {}
+def _csv_body(path, header: list[str], what: str):
+    """(line number, row) for each body row of a CSV file with `header`; a
+    wrong header or a row of the wrong width raises DataError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["domain", "method", "accuracy", "relative_gain"]:
-            raise DataError(f"{path}: unexpected eval CSV header {header}")
+        first = next(reader, None)
+        if first != header:
+            raise DataError(f"{path}: unexpected {what} CSV header {first}")
         for row in reader:
-            domain, method, acc, gain = row
-            entries[(method, domain)] = float(acc)
-            gains[(method, domain)] = gain
-    table = EvalTable(source="")
-    table.entries = entries
-    return table, gains
+            if len(row) != len(header):
+                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} "
+                                f"columns, got {len(row)}")
+            yield reader.line_num, row
+
+
+def _number(path, lineno: int, text: str) -> float:
+    try:
+        return float(text)
+    except ValueError:
+        raise DataError(f"{path}:{lineno}: {text!r} is not a number") from None
+
+
+def read_eval_csv(path) -> tuple[EvalTable, dict[tuple[str, str], str]]:
+    """Load a write_eval_csv file; returns the table (source unknown -> '')
+    and the raw relative_gain strings.  A malformed file raises DataError
+    naming it (and the line, for a bad row)."""
+    entries: dict[tuple[str, str], float] = {}
+    gains: dict[tuple[str, str], str] = {}
+    for lineno, (domain, method, acc, gain) in _csv_body(
+            path, ["domain", "method", "accuracy", "relative_gain"], "eval"):
+        entries[(method, domain)] = _number(path, lineno, acc)
+        gains[(method, domain)] = gain
+    return EvalTable(source="", entries=entries), gains
 
 
 def write_cka_csv(ckas: dict[str, float], accuracies: dict[str, float], path) -> None:
@@ -266,12 +282,8 @@ def write_cka_csv(ckas: dict[str, float], accuracies: dict[str, float], path) ->
 
 
 def read_cka_csv(path) -> dict[str, tuple[float, float]]:
-    out: dict[str, tuple[float, float]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["domain", "cka", "accuracy"]:
-            raise DataError(f"{path}: unexpected CKA CSV header {header}")
-        for domain, cka, acc in reader:
-            out[domain] = (float(cka), float(acc))
-    return out
+    """Load a write_cka_csv file as {domain: (cka, accuracy)}; a malformed
+    file raises DataError naming it (and the line, for a bad row)."""
+    return {domain: (_number(path, lineno, cka), _number(path, lineno, acc))
+            for lineno, (domain, cka, acc) in _csv_body(path, ["domain", "cka", "accuracy"],
+                                                        "CKA")}

@@ -50,6 +50,12 @@ def _is_index(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def valid_domain_id(name) -> bool:
+    """Whether `name` can be a domain id.  Ids name dataset files and run
+    directories, so an id is a non-empty string with no path separator."""
+    return isinstance(name, str) and name != "" and "/" not in name and "\\" not in name
+
+
 def _is_list_of(item):
     return lambda v: isinstance(v, (list, tuple)) and all(map(item, v))
 
@@ -196,6 +202,9 @@ class DomainSpec:
     sizes: SizeSpec = field(default_factory=SizeSpec)
 
     def __post_init__(self):
+        if not valid_domain_id(self.id):
+            raise ConfigError(f"domain id {self.id!r} must be non-empty and contain "
+                              f"no '/' or '\\'", key="id")
         if self.kind not in ("source", "target"):
             raise ConfigError(f"domain kind must be source or target, got {self.kind!r}")
         tkind = self.transform.get("kind")
@@ -461,17 +470,42 @@ def _parse_split_file(path: Path, domain: str, split: str, dim: int,
     return np.concatenate(X_blocks), (np.concatenate(y_blocks) if labeled else None)
 
 
+def read_json_object(path: str | Path, error: type[Exception] = DataError) -> dict:
+    """The JSON object in the file at `path`; invalid JSON (or UTF-8) and any
+    other JSON value raise `error` naming the file."""
+    with open(path) as fh:
+        try:
+            obj = json.load(fh)
+        except ValueError as exc:
+            raise error(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{path}: expected an object, got {type(obj).__name__}")
+    return obj
+
+
 def load_dataset(path: str | Path) -> DomainDataset:
-    """Load a dataset directory written by save_dataset; validates invariants."""
+    """Load a dataset directory written by save_dataset; validates invariants.
+
+    A manifest that is not a JSON object with a string `source`, a list of
+    valid domain ids `domains` and a positive integer `feature_dim` raises
+    DataError naming it.
+    """
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
         raise DataError(f"no manifest.json under {root}")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
-    dim = int(manifest["feature_dim"])
+    manifest = read_json_object(manifest_path)
+    source, ids, dim = (manifest.get(key) for key in ("source", "domains", "feature_dim"))
+    if not isinstance(source, str):
+        raise DataError(f"{manifest_path}: 'source' must be a string, got {source!r}")
+    if not isinstance(ids, list) or not all(map(valid_domain_id, ids)):
+        raise DataError(f"{manifest_path}: 'domains' must be a list of non-empty ids "
+                        f"without '/' or '\\', got {ids!r}")
+    if not _is_index(dim) or dim < 1:
+        raise DataError(f"{manifest_path}: 'feature_dim' must be a positive integer, "
+                        f"got {dim!r}")
     domains: dict[str, DomainSplits] = {}
-    for dom in manifest["domains"]:
+    for dom in ids:
         parts = {}
         for split in SPLITS:
             split_path = root / f"{dom}.{split}.csv"
@@ -485,7 +519,7 @@ def load_dataset(path: str | Path) -> DomainDataset:
             fewshot=Rows(*parts["fewshot"]),
             eval=Rows(*parts["eval"]),
         )
-    return DomainDataset(source=manifest["source"], domains=domains).validate()
+    return DomainDataset(source=source, domains=domains).validate()
 
 
 def subsample_source(dataset: DomainDataset, fraction: int, rng: Rng) -> DomainDataset:

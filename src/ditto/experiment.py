@@ -29,6 +29,7 @@ import csv
 import json
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -56,8 +57,8 @@ from .analysis import (
     write_eval_csv,
     zero_shot_eval,
 )
-from .data import DomainDataset, DomainSpec, MixtureSpec, subsample_source
-from .errors import ConfigError, ParameterError, UndefinedResultError
+from .data import DomainDataset, DomainSpec, MixtureSpec, read_json_object, subsample_source
+from .errors import ConfigError, DataError, ParameterError, UndefinedResultError
 from .model import ModelBundle, extract_features, save_checkpoint
 from .rng import Rng
 
@@ -85,8 +86,10 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        if not self.seeds:
-            raise ConfigError("need at least one seed")
+        for key, what in (("seeds", "seed"), ("source_fractions", "source fraction"),
+                          ("ks", "few-shot k")):
+            if not getattr(self, key):
+                raise ConfigError(f"need at least one {what}", key=key)
         for f in self.source_fractions:
             if f not in (1, 10, 100):
                 raise ConfigError(f"source fractions must be in {{1,10,100}}, got {f}")
@@ -220,12 +223,8 @@ def dataset_from_dict(d: dict) -> DatasetConfig:
 def load_config(path: str | Path) -> dict:
     """The JSON object in `path`, holding a `dataset` and/or an `experiment`
     section."""
-    with open(path) as fh:
-        try:
-            cfg = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
-    for key in _expect(dict, cfg, str(path)):
+    cfg = read_json_object(path, ConfigError)
+    for key in cfg:
         if key not in ("dataset", "experiment"):
             raise ConfigError(f"{key}: unknown config section")
     return cfg
@@ -376,140 +375,132 @@ def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
 
 
 # ---------------------------------------------------------------------------
-# aggregates
+# aggregates: every table reads each run back once (`_finished_runs`), and
+# every gain is `_mean_gain` of the two-decimal accuracies in eval.csv
+
+_RUN_KEYS = {"S": int, "k": int, "variant": str, "seed": int, "source": str,
+             "targets": list, "n_labeled_source": int}  # the keys the tables read
 
 
-def _load_run(out: Path, frac: int, k: int, variant: str, seed: int):
-    """(meta, {domain: acc}) for a finished run, else None."""
-    run_dir = _run_dir(out, frac, k, variant, seed)
-    meta_path = run_dir / "run.json"
-    eval_path = run_dir / "eval.csv"
-    if not meta_path.exists() or not eval_path.exists():
-        return None
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    if meta.get("status") != "ok":
-        return None
-    table, _ = read_eval_csv(eval_path)
-    accs = {dom: table.get(variant, dom) for dom in table.domains(variant)}
-    return meta, accs
+def _finished_runs(results: Path) -> dict[tuple[int, int, str, int], tuple[dict, EvalTable]]:
+    """{(S, k, variant, seed): (run.json, eval.csv)} of every run under
+    `results` whose status is "ok" and whose eval.csv exists, in path order.
+    A corrupt, misplaced or incomplete artifact raises DataError naming it."""
+    runs = {}
+    for meta_path in sorted(results.glob("S*/k*/*/seed*/run.json")):
+        meta = read_json_object(meta_path)
+        eval_path = meta_path.parent / "eval.csv"
+        if meta.get("status") != "ok" or not eval_path.exists():
+            continue
+        for name, tp in _RUN_KEYS.items():
+            if not isinstance(meta.get(name), tp):
+                raise DataError(f"{meta_path}: {name!r} missing or not {tp.__name__}")
+        key = (meta["S"], meta["k"], meta["variant"], meta["seed"])
+        if _run_dir(results, *key) != meta_path.parent:
+            raise DataError(f"{meta_path}: describes S={key[0]} k={key[1]} {key[2]} "
+                            f"seed={key[3]}, which belongs in another directory")
+        table, _ = read_eval_csv(eval_path)
+        for dom in [meta["source"]] + meta["targets"]:
+            if (meta["variant"], dom) not in table.entries:
+                raise DataError(f"{eval_path}: no {meta['variant']} accuracy on {dom!r}")
+        runs[key] = meta, table
+    return runs
+
+
+def _accs(table: EvalTable, method: str) -> dict[str, float]:
+    return {dom: acc for (m, dom), acc in table.entries.items() if m == method}
 
 
 def _mean_target_acc(meta: dict, accs: dict[str, float]) -> float:
     return float(np.mean([accs[t] for t in meta["targets"]]))
 
 
-def _best_seed_accs(out: Path, config: ExperimentConfig, frac: int, k: int,
-                    variant: str):
-    """Accuracies of the best seed (highest mean target accuracy, ties to the
-    lowest seed), or None if every seed failed."""
-    best = None
-    for seed in config.seeds:
-        loaded = _load_run(out, frac, k, variant, seed)
-        if loaded is None:
-            continue
-        meta, accs = loaded
-        score = _mean_target_acc(meta, accs)
-        if best is None or score > best[0]:
-            best = (score, seed, meta, accs)
-    return best
+def _mean_gain(base_accs: dict[str, float], accs: dict[str, float], targets) -> str:
+    """The mean relative gain over `targets` as a table cell; empty when a
+    target has no baseline accuracy or a gain is undefined (a 0.00 baseline)."""
+    try:
+        return fmt_acc(float(np.mean([relative_gain(base_accs[t], accs[t]) for t in targets])))
+    except (KeyError, UndefinedResultError):
+        return ""
+
+
+def _best_seed_accs(runs: dict, config: ExperimentConfig, frac: int, k: int,
+                    variant: str) -> tuple[dict, dict[str, float]] | None:
+    """(meta, accuracies) of the best seed: the highest mean target accuracy,
+    ties to the seed listed first in config.seeds; None if none finished."""
+    finished = [runs[frac, k, variant, seed] for seed in config.seeds
+                if (frac, k, variant, seed) in runs]
+    return max([(meta, _accs(table, variant)) for meta, table in finished],
+               key=lambda run: _mean_target_acc(*run), default=None)
 
 
 def write_summaries(config: ExperimentConfig, out: Path) -> None:
-    """summary.csv, summary_per_seed.csv and cost.csv from the run artifacts.
-
-    All gains are recomputed by applying relative_gain to the accuracies read
-    back from the per-run eval.csv files (two-decimal values), never from
-    in-memory state, so the aggregate path has no arithmetic of its own.
-    """
+    """summary.csv, summary_per_seed.csv and cost.csv from the runs under `out`."""
+    runs = _finished_runs(out)
     k0 = config.ks[0]
 
     # cross-variant summary at the first configured k, best-of-seeds
     with open(out / "summary.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["variant"] + [f"S{f}" for f in config.source_fractions])
+        bases = [_best_seed_accs(runs, config, f, k0, BASELINE) for f in config.source_fractions]
         for name in config.variants:
-            cells = []
-            for frac in config.source_fractions:
-                base = _best_seed_accs(out, config, frac, k0, BASELINE)
-                var = _best_seed_accs(out, config, frac, k0, name)
-                if base is None or var is None:
-                    cells.append("")
-                    continue
-                _, _, meta, base_accs = base
-                _, _, _, var_accs = var
-                try:
-                    gains = [relative_gain(base_accs[t], var_accs[t])
-                             for t in meta["targets"]]
-                    cells.append(fmt_acc(float(np.mean(gains))))
-                except (UndefinedResultError, KeyError):
-                    cells.append("")
-            writer.writerow([name] + cells)
+            bests = [_best_seed_accs(runs, config, f, k0, name) for f in config.source_fractions]
+            writer.writerow([name] + ["" if base is None or best is None else
+                                      _mean_gain(base[1], best[1], base[0]["targets"])
+                                      for base, best in zip(bases, bests)])
 
     # per-seed summary across the whole grid
     with open(out / "summary_per_seed.csv", "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["variant", "S", "k", "seed",
                          "mean_target_accuracy", "mean_relative_gain"])
-        for frac in config.source_fractions:
-            for k in config.ks:
-                for name in config.variants:
-                    for seed in config.seeds:
-                        loaded = _load_run(out, frac, k, name, seed)
-                        base = _load_run(out, frac, k, BASELINE, seed)
-                        if loaded is None:
-                            writer.writerow([name, frac, k, seed, "", ""])
-                            continue
-                        meta, accs = loaded
-                        mean_acc = fmt_acc(_mean_target_acc(meta, accs))
-                        gain = ""
-                        if base is not None:
-                            try:
-                                gains = [relative_gain(base[1][t], accs[t])
-                                         for t in meta["targets"]]
-                                gain = fmt_acc(float(np.mean(gains)))
-                            except (UndefinedResultError, KeyError):
-                                gain = ""
-                        writer.writerow([name, frac, k, seed, mean_acc, gain])
+        for frac, k, name, seed in product(config.source_fractions, config.ks,
+                                           config.variants, config.seeds):
+            run, base = runs.get((frac, k, name, seed)), runs.get((frac, k, BASELINE, seed))
+            if run is None:
+                writer.writerow([name, frac, k, seed, "", ""])
+                continue
+            meta, accs = run[0], _accs(run[1], name)
+            gain = "" if base is None else _mean_gain(_accs(base[1], BASELINE), accs,
+                                                      meta["targets"])
+            writer.writerow([name, frac, k, seed, fmt_acc(_mean_target_acc(meta, accs)), gain])
 
     # annotation cost against best-of-seeds accuracy
-    write_cost_csv(config, out, out / "cost.csv")
+    _write_cost(config, runs, config.ks, out / "cost.csv")
 
 
 def write_cost_csv(config: ExperimentConfig, results: Path, path: Path,
                    extra_ks: list[int] | None = None) -> None:
     """Cost/accuracy table; requested-but-missing grid cells stay empty."""
     ks = list(config.ks) + [k for k in (extra_ks or []) if k not in config.ks]
+    _write_cost(config, _finished_runs(results), ks, path)
+
+
+def _write_cost(config: ExperimentConfig, runs: dict, ks: list[int], path: Path) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["method", "S", "k", "c_t_over_s",
                          "cost_cents", "mean_target_accuracy"])
-        for frac in config.source_fractions:
-            for k in ks:
-                for name in config.variants:
-                    best = _best_seed_accs(results, config, frac, k, name)
-                    if best is None:
-                        writer.writerow([name, frac, k, config.c_t_over_s, "", ""])
-                        continue
-                    _, _, meta, accs = best
-                    cost = annotation_cost(CostParams(
-                        c_s=config.c_s,
-                        n_labeled_source=meta["n_labeled_source"],
-                        c_t_over_s=config.c_t_over_s,
-                        k=k,
-                        num_targets=len(meta["targets"]),
-                    ))
-                    writer.writerow([name, frac, k, config.c_t_over_s,
-                                     f"{cost:.2f}", fmt_acc(_mean_target_acc(meta, accs))])
+        for frac, k, name in product(config.source_fractions, ks, config.variants):
+            best = _best_seed_accs(runs, config, frac, k, name)
+            if best is None:
+                writer.writerow([name, frac, k, config.c_t_over_s, "", ""])
+                continue
+            meta, accs = best
+            cost = annotation_cost(CostParams(
+                c_s=config.c_s, n_labeled_source=meta["n_labeled_source"],
+                c_t_over_s=config.c_t_over_s, k=k, num_targets=len(meta["targets"])))
+            writer.writerow([name, frac, k, config.c_t_over_s,
+                             f"{cost:.2f}", fmt_acc(_mean_target_acc(meta, accs))])
 
 
 def analyze_results(results: str | Path, out_dir: str | Path) -> Path:
     """Post-hoc tables from a results directory: per-run accuracy/gain/gap in
     analysis.csv and CKA-accuracy correlations in correlation.csv."""
-    results = Path(results)
-    out = Path(out_dir)
+    results, out = Path(results), Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run_files = sorted(results.glob("S*/k*/*/seed*/run.json"))
+    runs = _finished_runs(results)
 
     with open(out / "analysis.csv", "w", newline="") as afh, \
          open(out / "correlation.csv", "w", newline="") as cfh:
@@ -518,39 +509,25 @@ def analyze_results(results: str | Path, out_dir: str | Path) -> Path:
         a_writer.writerow(["variant", "S", "k", "seed", "mean_target_accuracy",
                            "mean_relative_gain", "gap"])
         c_writer.writerow(["variant", "S", "k", "seed", "pearson", "spearman"])
-        for run_json in run_files:
-            with open(run_json) as fh:
-                meta = json.load(fh)
-            if meta.get("status") != "ok":
-                continue
-            run_dir = run_json.parent
-            name, seed = meta["variant"], meta["seed"]
-            table, _ = read_eval_csv(run_dir / "eval.csv")
-            accs = {dom: table.get(name, dom) for dom in table.domains(name)}
-            mean_acc = _mean_target_acc(meta, accs)
-            gain = ""
-            if name != BASELINE and (BASELINE, meta["targets"][0]) in table.entries:
-                try:
-                    gains = [relative_gain(table.get(BASELINE, t), accs[t])
-                             for t in meta["targets"]]
-                    gain = fmt_acc(float(np.mean(gains)))
-                except UndefinedResultError:
-                    gain = ""
-            gap = float(np.mean([accs[meta["source"]] - accs[t]
-                                 for t in meta["targets"]]))
-            a_writer.writerow([name, meta["S"], meta["k"], seed,
-                               fmt_acc(mean_acc), gain, fmt_acc(gap)])
+        for (frac, k, name, seed), (meta, table) in runs.items():
+            targets = meta["targets"]
+            accs = _accs(table, name)
+            gain = "" if name == BASELINE else _mean_gain(_accs(table, BASELINE), accs,
+                                                          targets)
+            gap = float(np.mean([accs[meta["source"]] - accs[t] for t in targets]))
+            a_writer.writerow([name, frac, k, seed, fmt_acc(_mean_target_acc(meta, accs)),
+                               gain, fmt_acc(gap)])
 
-            cka_path = run_dir / "cka.csv"
-            if cka_path.exists() and len(meta["targets"]) >= 3:
+            cka_path = _run_dir(results, frac, k, name, seed) / "cka.csv"
+            if cka_path.exists() and len(targets) >= 3:
                 rows = read_cka_csv(cka_path)
+                if not set(targets) <= set(rows):
+                    raise DataError(f"{cka_path}: no row for some of the targets {targets}")
+                ckas, target_accs = zip(*[rows[t] for t in targets])
                 try:
-                    p = pearson([rows[t][0] for t in meta["targets"]],
-                                [rows[t][1] for t in meta["targets"]])
-                    s = spearman([rows[t][0] for t in meta["targets"]],
-                                 [rows[t][1] for t in meta["targets"]])
-                    c_writer.writerow([name, meta["S"], meta["k"], seed,
-                                       f"{p:.4f}", f"{s:.4f}"])
+                    cells = [f"{pearson(ckas, target_accs):.4f}",
+                             f"{spearman(ckas, target_accs):.4f}"]
                 except UndefinedResultError:
-                    c_writer.writerow([name, meta["S"], meta["k"], seed, "", ""])
+                    cells = ["", ""]
+                c_writer.writerow([name, frac, k, seed] + cells)
     return out

@@ -20,6 +20,7 @@ the bundle is built; `init_params` and `load_checkpoint` then fill it.
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -224,13 +225,27 @@ def save_checkpoint(bundle: ModelBundle, path: str) -> None:
 def load_checkpoint(path: str) -> ModelBundle:
     """Rebuild a bundle from `save_checkpoint` output.
 
-    The stored parameters must match the layout the metadata implies: a
-    missing, extra or wrong-shaped `param::` entry raises DataError.
+    A file that is not an npz archive, a missing or malformed `__meta__`
+    entry, and stored parameters that do not match the layout the metadata
+    implies (a missing, extra or wrong-shaped `param::` entry) raise
+    DataError naming the file.
     """
-    with np.load(path) as data:
-        meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-        spec = EncoderSpec(meta["input_dim"], list(meta["hidden_dims"]), meta["activation"])
-        bundle = ModelBundle(spec, meta["num_classes"], meta["target_ids"])
+    try:
+        data = np.load(path)
+    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+        raise DataError(f"{path}: not a checkpoint archive: {exc}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise DataError(f"{path}: not a checkpoint archive: a single .npy array")
+    with data:
+        if "__meta__" not in data.files:
+            raise DataError(f"{path}: no '__meta__' entry")
+        try:
+            meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+            spec = EncoderSpec(meta["input_dim"], list(meta["hidden_dims"]), meta["activation"])
+            bundle = ModelBundle(spec, meta["num_classes"], meta["target_ids"])
+        except (ValueError, TypeError, KeyError) as exc:  # ParameterError is a ValueError
+            raise DataError(f"{path}: bad checkpoint metadata: {type(exc).__name__}: "
+                            f"{exc}") from None
         keys = {key for key in data.files if key.startswith("param::")}
         extra = sorted(keys - {f"param::{name}" for name in bundle.store.names()})
         if extra:

@@ -2,6 +2,7 @@
 
 import ast
 import csv
+import re
 from pathlib import Path
 
 import numpy as np
@@ -270,6 +271,29 @@ def _write_and_load(tmp_path, filename, content):
 def test_missing_manifest(tmp_path):
     with pytest.raises(DataError):
         load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("manifest,named", [
+    ("{not json", "not valid JSON"),
+    ("[]", "expected an object"),
+    ("{}", "'source' must be a string"),
+    ('{"source": "s", "domains": "s,t", "feature_dim": 2}', "'domains' must be a list"),
+    ('{"source": "s", "domains": ["s", "../t"], "feature_dim": 2}', "'domains' must be a list"),
+    ('{"source": "s", "domains": ["s", ""], "feature_dim": 2}', "'domains' must be a list"),
+    ('{"source": "s", "domains": ["s", "t"], "feature_dim": "2"}', "'feature_dim' must be"),
+    ('{"source": "s", "domains": ["s", "t"], "feature_dim": 0}', "'feature_dim' must be"),
+], ids=["not_json", "not_object", "empty_object", "domains_string", "id_climbs_out",
+        "empty_id", "dim_string", "dim_zero"])
+def test_bad_manifest_is_a_data_error_naming_it(tmp_path, manifest, named):
+    with pytest.raises(DataError, match="manifest.json: " + re.escape(named)):
+        _write_and_load(tmp_path, "manifest.json", manifest)
+
+
+@pytest.mark.parametrize("bad_id", ["", "../escape", "a/b", "a\\b"])
+def test_domain_id_must_be_a_plain_file_name(bad_id):
+    with pytest.raises(ConfigError, match="domain id") as exc:
+        DomainSpec(id=bad_id, kind="target", sizes=SizeSpec(eval=1))
+    assert exc.value.key == "id"
 
 
 def test_missing_split_file(tmp_path):

@@ -347,8 +347,34 @@ def _corrupt_csv(run_dir, data_dir):
     return "rot30.eval.csv:1"
 
 
-@pytest.mark.parametrize("spoil", [_drop_classifier_weight, _drop_manifest, _corrupt_csv],
-                         ids=["checkpoint_missing_param", "no_manifest", "bad_csv"])
+def _manifest_not_json(run_dir, data_dir):
+    (data_dir / "manifest.json").write_text("{not json")
+    return "manifest.json: not valid JSON"
+
+
+def _manifest_empty(run_dir, data_dir):
+    (data_dir / "manifest.json").write_text("{}")
+    return "manifest.json: 'source' must be a string"
+
+
+def _model_not_npz(run_dir, data_dir):
+    (run_dir / "model.npz").write_text("not an archive")
+    return "model.npz: not a checkpoint archive"
+
+
+def _model_without_meta(run_dir, data_dir):
+    with np.load(run_dir / "model.npz") as data:
+        arrays = {key: data[key] for key in data.files if key != "__meta__"}
+    np.savez(run_dir / "model.npz", **arrays)
+    return "model.npz: no '__meta__' entry"
+
+
+@pytest.mark.parametrize("spoil", [_drop_classifier_weight, _drop_manifest, _corrupt_csv,
+                                   _manifest_not_json, _manifest_empty, _model_not_npz,
+                                   _model_without_meta],
+                         ids=["checkpoint_missing_param", "no_manifest", "bad_csv",
+                              "manifest_not_json", "manifest_empty", "model_not_npz",
+                              "model_without_meta"])
 def test_cli_eval_bad_input_is_one_line_error(cli_config, tmp_path, capsys, spoil):
     data_dir, run_dir = tmp_path / "data", tmp_path / "run"
     assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
@@ -413,6 +439,15 @@ MALFORMED = {
     "unknown_transform_key": ("dataset", lambda d: d["domains"][1].update(
         transform={"kind": "translation", "offset": [1.0], "bogus": 3}),
         "dataset.domains[1].transform.bogus"),
+    "empty_ks": ("experiment", lambda e: e.update(ks=[]), "experiment.ks"),
+    "empty_source_fractions": ("experiment", lambda e: e.update(source_fractions=[]),
+                               "experiment.source_fractions"),
+    "domain_id_climbs_out": ("dataset", lambda d: d["domains"][1].update(id="../escape"),
+                             "dataset.domains[1].id"),
+    "empty_domain_id": ("dataset", lambda d: d["domains"][1].update(id=""),
+                        "dataset.domains[1].id"),
+    "single_target_climbs_out": ("experiment", lambda e: e.update(
+        variants=["baseline", "ditto_single:../rot30"]), "experiment.variants[1]"),
 }
 
 
@@ -431,7 +466,11 @@ def test_malformed_config_names_its_json_path(cli_config, case):
                                           ("run-all", "unknown_variant"),
                                           ("generate", "rotation_without_angle"),
                                           ("generate", "angle_string"),
-                                          ("generate", "unknown_transform_key")])
+                                          ("generate", "unknown_transform_key"),
+                                          ("run-all", "empty_ks"),
+                                          ("run-all", "empty_source_fractions"),
+                                          ("generate", "domain_id_climbs_out"),
+                                          ("run-all", "single_target_climbs_out")])
 def test_cli_malformed_config_is_one_line_error(cli_config, tmp_path, capsys, command, case):
     section, spoil, path = MALFORMED[case]
     cfg = json.loads(cli_config.read_text())
@@ -444,6 +483,18 @@ def test_cli_malformed_config_is_one_line_error(cli_config, tmp_path, capsys, co
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path in err
     assert not (tmp_path / "out").exists()  # nothing generated or trained
+
+
+def test_cli_run_all_corrupt_stale_run_is_one_line_error(cli_config, tmp_path, capsys):
+    # a run the config does not list is still read back, so it must parse
+    stale = tmp_path / "out" / "results" / "S100" / "k0" / "ditto" / "seed9"
+    stale.mkdir(parents=True)
+    (stale / "run.json").write_text("{oops")
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(cli_config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "seed9/run.json: not valid JSON" in err
 
 
 @pytest.mark.parametrize("text,named", [

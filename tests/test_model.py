@@ -272,6 +272,36 @@ def test_checkpoint_layout_mismatch_raises_data_error_naming_key(tmp_path, edit,
         load_checkpoint(path)
 
 
+def _meta_of(hidden_dims):
+    return np.frombuffer(f'{{"input_dim": 3, "hidden_dims": {hidden_dims}, "activation": '
+                         f'"tanh", "num_classes": 2, "target_ids": ["a"]}}'.encode(), np.uint8)
+
+
+@pytest.mark.parametrize("spoil, named", [
+    (lambda path: path.write_bytes(b"not an archive"), "not a checkpoint archive"),
+    (lambda path: path.write_bytes(b""), "not a checkpoint archive"),
+    (lambda path: path.write_bytes(b"PK\x03\x04 truncated"), "not a checkpoint archive"),
+    (lambda path: np.save(path.open("wb"), np.zeros(3)), "not a checkpoint archive"),
+    (lambda path: rewrite_checkpoint(path, lambda a: a.pop("__meta__")), "'__meta__'"),
+    (lambda path: rewrite_checkpoint(path, lambda a: a.update(
+        __meta__=np.frombuffer(b"{oops", np.uint8))), "bad checkpoint metadata"),
+    (lambda path: rewrite_checkpoint(path, lambda a: a.update(
+        __meta__=np.frombuffer(b"[]", np.uint8))), "bad checkpoint metadata"),
+    (lambda path: rewrite_checkpoint(path, lambda a: a.update(__meta__=_meta_of("[]"))),
+     "hidden_dims must be non-empty"),
+    (lambda path: rewrite_checkpoint(path, lambda a: a.update(__meta__=_meta_of('"32"'))),
+     "bad checkpoint metadata"),
+], ids=["text", "empty", "broken_zip", "npy_array", "no_meta", "meta_not_json",
+        "meta_not_object", "meta_rejected_by_spec", "meta_wrong_type"])
+def test_unreadable_checkpoint_is_a_data_error_naming_it(tmp_path, spoil, named):
+    path = tmp_path / "model.npz"
+    save_checkpoint(make_bundle(seed=14), path)
+    spoil(path)
+    with pytest.raises(DataError, match="model.npz: ") as exc:
+        load_checkpoint(path)
+    assert named in str(exc.value)
+
+
 def test_duplicate_target_ids_rejected():
     with pytest.raises(ParameterError):
         init_params(SPEC, num_classes=2, targets=["a", "a"], rng=Rng(0))
