@@ -5,18 +5,10 @@ sharpness-aware minimization while, at every step, sampling one target domain
 from a prior weighted toward the weakest targets and playing a minimax game
 against that target's discriminator through a gradient-reversal pass.
 
-Variants:
-    baseline         plain source fine-tuning (no adversary, no SAM)
-    ditto            full method (SAM + prior-sampled adversarial phase)
-    ditto_minus_sam  adversarial phase only (rho = 0)
-    ditto_minus_la   SAM only (lambda = 0, discriminators never trained)
-    ditto_single     adversarial phase against one fixed target
-    ditto_uniform    adversarial phase with a uniform target prior
-
-Reductions hold exactly: with lambda = 0 the adversarial phase is skipped
-outright (no sampling, no discriminator pass, no rng draws), so the ditto
-step with lambda = 0 executes the same instruction sequence as
-ditto_minus_la, and with rho = 0 as well it is bit-for-bit the baseline.
+The variants are the rows of `VARIANTS`.  Reductions hold exactly: a ditto
+step with lambda = 0 is the baseline step (no sampling, no discriminator
+pass, no rng draws), so it runs ditto_minus_la's instructions, and with
+rho = 0 as well it is bit-for-bit the baseline.
 """
 
 from __future__ import annotations
@@ -41,11 +33,21 @@ from .model import (
     predict_logits,
 )
 from .autodiff import binary_cross_entropy, grad_reverse, softmax_cross_entropy
-from .optim import AdamWConfig, SamConfig, adamw_step, sam_backward
+from .optim import AdamWConfig, SamConfig, adamw_step, sam_backward, sam_step
 from .rng import Rng
 
-VARIANT_KINDS = ("baseline", "ditto", "ditto_minus_sam", "ditto_minus_la",
-                 "ditto_single", "ditto_uniform")
+# kind -> (takes lambda, takes rho, prior source); a kind that does not take
+# lambda or rho runs with it at 0.  `train` gets the target prior from the
+# source: the caller's, built from a baseline's zero-shot scores ("baseline"),
+# uniform, the variant's one target ("single"), or none.
+VARIANTS = {
+    "baseline": (False, False, None),  # plain source fine-tuning
+    "ditto": (True, True, "baseline"),  # the full method
+    "ditto_minus_sam": (True, False, "baseline"),  # adversarial phase only
+    "ditto_minus_la": (False, True, None),  # SAM only, discriminators never trained
+    "ditto_single": (True, True, "single"),  # adversary against one fixed target
+    "ditto_uniform": (True, True, "uniform"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -133,35 +135,27 @@ class TrainVariant:
     single_target: str | None = None
 
     def __post_init__(self):
-        if self.kind not in VARIANT_KINDS:
+        if self.kind not in VARIANTS:
             raise ConfigError(f"unknown variant kind {self.kind!r}; "
-                              f"expected one of {VARIANT_KINDS}")
+                              f"expected one of {tuple(VARIANTS)}")
+        takes_lam, takes_rho, prior = VARIANTS[self.kind]
         if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
-
-    def validate(self) -> "TrainVariant":
-        if self.kind == "baseline" and self.sam.rho != 0.0:
-            raise ConfigError("baseline requires rho = 0")
-        if self.kind == "ditto_minus_sam" and self.sam.rho != 0.0:
-            raise ConfigError("ditto_minus_sam requires rho = 0")
-        if self.kind == "ditto_minus_la" and self.lam != 0.0:
-            raise ConfigError("ditto_minus_la requires lambda = 0")
-        if self.kind == "ditto_single" and not self.single_target:
-            raise ConfigError("ditto_single needs a target id (variant name "
-                              "'ditto_single:<target>')")
-        return self
+        if not takes_lam and self.lam != 0.0:
+            raise ConfigError(f"{self.kind} requires lambda = 0, got {self.lam}")
+        if not takes_rho and self.sam.rho != 0.0:
+            raise ConfigError(f"{self.kind} requires rho = 0, got {self.sam.rho}")
+        if (prior == "single") != (self.single_target is not None):
+            raise ConfigError(f"only ditto_single takes a target ('ditto_single:<target>'); "
+                              f"got {self.kind} with target {self.single_target!r}")
+        if prior == "single" and not valid_domain_id(self.single_target):
+            raise ConfigError("ditto_single target must be a domain id without '/' "
+                              f"or '\\', got {self.single_target!r}")  # names a run dir
 
     @property
     def needs_prior(self) -> bool:
         """Whether the target prior comes from a baseline's zero-shot scores."""
-        return self.kind in ("ditto", "ditto_minus_sam")
-
-    @property
-    def effective_lambda(self) -> float:
-        """The adversarial weight actually applied; 0 disables the phase."""
-        if self.kind in ("baseline", "ditto_minus_la"):
-            return 0.0
-        return self.lam
+        return VARIANTS[self.kind][2] == "baseline"
 
     @property
     def name(self) -> str:
@@ -171,25 +165,15 @@ class TrainVariant:
 
     @staticmethod
     def parse(name: str, lam: float = 1.0, rho: float = 0.05) -> "TrainVariant":
-        """Build a variant from its CLI name, forcing the per-kind constraints."""
-        kind, _, target = name.partition(":")
-        if kind == "baseline":
-            return TrainVariant("baseline", lam=0.0, sam=SamConfig(0.0))
-        if kind == "ditto":
-            return TrainVariant("ditto", lam=lam, sam=SamConfig(rho))
-        if kind == "ditto_minus_sam":
-            return TrainVariant("ditto_minus_sam", lam=lam, sam=SamConfig(0.0))
-        if kind == "ditto_minus_la":
-            return TrainVariant("ditto_minus_la", lam=0.0, sam=SamConfig(rho))
-        if kind == "ditto_single":
-            if not valid_domain_id(target):  # the name becomes a run directory
-                raise ConfigError(f"ditto_single variant name must be 'ditto_single:"
-                                  f"<target>', the target without '/' or '\\', got {name!r}")
-            return TrainVariant("ditto_single", lam=lam, sam=SamConfig(rho),
-                                single_target=target)
-        if kind == "ditto_uniform":
-            return TrainVariant("ditto_uniform", lam=lam, sam=SamConfig(rho))
-        raise ConfigError(f"unknown variant name {name!r}")
+        """Build a variant from its CLI name `kind[:target]`; a kind that does
+        not take lambda or rho gets 0."""
+        kind, sep, target = name.partition(":")
+        if kind not in VARIANTS:
+            raise ConfigError(f"unknown variant name {name!r}")
+        takes_lam, takes_rho, _ = VARIANTS[kind]
+        return TrainVariant(kind, lam=lam if takes_lam else 0.0,
+                            sam=SamConfig(rho if takes_rho else 0.0),
+                            single_target=target if sep else None)
 
 
 @dataclass
@@ -251,11 +235,8 @@ def baseline_step(
     rho); discriminators untouched."""
     if X.shape[0] == 0:
         raise DataError("empty batch")
-    names = bundle.task_param_names()
-    loss = sam_backward(_task_loss_proc(bundle, X, y), bundle.store,
-                        variant.sam.rho, names)
-    adamw_step(bundle.store, opts.enc, step, names)
-    return loss
+    return sam_step(_task_loss_proc(bundle, X, y), bundle.store, variant.sam, opts.enc,
+                    step, bundle.task_param_names())
 
 
 def ditto_step(
@@ -284,19 +265,17 @@ def ditto_step(
          discriminator (its own, faster optimizer).  Other discriminators
          are untouched.
 
-    With lambda = 0, steps 2-3 are skipped (no rng draws) and only the task
-    update runs.  Returns (task loss, adversarial loss or None, t or None).
+    With lambda = 0 this is `baseline_step` (no rng draws).  Returns (task
+    loss, adversarial loss or None, t or None).
     """
+    if variant.lam == 0.0:
+        return baseline_step(bundle, X, y, opts, variant, step), None, None
     if X.shape[0] == 0:
         raise DataError("empty batch")
     store = bundle.store
     task_names = bundle.task_param_names()
     task_loss = sam_backward(_task_loss_proc(bundle, X, y), store,
                              variant.sam.rho, task_names)
-    lam = variant.effective_lambda
-    if lam == 0.0:
-        adamw_step(store, opts.enc, step, task_names)
-        return task_loss, None, None
 
     t = sample_target(prior, rng)
     pool = datasets.domains[t].unlabeled
@@ -314,7 +293,7 @@ def ditto_step(
 
     tape = Tape()
     feats = encode(bundle, tape, domain_X)
-    reversed_feats = grad_reverse(feats, lam)
+    reversed_feats = grad_reverse(feats, variant.lam)
     probs = discriminate(bundle, t, reversed_feats)
     adv = binary_cross_entropy(probs, np.repeat([1.0, 0.0], m))
     backward(adv)  # adds encoder gradients onto the task slots
@@ -386,22 +365,22 @@ def train(
     """Run one variant to completion; a pure function of (config, datasets,
     variant, seed, prior).
 
-    Prior rules: ditto and ditto_minus_sam require an explicit prior (built
-    from a baseline model's zero-shot scores); ditto_uniform and ditto_single
-    construct theirs internally; baseline and ditto_minus_la take none.
+    The kind's prior source in `VARIANTS` decides the prior: "baseline" needs
+    the caller's (from a baseline's zero-shot scores), "uniform" and "single"
+    build theirs here, and None takes none.
     """
     started = time.perf_counter()
-    variant.validate()
     datasets.validate()
     targets = datasets.target_ids()
-    if variant.kind == "ditto_single":
+    source = VARIANTS[variant.kind][2]
+    if source == "single":
         if variant.single_target not in targets:
             raise ConfigError(f"single target {variant.single_target!r} not in "
                               f"dataset targets {targets}")
         prior = LanguagePrior.single(variant.single_target)
-    elif variant.kind == "ditto_uniform":
+    elif source == "uniform":
         prior = LanguagePrior.uniform(targets)
-    elif variant.needs_prior:
+    elif source == "baseline":
         if prior is None:
             raise ConfigError(f"variant {variant.kind!r} needs a target prior "
                               "computed from baseline zero-shot scores")

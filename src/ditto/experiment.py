@@ -86,10 +86,17 @@ class ExperimentConfig:
     out_dir: str = "results"
 
     def __post_init__(self):
-        for key, what in (("seeds", "seed"), ("source_fractions", "source fraction"),
-                          ("ks", "few-shot k")):
-            if not getattr(self, key):
+        for key, what in (("variants", "variant"), ("seeds", "seed"),
+                          ("source_fractions", "source fraction"), ("ks", "few-shot k")):
+            values = getattr(self, key)
+            if not values and key != "variants":  # an empty list runs the baseline
                 raise ConfigError(f"need at least one {what}", key=key)
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"{what} {value!r} is listed twice", key=f"{key}[{i}]")
+        for key, value in (("lambda", self.lam), ("rho", self.rho)):
+            if not value >= 0:
+                raise ConfigError(f"{key} must be >= 0, got {value}", key=key)
         for f in self.source_fractions:
             if f not in (1, 10, 100):
                 raise ConfigError(f"source fractions must be in {{1,10,100}}, got {f}")
@@ -385,7 +392,10 @@ _RUN_KEYS = {"S": int, "k": int, "variant": str, "seed": int, "source": str,
 def _finished_runs(results: Path) -> dict[tuple[int, int, str, int], tuple[dict, EvalTable]]:
     """{(S, k, variant, seed): (run.json, eval.csv)} of every run under
     `results` whose status is "ok" and whose eval.csv exists, in path order.
-    A corrupt, misplaced or incomplete artifact raises DataError naming it."""
+    A missing `results` directory or a corrupt, misplaced or incomplete
+    artifact raises DataError naming it."""
+    if not results.is_dir():
+        raise DataError(f"{results}: no such results directory")
     runs = {}
     for meta_path in sorted(results.glob("S*/k*/*/seed*/run.json")):
         meta = read_json_object(meta_path)
@@ -473,7 +483,7 @@ def write_summaries(config: ExperimentConfig, out: Path) -> None:
 def write_cost_csv(config: ExperimentConfig, results: Path, path: Path,
                    extra_ks: list[int] | None = None) -> None:
     """Cost/accuracy table; requested-but-missing grid cells stay empty."""
-    ks = list(config.ks) + [k for k in (extra_ks or []) if k not in config.ks]
+    ks = list(dict.fromkeys(config.ks + (extra_ks or [])))
     _write_cost(config, _finished_runs(results), ks, path)
 
 
@@ -499,8 +509,8 @@ def analyze_results(results: str | Path, out_dir: str | Path) -> Path:
     """Post-hoc tables from a results directory: per-run accuracy/gain/gap in
     analysis.csv and CKA-accuracy correlations in correlation.csv."""
     results, out = Path(results), Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     runs = _finished_runs(results)
+    out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "analysis.csv", "w", newline="") as afh, \
          open(out / "correlation.csv", "w", newline="") as cfh:

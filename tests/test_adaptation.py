@@ -21,9 +21,10 @@ from ditto import (
     sample_target,
     train,
 )
-from ditto.adaptation import Rows
+from ditto.adaptation import VARIANTS, Rows
 from ditto.errors import ConfigError, DataError, LabelError, ParameterError
 from ditto.model import predict_logits
+from ditto.optim import SamConfig
 
 from conftest import make_dataset
 
@@ -134,16 +135,16 @@ def test_single_target_prior_always_samples_it():
 
 def test_variant_parse_names():
     v = TrainVariant.parse("baseline", lam=1.0, rho=0.05)
-    assert v.kind == "baseline" and v.effective_lambda == 0.0 and v.sam.rho == 0.0
+    assert v.kind == "baseline" and v.lam == 0.0 and v.sam.rho == 0.0
 
     v = TrainVariant.parse("ditto", lam=0.7, rho=0.05)
-    assert v.effective_lambda == 0.7 and v.sam.rho == 0.05
+    assert v.lam == 0.7 and v.sam.rho == 0.05
 
     v = TrainVariant.parse("ditto_minus_sam", lam=0.7, rho=0.05)
-    assert v.effective_lambda == 0.7 and v.sam.rho == 0.0
+    assert v.lam == 0.7 and v.sam.rho == 0.0
 
     v = TrainVariant.parse("ditto_minus_la", lam=0.7, rho=0.05)
-    assert v.effective_lambda == 0.0 and v.sam.rho == 0.05
+    assert v.lam == 0.0 and v.sam.rho == 0.05
 
     v = TrainVariant.parse("ditto_single:rot45", lam=1.0, rho=0.05)
     assert v.kind == "ditto_single" and v.single_target == "rot45"
@@ -172,6 +173,50 @@ def test_variant_parse_rejects_unknown():
         TrainVariant(kind="ditto_minus_la", lam=1.0).validate()
     with pytest.raises(ConfigError):
         TrainVariant.parse("ditto", -1.0, 0.05)
+
+
+# (CLI name, lambda, rho, prior source) of each kind parsed with lam=0.7, rho=0.05
+VARIANT_ROWS = [
+    ("baseline", 0.0, 0.0, None),
+    ("ditto", 0.7, 0.05, "baseline"),
+    ("ditto_minus_sam", 0.7, 0.0, "baseline"),
+    ("ditto_minus_la", 0.0, 0.05, None),
+    ("ditto_single:rot45", 0.7, 0.05, "single"),
+    ("ditto_uniform", 0.7, 0.05, "uniform"),
+]
+
+
+def test_variant_table_has_the_six_kinds():
+    assert sorted(VARIANTS) == sorted(name.partition(":")[0] for name, *_ in VARIANT_ROWS)
+
+
+@pytest.mark.parametrize("name,lam,rho,prior", VARIANT_ROWS,
+                         ids=[row[0] for row in VARIANT_ROWS])
+def test_variant_parse_follows_the_table(name, lam, rho, prior):
+    v = TrainVariant.parse(name, lam=0.7, rho=0.05)
+    assert (v.lam, v.sam.rho, VARIANTS[v.kind][2], v.name) == (lam, rho, prior, name)
+    assert v.needs_prior == (prior == "baseline")
+
+
+@pytest.mark.parametrize("build,message", [
+    (lambda: TrainVariant("baseline", lam=0.5), "baseline requires lambda = 0"),
+    (lambda: TrainVariant("ditto_minus_la", lam=0.5, sam=SamConfig(0.05)),
+     "ditto_minus_la requires lambda = 0"),
+    (lambda: TrainVariant("baseline", lam=0.0, sam=SamConfig(0.1)),
+     "baseline requires rho = 0"),
+    (lambda: TrainVariant("ditto_minus_sam", lam=1.0, sam=SamConfig(0.1)),
+     "ditto_minus_sam requires rho = 0"),
+    (lambda: TrainVariant("ditto_uniform", single_target="rot45"),
+     "only ditto_single takes a target"),
+    (lambda: TrainVariant("ditto_single"), "only ditto_single takes a target"),
+    (lambda: TrainVariant.parse("ditto:foo"), "only ditto_single takes a target"),
+    (lambda: TrainVariant.parse("baseline:x"), "only ditto_single takes a target"),
+], ids=["lambda_on_baseline", "lambda_on_minus_la", "rho_on_baseline", "rho_on_minus_sam",
+        "target_on_uniform", "single_without_target", "ditto_with_suffix",
+        "baseline_with_suffix"])
+def test_variant_construction_enforces_the_table(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
 
 
 # --- training loop -----------------------------------------------------------

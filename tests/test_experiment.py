@@ -448,6 +448,17 @@ MALFORMED = {
                         "dataset.domains[1].id"),
     "single_target_climbs_out": ("experiment", lambda e: e.update(
         variants=["baseline", "ditto_single:../rot30"]), "experiment.variants[1]"),
+    "negative_lambda": ("experiment", lambda e: e.update({"lambda": -0.25}),
+                        "experiment.lambda"),
+    "negative_rho": ("experiment", lambda e: e.update(rho=-0.1), "experiment.rho"),
+    "nan_lambda": ("experiment", lambda e: e.update({"lambda": float("nan")}),
+                   "experiment.lambda"),
+    "repeated_variant": ("experiment", lambda e: e.update(
+        variants=["baseline", "ditto", "ditto"]), "experiment.variants[2]"),
+    "repeated_seed": ("experiment", lambda e: e.update(seeds=[0, 0]), "experiment.seeds[1]"),
+    "repeated_k": ("experiment", lambda e: e.update(ks=[0, 0]), "experiment.ks[1]"),
+    "repeated_source_fraction": ("experiment", lambda e: e.update(source_fractions=[100, 100]),
+                                 "experiment.source_fractions[1]"),
 }
 
 
@@ -470,7 +481,11 @@ def test_malformed_config_names_its_json_path(cli_config, case):
                                           ("run-all", "empty_ks"),
                                           ("run-all", "empty_source_fractions"),
                                           ("generate", "domain_id_climbs_out"),
-                                          ("run-all", "single_target_climbs_out")])
+                                          ("run-all", "single_target_climbs_out"),
+                                          ("run-all", "negative_lambda"),
+                                          ("run-all", "negative_rho"),
+                                          ("run-all", "repeated_variant"),
+                                          ("run-all", "repeated_seed")])
 def test_cli_malformed_config_is_one_line_error(cli_config, tmp_path, capsys, command, case):
     section, spoil, path = MALFORMED[case]
     cfg = json.loads(cli_config.read_text())
@@ -483,6 +498,21 @@ def test_cli_malformed_config_is_one_line_error(cli_config, tmp_path, capsys, co
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path in err
     assert not (tmp_path / "out").exists()  # nothing generated or trained
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--variant", "ditto", "--variant", "ditto"], "variant 'ditto' is listed twice"),
+    (["--k", "0", "--k", "0"], "few-shot k 0 is listed twice"),
+], ids=["variant", "k"])
+def test_cli_run_all_repeated_flag_is_one_line_error(cli_config, tmp_path, capsys, flags,
+                                                    named):
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(cli_config), "--out", str(tmp_path / "out"),
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_all_corrupt_stale_run_is_one_line_error(cli_config, tmp_path, capsys):

@@ -294,3 +294,31 @@ def test_cost_corrupt_artifact_is_one_line_error(results, tmp_path, capsys, spoi
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def _cost_config(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"experiment": {
+        "encoder": {"input_dim": 2, "hidden_dims": [4]}, "num_classes": 3, "epochs": 1,
+        "variants": CONFIG.variants, "seeds": CONFIG.seeds,
+        "source_fractions": CONFIG.source_fractions, "ks": CONFIG.ks,
+        "cost": {"c_s": CONFIG.c_s, "c_t_over_s": CONFIG.c_t_over_s}}}))
+    return config
+
+
+def test_cli_cost_lists_a_repeated_k_once(results, tmp_path):
+    assert main(["cost", "--config", str(_cost_config(tmp_path)), "--results", str(results),
+                 "--out", str(tmp_path / "cost.csv"), "--k", "0", "--k", "8", "--k", "8"]) == 0
+    assert (tmp_path / "cost.csv").read_text() == COST_EXTRA_K
+
+
+@pytest.mark.parametrize("command", ["analyze", "cost"])
+def test_missing_results_directory_is_one_line_error(tmp_path, capsys, command):
+    missing, out = tmp_path / "no_such_dir", tmp_path / "out" / "tables"
+    config = ["--config", str(_cost_config(tmp_path))] if command == "cost" else []
+    capsys.readouterr()
+    assert main([command, *config, "--results", str(missing), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{missing}: no such results directory" in err
+    assert not out.exists()
