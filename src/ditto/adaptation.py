@@ -139,7 +139,7 @@ class TrainVariant:
             raise ConfigError(f"unknown variant kind {self.kind!r}; "
                               f"expected one of {tuple(VARIANTS)}")
         takes_lam, takes_rho, prior = VARIANTS[self.kind]
-        if self.lam < 0:
+        if not self.lam >= 0:  # NaN too
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if not takes_lam and self.lam != 0.0:
             raise ConfigError(f"{self.kind} requires lambda = 0, got {self.lam}")
@@ -200,7 +200,7 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0 or self.disc_lr <= 0:
+        if not (self.lr > 0 and self.disc_lr > 0):  # NaN too
             raise ConfigError("learning rates must be positive")
 
 

@@ -159,7 +159,6 @@ def _cost(args) -> int:
     cfg = load_config(args.config)
     exp = experiment_from_dict(cfg.get("experiment", {}))
     exp = _override(exp, c_s=args.cs, c_t_over_s=args.ct_over_s)
-    args.out.parent.mkdir(parents=True, exist_ok=True)
     write_cost_csv(exp, Path(args.results), args.out, extra_ks=args.k)
     print(f"wrote {args.out}")
     return 0

@@ -37,9 +37,6 @@ from .errors import ConfigError, DataError, ParameterError, ParseError
 from .rng import Rng
 
 SPLITS = ("labeled", "unlabeled", "fewshot", "eval")
-# each transform kind and the parameter key it requires
-TRANSFORM_KINDS = {"identity": None, "rotation": "angle", "translation": "offset",
-                   "permutation": "perm", "noise": "sigma"}
 
 
 def _is_finite_number(v) -> bool:
@@ -60,13 +57,39 @@ def _is_list_of(item):
     return lambda v: isinstance(v, (list, tuple)) and all(map(item, v))
 
 
-# each transform kind's test of its parameter, and the type its error names
-_TRANSFORM_VALUES = {
-    "rotation": (_is_finite_number, "a finite number"),
-    "noise": (_is_finite_number, "a finite number"),
-    "translation": (_is_list_of(_is_finite_number), "a list of finite numbers"),
-    "permutation": (_is_list_of(_is_index), "a list of integers"),
+# every transform kind: (its one parameter key, the test of that parameter's
+# value, what the test wants); `_check_transform` is the one reader
+TRANSFORMS = {
+    "identity": (None, None, None),
+    "rotation": ("angle", lambda v: _is_finite_number(v) and 0 <= v < 360,
+                 "a finite number in [0, 360)"),
+    "translation": ("offset", _is_list_of(_is_finite_number), "a list of finite numbers"),
+    "permutation": ("perm", _is_list_of(_is_index), "a list of integers"),
+    "noise": ("sigma", lambda v: _is_finite_number(v) and v >= 0, "a finite number >= 0"),
 }
+
+
+def _check_transform(transform: dict, owner: str = "") -> None:
+    """Raise a ConfigError keyed `transform.<key>` for an unknown kind, an extra
+    or missing key, or a parameter that fails its test in `TRANSFORMS`; `owner`
+    (" of domain 'x'") names the transform's domain in the message."""
+    kind = transform.get("kind")
+    if not isinstance(kind, str) or kind not in TRANSFORMS:
+        raise ConfigError(f"unknown transform kind {kind!r}{owner}", key="transform.kind")
+    key, valid, wanted = TRANSFORMS[kind]
+    for extra in transform:
+        if extra not in ("kind", key):
+            takes = f"only {key!r}" if key else "no parameter"
+            raise ConfigError(f"unknown key: the {kind} transform{owner} takes {takes}",
+                              key=f"transform.{extra}")
+    if key is None:
+        return
+    if key not in transform:
+        raise ConfigError(f"required key missing: the {kind} transform{owner} needs "
+                          f"{key!r}", key=f"transform.{key}")
+    if not valid(transform[key]):
+        raise ConfigError(f"the {kind} {key}{owner} must be {wanted}, got "
+                          f"{transform[key]!r}", key=f"transform.{key}")
 
 
 # ---------------------------------------------------------------------------
@@ -207,35 +230,13 @@ class DomainSpec:
                               f"no '/' or '\\'", key="id")
         if self.kind not in ("source", "target"):
             raise ConfigError(f"domain kind must be source or target, got {self.kind!r}")
-        tkind = self.transform.get("kind")
-        if not isinstance(tkind, str) or tkind not in TRANSFORM_KINDS:
-            raise ConfigError(f"unknown transform kind {tkind!r} for domain {self.id!r}")
-        key = TRANSFORM_KINDS[tkind]
-        for extra in self.transform:
-            if extra not in ("kind", key):
-                takes = f"only {key!r}" if key else "no parameter"
-                raise ConfigError(f"unknown key: the {tkind} transform of domain "
-                                  f"{self.id!r} takes {takes}", key=f"transform.{extra}")
-        if key is None:
-            return
-        if key not in self.transform:
-            raise ConfigError(f"required key missing: the {tkind} transform of domain "
-                              f"{self.id!r} needs {key!r}", key=f"transform.{key}")
-        value = self.transform[key]
-        valid, wanted = _TRANSFORM_VALUES[tkind]
-        if not valid(value):
-            raise ConfigError(f"the {tkind} {key} of domain {self.id!r} must be {wanted}, "
-                              f"got {value!r}", key=f"transform.{key}")
-        if tkind == "rotation" and not 0.0 <= value < 360.0:
-            raise ConfigError(f"the rotation angle of domain {self.id!r} must lie in "
-                              f"[0, 360), got {float(value)}", key="transform.angle")
-        if tkind == "noise" and value < 0:
-            raise ConfigError(f"the noise sigma of domain {self.id!r} must be >= 0, "
-                              f"got {float(value)}", key="transform.sigma")
+        _check_transform(self.transform, f" of domain {self.id!r}")
 
 
 def apply_transform(X: np.ndarray, transform: dict, rng: Rng | None = None) -> np.ndarray:
-    """Apply one domain transform to feature rows (the rows keep their order)."""
+    """Apply one domain transform to feature rows (the rows keep their order);
+    `transform` must pass a `DomainSpec`'s checks and fit the columns of `X`."""
+    _check_transform(transform)
     kind = transform["kind"]
     if kind == "identity":
         return X.copy()
@@ -259,14 +260,9 @@ def apply_transform(X: np.ndarray, transform: dict, rng: Rng | None = None) -> n
         if sorted(perm) != list(range(X.shape[1])):
             raise ConfigError(f"perm {perm} is not a permutation of 0..{X.shape[1]-1}")
         return X[:, perm]
-    if kind == "noise":
-        sigma = float(transform["sigma"])
-        if sigma < 0:
-            raise ConfigError(f"noise sigma must be >= 0, got {sigma}")
-        if rng is None:
-            raise ParameterError("noise transform needs an rng")
-        return X + rng.normal(0.0, sigma, X.shape)
-    raise ConfigError(f"unknown transform kind {kind!r}")
+    if rng is None:  # noise, the one kind left
+        raise ParameterError("noise transform needs an rng")
+    return X + rng.normal(0.0, float(transform["sigma"]), X.shape)
 
 
 def _draw_mixture(base: MixtureSpec, n: int, rng: Rng) -> tuple[np.ndarray, np.ndarray]:

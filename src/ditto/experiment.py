@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import json
+import sys
 import typing
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from itertools import product
@@ -102,7 +103,7 @@ class ExperimentConfig:
                 raise ConfigError(f"source fractions must be in {{1,10,100}}, got {f}")
         if any(k < 0 for k in self.ks):
             raise ConfigError(f"few-shot ks must be >= 0, got {self.ks}")
-        if self.c_s < 0 or self.c_t_over_s < 0:
+        if not (self.c_s >= 0 and self.c_t_over_s >= 0):  # NaN too
             raise ConfigError(f"cost constants must be >= 0, got c_s={self.c_s}, "
                               f"c_t_over_s={self.c_t_over_s}")
         for i, name in enumerate(self.variants):
@@ -141,10 +142,14 @@ _JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
 
 
 def _expect(tp: type, raw, path: str):
-    """`raw` as JSON type `tp` (bool is not a number), else ConfigError."""
+    """`raw` as JSON type `tp` (bool is not a number, and `json` reads NaN,
+    Infinity and integers past float range, which no float field takes),
+    else ConfigError."""
     types, wanted = _JSON_TYPES[tp]
     if not isinstance(raw, types) or (isinstance(raw, bool) and tp is not bool):
         raise ConfigError(f"{path}: expected {wanted}, got {json.dumps(raw, default=repr)}")
+    if tp is float and not abs(raw) <= sys.float_info.max:
+        raise ConfigError(f"{path}: expected a finite number, got {json.dumps(raw)}")
     return float(raw) if tp is float else raw
 
 
@@ -297,10 +302,22 @@ class Cell:
     seeded subsample), then gains k few-shot rows per target.  Variants run
     on it one at a time; one that needs a target prior builds it from the
     zero-shot scores of the cell's baseline, which must have run before it.
+    An experiment whose input_dim or num_classes does not fit the dataset
+    raises ConfigError here, before anything trains.
     """
 
     def __init__(self, config: ExperimentConfig, dataset: DomainDataset,
                  frac: int, k: int, seed: int):
+        dim, classes = config.train.encoder.input_dim, config.train.num_classes
+        if dataset.feature_dim != dim:
+            raise ConfigError(f"experiment.encoder.input_dim: {dim} does not match the "
+                              f"dataset's {dataset.feature_dim} feature columns")
+        for dom, splits in dataset.domains.items():
+            for tag, rows in (("labeled", splits.labeled), ("fewshot", splits.fewshot),
+                              ("eval", splits.eval)):
+                if rows.y is not None and rows.n and rows.y.max() >= classes:
+                    raise ConfigError(f"experiment.num_classes: {classes} is too few for "
+                                      f"label {rows.y.max()} of domain {dom!r} split {tag}")
         self.config = config
         self.seed = seed
         ds = subsample_source(dataset, frac, Rng(seed).child("subsample"))
@@ -482,9 +499,12 @@ def write_summaries(config: ExperimentConfig, out: Path) -> None:
 
 def write_cost_csv(config: ExperimentConfig, results: Path, path: Path,
                    extra_ks: list[int] | None = None) -> None:
-    """Cost/accuracy table; requested-but-missing grid cells stay empty."""
+    """Cost/accuracy table; requested-but-missing grid cells stay empty.  The
+    directory of `path` is made only once the runs have been read."""
     ks = list(dict.fromkeys(config.ks + (extra_ks or [])))
-    _write_cost(config, _finished_runs(results), ks, path)
+    runs = _finished_runs(results)
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    _write_cost(config, runs, ks, path)
 
 
 def _write_cost(config: ExperimentConfig, runs: dict, ks: list[int], path: Path) -> None:

@@ -211,9 +211,12 @@ def test_variant_parse_follows_the_table(name, lam, rho, prior):
     (lambda: TrainVariant("ditto_single"), "only ditto_single takes a target"),
     (lambda: TrainVariant.parse("ditto:foo"), "only ditto_single takes a target"),
     (lambda: TrainVariant.parse("baseline:x"), "only ditto_single takes a target"),
+    (lambda: TrainVariant("ditto", lam=float("nan")), "lambda must be >= 0"),
+    (lambda: TrainConfig(encoder=CFG.encoder, num_classes=3, epochs=1, lr=float("nan")),
+     "learning rates must be positive"),
 ], ids=["lambda_on_baseline", "lambda_on_minus_la", "rho_on_baseline", "rho_on_minus_sam",
         "target_on_uniform", "single_without_target", "ditto_with_suffix",
-        "baseline_with_suffix"])
+        "baseline_with_suffix", "nan_lambda", "nan_lr"])
 def test_variant_construction_enforces_the_table(build, message):
     with pytest.raises(ConfigError, match=message):
         build()

@@ -166,24 +166,41 @@ def test_transform_without_its_parameter_is_rejected_at_the_spec(kind, key):
     assert exc.value.key == f"transform.{key}"
 
 
-@pytest.mark.parametrize("transform,key", [
-    ({"kind": "rotation", "angle": "abc"}, "angle"),
-    ({"kind": "rotation", "angle": True}, "angle"),
-    ({"kind": "noise", "sigma": "x"}, "sigma"),
-    ({"kind": "noise", "sigma": -0.5}, "sigma"),
-    ({"kind": "permutation", "perm": "ab"}, "perm"),
-    ({"kind": "permutation", "perm": [1, 0.5]}, "perm"),
-    ({"kind": "translation", "offset": 1.0}, "offset"),
-    ({"kind": "translation", "offset": [1.0, float("inf")]}, "offset"),
-    ({"kind": "translation", "offset": [1.0], "bogus": 3}, "bogus"),
-    ({"kind": "identity", "angle": 30.0}, "angle"),
-], ids=["angle_string", "angle_bool", "sigma_string", "sigma_negative", "perm_string",
-        "perm_float", "offset_number", "offset_inf", "translation_extra_key",
-        "identity_extra_key"])
-def test_transform_parameter_of_wrong_type_or_unknown_key_is_rejected(transform, key):
+# id: (a transform that TRANSFORMS rejects, the key its ConfigError names)
+BAD_TRANSFORMS = {
+    "angle_string": ({"kind": "rotation", "angle": "abc"}, "angle"),
+    "angle_bool": ({"kind": "rotation", "angle": True}, "angle"),
+    "sigma_string": ({"kind": "noise", "sigma": "x"}, "sigma"),
+    "sigma_negative": ({"kind": "noise", "sigma": -0.5}, "sigma"),
+    "perm_string": ({"kind": "permutation", "perm": "ab"}, "perm"),
+    "perm_float": ({"kind": "permutation", "perm": [1, 0.5]}, "perm"),
+    "offset_number": ({"kind": "translation", "offset": 1.0}, "offset"),
+    "offset_inf": ({"kind": "translation", "offset": [1.0, float("inf")]}, "offset"),
+    "translation_extra_key": ({"kind": "translation", "offset": [1.0], "bogus": 3}, "bogus"),
+    "identity_extra_key": ({"kind": "identity", "angle": 30.0}, "angle"),
+    "sigma_nan": ({"kind": "noise", "sigma": float("nan")}, "sigma"),
+    "angle_720": ({"kind": "rotation", "angle": 720}, "angle"),
+    "angle_missing": ({"kind": "rotation"}, "angle"),
+    "unknown_kind": ({"kind": "warp"}, "kind"),
+}
+
+
+def _spec(transform):
+    DomainSpec(id="far", kind="target", transform=transform, sizes=SizeSpec(eval=5))
+
+
+def _apply(transform):
+    apply_transform(np.zeros((4, 2)), transform, Rng(0))
+
+
+# the DomainSpec cases keep their bare ids; apply_transform runs the same cases
+@pytest.mark.parametrize("check,transform,key", [
+    pytest.param(check, transform, key, id=name if check is _spec else f"apply-{name}")
+    for check in (_spec, _apply) for name, (transform, key) in BAD_TRANSFORMS.items()])
+def test_transform_parameter_of_wrong_type_or_unknown_key_is_rejected(check, transform, key):
     with pytest.raises(ConfigError) as exc:
-        DomainSpec(id="far", kind="target", transform=transform, sizes=SizeSpec(eval=5))
-    assert "'far'" in str(exc.value)
+        check(transform)
+    assert ("'far'" in str(exc.value)) == (check is _spec)
     assert exc.value.key == f"transform.{key}"
 
 

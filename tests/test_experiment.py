@@ -18,6 +18,7 @@ from ditto import (
     TrainConfig,
     TrainVariant,
     analyze_results,
+    generate_synthetic,
     init_params,
     linear_cka,
     load_checkpoint,
@@ -29,6 +30,7 @@ from ditto.analysis import read_eval_csv, relative_gain
 from ditto.cli import main
 from ditto.errors import ConfigError
 from ditto.experiment import (
+    Cell,
     dataset_from_dict,
     experiment_from_dict,
     export_features,
@@ -453,6 +455,14 @@ MALFORMED = {
     "negative_rho": ("experiment", lambda e: e.update(rho=-0.1), "experiment.rho"),
     "nan_lambda": ("experiment", lambda e: e.update({"lambda": float("nan")}),
                    "experiment.lambda"),
+    "nan_lr": ("experiment", lambda e: e.update(lr=float("nan")), "experiment.lr"),
+    "lr_past_float_range": ("experiment", lambda e: e.update(lr=10 ** 400), "experiment.lr"),
+    "inf_weight_decay": ("experiment", lambda e: e.update(weight_decay=float("inf")),
+                         "experiment.weight_decay"),
+    "nan_cost": ("experiment", lambda e: e["cost"].update(c_s=float("nan")),
+                 "experiment.cost.c_s"),
+    "nan_base_sigma": ("dataset", lambda d: d["base"].update(sigma=float("nan")),
+                       "dataset.base.sigma"),
     "repeated_variant": ("experiment", lambda e: e.update(
         variants=["baseline", "ditto", "ditto"]), "experiment.variants[2]"),
     "repeated_seed": ("experiment", lambda e: e.update(seeds=[0, 0]), "experiment.seeds[1]"),
@@ -485,7 +495,9 @@ def test_malformed_config_names_its_json_path(cli_config, case):
                                           ("run-all", "negative_lambda"),
                                           ("run-all", "negative_rho"),
                                           ("run-all", "repeated_variant"),
-                                          ("run-all", "repeated_seed")])
+                                          ("run-all", "repeated_seed"),
+                                          ("run-all", "nan_cost"),
+                                          ("generate", "nan_base_sigma")])
 def test_cli_malformed_config_is_one_line_error(cli_config, tmp_path, capsys, command, case):
     section, spoil, path = MALFORMED[case]
     cfg = json.loads(cli_config.read_text())
@@ -498,6 +510,30 @@ def test_cli_malformed_config_is_one_line_error(cli_config, tmp_path, capsys, co
     assert err.startswith("error: ") and err.count("\n") == 1
     assert path in err
     assert not (tmp_path / "out").exists()  # nothing generated or trained
+
+
+@pytest.mark.parametrize("command", ["train", "run-all"])
+@pytest.mark.parametrize("spoil,named", [
+    (MALFORMED["nan_lr"][1], "experiment.lr: expected a finite number, got NaN"),
+    (lambda e: e["encoder"].update(input_dim=3),
+     "experiment.encoder.input_dim: 3 does not match the dataset's 2 feature columns"),
+    (lambda e: e.update(num_classes=2),
+     "experiment.num_classes: 2 is too few for label 2 of domain 'src' split labeled"),
+], ids=["nan_lr", "input_dim_misfit", "num_classes_misfit"])
+def test_cli_experiment_that_does_not_fit_is_one_line_error(cli_config, tmp_path, capsys,
+                                                           command, spoil, named):
+    data_dir, out = tmp_path / "data", tmp_path / "out"
+    assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
+    cfg = json.loads(cli_config.read_text())
+    spoil(cfg["experiment"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main([command, "--config", str(bad), "--data", str(data_dir),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {named}\n"
+    assert not [p for p in out.rglob("*") if p.is_file()]  # nothing trained or written
 
 
 @pytest.mark.parametrize("flags,named", [
@@ -593,6 +629,23 @@ def test_readme_config_example_parses_strictly():
     assert [d.kind for d in data.domains].count("source") == 1
 
 
+README_JSON = re.findall(r"```json\n(.*?)```",
+                         (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.S)
+
+
+@pytest.mark.parametrize("block", README_JSON, ids=[f"block{i}" for i in range(len(README_JSON))])
+def test_readme_json_block_is_a_config_that_fits_its_dataset(block):
+    cfg = json.loads(block)
+    assert cfg and set(cfg) <= {"dataset", "experiment"}
+    if "dataset" in cfg:
+        data = dataset_from_dict(cfg["dataset"])
+        dataset = generate_synthetic(data.base, data.domains, Rng(data.seed))
+    if "experiment" in cfg:
+        exp = experiment_from_dict(cfg["experiment"])
+    if len(cfg) == 2:
+        Cell(exp, dataset, 100, 0, 0)  # the experiment fits the dataset it documents
+
+
 @pytest.mark.parametrize("argv", [
     ["train", "--variant", "baseline", "--k", "-1"],
     ["run-all", "--k", "0", "--k", "-1"],
@@ -610,6 +663,21 @@ def test_cli_negative_k_rejected_before_training(cli_config, tmp_path, capsys, a
     assert exc.value.code == 2
     assert "--k" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("results,flags,named", [
+    ("nope", [], "nope"),
+    (".", ["--cs", "nan"], "c_s=nan"),
+], ids=["missing_results", "nan_cs"])
+def test_cli_cost_failure_leaves_no_out_directory(cli_config, tmp_path, capsys, results,
+                                                  flags, named):
+    capsys.readouterr()
+    assert main(["cost", "--config", str(cli_config), "--results", str(tmp_path / results),
+                 "--out", str(tmp_path / "made" / "cost.csv"), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "made").exists()
 
 
 def test_cli_cost_rejects_negative_cost_constant(cli_config, tmp_path, capsys):

@@ -66,6 +66,17 @@ def test_adamw_config_validation():
         SamConfig(rho=-0.01)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: AdamWConfig(lr=float("nan"), total_steps=1),
+    lambda: AdamWConfig(lr=0.1, total_steps=1, weight_decay=float("nan")),
+    lambda: SamConfig(rho=float("nan")),
+    lambda: sam_perturb(ParamStore(), rho=float("nan")),
+], ids=["adamw_lr", "adamw_weight_decay", "sam_rho", "sam_perturb_rho"])
+def test_nan_hyperparameter_is_rejected(build):
+    with pytest.raises(ParameterError):
+        build()
+
+
 # --- AdamW -------------------------------------------------------------------
 
 
