@@ -16,19 +16,23 @@ with split in {labeled, unlabeled, fewshot, eval}; the label field is empty
 for unlabeled rows.  Feature values are finite floats written with repr, so
 generate -> load round-trips bit-exactly.  A `manifest.json` in the same
 directory records the source domain id, the domain order, and the feature
-dimension.  Files are checked and converted a column at a time, in bounded
-blocks of rows; a malformed file raises one ParseError naming its first bad
-line.
+dimension.  A file in the exact form save_dataset writes for a domain id that
+csv does not quote is parsed by numpy's C text reader, any other by the csv
+module a row at a time; a malformed file raises one ParseError naming its
+first bad line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
+import locale
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, field, replace
-from itertools import chain, islice, repeat
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -361,16 +365,72 @@ def save_dataset(dataset: DomainDataset, out_dir: str | Path) -> None:
         fh.write("\n")
 
 
-# rows validated and converted together; bounds the strings held at once.
-# On the ladder_eval benchmark 512 kept the peak RSS within 0.4 MB of a
-# row-at-a-time parser: 256 left it 1.3 MB higher, 1024 made a pass slower.
-_BLOCK_ROWS = 512
 _MAX_LABEL = np.iinfo(np.int64).max
+# the bytes of a number column of `save_dataset`'s form, plus its separators.
+# numpy's text reader and Python's `int`/`float` accept the same strings over
+# this set, with the same values (floats go through PyOS_string_to_double on
+# both sides); outside it they differ: `float` takes `1_0`, `nan` and spaces.
+_NUMBER_BYTES = b"0123456789+-.eE,\n"
 
 
-def _check_row(path: Path, lineno: int, row: list[str], domain: str, split: str,
-               dim: int, labeled: bool) -> None:
-    """Raise the ParseError for one malformed row; return if it is well formed."""
+def _parse_saved_form(data: bytes, domain: str, split: str, dim: int,
+                      labeled: bool) -> tuple[np.ndarray, np.ndarray | None] | None:
+    """The (X, y) of a split file's bytes in the exact form `save_dataset`
+    writes, parsed by one `np.loadtxt` call; None for any other file.
+
+    Every test is a C-level scan of the bytes.  A file it accepts is one the
+    csv path reads to the same bits, so None only means "take the csv path",
+    which reads every other valid file and words every error.
+    """
+    header = (",".join(_header(dim)) + "\n").encode()
+    if not data.startswith(header):
+        return None
+    if len(data) == len(header):
+        return np.empty((0, dim)), (np.empty(0, np.int64) if labeled else None)
+    if any(c in domain for c in ',"\r\n'):
+        return None  # an id csv quotes
+    try:  # in the encoding of `save_dataset`'s and the csv path's open()
+        prefix = f"\n{domain},{split},{'' if labeled else ','}".encode(
+            locale.getpreferredencoding(False))
+    except UnicodeEncodeError:
+        return None
+    n = data.count(b"\n") - 1  # rows below the header
+    if not data.endswith(b"\n") or data.count(prefix, len(header) - 1) != n:
+        return None
+    # with every row starting with the prefix, the bytes outside the header
+    # and the prefixes are all number bytes iff deleting the number bytes
+    # leaves the header's and n prefixes' worth
+    kept = [len(b.translate(None, _NUMBER_BYTES)) for b in (data, header, prefix)]
+    if kept[0] != kept[1] + n * kept[2]:
+        return None
+    # loadtxt raises on a row without column 2 + dim, so with this total
+    # every row has exactly 2 + dim commas, as the header does
+    if data.count(b",") != (n + 1) * (2 + dim):
+        return None
+    first = 2 if labeled else 3
+    fields = ([("y", np.int64)] if labeled else []) + [("X", np.float64, (dim,))]
+    # latin-1 decodes any byte; the domain column is never read.  A warning
+    # is an error here: numpy 1.23-1.26 read an int field such as `1.5` as a
+    # float truncated to 1, and only warn that this is deprecated
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.BytesIO(data), np.dtype(fields), delimiter=",",
+                              comments=None, skiprows=1, usecols=range(first, 3 + dim),
+                              ndmin=1, encoding="latin-1")
+    except (ValueError, Warning):
+        return None
+    X = np.ascontiguousarray(rows["X"])
+    y = np.ascontiguousarray(rows["y"]) if labeled else None
+    if (labeled and y.min() < 0) or not np.isfinite(X).all():
+        return None
+    return X, y
+
+
+def _parse_row(path: Path, lineno: int, row: list[str], domain: str, split: str,
+               dim: int, labeled: bool) -> tuple[int | None, list[float]]:
+    """One csv row's label (None in an unlabeled split) and feature values;
+    a malformed row raises the ParseError naming its line."""
     if len(row) != 3 + dim:
         raise ParseError(f"{path}:{lineno}: expected {3 + dim} columns, got {len(row)}")
     if row[0] != domain:
@@ -379,6 +439,7 @@ def _check_row(path: Path, lineno: int, row: list[str], domain: str, split: str,
     if row[1] != split:
         raise ParseError(f"{path}:{lineno}: split {row[1]!r} does not match "
                          f"file split {split!r}")
+    label = None
     if labeled:
         if row[2] == "":
             raise ParseError(f"{path}:{lineno}: missing label in {split} split")
@@ -400,49 +461,15 @@ def _check_row(path: Path, lineno: int, row: list[str], domain: str, split: str,
         raise ParseError(f"{path}:{lineno}: non-numeric feature value") from None
     if not all(map(math.isfinite, values)):
         raise ParseError(f"{path}:{lineno}: non-finite feature value")
+    return label, values
 
 
-def _convert_block(block: list[list[str]], domain: str, split: str, dim: int,
-                   labeled: bool) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """The block's (X, y), or None when any of its rows is malformed.
-
-    Every check runs once per column: the row lengths as one set, the domain
-    and split columns as one count each, the labels and the features each
-    through one `np.fromiter` over the same `int`/`float` a row check uses.
-    """
-    n = len(block)
-    if set(map(len, block)) != {3 + dim}:
-        return None
-    cols = tuple(zip(*block))
-    if cols[0].count(domain) != n or cols[1].count(split) != n:
-        return None
-    y = None
-    try:
-        if labeled:
-            y = np.fromiter(map(int, cols[2]), np.int64, n)
-            if y.min() < 0:
-                return None
-        elif cols[2].count("") != n:
-            return None
-        X = np.fromiter(map(float, chain.from_iterable(cols[3:])), np.float64, n * dim)
-    except (ValueError, OverflowError):  # a label beyond int64 overflows
-        return None
-    if not np.isfinite(X).all():
-        return None
-    return X.reshape(dim, n).T, y
-
-
-def _parse_split_file(path: Path, domain: str, split: str, dim: int,
-                      labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """One split file's (X, y); y is None for an unlabeled split.
-
-    The body is read in blocks of `_BLOCK_ROWS` rows, each checked and
-    converted a column at a time.  A block that fails a check is walked row
-    by row only to raise the ParseError of its first malformed row, so the
-    error names the first bad line of the file, as a row-at-a-time parser
-    would.
-    """
-    X_blocks, y_blocks = [np.empty((0, dim))], [np.empty(0, np.int64)]
+def _parse_csv_rows(path: Path, domain: str, split: str, dim: int,
+                    labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """One split file's (X, y) through the csv module, a row at a time: any
+    valid file (quoted ids, CRLF, no final newline), and the ParseError of
+    the first malformed line of any other."""
+    labels, rows = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -452,18 +479,23 @@ def _parse_split_file(path: Path, domain: str, split: str, dim: int,
         if header != _header(dim):
             raise ParseError(f"{path}:1: bad header {header[:4]}..., expected "
                              f"domain,split,label,f0..f{dim-1}")
-        lineno = 2
-        while block := list(islice(reader, _BLOCK_ROWS)):
-            converted = _convert_block(block, domain, split, dim, labeled)
-            if converted is None:  # raises at the block's first malformed row
-                for i, row in enumerate(block):
-                    _check_row(path, lineno + i, row, domain, split, dim, labeled)
-            X, y = converted
-            X_blocks.append(X)
-            if labeled:
-                y_blocks.append(y)
-            lineno += len(block)
-    return np.concatenate(X_blocks), (np.concatenate(y_blocks) if labeled else None)
+        for lineno, row in enumerate(reader, start=2):
+            label, values = _parse_row(path, lineno, row, domain, split, dim, labeled)
+            labels.append(label)
+            rows.append(values)
+    X = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
+    return X, (np.array(labels, dtype=np.int64) if labeled else None)
+
+
+def _parse_split_file(path: Path, domain: str, split: str, dim: int,
+                      labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """One split file's (X, y); y is None for an unlabeled split.  A file in
+    `save_dataset`'s own form, for a domain id without `,"\r\n`, is parsed by
+    numpy's C text reader, any other by the csv module; both give the same
+    bits and the same errors."""
+    parsed = _parse_saved_form(path.read_bytes(), domain, split, dim, labeled)
+    return parsed if parsed is not None else _parse_csv_rows(path, domain, split, dim,
+                                                             labeled)
 
 
 def read_json_object(path: str | Path, error: type[Exception] = DataError) -> dict:
@@ -500,6 +532,9 @@ def load_dataset(path: str | Path) -> DomainDataset:
     if not _is_index(dim) or dim < 1:
         raise DataError(f"{manifest_path}: 'feature_dim' must be a positive integer, "
                         f"got {dim!r}")
+    for i, dom in enumerate(ids):
+        if dom in ids[:i]:
+            raise DataError(f"{manifest_path}: 'domains' lists {dom!r} twice")
     domains: dict[str, DomainSplits] = {}
     for dom in ids:
         parts = {}

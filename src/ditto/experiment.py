@@ -351,7 +351,6 @@ def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
     run.json (status/error) and the remaining runs proceed.
     """
     out = Path(out_dir if out_dir is not None else config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     dataset.validate()
     targets = dataset.target_ids()
 
@@ -363,6 +362,7 @@ def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
                 baseline_table: EvalTable | None = None
                 for name in config.variants:
                     run_dir = _run_dir(out, frac, k, name, seed)
+                    # makes `out` too, once the first Cell has checked the fit
                     run_dir.mkdir(parents=True, exist_ok=True)
                     meta = {
                         "variant": name, "seed": seed, "S": frac, "k": k,

@@ -230,33 +230,35 @@ def load_checkpoint(path: str) -> ModelBundle:
     implies (a missing, extra or wrong-shaped `param::` entry) raise
     DataError naming the file.
     """
-    try:
-        data = np.load(path)
-    except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-        raise DataError(f"{path}: not a checkpoint archive: {exc}") from None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise DataError(f"{path}: not a checkpoint archive: a single .npy array")
-    with data:
-        if "__meta__" not in data.files:
-            raise DataError(f"{path}: no '__meta__' entry")
+    with open(path, "rb") as fh:
         try:
-            meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-            spec = EncoderSpec(meta["input_dim"], list(meta["hidden_dims"]), meta["activation"])
-            bundle = ModelBundle(spec, meta["num_classes"], meta["target_ids"])
-        except (ValueError, TypeError, KeyError) as exc:  # ParameterError is a ValueError
-            raise DataError(f"{path}: bad checkpoint metadata: {type(exc).__name__}: "
-                            f"{exc}") from None
-        keys = {key for key in data.files if key.startswith("param::")}
-        extra = sorted(keys - {f"param::{name}" for name in bundle.store.names()})
-        if extra:
-            raise DataError(f"{path}: unexpected parameter {extra[0]!r}")
-        for p in bundle.store.params():
-            key = f"param::{p.name}"
-            if key not in keys:
-                raise DataError(f"{path}: missing parameter {key!r}")
-            value = data[key]
-            if value.shape != p.shape:
-                raise DataError(f"{path}: parameter {key!r} has shape {value.shape}, "
-                                f"expected {p.shape}")
-            p.value[...] = value
+            data = np.load(fh)
+        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise DataError(f"{path}: not a checkpoint archive: {exc}") from None
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise DataError(f"{path}: not a checkpoint archive: a single .npy array")
+        with data:
+            if "__meta__" not in data.files:
+                raise DataError(f"{path}: no '__meta__' entry")
+            try:
+                meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
+                spec = EncoderSpec(meta["input_dim"], list(meta["hidden_dims"]),
+                                   meta["activation"])
+                bundle = ModelBundle(spec, meta["num_classes"], meta["target_ids"])
+            except (ValueError, TypeError, KeyError) as exc:  # ParameterError is a ValueError
+                raise DataError(f"{path}: bad checkpoint metadata: {type(exc).__name__}: "
+                                f"{exc}") from None
+            keys = {key for key in data.files if key.startswith("param::")}
+            extra = sorted(keys - {f"param::{name}" for name in bundle.store.names()})
+            if extra:
+                raise DataError(f"{path}: unexpected parameter {extra[0]!r}")
+            for p in bundle.store.params():
+                key = f"param::{p.name}"
+                if key not in keys:
+                    raise DataError(f"{path}: missing parameter {key!r}")
+                value = data[key]
+                if value.shape != p.shape:
+                    raise DataError(f"{path}: parameter {key!r} has shape {value.shape}, "
+                                    f"expected {p.shape}")
+                p.value[...] = value
     return bundle

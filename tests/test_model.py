@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,12 @@ def test_checkpoint_layout_mismatch_raises_data_error_naming_key(tmp_path, edit,
         load_checkpoint(path)
 
 
+def _npy_bytes(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
 def _meta_of(hidden_dims):
     return np.frombuffer(f'{{"input_dim": 3, "hidden_dims": {hidden_dims}, "activation": '
                          f'"tanh", "num_classes": 2, "target_ids": ["a"]}}'.encode(), np.uint8)
@@ -281,7 +289,7 @@ def _meta_of(hidden_dims):
     (lambda path: path.write_bytes(b"not an archive"), "not a checkpoint archive"),
     (lambda path: path.write_bytes(b""), "not a checkpoint archive"),
     (lambda path: path.write_bytes(b"PK\x03\x04 truncated"), "not a checkpoint archive"),
-    (lambda path: np.save(path.open("wb"), np.zeros(3)), "not a checkpoint archive"),
+    (lambda path: path.write_bytes(_npy_bytes(np.zeros(3))), "not a checkpoint archive"),
     (lambda path: rewrite_checkpoint(path, lambda a: a.pop("__meta__")), "'__meta__'"),
     (lambda path: rewrite_checkpoint(path, lambda a: a.update(
         __meta__=np.frombuffer(b"{oops", np.uint8))), "bad checkpoint metadata"),
