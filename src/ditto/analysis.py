@@ -1,16 +1,19 @@
 """Measurement apparatus: representation similarity, correlations, accuracy
 tables, relative gains, and the annotation cost model.
+
+eval.csv and cka.csv go through `data.write_csv` and `data.csv_records`; a
+table that does not parse or decode raises DataError naming the file.
 """
 
 from __future__ import annotations
 
-import csv
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .adaptation import domain_accuracies
-from .data import DomainDataset
+from .data import DomainDataset, csv_records, write_csv
 from .errors import DataError, ParameterError, ShapeError, UndefinedResultError
 from .model import ModelBundle
 
@@ -214,42 +217,40 @@ def fmt_acc(value: float) -> str:
     return f"{value:.2f}"
 
 
-def write_eval_csv(table: EvalTable, path, baseline_method: str = "baseline") -> None:
+def mean_gain(base_accs: dict[str, float], accs: dict[str, float], targets) -> str:
+    """The mean relative gain over `targets` as a table cell; empty when a
+    target has no baseline accuracy or a gain is undefined (a 0.00 baseline)."""
+    try:
+        return fmt_acc(float(np.mean([relative_gain(base_accs[t], accs[t]) for t in targets])))
+    except (KeyError, UndefinedResultError):
+        return ""
+
+
+def write_eval_csv(table: EvalTable, path) -> None:
     """Long-format per-domain accuracies: domain,method,accuracy,relative_gain.
 
-    The relative_gain column compares against `baseline_method` at the same
-    domain, computed from the two-decimal accuracies exactly as printed; it is
-    empty when no baseline entry exists or the gain is undefined.
+    The relative_gain column is `mean_gain` over that one domain against the
+    "baseline" method, from the two-decimal accuracies exactly as printed.
     """
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["domain", "method", "accuracy", "relative_gain"])
-        for method in table.methods():
-            for domain in table.domains(method):
-                acc = float(fmt_acc(table.get(method, domain)))
-                gain = ""
-                if (baseline_method, domain) in table.entries:
-                    base = float(fmt_acc(table.get(baseline_method, domain)))
-                    try:
-                        gain = fmt_acc(relative_gain(base, acc))
-                    except UndefinedResultError:
-                        gain = ""
-                writer.writerow([domain, method, fmt_acc(table.get(method, domain)), gain])
+    printed = {key: float(fmt_acc(acc)) for key, acc in table.entries.items()}
+    base = {domain: acc for (method, domain), acc in printed.items() if method == "baseline"}
+    write_csv(path, ["domain", "method", "accuracy", "relative_gain"],
+              ([d, m, fmt_acc(table.get(m, d)), mean_gain(base, {d: printed[m, d]}, [d])]
+               for m in table.methods() for d in table.domains(m)))
 
 
 def _csv_body(path, header: list[str], what: str):
     """(line number, row) for each body row of a CSV file with `header`; a
     wrong header or a row of the wrong width raises DataError."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        first = next(reader, None)
+    with closing(csv_records(path, DataError)) as records:
+        _, first = next(records, (None, None))
         if first != header:
             raise DataError(f"{path}: unexpected {what} CSV header {first}")
-        for row in reader:
+        for lineno, row in records:
             if len(row) != len(header):
-                raise DataError(f"{path}:{reader.line_num}: expected {len(header)} "
+                raise DataError(f"{path}:{lineno}: expected {len(header)} "
                                 f"columns, got {len(row)}")
-            yield reader.line_num, row
+            yield lineno, row
 
 
 def _number(path, lineno: int, text: str) -> float:
@@ -274,11 +275,9 @@ def read_eval_csv(path) -> tuple[EvalTable, dict[tuple[str, str], str]]:
 
 def write_cka_csv(ckas: dict[str, float], accuracies: dict[str, float], path) -> None:
     """Per-target similarity report: domain,cka,accuracy."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["domain", "cka", "accuracy"])
-        for domain in sorted(ckas):
-            writer.writerow([domain, f"{ckas[domain]:.6f}", fmt_acc(accuracies[domain])])
+    write_csv(path, ["domain", "cka", "accuracy"],
+              ([domain, f"{ckas[domain]:.6f}", fmt_acc(accuracies[domain])]
+               for domain in sorted(ckas)))
 
 
 def read_cka_csv(path) -> dict[str, tuple[float, float]]:

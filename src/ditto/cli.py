@@ -209,7 +209,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, DataError, ParseError, FileNotFoundError) as exc:
+    except (ConfigError, DataError, ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,8 +18,9 @@ generate -> load round-trips bit-exactly.  A `manifest.json` in the same
 directory records the source domain id, the domain order, and the feature
 dimension.  A file in the exact form save_dataset writes for a domain id that
 csv does not quote is parsed by numpy's C text reader, any other by the csv
-module a row at a time; a malformed file raises one ParseError naming its
-first bad line.
+module a row at a time.  A malformed file raises one ParseError naming it and
+the physical line of its first bad record (no line for an undecodable byte).
+`write_csv` and `csv_records` hold the one CSV dialect of the whole package.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import locale
 import math
 import numbers
 import warnings
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from itertools import repeat
 from pathlib import Path
@@ -336,7 +338,7 @@ def save_dataset(dataset: DomainDataset, out_dir: str | Path) -> None:
 
     Each file is written a column at a time: the features go through
     `X.T.tolist()` and `repr`, which gives the same digits as
-    `repr(float(v))` per value, and `csv.writer` still does the quoting.
+    `repr(float(v))` per value, and `write_csv` does the quoting.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -350,11 +352,9 @@ def save_dataset(dataset: DomainDataset, out_dir: str | Path) -> None:
         }
         for split, (X, y) in blocks.items():
             labels = repeat("", X.shape[0]) if y is None else map(str, y.tolist())
-            with open(out / f"{dom}.{split}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(_header(dim))
-                writer.writerows(zip(repeat(dom), repeat(split), labels,
-                                     *[map(repr, col) for col in X.T.tolist()]))
+            write_csv(out / f"{dom}.{split}.csv", _header(dim),
+                      zip(repeat(dom), repeat(split), labels,
+                          *[map(repr, col) for col in X.T.tolist()]))
     manifest = {
         "source": dataset.source,
         "domains": list(dataset.domains),
@@ -468,18 +468,16 @@ def _parse_csv_rows(path: Path, domain: str, split: str, dim: int,
                     labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
     """One split file's (X, y) through the csv module, a row at a time: any
     valid file (quoted ids, CRLF, no final newline), and the ParseError of
-    the first malformed line of any other."""
+    the first malformed record of any other."""
     labels, rows = [], []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}:1: empty file, expected header") from None
+    with closing(csv_records(path, ParseError)) as records:
+        _, header = next(records, (None, None))
+        if header is None:
+            raise ParseError(f"{path}:1: empty file, expected header")
         if header != _header(dim):
             raise ParseError(f"{path}:1: bad header {header[:4]}..., expected "
                              f"domain,split,label,f0..f{dim-1}")
-        for lineno, row in enumerate(reader, start=2):
+        for lineno, row in records:
             label, values = _parse_row(path, lineno, row, domain, split, dim, labeled)
             labels.append(label)
             rows.append(values)
@@ -496,6 +494,30 @@ def _parse_split_file(path: Path, domain: str, split: str, dim: int,
     parsed = _parse_saved_form(path.read_bytes(), domain, split, dim, labeled)
     return parsed if parsed is not None else _parse_csv_rows(path, domain, split, dim,
                                                              labeled)
+
+
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write `header`, then `rows`, to `path`: csv quoting, `\\n` line ends."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def csv_records(path: str | Path, error: type[Exception]):
+    """(physical line the record ends on, row) of every record of the CSV file
+    at `path`, header first.  A record csv rejects raises `error` naming the
+    file and line; an undecodable byte, the file only (decoding runs in blocks)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for row in reader:
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise error(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:  # its position is within a block, not the file
+            raise error(f"{path}: cannot decode {exc.object[exc.start:exc.end]!r} as "
+                        f"{exc.encoding} ({exc.reason})") from None
 
 
 def read_json_object(path: str | Path, error: type[Exception] = DataError) -> dict:

@@ -25,7 +25,6 @@ metrics.jsonl.
 
 from __future__ import annotations
 
-import csv
 import json
 import sys
 import typing
@@ -49,16 +48,17 @@ from .analysis import (
     annotation_cost,
     fmt_acc,
     linear_cka,
+    mean_gain,
     pearson,
     read_cka_csv,
     read_eval_csv,
-    relative_gain,
     spearman,
     write_cka_csv,
     write_eval_csv,
     zero_shot_eval,
 )
-from .data import DomainDataset, DomainSpec, MixtureSpec, read_json_object, subsample_source
+from .data import (DomainDataset, DomainSpec, MixtureSpec, read_json_object,
+                   subsample_source, write_csv)
 from .errors import ConfigError, DataError, ParameterError, UndefinedResultError
 from .model import ModelBundle, extract_features, save_checkpoint
 from .rng import Rng
@@ -84,7 +84,6 @@ class ExperimentConfig:
     ks: list[int] = field(default_factory=lambda: [0])
     c_s: float = field(default=3.0, metadata={"json": "cost.c_s"})
     c_t_over_s: float = field(default=1.0, metadata={"json": "cost.c_t_over_s"})
-    out_dir: str = "results"
 
     def __post_init__(self):
         for key, what in (("variants", "variant"), ("seeds", "seed"),
@@ -250,13 +249,7 @@ def write_report_jsonl(report: TrainReport, path: str | Path) -> None:
     """One record per epoch plus a final summary record."""
     with open(path, "w") as fh:
         for rec in report.epochs:
-            fh.write(json.dumps({
-                "epoch": rec.epoch,
-                "task_loss": rec.task_loss,
-                "adv_loss": rec.adv_loss,
-                "disc_loss": rec.disc_loss,
-                "per_domain_acc": rec.per_domain_acc,
-            }, sort_keys=True) + "\n")
+            fh.write(json.dumps(vars(rec), sort_keys=True) + "\n")
         fh.write(json.dumps({
             "final": True,
             "variant": report.variant,
@@ -274,17 +267,15 @@ def export_features(bundle: ModelBundle, dataset: DomainDataset, path: str | Pat
     written with repr, so reloading reproduces similarity values to well
     under the 1e-9 text round-trip budget.
     """
-    dim = bundle.feature_dim
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["domain", "row_index", "class_label_or_empty"]
-                        + [f"f{i}" for i in range(dim)])
-        for dom in [dataset.source] + dataset.target_ids():
-            rows = dataset.domains[dom].eval
-            feats = extract_features(bundle, rows.X)
-            for i in range(feats.shape[0]):
-                label = "" if rows.y is None else str(int(rows.y[i]))
-                writer.writerow([dom, i, label] + [repr(float(v)) for v in feats[i]])
+    rows = []
+    for dom in [dataset.source] + dataset.target_ids():
+        split = dataset.domains[dom].eval
+        feats = extract_features(bundle, split.X)
+        for i in range(feats.shape[0]):
+            label = "" if split.y is None else str(int(split.y[i]))
+            rows.append([dom, i, label] + [repr(float(v)) for v in feats[i]])
+    write_csv(path, ["domain", "row_index", "class_label_or_empty"]
+              + [f"f{i}" for i in range(bundle.feature_dim)], rows)
 
 
 def _variant_dirname(name: str) -> str:
@@ -342,7 +333,7 @@ class Cell:
 
 
 def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
-                   out_dir: str | Path | None = None) -> Path:
+                   out_dir: str | Path) -> Path:
     """Run the whole grid and write per-run artifacts plus aggregate tables.
 
     The baseline always runs first within each (fraction, k, seed) cell: its
@@ -350,7 +341,7 @@ def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
     the denominators of every relative gain.  A failed run is recorded in its
     run.json (status/error) and the remaining runs proceed.
     """
-    out = Path(out_dir if out_dir is not None else config.out_dir)
+    out = Path(out_dir)
     dataset.validate()
     targets = dataset.target_ids()
 
@@ -400,7 +391,7 @@ def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
 
 # ---------------------------------------------------------------------------
 # aggregates: every table reads each run back once (`_finished_runs`), and
-# every gain is `_mean_gain` of the two-decimal accuracies in eval.csv
+# every gain is `mean_gain` of the two-decimal accuracies in eval.csv
 
 _RUN_KEYS = {"S": int, "k": int, "variant": str, "seed": int, "source": str,
              "targets": list, "n_labeled_source": int}  # the keys the tables read
@@ -442,15 +433,6 @@ def _mean_target_acc(meta: dict, accs: dict[str, float]) -> float:
     return float(np.mean([accs[t] for t in meta["targets"]]))
 
 
-def _mean_gain(base_accs: dict[str, float], accs: dict[str, float], targets) -> str:
-    """The mean relative gain over `targets` as a table cell; empty when a
-    target has no baseline accuracy or a gain is undefined (a 0.00 baseline)."""
-    try:
-        return fmt_acc(float(np.mean([relative_gain(base_accs[t], accs[t]) for t in targets])))
-    except (KeyError, UndefinedResultError):
-        return ""
-
-
 def _best_seed_accs(runs: dict, config: ExperimentConfig, frac: int, k: int,
                     variant: str) -> tuple[dict, dict[str, float]] | None:
     """(meta, accuracies) of the best seed: the highest mean target accuracy,
@@ -467,31 +449,31 @@ def write_summaries(config: ExperimentConfig, out: Path) -> None:
     k0 = config.ks[0]
 
     # cross-variant summary at the first configured k, best-of-seeds
-    with open(out / "summary.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variant"] + [f"S{f}" for f in config.source_fractions])
-        bases = [_best_seed_accs(runs, config, f, k0, BASELINE) for f in config.source_fractions]
-        for name in config.variants:
-            bests = [_best_seed_accs(runs, config, f, k0, name) for f in config.source_fractions]
-            writer.writerow([name] + ["" if base is None or best is None else
-                                      _mean_gain(base[1], best[1], base[0]["targets"])
-                                      for base, best in zip(bases, bests)])
+    rows = []
+    bases = [_best_seed_accs(runs, config, f, k0, BASELINE) for f in config.source_fractions]
+    for name in config.variants:
+        bests = [_best_seed_accs(runs, config, f, k0, name) for f in config.source_fractions]
+        rows.append([name] + ["" if base is None or best is None else
+                              mean_gain(base[1], best[1], base[0]["targets"])
+                              for base, best in zip(bases, bests)])
+    write_csv(out / "summary.csv", ["variant"] + [f"S{f}" for f in config.source_fractions],
+              rows)
 
     # per-seed summary across the whole grid
-    with open(out / "summary_per_seed.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["variant", "S", "k", "seed",
-                         "mean_target_accuracy", "mean_relative_gain"])
-        for frac, k, name, seed in product(config.source_fractions, config.ks,
-                                           config.variants, config.seeds):
-            run, base = runs.get((frac, k, name, seed)), runs.get((frac, k, BASELINE, seed))
-            if run is None:
-                writer.writerow([name, frac, k, seed, "", ""])
-                continue
-            meta, accs = run[0], _accs(run[1], name)
-            gain = "" if base is None else _mean_gain(_accs(base[1], BASELINE), accs,
-                                                      meta["targets"])
-            writer.writerow([name, frac, k, seed, fmt_acc(_mean_target_acc(meta, accs)), gain])
+    rows = []
+    for frac, k, name, seed in product(config.source_fractions, config.ks,
+                                       config.variants, config.seeds):
+        run, base = runs.get((frac, k, name, seed)), runs.get((frac, k, BASELINE, seed))
+        if run is None:
+            rows.append([name, frac, k, seed, "", ""])
+            continue
+        meta, accs = run[0], _accs(run[1], name)
+        gain = "" if base is None else mean_gain(_accs(base[1], BASELINE), accs,
+                                                  meta["targets"])
+        rows.append([name, frac, k, seed, fmt_acc(_mean_target_acc(meta, accs)), gain])
+    write_csv(out / "summary_per_seed.csv", ["variant", "S", "k", "seed",
+                                             "mean_target_accuracy", "mean_relative_gain"],
+              rows)
 
     # annotation cost against best-of-seeds accuracy
     _write_cost(config, runs, config.ks, out / "cost.csv")
@@ -508,56 +490,52 @@ def write_cost_csv(config: ExperimentConfig, results: Path, path: Path,
 
 
 def _write_cost(config: ExperimentConfig, runs: dict, ks: list[int], path: Path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["method", "S", "k", "c_t_over_s",
-                         "cost_cents", "mean_target_accuracy"])
-        for frac, k, name in product(config.source_fractions, ks, config.variants):
-            best = _best_seed_accs(runs, config, frac, k, name)
-            if best is None:
-                writer.writerow([name, frac, k, config.c_t_over_s, "", ""])
-                continue
-            meta, accs = best
-            cost = annotation_cost(CostParams(
-                c_s=config.c_s, n_labeled_source=meta["n_labeled_source"],
-                c_t_over_s=config.c_t_over_s, k=k, num_targets=len(meta["targets"])))
-            writer.writerow([name, frac, k, config.c_t_over_s,
-                             f"{cost:.2f}", fmt_acc(_mean_target_acc(meta, accs))])
+    rows = []
+    for frac, k, name in product(config.source_fractions, ks, config.variants):
+        best = _best_seed_accs(runs, config, frac, k, name)
+        if best is None:
+            rows.append([name, frac, k, config.c_t_over_s, "", ""])
+            continue
+        meta, accs = best
+        cost = annotation_cost(CostParams(
+            c_s=config.c_s, n_labeled_source=meta["n_labeled_source"],
+            c_t_over_s=config.c_t_over_s, k=k, num_targets=len(meta["targets"])))
+        rows.append([name, frac, k, config.c_t_over_s,
+                     f"{cost:.2f}", fmt_acc(_mean_target_acc(meta, accs))])
+    write_csv(path, ["method", "S", "k", "c_t_over_s", "cost_cents", "mean_target_accuracy"],
+              rows)
 
 
 def analyze_results(results: str | Path, out_dir: str | Path) -> Path:
     """Post-hoc tables from a results directory: per-run accuracy/gain/gap in
-    analysis.csv and CKA-accuracy correlations in correlation.csv."""
+    analysis.csv and CKA-accuracy correlations in correlation.csv, both
+    written once every run is read (a corrupt artifact leaves neither)."""
     results, out = Path(results), Path(out_dir)
     runs = _finished_runs(results)
+    a_rows, c_rows = [], []
+    for (frac, k, name, seed), (meta, table) in runs.items():
+        targets = meta["targets"]
+        accs = _accs(table, name)
+        gain = "" if name == BASELINE else mean_gain(_accs(table, BASELINE), accs, targets)
+        gap = float(np.mean([accs[meta["source"]] - accs[t] for t in targets]))
+        a_rows.append([name, frac, k, seed, fmt_acc(_mean_target_acc(meta, accs)), gain,
+                       fmt_acc(gap)])
+
+        cka_path = _run_dir(results, frac, k, name, seed) / "cka.csv"
+        if cka_path.exists() and len(targets) >= 3:
+            rows = read_cka_csv(cka_path)
+            if not set(targets) <= set(rows):
+                raise DataError(f"{cka_path}: no row for some of the targets {targets}")
+            ckas, target_accs = zip(*[rows[t] for t in targets])
+            try:
+                cells = [f"{pearson(ckas, target_accs):.4f}",
+                         f"{spearman(ckas, target_accs):.4f}"]
+            except UndefinedResultError:
+                cells = ["", ""]
+            c_rows.append([name, frac, k, seed] + cells)
     out.mkdir(parents=True, exist_ok=True)
-
-    with open(out / "analysis.csv", "w", newline="") as afh, \
-         open(out / "correlation.csv", "w", newline="") as cfh:
-        a_writer = csv.writer(afh, lineterminator="\n")
-        c_writer = csv.writer(cfh, lineterminator="\n")
-        a_writer.writerow(["variant", "S", "k", "seed", "mean_target_accuracy",
-                           "mean_relative_gain", "gap"])
-        c_writer.writerow(["variant", "S", "k", "seed", "pearson", "spearman"])
-        for (frac, k, name, seed), (meta, table) in runs.items():
-            targets = meta["targets"]
-            accs = _accs(table, name)
-            gain = "" if name == BASELINE else _mean_gain(_accs(table, BASELINE), accs,
-                                                          targets)
-            gap = float(np.mean([accs[meta["source"]] - accs[t] for t in targets]))
-            a_writer.writerow([name, frac, k, seed, fmt_acc(_mean_target_acc(meta, accs)),
-                               gain, fmt_acc(gap)])
-
-            cka_path = _run_dir(results, frac, k, name, seed) / "cka.csv"
-            if cka_path.exists() and len(targets) >= 3:
-                rows = read_cka_csv(cka_path)
-                if not set(targets) <= set(rows):
-                    raise DataError(f"{cka_path}: no row for some of the targets {targets}")
-                ckas, target_accs = zip(*[rows[t] for t in targets])
-                try:
-                    cells = [f"{pearson(ckas, target_accs):.4f}",
-                             f"{spearman(ckas, target_accs):.4f}"]
-                except UndefinedResultError:
-                    cells = ["", ""]
-                c_writer.writerow([name, frac, k, seed] + cells)
+    write_csv(out / "analysis.csv", ["variant", "S", "k", "seed", "mean_target_accuracy",
+                                     "mean_relative_gain", "gap"], a_rows)
+    write_csv(out / "correlation.csv", ["variant", "S", "k", "seed", "pearson", "spearman"],
+              c_rows)
     return out

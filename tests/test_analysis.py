@@ -242,6 +242,37 @@ def test_cka_csv_round_trip(tmp_path):
     assert rows["t2"] == (0.5, 70.0)
 
 
+def test_eval_csv_bytes_pinned(tmp_path):
+    # a quoted domain id, gains from the printed accuracies (94.996 prints as
+    # 95.00, a gain of 0.00), a 0.00 baseline and a target with no baseline
+    table = EvalTable(source="src")
+    for method, domain, acc in [("baseline", "src", 95.0), ("baseline", "t,1", 47.094),
+                                ("baseline", "t2", 0.0), ("ditto", "src", 94.996),
+                                ("ditto", "t,1", 56.755), ("ditto", "t2", 12.5),
+                                ("ditto", "t3", 60.0)]:
+        table.add(method, domain, acc)
+    write_eval_csv(table, tmp_path / "eval.csv")
+    assert (tmp_path / "eval.csv").read_bytes() == (
+        b"domain,method,accuracy,relative_gain\n"
+        b"src,baseline,95.00,0.00\n"
+        b'"t,1",baseline,47.09,0.00\n'
+        b"t2,baseline,0.00,\n"
+        b"src,ditto,95.00,0.00\n"
+        b'"t,1",ditto,56.76,20.54\n'
+        b"t2,ditto,12.50,\n"
+        b"t3,ditto,60.00,\n")
+
+
+def test_cka_csv_bytes_pinned(tmp_path):
+    write_cka_csv({"t3": 1.0, "t2": 0.5, "t,1": 0.912345678},
+                  {"t3": 33.333, "t2": 70.0, "t,1": 88.8888}, tmp_path / "cka.csv")
+    assert (tmp_path / "cka.csv").read_bytes() == (
+        b"domain,cka,accuracy\n"
+        b'"t,1",0.912346,88.89\n'
+        b"t2,0.500000,70.00\n"
+        b"t3,1.000000,33.33\n")
+
+
 def test_fmt_acc_two_decimals():
     assert fmt_acc(95.0) == "95.00"
     assert fmt_acc(47.093) == "47.09"

@@ -391,6 +391,8 @@ BAD_ROWS = {
                            "unlabeled rows must have an empty label, got '1'"),
     "non_numeric": ("s.labeled.csv", "s,labeled,0,1.0,abc", "non-numeric feature value"),
     "non_finite": ("s.labeled.csv", "s,labeled,0,nan,-inf", "non-finite feature value"),
+    "field_too_large": ("s.labeled.csv", "s,labeled,0," + "1" * 140_000 + ",2.0",
+                        "field larger than field limit (131072)"),
 }
 
 
@@ -417,6 +419,27 @@ def test_parse_error_names_the_first_of_two_bad_lines(tmp_path, kind, where):
     with pytest.raises(ParseError) as exc:
         _write_and_load(tmp_path, filename, content)
     assert str(exc.value) == f"{tmp_path / filename}:{lines[0]}: {message}"
+
+
+# files only the csv module's or the text decoder's error can name: a CRLF file
+# with a field past csv's limit, and a byte that is not UTF-8 in a domain cell
+UNREADABLE = {
+    "field_too_large_crlf": ("s.eval.csv", b"domain,split,label,f0,f1\r\ns,eval,0,"
+                             + b"1" * 140_000 + b",2.0\r\n",
+                             r":2: field larger than field limit \(131072\)"),
+    "undecodable_domain": ("t.labeled.csv", b"domain,split,label,f0,f1\nt\xe9,labeled,0,1.0,2.0\n",
+                           r": cannot decode b'\\xe9' as [-\w]+ \(invalid continuation byte\)$"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREADABLE))
+def test_unreadable_split_file_is_a_parse_error_naming_it(tmp_path, case):
+    filename, data, message = UNREADABLE[case]
+    save_dataset(two_domain(), tmp_path)
+    (tmp_path / filename).write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_dataset(tmp_path)
+    assert re.match(re.escape(str(tmp_path / filename)) + message, str(exc.value))
 
 
 # --- CSV format edge cases ---------------------------------------------------
@@ -463,6 +486,17 @@ def test_domain_id_that_needs_csv_quoting_round_trips(tmp_path):
     first_row = (tmp_path / "a,b.eval.csv").read_text().splitlines()[1]
     assert first_row == '"a,b",eval,0,0.5,-1.5'
     _assert_bit_identical(ds, load_dataset(tmp_path))
+
+
+def test_parse_error_names_the_physical_line_of_a_record(tmp_path):
+    # every record of domain "a\nb" spans two lines: the third is on lines 6-7
+    ds = _dataset_of(np.array([[0.5, -1.5], [2.0, 3.0], [1.0, 1.0]]), source="a\nb")
+    save_dataset(ds, tmp_path)
+    path = tmp_path / "a\nb.eval.csv"
+    path.write_text(path.read_text().replace("1.0,1.0", "x,1.0"))
+    with pytest.raises(ParseError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{path}:7: non-numeric feature value"
 
 
 def _header_only_dataset():
@@ -691,3 +725,19 @@ def test_data_does_not_import_the_training_module():
             module = ".".join(p for p in (base, node.module) if p)
             imported |= {module} | {f"{module}.{alias.name}" for alias in node.names}
     assert not {m for m in imported if m.startswith("ditto.adaptation")}
+
+
+def test_only_the_data_module_imports_csv():
+    # every CSV file goes through `write_csv` and `csv_records`, the one dialect
+    importers = set()
+    for path in Path(ditto.data.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                modules = {node.module}
+            else:
+                continue
+            if modules & {"csv", "_csv"}:
+                importers.add(path.name)
+    assert importers == {"data.py"}

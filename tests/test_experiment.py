@@ -9,11 +9,14 @@ import numpy as np
 import pytest
 
 from ditto import (
+    DomainDataset,
     DomainSpec,
+    DomainSplits,
     EncoderSpec,
     ExperimentConfig,
     MixtureSpec,
     Rng,
+    Rows,
     SizeSpec,
     TrainConfig,
     TrainVariant,
@@ -36,7 +39,7 @@ from ditto.experiment import (
     export_features,
     write_report_jsonl,
 )
-from ditto.model import extract_features
+from ditto.model import ModelBundle, extract_features
 
 from conftest import make_dataset
 
@@ -224,6 +227,26 @@ def test_export_features_round_trip(grid_out, tmp_path):
     assert abs(linear_cka(src, far) - direct) < 1e-9
 
 
+def test_export_features_bytes_pinned(tmp_path):
+    # relu features of hand-set weights, exact in float64; the source first
+    bundle = ModelBundle(EncoderSpec(input_dim=2, hidden_dims=[2], activation="relu"), 3,
+                         ["t"])
+    bundle.store["encoder.layer0.W"].value[...] = [[0.5, -1.0], [0.25, 3.0]]
+    bundle.store["encoder.layer0.b"].value[...] = [[0.1, 0.0]]
+    X = np.array([[1.0, 2.0], [-1.0, 0.5]])
+    splits = lambda X: DomainSplits(labeled=Rows(X, [0, 2]), unlabeled=X,
+                                    fewshot=Rows(X, [0, 2]), eval=Rows(X, [0, 2]))
+    dataset = DomainDataset(source="s,q", domains={"t": splits(X[::-1].copy()),
+                                                   "s,q": splits(X)})
+    export_features(bundle, dataset, tmp_path / "features.csv")
+    assert (tmp_path / "features.csv").read_bytes() == (
+        b"domain,row_index,class_label_or_empty,f0,f1\n"
+        b'"s,q",0,0,1.1,5.0\n'
+        b'"s,q",1,2,0.0,2.5\n'
+        b"t,0,0,0.0,2.5\n"
+        b"t,1,2,1.1,5.0\n")
+
+
 def test_metrics_jsonl_schema(tmp_path):
     dataset = make_dataset()
     _, report = train(TRAIN_CFG, dataset, TrainVariant.parse("baseline", 1.0, 0.0), 0)
@@ -349,6 +372,26 @@ def _corrupt_csv(run_dir, data_dir):
     return "rot30.eval.csv:1"
 
 
+def _csv_field_too_large(run_dir, data_dir):
+    path = data_dir / "rot30.eval.csv"
+    lines = path.read_bytes().split(b"\n")
+    lines[2] = lines[2] + b"1" * 140_000  # one feature of the second row grows
+    path.write_bytes(b"\r\n".join(lines))
+    return "rot30.eval.csv:3: field larger than field limit (131072)"
+
+
+def _csv_undecodable(run_dir, data_dir):
+    path = data_dir / "rot30.eval.csv"
+    path.write_bytes(path.read_bytes().replace(b"\nrot30,", b"\nrot3\xe9,", 1))
+    return "rot30.eval.csv: cannot decode b'\\xe9'"
+
+
+def _model_is_a_directory(run_dir, data_dir):
+    (run_dir / "model.npz").unlink()
+    (run_dir / "model.npz").mkdir()
+    return "model.npz"
+
+
 def _manifest_not_json(run_dir, data_dir):
     (data_dir / "manifest.json").write_text("{not json")
     return "manifest.json: not valid JSON"
@@ -372,11 +415,13 @@ def _model_without_meta(run_dir, data_dir):
 
 
 @pytest.mark.parametrize("spoil", [_drop_classifier_weight, _drop_manifest, _corrupt_csv,
+                                   _csv_field_too_large, _csv_undecodable,
                                    _manifest_not_json, _manifest_empty, _model_not_npz,
-                                   _model_without_meta],
+                                   _model_without_meta, _model_is_a_directory],
                          ids=["checkpoint_missing_param", "no_manifest", "bad_csv",
+                              "csv_field_too_large", "csv_undecodable",
                               "manifest_not_json", "manifest_empty", "model_not_npz",
-                              "model_without_meta"])
+                              "model_without_meta", "model_is_a_directory"])
 def test_cli_eval_bad_input_is_one_line_error(cli_config, tmp_path, capsys, spoil):
     data_dir, run_dir = tmp_path / "data", tmp_path / "run"
     assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
@@ -425,6 +470,7 @@ MALFORMED = {
                          "experiment.cost.c_u"),
     "rho_grid": ("experiment", lambda e: e.update(rho_grid=[0.01, 0.05]),
                  "experiment.rho_grid"),
+    "out_dir": ("experiment", lambda e: e.update(out_dir="results"), "experiment.out_dir"),
     "no_base": ("dataset", lambda d: d.pop("base"), "dataset.base"),
     "no_eval_size": ("dataset", lambda d: d["domains"][1]["sizes"].pop("eval"),
                      "dataset.domains[1].sizes"),
@@ -578,6 +624,14 @@ def test_cli_bad_config_file_is_one_line_error(tmp_path, capsys, text, named):
     assert named in err
 
 
+def test_cli_config_that_is_a_directory_is_one_line_error(tmp_path, capsys):
+    capsys.readouterr()
+    assert main(["generate", "--config", str(tmp_path), "--out", str(tmp_path / "d")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"Is a directory: '{tmp_path}'" in err
+
+
 def test_criterion_10_config_parses_as_before():
     from ditto.experiment import DatasetConfig
     experiment = {
@@ -604,8 +658,7 @@ def test_criterion_10_config_parses_as_before():
                           num_classes=3, epochs=3, batch_size=32, lr=0.02, disc_lr=0.1,
                           weight_decay=0.0, adv_source_from_unlabeled=False),
         variants=["baseline", "ditto", "ditto_minus_sam"], lam=0.25, rho=0.05,
-        seeds=[0, 1], source_fractions=[100, 10], ks=[0, 4], c_s=3.0, c_t_over_s=1.0,
-        out_dir="results")
+        seeds=[0, 1], source_fractions=[100, 10], ks=[0, 4], c_s=3.0, c_t_over_s=1.0)
     assert dataset_from_dict(dataset) == DatasetConfig(
         base=MixtureSpec(means=[[0.0, 1.8], [3.0, 0.0], [-3.44, -2.409]], sigma=0.55),
         domains=[

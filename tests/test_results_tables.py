@@ -15,6 +15,7 @@ import ditto.experiment
 from ditto import EncoderSpec, ExperimentConfig, TrainConfig, analyze_results
 from ditto.analysis import EvalTable, write_cka_csv, write_eval_csv
 from ditto.cli import main
+from ditto.errors import DataError
 from ditto.experiment import write_cost_csv, write_summaries
 
 DOMAINS = ("src", "t1", "t2", "t3")
@@ -240,6 +241,19 @@ def _eval_csv_bad_number(results):
     return "ditto/seed1/eval.csv:7: 'sixty-six' is not a number"
 
 
+def _eval_csv_field_too_large(results):
+    path = _ditto_seed1(results) / "eval.csv"
+    text = path.read_text().replace("66.00", "6" * 140_000, 1).replace("\n", "\r\n")
+    path.write_bytes(text.encode())
+    return "ditto/seed1/eval.csv:7: field larger than field limit (131072)"
+
+
+def _eval_csv_undecodable(results):
+    path = _ditto_seed1(results) / "eval.csv"
+    path.write_bytes(path.read_bytes().replace(b"\nt3,ditto,", b"\nt3,ditt\xe9,", 1))
+    return "ditto/seed1/eval.csv: cannot decode b'\\xe9'"
+
+
 def _eval_csv_no_target(results):
     path = _ditto_seed1(results) / "eval.csv"
     lines = path.read_text().splitlines(keepends=True)
@@ -266,7 +280,8 @@ def _cka_csv_no_target(results):
 
 SPOILERS = [_run_json_not_json, _run_json_not_object, _run_json_no_targets,
             _run_json_elsewhere, _eval_csv_short_row, _eval_csv_bad_number,
-            _eval_csv_no_target, _eval_csv_empty]
+            _eval_csv_field_too_large, _eval_csv_undecodable, _eval_csv_no_target,
+            _eval_csv_empty]
 
 
 @pytest.mark.parametrize("spoil", SPOILERS + [_cka_csv_short_row, _cka_csv_no_target],
@@ -278,6 +293,14 @@ def test_analyze_corrupt_artifact_is_one_line_error(results, tmp_path, capsys, s
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def test_analyze_corrupt_cka_csv_leaves_no_tables(results, tmp_path):
+    # the corrupt run sorts after finished runs whose rows come first
+    named = _cka_csv_short_row(results)
+    with pytest.raises(DataError, match=named):
+        analyze_results(results, tmp_path / "a")
+    assert not (tmp_path / "a").exists()
 
 
 @pytest.mark.parametrize("spoil", SPOILERS, ids=lambda f: f.__name__[1:])
