@@ -262,12 +262,15 @@ def _number(path, lineno: int, text: str) -> float:
 
 def read_eval_csv(path) -> tuple[EvalTable, dict[tuple[str, str], str]]:
     """Load a write_eval_csv file; returns the table (source unknown -> '')
-    and the raw relative_gain strings.  A malformed file raises DataError
-    naming it (and the line, for a bad row)."""
+    and the raw relative_gain strings.  A malformed file, or one that repeats
+    a (method, domain) pair, raises DataError naming it (and the line, for a
+    bad row)."""
     entries: dict[tuple[str, str], float] = {}
     gains: dict[tuple[str, str], str] = {}
     for lineno, (domain, method, acc, gain) in _csv_body(
             path, ["domain", "method", "accuracy", "relative_gain"], "eval"):
+        if (method, domain) in entries:
+            raise DataError(f"{path}:{lineno}: a second {method} row for domain {domain!r}")
         entries[(method, domain)] = _number(path, lineno, acc)
         gains[(method, domain)] = gain
     return EvalTable(source="", entries=entries), gains
@@ -282,7 +285,11 @@ def write_cka_csv(ckas: dict[str, float], accuracies: dict[str, float], path) ->
 
 def read_cka_csv(path) -> dict[str, tuple[float, float]]:
     """Load a write_cka_csv file as {domain: (cka, accuracy)}; a malformed
-    file raises DataError naming it (and the line, for a bad row)."""
-    return {domain: (_number(path, lineno, cka), _number(path, lineno, acc))
-            for lineno, (domain, cka, acc) in _csv_body(path, ["domain", "cka", "accuracy"],
-                                                        "CKA")}
+    file, or one that repeats a domain, raises DataError naming it (and the
+    line, for a bad row)."""
+    rows: dict[str, tuple[float, float]] = {}
+    for lineno, (domain, cka, acc) in _csv_body(path, ["domain", "cka", "accuracy"], "CKA"):
+        if domain in rows:
+            raise DataError(f"{path}:{lineno}: a second row for domain {domain!r}")
+        rows[domain] = (_number(path, lineno, cka), _number(path, lineno, acc))
+    return rows

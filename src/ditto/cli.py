@@ -4,7 +4,8 @@ Subcommands:
 
     generate   synthesize a multi-domain dataset and write it as CSV splits
     train      train one variant on one seed and write its run artifacts
-    eval       score a saved checkpoint on every domain's eval split
+    eval       score a saved checkpoint on every domain's eval split (reads
+               only the manifest and the eval split files)
     analyze    aggregate per-run artifacts into analysis/correlation tables
     cost       annotation cost table for a finished results directory
     run-all    generate (or load) data, run the full grid, then analyze
@@ -140,7 +141,10 @@ def _train(args) -> int:
 
 def _eval(args) -> int:
     bundle = load_checkpoint(args.model)
-    dataset = load_dataset(args.data)
+    dataset = load_dataset(args.data, splits=("eval",))
+    misfit = dataset.misfit(bundle.spec.input_dim, bundle.num_classes)
+    if misfit:
+        raise DataError(f"{args.model}: checkpoint {' '.join(misfit)}")
     table = zero_shot_eval(bundle, dataset, method=args.method)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_eval_csv(table, args.out)

@@ -45,6 +45,18 @@ from .rng import Rng
 SPLITS = ("labeled", "unlabeled", "fewshot", "eval")
 
 
+def _check_splits(splits) -> None:
+    """Raise a ParameterError unless `splits` names one or more of SPLITS,
+    each once."""
+    if not isinstance(splits, (tuple, list)) or not splits:
+        raise ParameterError(f"splits must name one or more of {SPLITS}, got {splits!r}")
+    for i, split in enumerate(splits):
+        if split not in SPLITS:
+            raise ParameterError(f"unknown split {split!r}; splits are {SPLITS}")
+        if split in splits[:i]:
+            raise ParameterError(f"splits names {split!r} twice")
+
+
 def _is_finite_number(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
 
@@ -151,26 +163,46 @@ class DomainDataset:
     def feature_dim(self) -> int:
         return self.domains[self.source].eval.X.shape[1]
 
-    def validate(self) -> "DomainDataset":
+    def validate(self, splits: tuple[str, ...] = SPLITS) -> "DomainDataset":
+        """Check every split's width and values; then that each of `splits`
+        holds what training or scoring needs: labeled source rows, unlabeled
+        target rows, labeled eval rows in every domain.  A split left out of
+        `splits` (one `load_dataset` did not read) may be empty."""
+        _check_splits(splits)
         if self.source not in self.domains:
             raise DataError(f"source domain {self.source!r} missing from dataset")
+        if "labeled" in splits and self.domains[self.source].labeled.n == 0:
+            raise DataError(f"source domain {self.source!r} has no labeled rows")
         dim = self.feature_dim
-        for dom, splits in self.domains.items():
-            for tag, X in (("labeled", splits.labeled.X), ("unlabeled", splits.unlabeled),
-                           ("fewshot", splits.fewshot.X), ("eval", splits.eval.X)):
+        for dom, parts in self.domains.items():
+            for tag, X in (("labeled", parts.labeled.X), ("unlabeled", parts.unlabeled),
+                           ("fewshot", parts.fewshot.X), ("eval", parts.eval.X)):
                 if X.shape[1] != dim and X.shape[0] > 0:
                     raise DataError(f"domain {dom!r} split {tag} has {X.shape[1]} "
                                     f"feature columns, expected {dim}")
                 if not np.isfinite(X).all():
                     raise DataError(f"domain {dom!r} split {tag} has a non-finite "
                                     f"feature value")
-            if splits.eval.n == 0 or splits.eval.y is None:
+            if "eval" in splits and (parts.eval.n == 0 or parts.eval.y is None):
                 raise DataError(f"domain {dom!r} needs a labeled, non-empty eval split")
-            if dom != self.source and splits.unlabeled.shape[0] == 0:
+            if "unlabeled" in splits and dom != self.source and parts.unlabeled.shape[0] == 0:
                 raise DataError(f"target domain {dom!r} has an empty unlabeled split")
-        if self.domains[self.source].labeled.n == 0:
-            raise DataError(f"source domain {self.source!r} has no labeled rows")
         return self
+
+    def misfit(self, input_dim: int, num_classes: int) -> tuple[str, str] | None:
+        """Why a model with `input_dim` inputs and `num_classes` classes cannot
+        take this dataset, as (the model field at fault, the reason); None when
+        it fits."""
+        if self.feature_dim != input_dim:
+            return "input_dim", (f"{input_dim} does not match the dataset's "
+                                 f"{self.feature_dim} feature columns")
+        for dom, parts in self.domains.items():
+            for tag, rows in (("labeled", parts.labeled), ("fewshot", parts.fewshot),
+                              ("eval", parts.eval)):
+                if rows.y is not None and rows.n and rows.y.max() >= num_classes:
+                    return "num_classes", (f"{num_classes} is too few for label "
+                                           f"{rows.y.max()} of domain {dom!r} split {tag}")
+        return None
 
 
 # ---------------------------------------------------------------------------
@@ -533,13 +565,18 @@ def read_json_object(path: str | Path, error: type[Exception] = DataError) -> di
     return obj
 
 
-def load_dataset(path: str | Path) -> DomainDataset:
+def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDataset:
     """Load a dataset directory written by save_dataset; validates invariants.
 
-    A manifest that is not a JSON object with a string `source`, a list of
-    valid domain ids `domains` and a positive integer `feature_dim` raises
-    DataError naming it.
+    Reads `manifest.json`, then the file of each domain's split named in
+    `splits` (all four by default; `("eval",)` is what scoring needs).  A
+    split not read is an empty block of the manifest's width, and the files
+    of such splits are never opened.  A manifest that is not a JSON object
+    with a string `source`, a list of valid domain ids `domains` and a
+    positive integer `feature_dim` raises DataError naming it; `splits` that
+    is empty, repeats a split or names an unknown one raises ParameterError.
     """
+    _check_splits(splits)
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.exists():
@@ -561,18 +598,21 @@ def load_dataset(path: str | Path) -> DomainDataset:
     for dom in ids:
         parts = {}
         for split in SPLITS:
+            labeled = split != "unlabeled"
+            if split not in splits:
+                parts[split] = np.empty((0, dim)), (np.empty(0, np.int64) if labeled else None)
+                continue
             split_path = root / f"{dom}.{split}.csv"
             if not split_path.exists():
                 raise DataError(f"missing split file {split_path}")
-            parts[split] = _parse_split_file(split_path, dom, split, dim,
-                                             labeled=(split != "unlabeled"))
+            parts[split] = _parse_split_file(split_path, dom, split, dim, labeled)
         domains[dom] = DomainSplits(
             labeled=Rows(*parts["labeled"]),
             unlabeled=parts["unlabeled"][0],
             fewshot=Rows(*parts["fewshot"]),
             eval=Rows(*parts["eval"]),
         )
-    return DomainDataset(source=source, domains=domains).validate()
+    return DomainDataset(source=source, domains=domains).validate(splits)
 
 
 def subsample_source(dataset: DomainDataset, fraction: int, rng: Rng) -> DomainDataset:

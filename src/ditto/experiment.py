@@ -299,16 +299,11 @@ class Cell:
 
     def __init__(self, config: ExperimentConfig, dataset: DomainDataset,
                  frac: int, k: int, seed: int):
-        dim, classes = config.train.encoder.input_dim, config.train.num_classes
-        if dataset.feature_dim != dim:
-            raise ConfigError(f"experiment.encoder.input_dim: {dim} does not match the "
-                              f"dataset's {dataset.feature_dim} feature columns")
-        for dom, splits in dataset.domains.items():
-            for tag, rows in (("labeled", splits.labeled), ("fewshot", splits.fewshot),
-                              ("eval", splits.eval)):
-                if rows.y is not None and rows.n and rows.y.max() >= classes:
-                    raise ConfigError(f"experiment.num_classes: {classes} is too few for "
-                                      f"label {rows.y.max()} of domain {dom!r} split {tag}")
+        misfit = dataset.misfit(config.train.encoder.input_dim, config.train.num_classes)
+        if misfit:
+            name, reason = misfit
+            key = "encoder.input_dim" if name == "input_dim" else name
+            raise ConfigError(f"experiment.{key}: {reason}")
         self.config = config
         self.seed = seed
         ds = subsample_source(dataset, frac, Rng(seed).child("subsample"))

@@ -323,6 +323,68 @@ def test_missing_split_file(tmp_path):
         load_dataset(tmp_path)
 
 
+# --- reading some of the splits ------------------------------------------------
+
+
+def _split_blocks(ds, dom):
+    parts = ds.domains[dom]
+    return {"labeled": (parts.labeled.X, parts.labeled.y), "unlabeled": (parts.unlabeled, None),
+            "fewshot": (parts.fewshot.X, parts.fewshot.y), "eval": (parts.eval.X, parts.eval.y)}
+
+
+@pytest.mark.parametrize("splits", [("eval",), ("labeled", "eval"), ("eval", "unlabeled"),
+                                    ("fewshot", "labeled", "unlabeled", "eval")])
+def test_load_named_splits_only(tmp_path, splits):
+    save_dataset(two_domain(), tmp_path)
+    full = load_dataset(tmp_path)
+    for dom in full.domains:
+        for split in set(ditto.data.SPLITS) - set(splits):
+            (tmp_path / f"{dom}.{split}.csv").unlink()  # a split not named is never opened
+    part = load_dataset(tmp_path, splits=splits)
+    assert part.source == full.source and list(part.domains) == list(full.domains)
+    for dom in full.domains:
+        want, got = _split_blocks(full, dom), _split_blocks(part, dom)
+        for split, (X, y) in got.items():
+            assert X.dtype == np.float64 and X.flags["C_CONTIGUOUS"]
+            if split in splits:  # bit for bit what a full load reads
+                assert X.shape == want[split][0].shape and X.tobytes() == want[split][0].tobytes()
+                assert y is None if split == "unlabeled" else y.tobytes() == want[split][1].tobytes()
+            else:  # an empty block of the manifest's width, never None
+                assert X.shape == (0, 2)
+                assert y is None if split == "unlabeled" else (y.dtype, y.shape) == (np.int64, (0,))
+
+
+@pytest.mark.parametrize("splits,named", [
+    ((), "splits must name one or more"),
+    ("eval", "splits must name one or more"),
+    (("eval", "eval"), "splits names 'eval' twice"),
+    (("eval", "test"), "unknown split 'test'"),
+], ids=["empty", "a_string", "repeated", "unknown"])
+def test_load_rejects_bad_splits(tmp_path, splits, named):
+    save_dataset(two_domain(), tmp_path)
+    with pytest.raises(ParameterError, match=re.escape(named)):
+        load_dataset(tmp_path, splits=splits)
+
+
+def test_partial_load_keeps_the_manifest_checks(tmp_path):
+    save_dataset(two_domain(), tmp_path)
+    (tmp_path / "manifest.json").write_text(
+        '{"source": "x", "domains": ["s", "t"], "feature_dim": 2}')
+    with pytest.raises(DataError, match="source domain 'x' missing from dataset"):
+        load_dataset(tmp_path, splits=("eval",))
+
+
+def test_eval_only_dataset_fails_training_validation(tmp_path):
+    save_dataset(two_domain(), tmp_path)
+    ds = load_dataset(tmp_path, splits=("eval",))
+    with pytest.raises(DataError, match="source domain 's' has no labeled rows"):
+        ds.validate()
+    cfg = TrainConfig(encoder=EncoderSpec(input_dim=2, hidden_dims=[4]), num_classes=3,
+                      epochs=1)
+    with pytest.raises(DataError, match="source domain 's' has no labeled rows"):
+        train(cfg, ds, TrainVariant.parse("baseline"), 0)
+
+
 def test_parse_error_empty_file(tmp_path):
     with pytest.raises(ParseError, match=r"s\.labeled\.csv:1"):
         _write_and_load(tmp_path, "s.labeled.csv", "")

@@ -414,14 +414,28 @@ def _model_without_meta(run_dir, data_dir):
     return "model.npz: no '__meta__' entry"
 
 
+def _model_wider_input(run_dir, data_dir):
+    spec = EncoderSpec(input_dim=3, hidden_dims=[16, 8])
+    save_checkpoint(init_params(spec, 3, ["rot30", "rot60"], Rng(0)), run_dir / "model.npz")
+    return "model.npz: checkpoint input_dim 3 does not match the dataset's 2 feature columns"
+
+
+def _model_fewer_classes(run_dir, data_dir):
+    spec = EncoderSpec(input_dim=2, hidden_dims=[16, 8])
+    save_checkpoint(init_params(spec, 2, ["rot30", "rot60"], Rng(0)), run_dir / "model.npz")
+    return "model.npz: checkpoint num_classes 2 is too few for label 2 of domain 'src' split eval"
+
+
 @pytest.mark.parametrize("spoil", [_drop_classifier_weight, _drop_manifest, _corrupt_csv,
                                    _csv_field_too_large, _csv_undecodable,
                                    _manifest_not_json, _manifest_empty, _model_not_npz,
-                                   _model_without_meta, _model_is_a_directory],
+                                   _model_without_meta, _model_is_a_directory,
+                                   _model_wider_input, _model_fewer_classes],
                          ids=["checkpoint_missing_param", "no_manifest", "bad_csv",
                               "csv_field_too_large", "csv_undecodable",
                               "manifest_not_json", "manifest_empty", "model_not_npz",
-                              "model_without_meta", "model_is_a_directory"])
+                              "model_without_meta", "model_is_a_directory",
+                              "model_input_dim_misfit", "model_num_classes_misfit"])
 def test_cli_eval_bad_input_is_one_line_error(cli_config, tmp_path, capsys, spoil):
     data_dir, run_dir = tmp_path / "data", tmp_path / "run"
     assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
@@ -437,6 +451,67 @@ def test_cli_eval_bad_input_is_one_line_error(cli_config, tmp_path, capsys, spoi
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+def _data_and_checkpoint(cli_config, tmp_path):
+    """A generated dataset directory and a fitting untrained checkpoint."""
+    data_dir, model = tmp_path / "data", tmp_path / "model.npz"
+    assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
+    spec = EncoderSpec(**json.loads(cli_config.read_text())["experiment"]["encoder"])
+    save_checkpoint(init_params(spec, 3, ["rot30", "rot60"], Rng(0)), model)
+    return data_dir, model
+
+
+def _spoil_training_splits(data_dir):
+    """Break a file of each training split; every eval split stays intact."""
+    (data_dir / "rot30.labeled.csv").unlink()
+    (data_dir / "src.unlabeled.csv").write_text("not,a,header\n")
+    path = data_dir / "rot60.fewshot.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    lines[1] = lines[1].rsplit(",", 1)[0] + ",nan\n"
+    path.write_text("".join(lines))
+
+
+def test_cli_eval_ignores_broken_training_splits(cli_config, tmp_path):
+    data_dir, model = _data_and_checkpoint(cli_config, tmp_path)
+    argv = ["eval", "--model", str(model), "--data", str(data_dir), "--out"]
+    assert main(argv + [str(tmp_path / "intact.csv")]) == 0
+    _spoil_training_splits(data_dir)
+    assert main(argv + [str(tmp_path / "spoiled.csv")]) == 0
+    assert (tmp_path / "spoiled.csv").read_bytes() == (tmp_path / "intact.csv").read_bytes()
+
+
+@pytest.mark.parametrize("command", ["train", "run-all"])
+def test_cli_training_still_reads_every_split(cli_config, tmp_path, capsys, command):
+    data_dir, _ = _data_and_checkpoint(cli_config, tmp_path)
+    _spoil_training_splits(data_dir)
+    capsys.readouterr()
+    assert main([command, "--config", str(cli_config), "--data", str(data_dir),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data_dir / 'src.unlabeled.csv'}:1: bad header ['not', 'a', 'header']..., "
+        f"expected domain,split,label,f0..f1\n")
+
+
+def test_cli_eval_parses_one_split_file_per_domain(cli_config, tmp_path, monkeypatch):
+    import ditto.data
+
+    data_dir, model = _data_and_checkpoint(cli_config, tmp_path)
+    parsed = []
+    parse = ditto.data._parse_split_file
+
+    def counted(path, domain, split, dim, labeled):
+        parsed.append((domain, split))
+        return parse(path, domain, split, dim, labeled)
+
+    monkeypatch.setattr(ditto.data, "_parse_split_file", counted)
+    assert main(["eval", "--model", str(model), "--data", str(data_dir),
+                 "--out", str(tmp_path / "eval.csv")]) == 0
+    assert parsed == [("src", "eval"), ("rot30", "eval"), ("rot60", "eval")]
+    parsed.clear()
+    ditto.data.load_dataset(data_dir)
+    assert parsed == [(dom, split) for dom in ("src", "rot30", "rot60")
+                      for split in ("labeled", "unlabeled", "fewshot", "eval")]
 
 
 def test_cli_run_all_respects_variant_restriction(cli_config, tmp_path):

@@ -266,10 +266,22 @@ def _eval_csv_empty(results):
     return "ditto/seed1/eval.csv: unexpected eval CSV header None"
 
 
+def _eval_csv_repeated_row(results):
+    with open(_ditto_seed1(results) / "eval.csv", "a") as fh:
+        fh.write("t1,ditto,50.00,\n")  # the run's t1 row says 66.00
+    return "ditto/seed1/eval.csv:10: a second ditto row for domain 't1'"
+
+
 def _cka_csv_short_row(results):
     with open(_ditto_seed1(results) / "cka.csv", "a") as fh:
         fh.write("t4,0.5\n")
     return "ditto/seed1/cka.csv:5: expected 3 columns, got 2"
+
+
+def _cka_csv_repeated_row(results):
+    with open(_ditto_seed1(results) / "cka.csv", "a") as fh:
+        fh.write("t1,0.500000,90.00\n")
+    return "ditto/seed1/cka.csv:5: a second row for domain 't1'"
 
 
 def _cka_csv_no_target(results):
@@ -281,10 +293,11 @@ def _cka_csv_no_target(results):
 SPOILERS = [_run_json_not_json, _run_json_not_object, _run_json_no_targets,
             _run_json_elsewhere, _eval_csv_short_row, _eval_csv_bad_number,
             _eval_csv_field_too_large, _eval_csv_undecodable, _eval_csv_no_target,
-            _eval_csv_empty]
+            _eval_csv_empty, _eval_csv_repeated_row]
 
 
-@pytest.mark.parametrize("spoil", SPOILERS + [_cka_csv_short_row, _cka_csv_no_target],
+@pytest.mark.parametrize("spoil", SPOILERS + [_cka_csv_short_row, _cka_csv_no_target,
+                                              _cka_csv_repeated_row],
                          ids=lambda f: f.__name__[1:])
 def test_analyze_corrupt_artifact_is_one_line_error(results, tmp_path, capsys, spoil):
     named = spoil(results)
