@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -312,9 +312,9 @@ def domain_accuracies(bundle: ModelBundle, datasets: DomainDataset) -> dict[str,
     out = {}
     for dom in [datasets.source] + datasets.target_ids():
         rows = datasets.domains[dom].eval
-        if rows.n == 0 or rows.y is None:
+        if rows.n == 0:
             raise DataError(f"domain {dom!r} has no labeled eval rows")
-        if rows.y.max() >= bundle.num_classes or rows.y.min() < 0:
+        if rows.y.max() >= bundle.num_classes:
             raise LabelError(f"domain {dom!r} eval labels exceed "
                              f"{bundle.num_classes} classes")
         pred = np.argmax(predict_logits(bundle, rows.X), axis=1)
@@ -367,12 +367,15 @@ def train(
 
     The kind's prior source in `VARIANTS` decides the prior: "baseline" needs
     the caller's (from a baseline's zero-shot scores), "uniform" and "single"
-    build theirs here, and None takes none.
+    build theirs here, and None takes none.  A `prior` passed to a kind
+    whose source is not "baseline" is a ConfigError.
     """
     started = time.perf_counter()
     datasets.validate()
     targets = datasets.target_ids()
     source = VARIANTS[variant.kind][2]
+    if prior is not None and source != "baseline":
+        raise ConfigError(f"variant {variant.kind!r} takes no target prior from the caller")
     if source == "single":
         if variant.single_target not in targets:
             raise ConfigError(f"single target {variant.single_target!r} not in "
@@ -459,13 +462,10 @@ def few_shot_augment(datasets: DomainDataset, k: int, rng: Rng) -> DomainDataset
     xs, ys = [src.labeled.X], [src.labeled.y]
     for t in datasets.target_ids():
         pool = datasets.domains[t].fewshot
-        if pool.n < k or pool.y is None:
+        if pool.n < k:
             raise DataError(f"target {t!r} few-shot pool has {pool.n} labeled rows, "
                             f"need {k}")
         idx = rng.choice_without_replacement(pool.n, k)
         xs.append(pool.X[idx])
         ys.append(pool.y[idx])
-    augmented = Rows(np.vstack(xs), np.concatenate(ys))
-    domains = dict(datasets.domains)
-    domains[datasets.source] = replace(src, labeled=augmented)
-    return DomainDataset(source=datasets.source, domains=domains)
+    return datasets.with_source_labeled(Rows(np.vstack(xs), np.concatenate(ys)))

@@ -111,7 +111,10 @@ class EvalTable:
         self.entries[(method, domain)] = float(accuracy)
 
     def get(self, method: str, domain: str) -> float:
-        return self.entries[(method, domain)]
+        try:
+            return self.entries[(method, domain)]
+        except KeyError:
+            raise DataError(f"no accuracy of method {method!r} on domain {domain!r}") from None
 
     def methods(self) -> list[str]:
         return sorted({m for m, _ in self.entries})

@@ -43,6 +43,7 @@ from .errors import ConfigError, DataError, ParameterError, ParseError
 from .rng import Rng
 
 SPLITS = ("labeled", "unlabeled", "fewshot", "eval")
+_MAX_LABEL = np.iinfo(np.int64).max
 
 
 def _check_splits(splits) -> None:
@@ -116,20 +117,23 @@ def _check_transform(transform: dict, owner: str = "") -> None:
 
 @dataclass
 class Rows:
-    """A block of feature rows with optional integer class labels."""
+    """A block of feature rows with their integer class labels (>= 0)."""
 
     X: np.ndarray
-    y: np.ndarray | None = None
+    y: np.ndarray
 
     def __post_init__(self):
         self.X = np.asarray(self.X, dtype=np.float64)
         if self.X.ndim != 2:
             raise DataError(f"feature rows must be 2-D, got shape {self.X.shape}")
-        if self.y is not None:
-            self.y = np.asarray(self.y, dtype=np.int64)
-            if self.y.shape != (self.X.shape[0],):
-                raise DataError(f"labels length {self.y.shape} does not match "
-                                f"{self.X.shape[0]} rows")
+        y = np.asarray(self.y)
+        if y.shape != (self.X.shape[0],):
+            raise DataError(f"labels length {y.shape} does not match {self.X.shape[0]} rows")
+        if y.size and y.dtype.kind not in "iu":
+            raise DataError(f"labels must be integers, got {y.dtype} values")
+        if y.size and (y.min() < 0 or y.max() > _MAX_LABEL):
+            raise DataError(f"labels must be >= 0 and fit in int64, got {y.min()}..{y.max()}")
+        self.y = y.astype(np.int64, copy=False)
 
     @property
     def n(self) -> int:
@@ -138,7 +142,7 @@ class Rows:
 
 @dataclass
 class DomainSplits:
-    """The four splits of one domain; unlabeled rows carry no labels."""
+    """The four splits of one domain, in SPLITS order; unlabeled rows carry no labels."""
 
     labeled: Rows
     unlabeled: np.ndarray
@@ -147,6 +151,21 @@ class DomainSplits:
 
     def __post_init__(self):
         self.unlabeled = np.asarray(self.unlabeled, dtype=np.float64)
+        if self.unlabeled.ndim != 2:
+            raise DataError(f"unlabeled rows must be 2-D, got shape {self.unlabeled.shape}")
+
+    @classmethod
+    def from_blocks(cls, blocks: dict[str, tuple]) -> "DomainSplits":
+        """The splits of `{split: (X, y)}`; the unlabeled split's y is ignored."""
+        return cls(**{split: X if split == "unlabeled" else Rows(X, y)
+                      for split, (X, y) in blocks.items()})
+
+    def blocks(self):
+        """(split, X, y) of every split in SPLITS order; y is None for the
+        unlabeled split only."""
+        for split in SPLITS:
+            part = getattr(self, split)
+            yield (split, part, None) if split == "unlabeled" else (split, part.X, part.y)
 
 
 @dataclass
@@ -175,15 +194,14 @@ class DomainDataset:
             raise DataError(f"source domain {self.source!r} has no labeled rows")
         dim = self.feature_dim
         for dom, parts in self.domains.items():
-            for tag, X in (("labeled", parts.labeled.X), ("unlabeled", parts.unlabeled),
-                           ("fewshot", parts.fewshot.X), ("eval", parts.eval.X)):
+            for split, X, _ in parts.blocks():
                 if X.shape[1] != dim and X.shape[0] > 0:
-                    raise DataError(f"domain {dom!r} split {tag} has {X.shape[1]} "
+                    raise DataError(f"domain {dom!r} split {split} has {X.shape[1]} "
                                     f"feature columns, expected {dim}")
                 if not np.isfinite(X).all():
-                    raise DataError(f"domain {dom!r} split {tag} has a non-finite "
+                    raise DataError(f"domain {dom!r} split {split} has a non-finite "
                                     f"feature value")
-            if "eval" in splits and (parts.eval.n == 0 or parts.eval.y is None):
+            if "eval" in splits and parts.eval.n == 0:
                 raise DataError(f"domain {dom!r} needs a labeled, non-empty eval split")
             if "unlabeled" in splits and dom != self.source and parts.unlabeled.shape[0] == 0:
                 raise DataError(f"target domain {dom!r} has an empty unlabeled split")
@@ -197,12 +215,18 @@ class DomainDataset:
             return "input_dim", (f"{input_dim} does not match the dataset's "
                                  f"{self.feature_dim} feature columns")
         for dom, parts in self.domains.items():
-            for tag, rows in (("labeled", parts.labeled), ("fewshot", parts.fewshot),
-                              ("eval", parts.eval)):
-                if rows.y is not None and rows.n and rows.y.max() >= num_classes:
+            for split, _, y in parts.blocks():
+                if y is not None and y.size and y.max() >= num_classes:
                     return "num_classes", (f"{num_classes} is too few for label "
-                                           f"{rows.y.max()} of domain {dom!r} split {tag}")
+                                           f"{y.max()} of domain {dom!r} split {split}")
         return None
+
+    def with_source_labeled(self, rows: Rows) -> "DomainDataset":
+        """This dataset with `rows` as the source's labeled split; every other
+        split is shared with this one."""
+        domains = dict(self.domains)
+        domains[self.source] = replace(domains[self.source], labeled=rows)
+        return DomainDataset(source=self.source, domains=domains)
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +270,7 @@ class SizeSpec:
     eval: int = 0
 
     def __post_init__(self):
-        for name in ("labeled", "unlabeled", "fewshot", "eval"):
+        for name in SPLITS:
             if getattr(self, name) < 0:
                 raise ConfigError(f"split size {name} must be >= 0")
         if self.eval <= 0:
@@ -338,19 +362,16 @@ def generate_synthetic(
         raise ConfigError(f"eval sizes must agree across domains for pairing, "
                           f"got {sorted(eval_sizes)}")
 
-    eval_X, eval_y = _draw_mixture(base, eval_sizes.pop(), rng.child("eval_base"))
+    eval_base = _draw_mixture(base, eval_sizes.pop(), rng.child("eval_base"))
     built: dict[str, DomainSplits] = {}
     for spec in domains:
         dom_rng = rng.child(f"domain.{spec.id}")
-        lab_X, lab_y = _draw_mixture(base, spec.sizes.labeled, dom_rng.child("labeled"))
-        unl_X, _ = _draw_mixture(base, spec.sizes.unlabeled, dom_rng.child("unlabeled"))
-        few_X, few_y = _draw_mixture(base, spec.sizes.fewshot, dom_rng.child("fewshot"))
-        built[spec.id] = DomainSplits(
-            labeled=Rows(apply_transform(lab_X, spec.transform, dom_rng.child("labeled.t")), lab_y),
-            unlabeled=apply_transform(unl_X, spec.transform, dom_rng.child("unlabeled.t")),
-            fewshot=Rows(apply_transform(few_X, spec.transform, dom_rng.child("fewshot.t")), few_y),
-            eval=Rows(apply_transform(eval_X, spec.transform, dom_rng.child("eval.t")), eval_y),
-        )
+        blocks = {}
+        for split in SPLITS:  # each stream comes from its tag, not the draw order
+            X, y = eval_base if split == "eval" else _draw_mixture(
+                base, getattr(spec.sizes, split), dom_rng.child(split))
+            blocks[split] = apply_transform(X, spec.transform, dom_rng.child(f"{split}.t")), y
+        built[spec.id] = DomainSplits.from_blocks(blocks)
     dataset = DomainDataset(source=sources[0].id, domains=built).validate()
     if out_dir is not None:
         save_dataset(dataset, out_dir)
@@ -375,14 +396,8 @@ def save_dataset(dataset: DomainDataset, out_dir: str | Path) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dim = dataset.feature_dim
-    for dom, splits in dataset.domains.items():
-        blocks = {
-            "labeled": (splits.labeled.X, splits.labeled.y),
-            "unlabeled": (splits.unlabeled, None),
-            "fewshot": (splits.fewshot.X, splits.fewshot.y),
-            "eval": (splits.eval.X, splits.eval.y),
-        }
-        for split, (X, y) in blocks.items():
+    for dom, parts in dataset.domains.items():
+        for split, X, y in parts.blocks():
             labels = repeat("", X.shape[0]) if y is None else map(str, y.tolist())
             write_csv(out / f"{dom}.{split}.csv", _header(dim),
                       zip(repeat(dom), repeat(split), labels,
@@ -397,7 +412,6 @@ def save_dataset(dataset: DomainDataset, out_dir: str | Path) -> None:
         fh.write("\n")
 
 
-_MAX_LABEL = np.iinfo(np.int64).max
 # the bytes of a number column of `save_dataset`'s form, plus its separators.
 # numpy's text reader and Python's `int`/`float` accept the same strings over
 # this set, with the same values (floats go through PyOS_string_to_double on
@@ -596,22 +610,16 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
             raise DataError(f"{manifest_path}: 'domains' lists {dom!r} twice")
     domains: dict[str, DomainSplits] = {}
     for dom in ids:
-        parts = {}
+        blocks = {}
         for split in SPLITS:
-            labeled = split != "unlabeled"
             if split not in splits:
-                parts[split] = np.empty((0, dim)), (np.empty(0, np.int64) if labeled else None)
+                blocks[split] = np.empty((0, dim)), np.empty(0, np.int64)
                 continue
             split_path = root / f"{dom}.{split}.csv"
             if not split_path.exists():
                 raise DataError(f"missing split file {split_path}")
-            parts[split] = _parse_split_file(split_path, dom, split, dim, labeled)
-        domains[dom] = DomainSplits(
-            labeled=Rows(*parts["labeled"]),
-            unlabeled=parts["unlabeled"][0],
-            fewshot=Rows(*parts["fewshot"]),
-            eval=Rows(*parts["eval"]),
-        )
+            blocks[split] = _parse_split_file(split_path, dom, split, dim, split != "unlabeled")
+        domains[dom] = DomainSplits.from_blocks(blocks)
     return DomainDataset(source=source, domains=domains).validate(splits)
 
 
@@ -624,11 +632,7 @@ def subsample_source(dataset: DomainDataset, fraction: int, rng: Rng) -> DomainD
         raise ConfigError(f"source fraction must be 1, 10 or 100, got {fraction}")
     if fraction == 100:
         return dataset
-    src = dataset.domains[dataset.source]
-    n = src.labeled.n
-    keep = max(1, (n * fraction) // 100)
-    idx = rng.permutation(n)[:keep]
-    domains = dict(dataset.domains)
-    domains[dataset.source] = replace(
-        src, labeled=Rows(src.labeled.X[idx], src.labeled.y[idx]))
-    return DomainDataset(source=dataset.source, domains=domains)
+    labeled = dataset.domains[dataset.source].labeled
+    keep = max(1, (labeled.n * fraction) // 100)
+    idx = rng.permutation(labeled.n)[:keep]
+    return dataset.with_source_labeled(Rows(labeled.X[idx], labeled.y[idx]))

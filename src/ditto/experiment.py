@@ -272,8 +272,7 @@ def export_features(bundle: ModelBundle, dataset: DomainDataset, path: str | Pat
         split = dataset.domains[dom].eval
         feats = extract_features(bundle, split.X)
         for i in range(feats.shape[0]):
-            label = "" if split.y is None else str(int(split.y[i]))
-            rows.append([dom, i, label] + [repr(float(v)) for v in feats[i]])
+            rows.append([dom, i, str(int(split.y[i]))] + [repr(float(v)) for v in feats[i]])
     write_csv(path, ["domain", "row_index", "class_label_or_empty"]
               + [f"f{i}" for i in range(bundle.feature_dim)], rows)
 

@@ -242,6 +242,16 @@ def test_train_requires_prior_for_weighted_variants(small_dataset):
         train(CFG, small_dataset, TrainVariant.parse("ditto_single:rot99", 1.0, 0.05), 0)
 
 
+@pytest.mark.parametrize("name", [kind + (":rot15" if source == "single" else "")
+                                  for kind, (_, _, source) in VARIANTS.items()
+                                  if source != "baseline"])
+def test_train_rejects_a_prior_for_a_kind_that_takes_none(small_dataset, name):
+    variant = TrainVariant.parse(name, 1.0, 0.05)
+    prior = LanguagePrior.uniform(small_dataset.target_ids())
+    with pytest.raises(ConfigError, match=f"^variant '{variant.kind}' takes no target prior"):
+        train(CFG, small_dataset, variant, 0, prior=prior)
+
+
 def _params_equal(a, b):
     names_a, names_b = a.store.names(), b.store.names()
     if names_a != names_b:

@@ -203,6 +203,19 @@ def test_eval_table_operations():
         t.merge(mismatch)
 
 
+def test_missing_accuracy_is_a_data_error_naming_the_pair(tmp_path):
+    table = EvalTable(source="src")
+    table.add("m", "src", 90.0)
+    table.add("m", "t1", 80.0)
+    path = tmp_path / "eval.csv"
+    write_eval_csv(table, path)
+    loaded, _ = read_eval_csv(path)  # a table read back has source ''
+    with pytest.raises(DataError, match="^no accuracy of method 'm' on domain ''$"):
+        gap_table(loaded)
+    with pytest.raises(DataError, match="^no accuracy of method 'x' on domain 't1'$"):
+        table.get("x", "t1")
+
+
 def test_eval_csv_round_trip(tmp_path):
     table = EvalTable(source="src")
     table.add("baseline", "src", 95.0)

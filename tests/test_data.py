@@ -88,6 +88,44 @@ def test_training_splits_not_paired():
     assert not np.array_equal(ds.domains["s"].labeled.X, ds.domains["t"].labeled.X)
 
 
+# one domain per transform kind
+FIVE_KINDS = [("s", "source", {"kind": "identity"}),
+              ("rot", "target", {"kind": "rotation", "angle": 40.0}),
+              ("shift", "target", {"kind": "translation", "offset": [0.5, -1.0]}),
+              ("perm", "target", {"kind": "permutation", "perm": [1, 0]}),
+              ("noisy", "target", {"kind": "noise", "sigma": 0.3})]
+
+
+def test_generation_loop_matches_the_unrolled_draws_bit_for_bit():
+    """Each split drawn and transformed by hand, one call per split with its
+    own child tags, as the generator did before it walked SPLITS."""
+    base = MixtureSpec(means=MEANS, sigma=0.4)
+    specs = [DomainSpec(id=i, kind=kind, transform=t,
+                        sizes=SizeSpec(labeled=7, unlabeled=11, fewshot=5, eval=13))
+             for i, kind, t in FIVE_KINDS]
+    ds = generate_synthetic(base, specs, Rng(21))
+    draw, rng = ditto.data._draw_mixture, Rng(21)
+    eval_X, eval_y = draw(base, 13, rng.child("eval_base"))
+    for spec in specs:
+        dom_rng = rng.child(f"domain.{spec.id}")
+        lab_X, lab_y = draw(base, 7, dom_rng.child("labeled"))
+        unl_X, _ = draw(base, 11, dom_rng.child("unlabeled"))
+        few_X, few_y = draw(base, 5, dom_rng.child("fewshot"))
+        got = ds.domains[spec.id]
+        for a, b in [
+            (got.labeled.X, apply_transform(lab_X, spec.transform, dom_rng.child("labeled.t"))),
+            (got.labeled.y, lab_y),
+            (got.unlabeled, apply_transform(unl_X, spec.transform, dom_rng.child("unlabeled.t"))),
+            (got.fewshot.X, apply_transform(few_X, spec.transform, dom_rng.child("fewshot.t"))),
+            (got.fewshot.y, few_y),
+            (got.eval.X, apply_transform(eval_X, spec.transform, dom_rng.child("eval.t"))),
+            (got.eval.y, eval_y),
+        ]:
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+    # the noise stream is in play: its eval rows differ from the source's
+    assert not np.array_equal(ds.domains["noisy"].eval.X, ds.domains["s"].eval.X)
+
+
 def test_generate_validation():
     sizes = SizeSpec(labeled=10, unlabeled=10, fewshot=2, eval=10)
     with pytest.raises(ConfigError):  # no source
@@ -128,6 +166,59 @@ def test_mixture_validation():
     with pytest.raises(ConfigError):
         DomainSpec(id="x", kind="both", transform={"kind": "identity"},
                    sizes=SizeSpec(eval=5))
+
+
+# --- containers --------------------------------------------------------------
+
+
+@pytest.mark.parametrize("labels, message", [
+    ([0.7, 1.5, 2.0], "labels must be integers, got float64 values"),
+    ([0.0, 1.0, 2.0], "labels must be integers, got float64 values"),
+    ([True, False, True], "labels must be integers, got bool values"),
+    ([-1, 0, 1], "labels must be >= 0 and fit in int64, got -1..1"),
+    (np.array([0, 1, 2**63], dtype=np.uint64),
+     "labels must be >= 0 and fit in int64, got 0..9223372036854775808"),
+    ([0, 1], "labels length (2,) does not match 3 rows"),
+], ids=["fractional", "whole_floats", "bools", "negative", "past_int64", "short"])
+def test_rows_rejects_labels_that_are_not_class_indices(labels, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        Rows(np.zeros((3, 2)), labels)
+
+
+def test_rows_takes_empty_and_int32_labels_as_int64():
+    empty = Rows(np.empty((0, 2)), [])
+    assert empty.y.dtype == np.int64 and empty.y.shape == (0,)
+    rows = Rows(np.zeros((3, 2)), np.array([2, 0, 1], dtype=np.int32))
+    assert rows.y.dtype == np.int64 and rows.y.tolist() == [2, 0, 1]
+    with pytest.raises(TypeError):  # labels are never optional
+        Rows(np.zeros((3, 2)))
+
+
+def test_domain_splits_rejects_unlabeled_rows_that_are_not_2d():
+    rows = Rows(np.zeros((2, 2)), [0, 1])
+    with pytest.raises(DataError, match=re.escape("unlabeled rows must be 2-D, got shape (4,)")):
+        DomainSplits(labeled=rows, unlabeled=np.zeros(4), fewshot=rows, eval=rows)
+
+
+def test_blocks_walk_the_splits_in_order_and_from_blocks_rebuilds_them():
+    parts = two_domain().domains["t"]
+    blocks = list(parts.blocks())
+    assert [(split, y is None) for split, _, y in blocks] == [
+        ("labeled", False), ("unlabeled", True), ("fewshot", False), ("eval", False)]
+    assert blocks[1][1] is parts.unlabeled and blocks[3][2] is parts.eval.y
+    again = DomainSplits.from_blocks({split: (X, y) for split, X, y in blocks})
+    for (_, X, y), (_, X2, y2) in zip(blocks, again.blocks()):
+        assert X2 is X and y2 is y
+
+
+def test_with_source_labeled_swaps_only_the_source_labeled_rows():
+    ds = two_domain()
+    rows = Rows(np.ones((2, 2)), [1, 0])
+    out = ds.with_source_labeled(rows)
+    assert out.source == "s" and list(out.domains) == ["s", "t"]
+    assert out.domains["s"].labeled is rows and ds.domains["s"].labeled.n == 60
+    assert out.domains["s"].eval is ds.domains["s"].eval
+    assert out.domains["t"] is ds.domains["t"]
 
 
 # --- transforms --------------------------------------------------------------
