@@ -22,7 +22,7 @@ import numpy as np
 
 from .autodiff import Tape, backward
 from .data import DomainDataset, Rows, valid_domain_id
-from .errors import ConfigError, DataError, LabelError, ParameterError
+from .errors import ConfigError, DataError, LabelError, ParameterError, check_fields
 from .model import (
     EncoderSpec,
     ModelBundle,
@@ -61,6 +61,7 @@ class LanguagePrior:
     probs: dict[str, float]
 
     def __post_init__(self):
+        check_fields(self)
         if not self.probs:
             raise ConfigError("prior needs at least one target")
         if any(p < 0 for p in self.probs.values()):
@@ -135,11 +136,12 @@ class TrainVariant:
     single_target: str | None = None
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in VARIANTS:
             raise ConfigError(f"unknown variant kind {self.kind!r}; "
                               f"expected one of {tuple(VARIANTS)}")
         takes_lam, takes_rho, prior = VARIANTS[self.kind]
-        if not self.lam >= 0:  # NaN too
+        if self.lam < 0:
             raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if not takes_lam and self.lam != 0.0:
             raise ConfigError(f"{self.kind} requires lambda = 0, got {self.lam}")
@@ -194,14 +196,17 @@ class TrainConfig:
     adv_source_from_unlabeled: bool = False
 
     def __post_init__(self):
+        check_fields(self)
         if self.num_classes < 2:
             raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (self.lr > 0 and self.disc_lr > 0):  # NaN too
+        if self.lr <= 0 or self.disc_lr <= 0:
             raise ConfigError("learning rates must be positive")
+        if self.weight_decay < 0:  # AdamWConfig's bound, checked before training starts
+            raise ConfigError(f"must be >= 0, got {self.weight_decay}", key="weight_decay")
 
 
 @dataclass

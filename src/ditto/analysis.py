@@ -14,7 +14,8 @@ import numpy as np
 
 from .adaptation import domain_accuracies
 from .data import DomainDataset, csv_records, write_csv
-from .errors import DataError, ParameterError, ShapeError, UndefinedResultError
+from .errors import (DataError, ParameterError, ShapeError, UndefinedResultError,
+                     check_fields, is_finite_number)
 from .model import ModelBundle
 
 CKA_DEGENERATE = 1e-12
@@ -174,6 +175,7 @@ class CostParams:
     num_targets: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         for name in ("c_s", "n_labeled_source", "c_t_over_s", "k", "num_targets"):
             if getattr(self, name) < 0:
                 raise ParameterError(f"{name} must be >= 0")
@@ -258,9 +260,12 @@ def _csv_body(path, header: list[str], what: str):
 
 def _number(path, lineno: int, text: str) -> float:
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
         raise DataError(f"{path}:{lineno}: {text!r} is not a number") from None
+    if not is_finite_number(value):
+        raise DataError(f"{path}:{lineno}: {text!r} is not a finite number")
+    return value
 
 
 def read_eval_csv(path) -> tuple[EvalTable, dict[tuple[str, str], str]]:

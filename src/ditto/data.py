@@ -30,7 +30,6 @@ import io
 import json
 import locale
 import math
-import numbers
 import warnings
 from contextlib import closing
 from dataclasses import dataclass, field, replace
@@ -39,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DataError, ParameterError, ParseError
+from .errors import (ConfigError, DataError, ParameterError, ParseError, check_fields,
+                     is_finite_number, is_integer)
 from .rng import Rng
 
 SPLITS = ("labeled", "unlabeled", "fewshot", "eval")
@@ -58,14 +58,6 @@ def _check_splits(splits) -> None:
             raise ParameterError(f"splits names {split!r} twice")
 
 
-def _is_finite_number(v) -> bool:
-    return isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
-
-
-def _is_index(v) -> bool:
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
-
-
 def valid_domain_id(name) -> bool:
     """Whether `name` can be a domain id.  Ids name dataset files and run
     directories, so an id is a non-empty string with no path separator."""
@@ -80,11 +72,11 @@ def _is_list_of(item):
 # value, what the test wants); `_check_transform` is the one reader
 TRANSFORMS = {
     "identity": (None, None, None),
-    "rotation": ("angle", lambda v: _is_finite_number(v) and 0 <= v < 360,
+    "rotation": ("angle", lambda v: is_finite_number(v) and 0 <= v < 360,
                  "a finite number in [0, 360)"),
-    "translation": ("offset", _is_list_of(_is_finite_number), "a list of finite numbers"),
-    "permutation": ("perm", _is_list_of(_is_index), "a list of integers"),
-    "noise": ("sigma", lambda v: _is_finite_number(v) and v >= 0, "a finite number >= 0"),
+    "translation": ("offset", _is_list_of(is_finite_number), "a list of finite numbers"),
+    "permutation": ("perm", _is_list_of(is_integer), "a list of integers"),
+    "noise": ("sigma", lambda v: is_finite_number(v) and v >= 0, "a finite number >= 0"),
 }
 
 
@@ -241,6 +233,7 @@ class MixtureSpec:
     sigma: float = 0.5
 
     def __post_init__(self):
+        check_fields(self)
         if len(self.means) < 2:
             raise ConfigError(f"need at least 2 classes, got {len(self.means)}")
         dims = {len(m) for m in self.means}
@@ -270,6 +263,7 @@ class SizeSpec:
     eval: int = 0
 
     def __post_init__(self):
+        check_fields(self)
         for name in SPLITS:
             if getattr(self, name) < 0:
                 raise ConfigError(f"split size {name} must be >= 0")
@@ -287,6 +281,7 @@ class DomainSpec:
     sizes: SizeSpec = field(default_factory=SizeSpec)
 
     def __post_init__(self):
+        check_fields(self)
         if not valid_domain_id(self.id):
             raise ConfigError(f"domain id {self.id!r} must be non-empty and contain "
                               f"no '/' or '\\'", key="id")
@@ -602,7 +597,7 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
     if not isinstance(ids, list) or not all(map(valid_domain_id, ids)):
         raise DataError(f"{manifest_path}: 'domains' must be a list of non-empty ids "
                         f"without '/' or '\\', got {ids!r}")
-    if not _is_index(dim) or dim < 1:
+    if not is_integer(dim) or dim < 1:
         raise DataError(f"{manifest_path}: 'feature_dim' must be a positive integer, "
                         f"got {dim!r}")
     for i, dom in enumerate(ids):

@@ -2,8 +2,17 @@
 
 Every failure mode raised by the library is one of these classes, so callers
 can distinguish bad shapes from bad configs from bad data without string
-matching.
+matching.  `check_fields` is the one field rule of every config dataclass.
 """
+
+import json
+import math
+import numbers
+import sys
+import types
+import typing
+from dataclasses import fields
+from functools import cache
 
 
 class ShapeError(ValueError):
@@ -34,13 +43,16 @@ class ConfigError(ValueError):
     """A configuration is internally contradictory or incomplete.
 
     `key` optionally names the offending JSON key path inside the object
-    being built (`"variants[1]"`); the config parser appends it to the
-    object's own path when it reports the error.
+    being built (`"variants[1]"`), and the message starts with it; the
+    config parser appends it to the object's own path.
     """
 
     def __init__(self, message: str, key: str = ""):
         super().__init__(message)
         self.key = key
+
+    def __str__(self) -> str:
+        return f"{self.key}: {self.args[0]}" if self.key else self.args[0]
 
 
 class ParseError(ValueError):
@@ -54,3 +66,62 @@ class UndefinedResultError(ArithmeticError):
 
 class DegenerateGradientError(RuntimeError):
     """Gradient norm too small to normalize; callers skip the perturbation."""
+
+
+def is_integer(v) -> bool:
+    """An int or numpy integer; bool is not a number."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def is_finite_number(v) -> bool:
+    """A real number (numpy scalars too) a float holds finitely; bool is not a number."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        return False
+    return abs(v) <= sys.float_info.max if isinstance(v, numbers.Integral) else math.isfinite(v)
+
+
+_WANTED = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
+           list: "a list", dict: "an object"}
+
+
+@cache
+def config_fields(cls) -> tuple:
+    """(field, JSON key, resolved type) of every field of the dataclass `cls`.
+    The JSON key is the field's name unless its metadata gives a `json` key
+    path: a dotted path nests the key in a sub-object, and "" puts a nested
+    config's keys in the enclosing object."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f, f.metadata.get("json", f.name), hints[f.name]) for f in fields(cls))
+
+
+def check_fields(config) -> None:
+    """Set every field of the config dataclass `config` to `fit` of its value,
+    keyed by its JSON key (its name for a "" key)."""
+    for f, key, tp in config_fields(type(config)):
+        setattr(config, f.name, fit(tp, getattr(config, f.name), key or f.name))
+
+
+def fit(tp, value, key: str):
+    """`value` as a value of the field type `tp` (an int in a float field
+    becomes a float), else a ConfigError keyed `key`.  The one field rule,
+    for a config read from JSON or built in Python alike: bool is not a
+    number; an int field takes no float; a float field takes a finite int or
+    float; list and dict items have their item type (keyed `key[i]` and
+    `key.name`); `X | None` also takes None; a nested config field holds that
+    dataclass; numpy scalars count as int and float."""
+    if (tp is int and is_integer(value)) or (tp is float and is_finite_number(value)):
+        return tp(value)
+    origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # X | None
+        (tp,) = set(args) - {type(None)}
+        return None if value is None else fit(tp, value, key)
+    if tp not in (int, float) and isinstance(value, origin):
+        if origin is list:
+            return [fit(args[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
+        if origin is dict and args:
+            return {fit(args[0], k, key): fit(args[1], v, f"{key}.{k}") for k, v in value.items()}
+        return value
+    finite = tp is float and isinstance(value, numbers.Real) and not isinstance(value, bool)
+    wanted = "a finite number" if finite else _WANTED.get(origin) or f"a {tp.__name__}"
+    raise ConfigError(f"expected {wanted}, got {json.dumps(value, default=repr, skipkeys=True)}",
+                      key=key)

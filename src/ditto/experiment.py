@@ -26,9 +26,8 @@ metrics.jsonl.
 from __future__ import annotations
 
 import json
-import sys
 import typing
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, is_dataclass
 from itertools import product
 from pathlib import Path
 
@@ -59,7 +58,8 @@ from .analysis import (
 )
 from .data import (DomainDataset, DomainSpec, MixtureSpec, read_json_object,
                    subsample_source, write_csv)
-from .errors import ConfigError, DataError, ParameterError, UndefinedResultError
+from .errors import (ConfigError, DataError, ParameterError, UndefinedResultError,
+                     check_fields, config_fields, fit)
 from .model import ModelBundle, extract_features, save_checkpoint
 from .rng import Rng
 
@@ -86,6 +86,7 @@ class ExperimentConfig:
     c_t_over_s: float = field(default=1.0, metadata={"json": "cost.c_t_over_s"})
 
     def __post_init__(self):
+        check_fields(self)
         for key, what in (("variants", "variant"), ("seeds", "seed"),
                           ("source_fractions", "source fraction"), ("ks", "few-shot k")):
             values = getattr(self, key)
@@ -95,14 +96,14 @@ class ExperimentConfig:
                 if value in values[:i]:
                     raise ConfigError(f"{what} {value!r} is listed twice", key=f"{key}[{i}]")
         for key, value in (("lambda", self.lam), ("rho", self.rho)):
-            if not value >= 0:
+            if value < 0:
                 raise ConfigError(f"{key} must be >= 0, got {value}", key=key)
         for f in self.source_fractions:
             if f not in (1, 10, 100):
                 raise ConfigError(f"source fractions must be in {{1,10,100}}, got {f}")
         if any(k < 0 for k in self.ks):
             raise ConfigError(f"few-shot ks must be >= 0, got {self.ks}")
-        if not (self.c_s >= 0 and self.c_t_over_s >= 0):  # NaN too
+        if self.c_s < 0 or self.c_t_over_s < 0:
             raise ConfigError(f"cost constants must be >= 0, got c_s={self.c_s}, "
                               f"c_t_over_s={self.c_t_over_s}")
         for i, name in enumerate(self.variants):
@@ -125,45 +126,23 @@ class DatasetConfig:
     domains: list[DomainSpec]
     seed: int = 0
 
+    def __post_init__(self):
+        check_fields(self)
+
 
 # ---------------------------------------------------------------------------
 # config file handling (JSON; CLI flags override individual fields)
 #
-# One strict parser builds every config dataclass by walking its fields, so
-# the dataclass defaults are the only defaults.  A field's JSON key is its
-# name unless its metadata gives a `json` key path: a dotted path nests the
-# key in a sub-object, and "" puts a nested config's keys in the enclosing
-# object.
-
-_JSON_TYPES = {bool: ((bool,), "true or false"), int: ((int,), "an integer"),
-               float: ((int, float), "a number"), str: ((str,), "a string"),
-               list: ((list,), "a list"), dict: ((dict,), "an object")}
-
-
-def _expect(tp: type, raw, path: str):
-    """`raw` as JSON type `tp` (bool is not a number, and `json` reads NaN,
-    Infinity and integers past float range, which no float field takes),
-    else ConfigError."""
-    types, wanted = _JSON_TYPES[tp]
-    if not isinstance(raw, types) or (isinstance(raw, bool) and tp is not bool):
-        raise ConfigError(f"{path}: expected {wanted}, got {json.dumps(raw, default=repr)}")
-    if tp is float and not abs(raw) <= sys.float_info.max:
-        raise ConfigError(f"{path}: expected a finite number, got {json.dumps(raw)}")
-    return float(raw) if tp is float else raw
-
-
-def _key_path(f) -> tuple[str, ...]:
-    key = f.metadata.get("json", f.name)
-    return tuple(key.split(".")) if key else ()
+# One strict parser builds every config dataclass by walking its fields
+# (`config_fields` gives each one's JSON key), so the dataclass defaults are
+# the only defaults and each dataclass checks its own field types.
 
 
 def _known_keys(cls) -> set[tuple[str, ...]]:
     """Every key path an object for `cls` may hold."""
-    hints = typing.get_type_hints(cls)
     known = set()
-    for f in fields(cls):
-        key = _key_path(f)
-        known |= {key} if key else _known_keys(hints[f.name])
+    for _, key, tp in config_fields(cls):
+        known |= {tuple(key.split("."))} if key else _known_keys(tp)
     return known
 
 
@@ -175,39 +154,38 @@ def _check_keys(obj: dict, known: set, path: str, prefix: tuple = ()) -> None:
         where = ".".join((path,) + here)
         if not any(k[:len(here)] == here for k in known):
             raise ConfigError(f"{where}: unknown key")
-        _check_keys(_expect(dict, raw, where), known, path, here)  # e.g. "cost"
+        _check_keys(fit(dict, raw, where), known, path, here)  # e.g. "cost"
 
 
 def _build(cls, obj: dict, path: str):
-    hints = typing.get_type_hints(cls)
     kwargs = {}
-    for f in fields(cls):
-        key = _key_path(f)
+    for f, key, tp in config_fields(cls):
         if not key:
-            kwargs[f.name] = _build(hints[f.name], obj, path)
+            kwargs[f.name] = _build(tp, obj, path)
             continue
+        *parents, last = key.split(".")
         node = obj
-        for part in key[:-1]:
+        for part in parents:
             node = node.get(part, {})
-        where = ".".join((path,) + key)
-        if key[-1] in node:
-            kwargs[f.name] = _value(hints[f.name], node[key[-1]], where)
+        where = f"{path}.{key}"
+        if last in node:
+            kwargs[f.name] = _value(tp, node[last], where)
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where}: required key missing")
     try:
         return cls(**kwargs)
-    except (ConfigError, ParameterError) as exc:
-        key = getattr(exc, "key", "")
-        raise ConfigError(f"{path}.{key}: {exc}" if key else f"{path}: {exc}") from None
+    except (ConfigError, ParameterError) as exc:  # a ConfigError's text starts with its key
+        sep = "." if getattr(exc, "key", "") else ": "
+        raise ConfigError(f"{path}{sep}{exc}") from None
 
 
 def _value(tp, raw, path: str):
+    """`raw` with each JSON object a config dataclass `tp` holds built as one."""
     if is_dataclass(tp):
         return parse_config(tp, raw, path)
-    if typing.get_origin(tp) is list:
-        (item,) = typing.get_args(tp)
-        return [_value(item, v, f"{path}[{i}]") for i, v in enumerate(_expect(list, raw, path))]
-    return dict(_expect(dict, raw, path)) if tp is dict else _expect(tp, raw, path)
+    if typing.get_origin(tp) is list and isinstance(raw, list):
+        return [_value(typing.get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(raw)]
+    return raw
 
 
 def parse_config(cls, data, path: str):
@@ -218,7 +196,7 @@ def parse_config(cls, data, path: str):
     itself rejects all raise ConfigError naming the JSON path, e.g.
     `experiment.lamda` or `dataset.domains[1].sizes`.
     """
-    obj = _expect(dict, data, path)
+    obj = fit(dict, data, path)
     _check_keys(obj, _known_keys(cls), path)
     return _build(cls, obj, path)
 

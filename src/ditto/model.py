@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ParamStore, Tape, TapeNode, activation, affine, sigmoid
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError, ShapeError, check_fields
 from .rng import Rng
 
 DISC_HIDDEN = 64
@@ -44,6 +44,7 @@ class EncoderSpec:
     activation: str = "tanh"
 
     def __post_init__(self):
+        check_fields(self)
         if self.input_dim <= 0:
             raise ParameterError(f"input_dim must be positive, got {self.input_dim}")
         if not self.hidden_dims:

@@ -27,7 +27,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import ParamStore, TapeNode, all_finite, backward
-from .errors import DegenerateGradientError, NumericError, ParameterError, StateError
+from .errors import (DegenerateGradientError, NumericError, ParameterError, StateError,
+                     check_fields)
 
 DEGENERATE_NORM = 1e-12
 
@@ -42,13 +43,14 @@ class AdamWConfig:
     weight_decay: float = 0.0
 
     def __post_init__(self):
-        if not self.lr > 0:  # NaN too
+        check_fields(self)
+        if self.lr <= 0:
             raise ParameterError(f"lr must be positive, got {self.lr}")
         if self.total_steps <= 0:
             raise ParameterError(f"total_steps must be positive, got {self.total_steps}")
         if not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
             raise ParameterError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if not self.weight_decay >= 0:  # NaN too
+        if self.weight_decay < 0:
             raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
@@ -59,7 +61,8 @@ class SamConfig:
     rho: float = 0.0
 
     def __post_init__(self):
-        if not self.rho >= 0:  # NaN too
+        check_fields(self)
+        if self.rho < 0:
             raise ParameterError(f"rho must be >= 0, got {self.rho}")
 
 
@@ -155,8 +158,8 @@ def sam_perturb(store: ParamStore, rho: float, names: Sequence[str] | None = Non
     DegenerateGradientError and leaves parameters untouched; callers skip
     the perturbation for that step.
     """
-    if not rho >= 0:  # NaN too
-        raise ParameterError(f"rho must be >= 0, got {rho}")
+    if not (math.isfinite(rho) and rho >= 0):
+        raise ParameterError(f"rho must be a finite number >= 0, got {rho}")
     spans = store.spans(names)
     sq = 0.0
     for span, run in spans:

@@ -103,6 +103,17 @@ def test_prior_validation():
         LanguagePrior({"a": 1.5, "b": -0.5})
 
 
+@pytest.mark.parametrize("probs,key", [
+    ({"a": float("nan"), "b": 0.5}, "probs.a"),  # passed both the sign and the sum test
+    ({"a": True, "b": 0.0}, "probs.a"),
+    ({"a": 0.5, "b": float("inf")}, "probs.b"),
+], ids=["nan", "bool", "inf"])
+def test_prior_probability_that_is_not_a_finite_number_is_rejected(probs, key):
+    with pytest.raises(ConfigError, match="expected a") as exc:
+        LanguagePrior(probs)
+    assert exc.value.key == key
+
+
 def test_prior_statics():
     assert LanguagePrior.single("x").probs == {"x": 1.0}
     uni = LanguagePrior.uniform(["a", "b", "c", "d"])
@@ -211,9 +222,9 @@ def test_variant_parse_follows_the_table(name, lam, rho, prior):
     (lambda: TrainVariant("ditto_single"), "only ditto_single takes a target"),
     (lambda: TrainVariant.parse("ditto:foo"), "only ditto_single takes a target"),
     (lambda: TrainVariant.parse("baseline:x"), "only ditto_single takes a target"),
-    (lambda: TrainVariant("ditto", lam=float("nan")), "lambda must be >= 0"),
+    (lambda: TrainVariant("ditto", lam=float("nan")), "lam: expected a finite number, got NaN"),
     (lambda: TrainConfig(encoder=CFG.encoder, num_classes=3, epochs=1, lr=float("nan")),
-     "learning rates must be positive"),
+     "lr: expected a finite number, got NaN"),
 ], ids=["lambda_on_baseline", "lambda_on_minus_la", "rho_on_baseline", "rho_on_minus_sam",
         "target_on_uniform", "single_without_target", "ditto_with_suffix",
         "baseline_with_suffix", "nan_lambda", "nan_lr"])

@@ -580,6 +580,8 @@ MALFORMED = {
     "lr_past_float_range": ("experiment", lambda e: e.update(lr=10 ** 400), "experiment.lr"),
     "inf_weight_decay": ("experiment", lambda e: e.update(weight_decay=float("inf")),
                          "experiment.weight_decay"),
+    "negative_weight_decay": ("experiment", lambda e: e.update(weight_decay=-0.5),
+                              "experiment.weight_decay"),
     "nan_cost": ("experiment", lambda e: e["cost"].update(c_s=float("nan")),
                  "experiment.cost.c_s"),
     "nan_base_sigma": ("dataset", lambda d: d["base"].update(sigma=float("nan")),
@@ -618,6 +620,7 @@ def test_malformed_config_names_its_json_path(cli_config, case):
                                           ("run-all", "repeated_variant"),
                                           ("run-all", "repeated_seed"),
                                           ("run-all", "nan_cost"),
+                                          ("run-all", "negative_weight_decay"),
                                           ("generate", "nan_base_sigma")])
 def test_cli_malformed_config_is_one_line_error(cli_config, tmp_path, capsys, command, case):
     section, spoil, path = MALFORMED[case]
@@ -795,8 +798,10 @@ def test_cli_negative_k_rejected_before_training(cli_config, tmp_path, capsys, a
 
 @pytest.mark.parametrize("results,flags,named", [
     ("nope", [], "nope"),
-    (".", ["--cs", "nan"], "c_s=nan"),
-], ids=["missing_results", "nan_cs"])
+    (".", ["--cs", "nan"], "cost.c_s: expected a finite number, got NaN"),
+    (".", ["--cs", "inf"], "cost.c_s: expected a finite number, got Infinity"),
+    (".", ["--ct-over-s", "inf"], "cost.c_t_over_s: expected a finite number, got Infinity"),
+], ids=["missing_results", "nan_cs", "inf_cs", "inf_ct_over_s"])
 def test_cli_cost_failure_leaves_no_out_directory(cli_config, tmp_path, capsys, results,
                                                   flags, named):
     capsys.readouterr()

@@ -1,0 +1,131 @@
+"""The one field rule of every config dataclass (`ditto.errors.check_fields`):
+a config built in Python is checked like one read from JSON, field by field,
+and a wrong value raises one ConfigError keyed by the field's JSON key."""
+
+import dataclasses
+import types
+import typing
+
+import numpy as np
+import pytest
+
+import ditto
+from ditto.errors import ConfigError, config_fields
+from ditto.experiment import DatasetConfig
+
+ENCODER = ditto.EncoderSpec(input_dim=2)
+TRAIN = ditto.TrainConfig(encoder=ENCODER, num_classes=3, epochs=1)
+MIXTURE = ditto.MixtureSpec(means=[[0.0, 1.0], [1.0, 0.0]])
+SIZES = ditto.SizeSpec(eval=3)
+DOMAIN = ditto.DomainSpec(id="src", kind="source", sizes=SIZES)
+
+# one valid instance of every config dataclass the rule covers
+VALID = {
+    ditto.ExperimentConfig: ditto.ExperimentConfig(train=TRAIN),
+    DatasetConfig: DatasetConfig(base=MIXTURE, domains=[DOMAIN]),
+    ditto.TrainConfig: TRAIN,
+    ditto.EncoderSpec: ENCODER,
+    ditto.MixtureSpec: MIXTURE,
+    ditto.SizeSpec: SIZES,
+    ditto.DomainSpec: DOMAIN,
+    ditto.SamConfig: ditto.SamConfig(rho=0.05),
+    ditto.AdamWConfig: ditto.AdamWConfig(lr=0.1, total_steps=10),
+    ditto.TrainVariant: ditto.TrainVariant("ditto_single", single_target="t"),
+    ditto.CostParams: ditto.CostParams(),
+    ditto.LanguagePrior: ditto.LanguagePrior({"a": 0.5, "b": 0.5}),
+}
+
+# the package's dataclasses that hold data or results, not configuration
+NOT_CONFIGS = {ditto.data.Rows, ditto.data.DomainSplits, ditto.DomainDataset,
+               ditto.analysis.EvalTable, ditto.adaptation.EpochRecord, ditto.TrainReport,
+               ditto.adaptation.Optimizers}
+
+
+def _wrong(tp, key: str) -> list[tuple[object, str]]:
+    """(a value the rule rejects in a field of type `tp` keyed `key`, the key
+    its ConfigError names) pairs: a float for an int, True for a number, NaN
+    for a float, a str as a list item, and more."""
+    origin, args = typing.get_origin(tp), typing.get_args(tp)
+    if origin in (typing.Union, types.UnionType):  # X | None: None is fine
+        (tp,) = set(args) - {type(None)}
+        return _wrong(tp, key)
+    if tp is int:
+        return [(2.5, key), (True, key), ("1", key), (None, key)]
+    if tp is float:
+        return [(float("nan"), key), (float("-inf"), key), (10 ** 400, key), (True, key),
+                ("0.5", key)]
+    if tp is bool:
+        return [("false", key), (1, key)]
+    if tp is str:
+        return [(3, key), (b"x", key)]
+    if origin is list:
+        return [("x", key), ((), key)] + [([bad], at) for bad, at in _wrong(args[0], f"{key}[0]")]
+    if tp is dict or origin is dict:
+        items = [({"a": bad}, at) for bad, at in _wrong(args[1], f"{key}.a")] if args else []
+        return [("x", key), ([], key)] + items
+    if dataclasses.is_dataclass(tp):
+        return [("x", key), ({}, key)]
+    raise TypeError(f"no wrong values for a {tp} field: add them here")
+
+
+def _field_cases():
+    for cls, valid in VALID.items():
+        for f, key, tp in config_fields(cls):
+            for i, (bad, at) in enumerate(_wrong(tp, key or f.name)):
+                yield pytest.param(lambda valid=valid, name=f.name, bad=bad:
+                                   dataclasses.replace(valid, **{name: bad}),
+                                   at, id=f"{cls.__name__}.{f.name}-{i}")
+
+
+# the probes that every such class accepted when built in Python
+PROBES = {
+    "SizeSpec_labeled_1.5": (lambda: ditto.SizeSpec(labeled=1.5, eval=3), "labeled"),
+    "EncoderSpec_input_dim_2.5": (lambda: ditto.EncoderSpec(input_dim=2.5), "input_dim"),
+    "TrainConfig_epochs_2.5": (lambda: ditto.TrainConfig(ENCODER, 3, epochs=2.5), "epochs"),
+    "TrainConfig_batch_size_True": (lambda: ditto.TrainConfig(ENCODER, 3, 1, batch_size=True),
+                                    "batch_size"),
+    "TrainConfig_weight_decay_nan": (
+        lambda: ditto.TrainConfig(ENCODER, 3, 1, weight_decay=float("nan")), "weight_decay"),
+    "ExperimentConfig_seeds_ks": (
+        lambda: ditto.ExperimentConfig(TRAIN, seeds=[0.5], ks=[1.5]), "seeds[0]"),
+    "MixtureSpec_nan_mean": (
+        lambda: ditto.MixtureSpec([[0.0, 1.0], [float("nan"), 0.0]]), "means[1][0]"),
+    "MixtureSpec_nan_sigma": (
+        lambda: ditto.MixtureSpec(MIXTURE.means, sigma=float("nan")), "sigma"),
+    "AdamWConfig_total_steps_2.5": (lambda: ditto.AdamWConfig(0.1, total_steps=2.5),
+                                    "total_steps"),
+    "SamConfig_True": (lambda: ditto.SamConfig(True), "rho"),
+    "CostParams_nan_c_s": (lambda: ditto.CostParams(c_s=float("nan")), "c_s"),
+    "ExperimentConfig_inf_cost": (lambda: ditto.ExperimentConfig(TRAIN, c_s=float("inf")),
+                                  "cost.c_s"),
+}
+
+
+@pytest.mark.parametrize("build,key", [*_field_cases(), *(
+    pytest.param(build, key, id=name) for name, (build, key) in PROBES.items())])
+def test_wrong_field_value_is_one_config_error_keyed_by_the_field(build, key):
+    with pytest.raises(ConfigError) as exc:
+        build()
+    assert exc.value.key == key
+    assert str(exc.value).startswith(f"{key}: expected "), str(exc.value)
+
+
+def test_every_config_dataclass_is_in_the_table():
+    found = {obj for module in (ditto.data, ditto.model, ditto.optim, ditto.adaptation,
+                                ditto.analysis, ditto.experiment)
+             for obj in vars(module).values()
+             if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+             and obj.__module__.startswith("ditto.")}
+    assert found - NOT_CONFIGS == set(VALID)
+
+
+def test_numpy_scalars_count_and_an_int_in_a_float_field_becomes_a_float():
+    sizes = ditto.SizeSpec(labeled=np.int64(4), eval=np.uint8(3))
+    assert (sizes.labeled, sizes.eval) == (4, 3) and type(sizes.labeled) is int
+    cost = ditto.CostParams(c_s=3, c_t_over_s=np.float32(0.5), k=np.int32(2))
+    assert (cost.c_s, cost.c_t_over_s, cost.k) == (3.0, 0.5, 2)
+    assert type(cost.c_s) is float and type(cost.c_t_over_s) is float
+    exp = ditto.ExperimentConfig(TRAIN, seeds=[np.int64(1)], c_t_over_s=1)
+    assert exp.seeds == [1] and repr(exp.c_t_over_s) == "1.0"  # as read from JSON
+    variant = ditto.TrainVariant("ditto", lam=1, sam=ditto.SamConfig(np.float64(0.05)))
+    assert (variant.lam, variant.sam.rho, variant.single_target) == (1.0, 0.05, None)

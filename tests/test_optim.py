@@ -7,6 +7,7 @@ import pytest
 from ditto import AdamWConfig, ParamStore, SamConfig, Tape, adamw_step, lr_at, sam_step
 from ditto.autodiff import affine, backward, hadamard, minimum, summation
 from ditto.errors import (
+    ConfigError,
     DegenerateGradientError,
     NumericError,
     ParameterError,
@@ -66,14 +67,16 @@ def test_adamw_config_validation():
         SamConfig(rho=-0.01)
 
 
-@pytest.mark.parametrize("build", [
-    lambda: AdamWConfig(lr=float("nan"), total_steps=1),
-    lambda: AdamWConfig(lr=0.1, total_steps=1, weight_decay=float("nan")),
-    lambda: SamConfig(rho=float("nan")),
-    lambda: sam_perturb(ParamStore(), rho=float("nan")),
+@pytest.mark.parametrize("build,error,message", [
+    (lambda: AdamWConfig(lr=float("nan"), total_steps=1), ConfigError,
+     "lr: expected a finite number, got NaN"),
+    (lambda: AdamWConfig(lr=0.1, total_steps=1, weight_decay=float("nan")), ConfigError,
+     "weight_decay: expected a finite number, got NaN"),
+    (lambda: SamConfig(rho=float("nan")), ConfigError, "rho: expected a finite number, got NaN"),
+    (lambda: sam_perturb(ParamStore(), rho=float("nan")), ParameterError, None),
 ], ids=["adamw_lr", "adamw_weight_decay", "sam_rho", "sam_perturb_rho"])
-def test_nan_hyperparameter_is_rejected(build):
-    with pytest.raises(ParameterError):
+def test_nan_hyperparameter_is_rejected(build, error, message):
+    with pytest.raises(error, match=message):
         build()
 
 

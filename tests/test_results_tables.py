@@ -241,6 +241,12 @@ def _eval_csv_bad_number(results):
     return "ditto/seed1/eval.csv:7: 'sixty-six' is not a number"
 
 
+def _eval_csv_nan_accuracy(results):
+    path = _ditto_seed1(results) / "eval.csv"
+    path.write_text(path.read_text().replace("66.00", "nan"))
+    return "ditto/seed1/eval.csv:7: 'nan' is not a finite number"
+
+
 def _eval_csv_field_too_large(results):
     path = _ditto_seed1(results) / "eval.csv"
     text = path.read_text().replace("66.00", "6" * 140_000, 1).replace("\n", "\r\n")
@@ -284,6 +290,12 @@ def _cka_csv_repeated_row(results):
     return "ditto/seed1/cka.csv:5: a second row for domain 't1'"
 
 
+def _cka_csv_inf(results):
+    path = _ditto_seed1(results) / "cka.csv"
+    path.write_text(path.read_text().replace("0.800000", "inf"))
+    return "ditto/seed1/cka.csv:3: 'inf' is not a finite number"
+
+
 def _cka_csv_no_target(results):
     path = _ditto_seed1(results) / "cka.csv"
     path.write_text("".join(path.read_text().splitlines(keepends=True)[:3]))
@@ -292,12 +304,12 @@ def _cka_csv_no_target(results):
 
 SPOILERS = [_run_json_not_json, _run_json_not_object, _run_json_no_targets,
             _run_json_elsewhere, _eval_csv_short_row, _eval_csv_bad_number,
-            _eval_csv_field_too_large, _eval_csv_undecodable, _eval_csv_no_target,
+            _eval_csv_nan_accuracy, _eval_csv_field_too_large, _eval_csv_undecodable, _eval_csv_no_target,
             _eval_csv_empty, _eval_csv_repeated_row]
 
 
 @pytest.mark.parametrize("spoil", SPOILERS + [_cka_csv_short_row, _cka_csv_no_target,
-                                              _cka_csv_repeated_row],
+                                              _cka_csv_repeated_row, _cka_csv_inf],
                          ids=lambda f: f.__name__[1:])
 def test_analyze_corrupt_artifact_is_one_line_error(results, tmp_path, capsys, spoil):
     named = spoil(results)

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
 from ditto import Rng
+from ditto.errors import ParameterError
 
 
 def test_equal_seeds_equal_streams():
@@ -55,3 +57,18 @@ def test_random_scalar_range():
     vals = [r.random() for _ in range(100)]
     assert all(0.0 <= v < 1.0 for v in vals)
     assert len(set(vals)) > 90  # essentially all distinct
+
+
+@pytest.mark.parametrize("seed", [0.5, True, "3", 3.0, None],
+                         ids=["float", "bool", "str", "integral_float", "none"])
+def test_seed_that_is_not_an_integer_is_rejected(seed):
+    # Rng(0.5) and Rng(True) would draw the streams of seeds 0 and 1
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        Rng(seed)
+
+
+def test_numpy_integer_seed_draws_the_int_stream():
+    for seed in (np.int64(3), np.uint8(3)):
+        r = Rng(seed)
+        assert r.seed == 3 and type(r.seed) is int
+        assert np.array_equal(r.uniform(0, 1, (4,)), Rng(3).uniform(0, 1, (4,)))
