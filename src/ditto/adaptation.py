@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tape, backward
-from .data import DomainDataset, Rows, valid_domain_id
+from .data import DOMAIN_ID_RULE, DomainDataset, Rows, valid_domain_id
 from .errors import ConfigError, DataError, LabelError, ParameterError, check_fields
 from .model import (
     EncoderSpec,
@@ -151,8 +151,8 @@ class TrainVariant:
             raise ConfigError(f"only ditto_single takes a target ('ditto_single:<target>'); "
                               f"got {self.kind} with target {self.single_target!r}")
         if prior == "single" and not valid_domain_id(self.single_target):
-            raise ConfigError("ditto_single target must be a domain id without '/' "
-                              f"or '\\', got {self.single_target!r}")  # names a run dir
+            raise ConfigError(f"ditto_single target must be {DOMAIN_ID_RULE}, "
+                              f"got {self.single_target!r}")  # names a run dir
 
     @property
     def needs_prior(self) -> bool:

@@ -40,20 +40,20 @@ from .model import load_checkpoint, save_checkpoint
 from .rng import Rng
 
 
-def _few_shot_k(text: str) -> int:
-    """argparse type of `--k`: a few-shot size, an integer >= 0."""
+def _non_negative_int(text: str) -> int:
+    """argparse type of `--k` and `--seed`: an integer >= 0."""
     try:
-        k = int(text)
+        value = int(text)
     except ValueError:
-        k = -1
-    if k < 0:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return k
+    return value
 
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", type=Path, required=True, help="JSON config file")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=_non_negative_int, default=None, help="override config seed")
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
 
@@ -70,7 +70,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", type=Path, required=True, help="dataset directory")
     p.add_argument("--variant", type=str, default="ditto")
     p.add_argument("--source-fraction", type=int, default=100, choices=(1, 10, 100))
-    p.add_argument("--k", type=_few_shot_k, default=0, help="few-shot rows per target")
+    p.add_argument("--k", type=_non_negative_int, default=0, help="few-shot rows per target")
 
     p = sub.add_parser("eval", help="score a checkpoint on the eval splits")
     p.add_argument("--model", type=Path, required=True, help="checkpoint (.npz)")
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cs", type=float, default=None, help="cents per source label")
     p.add_argument("--ct-over-s", type=float, default=None,
                    help="target/source labeling cost ratio")
-    p.add_argument("--k", type=_few_shot_k, action="append", default=None,
+    p.add_argument("--k", type=_non_negative_int, action="append", default=None,
                    help="extra few-shot sizes to list (repeatable)")
 
     p = sub.add_parser("run-all", help="generate+train+analyze in one go")
@@ -100,7 +100,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="restrict to these variants (repeatable)")
     p.add_argument("--source-fraction", type=int, action="append", default=None,
                    choices=(1, 10, 100), help="restrict source fractions (repeatable)")
-    p.add_argument("--k", type=_few_shot_k, action="append", default=None,
+    p.add_argument("--k", type=_non_negative_int, action="append", default=None,
                    help="restrict few-shot sizes (repeatable)")
     return parser
 

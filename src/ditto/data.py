@@ -16,11 +16,14 @@ with split in {labeled, unlabeled, fewshot, eval}; the label field is empty
 for unlabeled rows.  Feature values are finite floats written with repr, so
 generate -> load round-trips bit-exactly.  A `manifest.json` in the same
 directory records the source domain id, the domain order, and the feature
-dimension.  A file in the exact form save_dataset writes for a domain id that
-csv does not quote is parsed by numpy's C text reader, any other by the csv
-module a row at a time.  A malformed file raises one ParseError naming it and
-the physical line of its first bad record (no line for an undecodable byte).
-`write_csv` and `csv_records` hold the one CSV dialect of the whole package.
+dimension.  The format is the form save_dataset writes: `\n` line ends, a
+final newline, no quoted field (no domain id holds a character csv quotes)
+and number fields of ASCII digits, signs, points and exponents only.  One
+numpy C text-reader call reads such a file.  Any other file raises one
+ParseError: the `csv_records` walk names the physical line of its first
+malformed record (the file only, for an undecodable byte), and a file whose
+records are all well formed is named alone.  `write_csv` and `csv_records`
+hold the one CSV dialect of the whole package.
 """
 
 from __future__ import annotations
@@ -58,10 +61,15 @@ def _check_splits(splits) -> None:
             raise ParameterError(f"splits names {split!r} twice")
 
 
+# what a domain id must be: ids name dataset files and run directories and
+# fill the domain column unquoted, so an id holds no path separator, nothing
+# csv quotes, and no NUL, which open() refuses
+DOMAIN_ID_RULE = "a non-empty string without '/', '\\', ',', '\"', CR, LF or NUL"
+
+
 def valid_domain_id(name) -> bool:
-    """Whether `name` can be a domain id.  Ids name dataset files and run
-    directories, so an id is a non-empty string with no path separator."""
-    return isinstance(name, str) and name != "" and "/" not in name and "\\" not in name
+    """Whether `name` is a domain id by DOMAIN_ID_RULE."""
+    return isinstance(name, str) and name != "" and not any(c in name for c in '/\\,"\r\n\0')
 
 
 def _is_list_of(item):
@@ -283,8 +291,7 @@ class DomainSpec:
     def __post_init__(self):
         check_fields(self)
         if not valid_domain_id(self.id):
-            raise ConfigError(f"domain id {self.id!r} must be non-empty and contain "
-                              f"no '/' or '\\'", key="id")
+            raise ConfigError(f"domain id {self.id!r} must be {DOMAIN_ID_RULE}", key="id")
         if self.kind not in ("source", "target"):
             raise ConfigError(f"domain kind must be source or target, got {self.kind!r}")
         _check_transform(self.transform, f" of domain {self.id!r}")
@@ -382,12 +389,16 @@ def _header(dim: int) -> list[str]:
 
 
 def save_dataset(dataset: DomainDataset, out_dir: str | Path) -> None:
-    """Write manifest.json plus one CSV per (domain, split).
+    """Write manifest.json plus one CSV per (domain, split); an id that
+    breaks DOMAIN_ID_RULE raises DataError before any file is written.
 
     Each file is written a column at a time: the features go through
     `X.T.tolist()` and `repr`, which gives the same digits as
-    `repr(float(v))` per value, and `write_csv` does the quoting.
+    `repr(float(v))` per value.
     """
+    for dom in dataset.domains:
+        if not valid_domain_id(dom):
+            raise DataError(f"domain id {dom!r} must be {DOMAIN_ID_RULE}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dim = dataset.feature_dim
@@ -419,18 +430,16 @@ def _parse_saved_form(data: bytes, domain: str, split: str, dim: int,
     """The (X, y) of a split file's bytes in the exact form `save_dataset`
     writes, parsed by one `np.loadtxt` call; None for any other file.
 
-    Every test is a C-level scan of the bytes.  A file it accepts is one the
-    csv path reads to the same bits, so None only means "take the csv path",
-    which reads every other valid file and words every error.
+    Every test is a C-level scan of the bytes.  A file it accepts holds the
+    values `int` and `float` read from its fields, and no file it rejects
+    loads: `_parse_split_file` only words the error.
     """
     header = (",".join(_header(dim)) + "\n").encode()
     if not data.startswith(header):
         return None
     if len(data) == len(header):
         return np.empty((0, dim)), (np.empty(0, np.int64) if labeled else None)
-    if any(c in domain for c in ',"\r\n'):
-        return None  # an id csv quotes
-    try:  # in the encoding of `save_dataset`'s and the csv path's open()
+    try:  # in the encoding of `save_dataset`'s open()
         prefix = f"\n{domain},{split},{'' if labeled else ','}".encode(
             locale.getpreferredencoding(False))
     except UnicodeEncodeError:
@@ -468,10 +477,9 @@ def _parse_saved_form(data: bytes, domain: str, split: str, dim: int,
     return X, y
 
 
-def _parse_row(path: Path, lineno: int, row: list[str], domain: str, split: str,
-               dim: int, labeled: bool) -> tuple[int | None, list[float]]:
-    """One csv row's label (None in an unlabeled split) and feature values;
-    a malformed row raises the ParseError naming its line."""
+def _check_row(path: Path, lineno: int, row: list[str], domain: str, split: str,
+               dim: int, labeled: bool) -> None:
+    """Raise the ParseError naming line `lineno` if the csv row is malformed."""
     if len(row) != 3 + dim:
         raise ParseError(f"{path}:{lineno}: expected {3 + dim} columns, got {len(row)}")
     if row[0] != domain:
@@ -480,7 +488,6 @@ def _parse_row(path: Path, lineno: int, row: list[str], domain: str, split: str,
     if row[1] != split:
         raise ParseError(f"{path}:{lineno}: split {row[1]!r} does not match "
                          f"file split {split!r}")
-    label = None
     if labeled:
         if row[2] == "":
             raise ParseError(f"{path}:{lineno}: missing label in {split} split")
@@ -502,15 +509,17 @@ def _parse_row(path: Path, lineno: int, row: list[str], domain: str, split: str,
         raise ParseError(f"{path}:{lineno}: non-numeric feature value") from None
     if not all(map(math.isfinite, values)):
         raise ParseError(f"{path}:{lineno}: non-finite feature value")
-    return label, values
 
 
-def _parse_csv_rows(path: Path, domain: str, split: str, dim: int,
-                    labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """One split file's (X, y) through the csv module, a row at a time: any
-    valid file (quoted ids, CRLF, no final newline), and the ParseError of
-    the first malformed record of any other."""
-    labels, rows = [], []
+def _parse_split_file(path: Path, domain: str, split: str, dim: int,
+                      labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """One split file's (X, y); y is None for an unlabeled split.  Only a
+    file in `save_dataset`'s own form loads.  Any other is walked record by
+    record, reading no data, for the ParseError of its first malformed
+    record; a file with none is not in the form, and its error names it."""
+    parsed = _parse_saved_form(path.read_bytes(), domain, split, dim, labeled)
+    if parsed is not None:
+        return parsed
     with closing(csv_records(path, ParseError)) as records:
         _, header = next(records, (None, None))
         if header is None:
@@ -519,22 +528,8 @@ def _parse_csv_rows(path: Path, domain: str, split: str, dim: int,
             raise ParseError(f"{path}:1: bad header {header[:4]}..., expected "
                              f"domain,split,label,f0..f{dim-1}")
         for lineno, row in records:
-            label, values = _parse_row(path, lineno, row, domain, split, dim, labeled)
-            labels.append(label)
-            rows.append(values)
-    X = np.array(rows, dtype=np.float64).reshape(len(rows), dim)
-    return X, (np.array(labels, dtype=np.int64) if labeled else None)
-
-
-def _parse_split_file(path: Path, domain: str, split: str, dim: int,
-                      labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """One split file's (X, y); y is None for an unlabeled split.  A file in
-    `save_dataset`'s own form, for a domain id without `,"\r\n`, is parsed by
-    numpy's C text reader, any other by the csv module; both give the same
-    bits and the same errors."""
-    parsed = _parse_saved_form(path.read_bytes(), domain, split, dim, labeled)
-    return parsed if parsed is not None else _parse_csv_rows(path, domain, split, dim,
-                                                             labeled)
+            _check_row(path, lineno, row, domain, split, dim, labeled)
+    raise ParseError(f"{path}: not in the form save_dataset writes")
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
@@ -588,15 +583,15 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
     _check_splits(splits)
     root = Path(path)
     manifest_path = root / "manifest.json"
-    if not manifest_path.exists():
+    if not manifest_path.is_file():
         raise DataError(f"no manifest.json under {root}")
     manifest = read_json_object(manifest_path)
     source, ids, dim = (manifest.get(key) for key in ("source", "domains", "feature_dim"))
     if not isinstance(source, str):
         raise DataError(f"{manifest_path}: 'source' must be a string, got {source!r}")
     if not isinstance(ids, list) or not all(map(valid_domain_id, ids)):
-        raise DataError(f"{manifest_path}: 'domains' must be a list of non-empty ids "
-                        f"without '/' or '\\', got {ids!r}")
+        raise DataError(f"{manifest_path}: 'domains' must be a list of domain ids, each "
+                        f"{DOMAIN_ID_RULE}, got {ids!r}")
     if not is_integer(dim) or dim < 1:
         raise DataError(f"{manifest_path}: 'feature_dim' must be a positive integer, "
                         f"got {dim!r}")
@@ -611,7 +606,7 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
                 blocks[split] = np.empty((0, dim)), np.empty(0, np.int64)
                 continue
             split_path = root / f"{dom}.{split}.csv"
-            if not split_path.exists():
+            if not split_path.is_file():
                 raise DataError(f"missing split file {split_path}")
             blocks[split] = _parse_split_file(split_path, dom, split, dim, split != "unlabeled")
         domains[dom] = DomainSplits.from_blocks(blocks)

@@ -95,14 +95,14 @@ class ExperimentConfig:
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ConfigError(f"{what} {value!r} is listed twice", key=f"{key}[{i}]")
+                if key in ("seeds", "ks") and value < 0:
+                    raise ConfigError(f"{what} must be >= 0, got {value}", key=f"{key}[{i}]")
         for key, value in (("lambda", self.lam), ("rho", self.rho)):
             if value < 0:
                 raise ConfigError(f"{key} must be >= 0, got {value}", key=key)
         for f in self.source_fractions:
             if f not in (1, 10, 100):
                 raise ConfigError(f"source fractions must be in {{1,10,100}}, got {f}")
-        if any(k < 0 for k in self.ks):
-            raise ConfigError(f"few-shot ks must be >= 0, got {self.ks}")
         if self.c_s < 0 or self.c_t_over_s < 0:
             raise ConfigError(f"cost constants must be >= 0, got c_s={self.c_s}, "
                               f"c_t_over_s={self.c_t_over_s}")
@@ -128,6 +128,8 @@ class DatasetConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}", key="seed")
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,8 @@ class Rng:
     def __init__(self, seed: int, _path: tuple[int, ...] = ()):
         if not is_integer(seed):  # 0.5 and True would draw the streams of 0 and 1
             raise ParameterError(f"seed must be an integer, got {seed!r}")
+        if seed < 0:
+            raise ParameterError(f"seed must be >= 0, got {seed}")
         self.seed = int(seed)
         self._path = tuple(int(p) for p in _path)
         ss = np.random.SeedSequence([self.seed, *self._path])

@@ -380,6 +380,9 @@ def _write_and_load(tmp_path, filename, content):
 def test_missing_manifest(tmp_path):
     with pytest.raises(DataError):
         load_dataset(tmp_path)
+    (tmp_path / "manifest.json").mkdir()
+    with pytest.raises(DataError, match="no manifest.json under"):
+        load_dataset(tmp_path)
 
 
 @pytest.mark.parametrize("manifest,named", [
@@ -392,14 +395,21 @@ def test_missing_manifest(tmp_path):
     ('{"source": "s", "domains": ["s", "t"], "feature_dim": "2"}', "'feature_dim' must be"),
     ('{"source": "s", "domains": ["s", "t"], "feature_dim": 0}', "'feature_dim' must be"),
     ('{"source": "s", "domains": ["s", "t", "t"], "feature_dim": 2}', "'domains' lists 't' twice"),
+    ('{"source": "s", "domains": ["s", "a,b"], "feature_dim": 2}', "'domains' must be a list"),
+    ('{"source": "s", "domains": ["s", "a\\"b"], "feature_dim": 2}', "'domains' must be a list"),
+    ('{"source": "s", "domains": ["s", "a\\nb"], "feature_dim": 2}', "'domains' must be a list"),
+    ('{"source": "s", "domains": ["s", "a\\u0000b"], "feature_dim": 2}',
+     "'domains' must be a list"),
 ], ids=["not_json", "not_object", "empty_object", "domains_string", "id_climbs_out",
-        "empty_id", "dim_string", "dim_zero", "domain_twice"])
+        "empty_id", "dim_string", "dim_zero", "domain_twice", "id_with_comma", "id_with_quote",
+        "id_with_newline", "id_with_nul"])
 def test_bad_manifest_is_a_data_error_naming_it(tmp_path, manifest, named):
     with pytest.raises(DataError, match="manifest.json: " + re.escape(named)):
         _write_and_load(tmp_path, "manifest.json", manifest)
 
 
-@pytest.mark.parametrize("bad_id", ["", "../escape", "a/b", "a\\b"])
+@pytest.mark.parametrize("bad_id", ["", "../escape", "a/b", "a\\b", "a,b", 'say "hi"', "a\nb",
+                                    "a\rb", "a\0b"])
 def test_domain_id_must_be_a_plain_file_name(bad_id):
     with pytest.raises(ConfigError, match="domain id") as exc:
         DomainSpec(id=bad_id, kind="target", sizes=SizeSpec(eval=1))
@@ -412,6 +422,17 @@ def test_missing_split_file(tmp_path):
     (tmp_path / "t.unlabeled.csv").unlink()
     with pytest.raises(DataError, match="t.unlabeled.csv"):
         load_dataset(tmp_path)
+    (tmp_path / "t.unlabeled.csv").mkdir()  # a directory is no split file either
+    with pytest.raises(DataError, match="missing split file .*t.unlabeled.csv"):
+        load_dataset(tmp_path)
+
+
+@pytest.mark.parametrize("bad_id", ["../escape", "a,b", 'say "hi"', "a\nb", "a\0b"])
+def test_save_dataset_rejects_a_bad_domain_id_before_writing_any_file(tmp_path, bad_id):
+    ds = _dataset_of(np.array([[0.5, -1.5], [2.0, 3.0]]), source="s", target=bad_id)
+    with pytest.raises(DataError, match=re.escape(f"domain id {bad_id!r} must be")):
+        save_dataset(ds, tmp_path / "o" / "x")
+    assert list(tmp_path.iterdir()) == []
 
 
 # --- reading some of the splits ------------------------------------------------
@@ -633,23 +654,31 @@ def test_round_trip_is_bit_exact_at_the_edges_of_float64(tmp_path):
     _assert_bit_identical(ds, load_dataset(tmp_path))
 
 
-def test_domain_id_that_needs_csv_quoting_round_trips(tmp_path):
-    ds = _dataset_of(np.array([[0.5, -1.5], [2.0, 3.0]]), source="a,b", target='say "hi"')
+def test_quoted_field_is_rejected_naming_the_file(tmp_path):
+    ds = _dataset_of(np.array([[0.5, -1.5], [2.0, 3.0]]))
     save_dataset(ds, tmp_path)
-    first_row = (tmp_path / "a,b.eval.csv").read_text().splitlines()[1]
-    assert first_row == '"a,b",eval,0,0.5,-1.5'
-    _assert_bit_identical(ds, load_dataset(tmp_path))
+    path = tmp_path / "s.eval.csv"
+    path.write_text(path.read_text().replace("s,eval,0,", '"s",eval,0,'))
+    with pytest.raises(ParseError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{path}: not in the form save_dataset writes"
 
 
 def test_parse_error_names_the_physical_line_of_a_record(tmp_path):
-    # every record of domain "a\nb" spans two lines: the third is on lines 6-7
-    ds = _dataset_of(np.array([[0.5, -1.5], [2.0, 3.0], [1.0, 1.0]]), source="a\nb")
+    # the quoted feature of the second record spans lines 3-4, so the bad
+    # third record is on line 5; without it the file is not in the form
+    ds = _dataset_of(np.array([[0.5, -1.5], [2.0, 3.0], [1.0, 1.0]]))
     save_dataset(ds, tmp_path)
-    path = tmp_path / "a\nb.eval.csv"
-    path.write_text(path.read_text().replace("1.0,1.0", "x,1.0"))
+    path = tmp_path / "s.eval.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:2]) + 's,eval,1,"2.0\n",3.0\n' + "s,eval,2,x,1.0\n")
     with pytest.raises(ParseError) as exc:
         load_dataset(tmp_path)
-    assert str(exc.value) == f"{path}:7: non-numeric feature value"
+    assert str(exc.value) == f"{path}:5: non-numeric feature value"
+    path.write_text("".join(lines[:2]) + 's,eval,1,"2.0\n",3.0\n')
+    with pytest.raises(ParseError) as exc:
+        load_dataset(tmp_path)
+    assert str(exc.value) == f"{path}: not in the form save_dataset writes"
 
 
 def _header_only_dataset():
@@ -674,7 +703,7 @@ def test_header_only_splits_load_as_empty_arrays(tmp_path):
     _assert_bit_identical(ds, loaded)
 
 
-def test_crlf_files_load_like_lf_files(tmp_path):
+def test_crlf_files_are_rejected_naming_the_file(tmp_path):
     lf, crlf = tmp_path / "lf", tmp_path / "crlf"
     save_dataset(make_dataset(angles=(15,)), lf)
     crlf.mkdir()
@@ -684,7 +713,10 @@ def test_crlf_files_load_like_lf_files(tmp_path):
             assert b"\r" not in data
             data = data.replace(b"\n", b"\r\n")
         (crlf / f.name).write_bytes(data)
-    _assert_bit_identical(load_dataset(lf), load_dataset(crlf))
+    load_dataset(lf)
+    with pytest.raises(ParseError) as exc:
+        load_dataset(crlf)
+    assert str(exc.value) == f"{crlf / 'src.labeled.csv'}: not in the form save_dataset writes"
 
 
 def _outcome(parse, path, domain, split, labeled):
@@ -699,44 +731,92 @@ def _outcome(parse, path, domain, split, labeled):
 
 
 @pytest.mark.parametrize("case", ["generated", "float64_edges", "header_only", "non_ascii_ids"])
-def test_every_file_save_dataset_writes_for_an_unquoted_id_takes_the_numpy_path(tmp_path, case):
+def test_every_file_save_dataset_writes_takes_the_numpy_path(tmp_path, case):
     ds = {"generated": lambda: make_dataset(angles=(15, 30)),
           "float64_edges": _float64_edges_dataset, "header_only": _header_only_dataset,
           "non_ascii_ids": lambda: _dataset_of(np.array([[0.5, -1.5], [2.0, 3.0]]),
                                                source="espa\u00f1ol", target="\u65e5\u672c")}[case]()
     save_dataset(ds, tmp_path)
     for dom in ds.domains:
-        for split in ("labeled", "unlabeled", "fewshot", "eval"):
+        for split, (X, y) in _split_blocks(ds, dom).items():
             path = tmp_path / f"{dom}.{split}.csv"
             labeled = split != "unlabeled"
             parsed = ditto.data._parse_saved_form(path.read_bytes(), dom, split, 2, labeled)
             assert parsed is not None, path.name
             assert _outcome(lambda *args: parsed, path, dom, split, labeled) == \
-                _outcome(ditto.data._parse_csv_rows, path, dom, split, labeled)
+                _outcome(lambda *args: (X, y), path, dom, split, labeled)
 
 
-# files only the csv path reads, or whose numbers the two paths might read
-# differently: (domain, split, the body below the header)
+def test_loading_a_generated_ladder_never_walks_the_csv_records(tmp_path, monkeypatch):
+    ds = make_dataset(angles=(15, 30, 45, 60))
+    save_dataset(ds, tmp_path)
+
+    def refuse(*args):
+        raise AssertionError("csv_records called on a file save_dataset wrote")
+
+    monkeypatch.setattr(ditto.data, "csv_records", refuse)
+    _assert_bit_identical(ds, load_dataset(tmp_path))
+
+
+# a split file's body below the header, and what loading it gives: the
+# rows (X, y) it loads, or its ParseError's text
+NOT_IN_FORM = "{path}: not in the form save_dataset writes"
 GOOD_LINE = "s,labeled,0,1.0,2.0\n"
 PATH_CORPUS = {
-    "quoted_comma_id": ("a,b", "eval", '"a,b",eval,0,0.5,1.5\n'),
-    "quoted_quote_id": ('say "hi"', "unlabeled", '"say ""hi""",unlabeled,,0.5,1.5\n'),
-    "unquoted_comma_id": ("a,b", "eval", "a,b,eval,0,0.5,1.5\n"),
-    "non_ascii_id": ("espa\u00f1ol", "eval", "espa\u00f1ol,eval,0,0.5,1.5\n"),
-    "id_with_space_and_hash": ("a b#", "eval", "a b#,eval,0,0.5,1.5\n"),
-    "crlf": ("s", "labeled", GOOD_LINE.replace("\n", "\r\n") * 2),
-    "no_final_newline": ("s", "labeled", GOOD_LINE + GOOD_LINE.rstrip("\n")),
-    "blank_line": ("s", "labeled", GOOD_LINE + "\n" + GOOD_LINE),
-    "extra_column": ("s", "labeled", GOOD_LINE + "s,labeled,0,1.0,2.0,3.0\n"),
+    "quoted_comma_id": ("a,b", "eval", '"a,b",eval,0,0.5,1.5\n', NOT_IN_FORM),
+    "quoted_quote_id": ('say "hi"', "unlabeled", '"say ""hi""",unlabeled,,0.5,1.5\n',
+                        NOT_IN_FORM),
+    "unquoted_comma_id": ("a,b", "eval", "a,b,eval,0,0.5,1.5\n",
+                          "{path}:2: expected 5 columns, got 6"),
+    "non_ascii_id": ("espa\u00f1ol", "eval", "espa\u00f1ol,eval,0,0.5,1.5\n", ([[0.5, 1.5]], [0])),
+    "id_with_space_and_hash": ("a b#", "eval", "a b#,eval,0,0.5,1.5\n", ([[0.5, 1.5]], [0])),
+    "crlf": ("s", "labeled", GOOD_LINE.replace("\n", "\r\n") * 2, NOT_IN_FORM),
+    "no_final_newline": ("s", "labeled", GOOD_LINE + GOOD_LINE.rstrip("\n"), NOT_IN_FORM),
+    "blank_line": ("s", "labeled", GOOD_LINE + "\n" + GOOD_LINE,
+                   "{path}:3: expected 5 columns, got 0"),
+    "extra_column": ("s", "labeled", GOOD_LINE + "s,labeled,0,1.0,2.0,3.0\n",
+                     "{path}:3: expected 5 columns, got 6"),
     # the commas add up to two rows' worth
-    "short_then_long_row": ("s", "labeled", "s,labeled,0,1.0\ns,labeled,0,1.0,2.0,3.0\n"),
-    "header_only": ("s", "labeled", ""),
+    "short_then_long_row": ("s", "labeled", "s,labeled,0,1.0\ns,labeled,0,1.0,2.0,3.0\n",
+                            "{path}:2: expected 5 columns, got 4"),
+    "header_only": ("s", "labeled", "", ([], [])),
 }
-for number in [" 1.5", "1_0", "\u0661", "+1", "007", "-0", ".5", "5.", "1e5", "1E-5", "1e400",
-               "nan", "9223372036854775808"]:
-    PATH_CORPUS[f"label {number!r}"] = ("s", "labeled", f"{GOOD_LINE}s,labeled,{number},1.0,2.0\n")
-    PATH_CORPUS[f"feature {number!r}"] = ("s", "labeled", f"{GOOD_LINE}s,labeled,1,{number},2.0\n")
-    PATH_CORPUS[f"unlabeled {number!r}"] = ("t", "unlabeled", f"t,unlabeled,,1.0,{number}\n")
+
+
+def _not_int(number):
+    return f"{{path}}:3: label {number!r} is not an integer"
+
+
+# a number: what loading it gives as a label, as a labeled row's feature and
+# as an unlabeled row's feature (the value it loads as, or the error's text)
+NUMBERS = {
+    " 1.5": (_not_int(" 1.5"), NOT_IN_FORM, NOT_IN_FORM),
+    "1_0": (NOT_IN_FORM, NOT_IN_FORM, NOT_IN_FORM),
+    "\u0661": (NOT_IN_FORM, NOT_IN_FORM, NOT_IN_FORM),
+    "+1": (1, 1.0, 1.0),
+    "007": (7, 7.0, 7.0),
+    "-0": (0, -0.0, -0.0),
+    ".5": (_not_int(".5"), 0.5, 0.5),
+    "5.": (_not_int("5."), 5.0, 5.0),
+    "1e5": (_not_int("1e5"), 1e5, 1e5),
+    "1E-5": (_not_int("1E-5"), 1e-5, 1e-5),
+    "1e400": (_not_int("1e400"), "{path}:3: non-finite feature value",
+              "{path}:2: non-finite feature value"),
+    "nan": (_not_int("nan"), "{path}:3: non-finite feature value",
+            "{path}:2: non-finite feature value"),
+    "9223372036854775808": ("{path}:3: label '9223372036854775808' does not fit in int64",
+                            9223372036854775808.0, 9223372036854775808.0),
+}
+for number, (label, feature, unlabeled) in NUMBERS.items():
+    PATH_CORPUS[f"label {number!r}"] = (
+        "s", "labeled", f"{GOOD_LINE}s,labeled,{number},1.0,2.0\n",
+        label if isinstance(label, str) else ([[1.0, 2.0], [1.0, 2.0]], [0, label]))
+    PATH_CORPUS[f"feature {number!r}"] = (
+        "s", "labeled", f"{GOOD_LINE}s,labeled,1,{number},2.0\n",
+        feature if isinstance(feature, str) else ([[1.0, 2.0], [feature, 2.0]], [0, 1]))
+    PATH_CORPUS[f"unlabeled {number!r}"] = (
+        "t", "unlabeled", f"t,unlabeled,,1.0,{number}\n",
+        unlabeled if isinstance(unlabeled, str) else ([[1.0, unlabeled]], None))
 # numpy 1.23-1.26 read an int field such as `5.` as a truncated float with
 # only a DeprecationWarning; the label cases run with warnings as warnings,
 # as outside this suite, so such a numpy would show a silent misread here
@@ -745,17 +825,23 @@ PATH_CASES = [pytest.param(case, marks=pytest.mark.filterwarnings("default"))
 
 
 @pytest.mark.parametrize("case", PATH_CASES)
-def test_split_file_reads_as_the_csv_path_reads_it(tmp_path, case):
-    domain, split, body = PATH_CORPUS[case]
+def test_split_file_loads_or_fails_as_pinned(tmp_path, case):
+    domain, split, body, want = PATH_CORPUS[case]
     path = tmp_path / f"{domain}.{split}.csv"
     path.write_bytes(f"domain,split,label,f0,f1\n{body}".encode())
     labeled = split != "unlabeled"
-    assert _outcome(ditto.data._parse_split_file, path, domain, split, labeled) == \
-        _outcome(ditto.data._parse_csv_rows, path, domain, split, labeled)
+    got = _outcome(ditto.data._parse_split_file, path, domain, split, labeled)
+    if isinstance(want, str):
+        assert got == want.format(path=path)
+    else:
+        X, y = want
+        X = np.array(X, dtype=np.float64).reshape(-1, 2)
+        assert _outcome(lambda *args: (X, y if y is None else np.array(y, dtype=np.int64)),
+                        path, domain, split, labeled) == got
 
 
 @pytest.mark.filterwarnings("default")
-def test_split_file_whose_loadtxt_warns_takes_the_csv_path(tmp_path, monkeypatch):
+def test_split_file_whose_loadtxt_warns_is_rejected(tmp_path, monkeypatch):
     path = tmp_path / "s.labeled.csv"
     path.write_bytes(f"domain,split,label,f0,f1\n{GOOD_LINE}".encode())
     loadtxt = np.loadtxt
@@ -767,8 +853,9 @@ def test_split_file_whose_loadtxt_warns_takes_the_csv_path(tmp_path, monkeypatch
 
     monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
     assert ditto.data._parse_saved_form(path.read_bytes(), "s", "labeled", 2, True) is None
-    assert _outcome(ditto.data._parse_split_file, path, "s", "labeled", True) == \
-        _outcome(ditto.data._parse_csv_rows, path, "s", "labeled", True)
+    with pytest.raises(ParseError) as exc:
+        ditto.data._parse_split_file(path, "s", "labeled", 2, True)
+    assert str(exc.value) == NOT_IN_FORM.format(path=path)
 
 
 def _save_row_by_row(dataset, out):
@@ -787,7 +874,7 @@ def _save_row_by_row(dataset, out):
                     writer.writerow([dom, split, label] + [repr(float(v)) for v in X[i]])
 
 
-@pytest.mark.parametrize("case", ["generated", "edges_and_quoting"])
+@pytest.mark.parametrize("case", ["generated", "edges"])
 def test_save_dataset_bytes_match_a_row_by_row_writer(tmp_path, case):
     if case == "generated":
         ds = make_dataset(angles=(15, 30))
@@ -795,7 +882,7 @@ def test_save_dataset_bytes_match_a_row_by_row_writer(tmp_path, case):
         bits = np.random.default_rng(1).integers(0, 2**64, size=600, dtype=np.uint64)
         noise = bits.view(np.float64)
         X = np.concatenate([[0.0, -0.0, 5e-324, 1.797e308], noise[np.isfinite(noise)]])
-        ds = _dataset_of(X[: X.size // 2 * 2].reshape(-1, 2), source="a,b", target="t\"q")
+        ds = _dataset_of(X[: X.size // 2 * 2].reshape(-1, 2), source="espa\u00f1ol")
     save_dataset(ds, tmp_path / "cols")
     (tmp_path / "rows").mkdir()
     _save_row_by_row(ds, tmp_path / "rows")

@@ -569,6 +569,13 @@ MALFORMED = {
                              "dataset.domains[1].id"),
     "empty_domain_id": ("dataset", lambda d: d["domains"][1].update(id=""),
                         "dataset.domains[1].id"),
+    "domain_id_with_comma": ("dataset", lambda d: d["domains"][1].update(id="a,b"),
+                             "dataset.domains[1].id"),
+    "domain_id_with_nul": ("dataset", lambda d: d["domains"][1].update(id="a\u0000b"),
+                           "dataset.domains[1].id"),
+    "negative_seed": ("experiment", lambda e: e.update(seeds=[0, -1]), "experiment.seeds[1]"),
+    "negative_k": ("experiment", lambda e: e.update(ks=[-2]), "experiment.ks[0]"),
+    "negative_dataset_seed": ("dataset", lambda d: d.update(seed=-1), "dataset.seed"),
     "single_target_climbs_out": ("experiment", lambda e: e.update(
         variants=["baseline", "ditto_single:../rot30"]), "experiment.variants[1]"),
     "negative_lambda": ("experiment", lambda e: e.update({"lambda": -0.25}),
@@ -614,6 +621,10 @@ def test_malformed_config_names_its_json_path(cli_config, case):
                                           ("run-all", "empty_ks"),
                                           ("run-all", "empty_source_fractions"),
                                           ("generate", "domain_id_climbs_out"),
+                                          ("generate", "domain_id_with_nul"),
+                                          ("run-all", "domain_id_with_comma"),
+                                          ("run-all", "negative_seed"),
+                                          ("generate", "negative_dataset_seed"),
                                           ("run-all", "single_target_climbs_out"),
                                           ("run-all", "negative_lambda"),
                                           ("run-all", "negative_rho"),
@@ -781,8 +792,11 @@ def test_readme_json_block_is_a_config_that_fits_its_dataset(block):
     ["train", "--variant", "baseline", "--k", "-1"],
     ["run-all", "--k", "0", "--k", "-1"],
     ["cost", "--results", "results", "--k", "-1"],
-], ids=["train", "run-all", "cost"])
-def test_cli_negative_k_rejected_before_training(cli_config, tmp_path, capsys, argv):
+    ["train", "--variant", "baseline", "--seed", "-1"],
+    ["generate", "--seed", "-3"],
+    ["run-all", "--seed", "-1"],
+], ids=["train", "run-all", "cost", "train_seed", "generate_seed", "run-all_seed"])
+def test_cli_negative_k_or_seed_rejected_before_training(cli_config, tmp_path, capsys, argv):
     data_dir = tmp_path / "data"
     assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
     command, *flags = argv
@@ -792,7 +806,7 @@ def test_cli_negative_k_rejected_before_training(cli_config, tmp_path, capsys, a
         main([command, "--config", str(cli_config), "--out", str(tmp_path / "out"),
               *extra, *flags])
     assert exc.value.code == 2
-    assert "--k" in capsys.readouterr().err
+    assert f"{flags[-2]}: expected an integer >= 0, got '{flags[-1]}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -67,6 +67,12 @@ def test_seed_that_is_not_an_integer_is_rejected(seed):
         Rng(seed)
 
 
+@pytest.mark.parametrize("seed", [-1, np.int64(-3)], ids=["int", "numpy_int"])
+def test_negative_seed_is_rejected(seed):
+    with pytest.raises(ParameterError, match=f"seed must be >= 0, got {int(seed)}$"):
+        Rng(seed)
+
+
 def test_numpy_integer_seed_draws_the_int_stream():
     for seed in (np.int64(3), np.uint8(3)):
         r = Rng(seed)
