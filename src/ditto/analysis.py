@@ -126,12 +126,6 @@ class EvalTable:
     def targets(self, method: str) -> list[str]:
         return [d for d in self.domains(method) if d != self.source]
 
-    def merge(self, other: "EvalTable") -> "EvalTable":
-        if other.source != self.source:
-            raise DataError(f"source mismatch: {self.source!r} vs {other.source!r}")
-        self.entries.update(other.entries)
-        return self
-
 
 def zero_shot_eval(bundle: ModelBundle, datasets: DomainDataset,
                    method: str = "baseline") -> EvalTable:

@@ -3,7 +3,7 @@
 Subcommands:
 
     generate   synthesize a multi-domain dataset and write it as CSV splits
-    train      train one variant on one seed and write its run artifacts
+    train      train one variant on one grid cell and write its run directory
     eval       score a saved checkpoint on every domain's eval split (reads
                only the manifest and the eval split files)
     analyze    aggregate per-run artifacts into analysis/correlation tables
@@ -34,9 +34,8 @@ from .experiment import (
     load_config,
     run_experiment,
     write_cost_csv,
-    write_report_jsonl,
 )
-from .model import load_checkpoint, save_checkpoint
+from .model import load_checkpoint
 from .rng import Rng
 
 
@@ -122,16 +121,10 @@ def _train(args) -> int:
     seed = args.seed if args.seed is not None else exp.seeds[0]
     cell = Cell(exp, load_dataset(args.data), args.source_fraction, args.k, seed)
     variant = exp.variant_of(args.variant)
-    if variant.needs_prior:
-        print("computing target prior from an internal baseline run")
+    if variant.kind != BASELINE:  # as in run-all: its scores seed priors and gains
+        print("training the cell's baseline first")
         cell.run(exp.variant_of(BASELINE))
-
-    bundle, report = cell.run(variant)
-    args.out.mkdir(parents=True, exist_ok=True)
-    write_report_jsonl(report, args.out / "metrics.jsonl")
-    write_eval_csv(zero_shot_eval(bundle, cell.dataset, method=variant.name),
-                   args.out / "eval.csv")
-    save_checkpoint(bundle, args.out / "model.npz")
+    bundle, report = cell.write_run(variant.name, args.out)
     export_features(bundle, cell.dataset, args.out / "features.csv")
     accs = ", ".join(f"{d}={a:.2f}" for d, a in
                      sorted(report.final_per_domain_acc.items()))

@@ -390,7 +390,8 @@ def _header(dim: int) -> list[str]:
 
 def save_dataset(dataset: DomainDataset, out_dir: str | Path) -> None:
     """Write manifest.json plus one CSV per (domain, split); an id that
-    breaks DOMAIN_ID_RULE raises DataError before any file is written.
+    breaks DOMAIN_ID_RULE, or a dataset `validate` rejects, raises DataError
+    before any file is written.
 
     Each file is written a column at a time: the features go through
     `X.T.tolist()` and `repr`, which gives the same digits as
@@ -399,6 +400,7 @@ def save_dataset(dataset: DomainDataset, out_dir: str | Path) -> None:
     for dom in dataset.domains:
         if not valid_domain_id(dom):
             raise DataError(f"domain id {dom!r} must be {DOMAIN_ID_RULE}")
+    dataset.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     dim = dataset.feature_dim

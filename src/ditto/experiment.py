@@ -1,7 +1,9 @@
 """Experiment orchestration: run grids of (variant, source fraction, few-shot
 k, seed), write per-run artifacts, and aggregate summary tables.
 
-Per-run artifacts, under `out/S{frac}/k{k}/{variant}/seed{n}/`:
+Per-run artifacts, under `out/S{frac}/k{k}/{variant}/seed{n}/`, all written
+by `Cell.write_run` (for `ditto train` and `run_experiment` alike; a failed
+grid run gets error.txt and a failed run.json instead):
 
     metrics.jsonl   one JSON record per epoch plus a final summary record
     eval.csv        per-domain accuracies for the variant and the same-cell
@@ -284,7 +286,7 @@ class Cell:
             key = "encoder.input_dim" if name == "input_dim" else name
             raise ConfigError(f"experiment.{key}: {reason}")
         self.config = config
-        self.seed = seed
+        self.frac, self.k, self.seed = frac, k, seed
         ds = subsample_source(dataset, frac, Rng(seed).child("subsample"))
         self.n_labeled_source = ds.domains[ds.source].labeled.n
         if k > 0:
@@ -305,59 +307,63 @@ class Cell:
             self.baseline_scores = report.final_per_domain_acc
         return bundle, report
 
+    def write_run(self, name: str, run_dir: Path) -> tuple[ModelBundle, TrainReport]:
+        """Train variant `name` on the cell and write its run directory:
+        metrics.jsonl, eval.csv (with the cell's baseline rows once the
+        baseline has run), cka.csv, model.npz and an ok run.json."""
+        bundle, report = self.run(self.config.variant_of(name))
+        ds, targets = self.dataset, self.dataset.target_ids()
+        table = zero_shot_eval(bundle, ds, method=name)
+        for dom, acc in (self.baseline_scores or {}).items():
+            table.add(BASELINE, dom, acc)
+        run_dir.mkdir(parents=True, exist_ok=True)
+        write_report_jsonl(report, run_dir / "metrics.jsonl")
+        write_eval_csv(table, run_dir / "eval.csv")
+        feats = {dom: extract_features(bundle, ds.domains[dom].eval.X)
+                 for dom in [ds.source] + targets}
+        write_cka_csv({t: linear_cka(feats[ds.source], feats[t]) for t in targets},
+                      {t: report.final_per_domain_acc[t] for t in targets},
+                      run_dir / "cka.csv")
+        save_checkpoint(bundle, run_dir / "model.npz")
+        self.write_meta(name, run_dir)
+        return bundle, report
+
+    def write_meta(self, name: str, run_dir: Path, error: str | None = None) -> None:
+        """The run.json of variant `name` on the cell: ok, or failed with `error`."""
+        meta = {"variant": name, "seed": self.seed, "S": self.frac, "k": self.k,
+                "source": self.dataset.source, "targets": self.dataset.target_ids(),
+                "n_labeled_source": self.n_labeled_source, "status": "ok"}
+        if error is not None:
+            meta.update(status="failed", error=error)
+        with open(run_dir / "run.json", "w") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+
 
 def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
                    out_dir: str | Path) -> Path:
     """Run the whole grid and write per-run artifacts plus aggregate tables.
 
-    The baseline always runs first within each (fraction, k, seed) cell: its
-    zero-shot scores define the target prior for the prior-based variants and
-    the denominators of every relative gain.  A failed run is recorded in its
-    run.json (status/error) and the remaining runs proceed.
+    Every cell is built before any run trains, so a grid that does not fit
+    the dataset writes nothing.  The baseline always runs first within each
+    cell: its zero-shot scores define the target prior for the prior-based
+    variants and the denominators of every relative gain.  A failed run is
+    recorded in its run.json (status/error) and the remaining runs proceed.
     """
     out = Path(out_dir)
     dataset.validate()
-    targets = dataset.target_ids()
-
-    for frac in config.source_fractions:
-        for k in config.ks:
-            for seed in config.seeds:
-                cell = Cell(config, dataset, frac, k, seed)
-                ds = cell.dataset
-                baseline_table: EvalTable | None = None
-                for name in config.variants:
-                    run_dir = _run_dir(out, frac, k, name, seed)
-                    # makes `out` too, once the first Cell has checked the fit
-                    run_dir.mkdir(parents=True, exist_ok=True)
-                    meta = {
-                        "variant": name, "seed": seed, "S": frac, "k": k,
-                        "source": ds.source, "targets": targets,
-                        "n_labeled_source": cell.n_labeled_source, "status": "ok",
-                    }
-                    try:
-                        bundle, report = cell.run(config.variant_of(name))
-                        table = zero_shot_eval(bundle, ds, method=name)
-                        if name == BASELINE:
-                            baseline_table = table
-                        elif baseline_table is not None:
-                            table.merge(baseline_table)
-                        write_report_jsonl(report, run_dir / "metrics.jsonl")
-                        write_eval_csv(table, run_dir / "eval.csv")
-                        feats = {dom: extract_features(bundle, ds.domains[dom].eval.X)
-                                 for dom in [ds.source] + targets}
-                        ckas = {t: linear_cka(feats[ds.source], feats[t])
-                                for t in targets}
-                        accs = {t: report.final_per_domain_acc[t] for t in targets}
-                        write_cka_csv(ckas, accs, run_dir / "cka.csv")
-                        save_checkpoint(bundle, run_dir / "model.npz")
-                    except Exception as exc:  # record and continue with the grid
-                        meta["status"] = "failed"
-                        meta["error"] = f"{type(exc).__name__}: {exc}"
-                        with open(run_dir / "error.txt", "w") as fh:
-                            fh.write(meta["error"] + "\n")
-                    with open(run_dir / "run.json", "w") as fh:
-                        json.dump(meta, fh, indent=2, sort_keys=True)
-                        fh.write("\n")
+    cells = [Cell(config, dataset, frac, k, seed) for frac, k, seed
+             in product(config.source_fractions, config.ks, config.seeds)]
+    for cell in cells:
+        for name in config.variants:
+            run_dir = _run_dir(out, cell.frac, cell.k, name, cell.seed)
+            run_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                cell.write_run(name, run_dir)
+            except Exception as exc:  # record and continue with the grid
+                error = f"{type(exc).__name__}: {exc}"
+                (run_dir / "error.txt").write_text(error + "\n")
+                cell.write_meta(name, run_dir, error)
 
     write_summaries(config, out)
     return out
@@ -368,7 +374,27 @@ def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
 # every gain is `mean_gain` of the two-decimal accuracies in eval.csv
 
 _RUN_KEYS = {"S": int, "k": int, "variant": str, "seed": int, "source": str,
-             "targets": list, "n_labeled_source": int}  # the keys the tables read
+             "targets": list[str], "n_labeled_source": int}  # the keys the tables read
+
+
+def _check_run_keys(meta: dict) -> None:
+    """Fit each of `_RUN_KEYS` in a run.json by the one field rule, then
+    check its bounds; a ConfigError names the key at fault."""
+    for name, tp in _RUN_KEYS.items():
+        if name not in meta:
+            raise ConfigError(f"{name!r} missing")
+        meta[name] = fit(tp, meta[name], name)
+    for name in ("seed", "k", "n_labeled_source"):
+        if meta[name] < 0:
+            raise ConfigError(f"must be >= 0, got {meta[name]}", key=name)
+    targets = meta["targets"]
+    if not targets:
+        raise ConfigError("need at least one target", key="targets")
+    if meta["source"] in targets:
+        raise ConfigError(f"the source {meta['source']!r} is no target", key="targets")
+    for i, target in enumerate(targets):
+        if target in targets[:i]:
+            raise ConfigError(f"target {target!r} is listed twice", key=f"targets[{i}]")
 
 
 def _finished_runs(results: Path) -> dict[tuple[int, int, str, int], tuple[dict, EvalTable]]:
@@ -384,9 +410,10 @@ def _finished_runs(results: Path) -> dict[tuple[int, int, str, int], tuple[dict,
         eval_path = meta_path.parent / "eval.csv"
         if meta.get("status") != "ok" or not eval_path.exists():
             continue
-        for name, tp in _RUN_KEYS.items():
-            if not isinstance(meta.get(name), tp):
-                raise DataError(f"{meta_path}: {name!r} missing or not {tp.__name__}")
+        try:
+            _check_run_keys(meta)
+        except ConfigError as exc:
+            raise DataError(f"{meta_path}: {exc}") from None
         key = (meta["S"], meta["k"], meta["variant"], meta["seed"])
         if _run_dir(results, *key) != meta_path.parent:
             raise DataError(f"{meta_path}: describes S={key[0]} k={key[1]} {key[2]} "

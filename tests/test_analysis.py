@@ -193,15 +193,6 @@ def test_eval_table_operations():
     assert t.domains("m") == ["a", "b", "s"]
     assert t.targets("m") == ["a", "b"]
 
-    other = EvalTable(source="s")
-    other.add("n", "s", 91.0)
-    t.merge(other)
-    assert set(t.methods()) == {"m", "n"}
-
-    mismatch = EvalTable(source="x")
-    with pytest.raises(DataError):
-        t.merge(mismatch)
-
 
 def test_missing_accuracy_is_a_data_error_naming_the_pair(tmp_path):
     table = EvalTable(source="src")

@@ -435,6 +435,27 @@ def test_save_dataset_rejects_a_bad_domain_id_before_writing_any_file(tmp_path, 
     assert list(tmp_path.iterdir()) == []
 
 
+def _three_column_fewshot(ds):
+    X = np.array([[0.5, -1.5, 1.0], [2.0, 3.0, 4.0]])
+    t = ds.domains["t"]
+    wide = DomainSplits(labeled=t.labeled, unlabeled=t.unlabeled,
+                        fewshot=Rows(X, np.array([0, 1])), eval=t.eval)
+    return DomainDataset(source=ds.source, domains={"s": ds.domains["s"], "t": wide})
+
+
+@pytest.mark.parametrize("spoil,named", [
+    (lambda ds: DomainDataset(source="x", domains=ds.domains),
+     "source domain 'x' missing from dataset"),
+    (_three_column_fewshot, "domain 't' split fewshot has 3 feature columns, expected 2"),
+], ids=["source_not_a_domain", "three_column_split"])
+def test_save_dataset_rejects_an_invalid_dataset_before_writing_any_file(tmp_path, spoil,
+                                                                         named):
+    ds = spoil(_dataset_of(np.array([[0.5, -1.5], [2.0, 3.0]])))
+    with pytest.raises(DataError, match=re.escape(named)):
+        save_dataset(ds, tmp_path / "o" / "x")
+    assert list(tmp_path.iterdir()) == []
+
+
 # --- reading some of the splits ------------------------------------------------
 
 

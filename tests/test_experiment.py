@@ -350,6 +350,54 @@ def test_cli_run_all_and_downstream(cli_config, tmp_path):
     assert (adir / "correlation.csv").exists()
 
 
+KINDS = ["baseline", "ditto", "ditto_minus_sam", "ditto_minus_la", "ditto_single:rot60",
+         "ditto_uniform"]
+
+
+@pytest.fixture(scope="module")
+def kinds_grid(cli_config, tmp_path_factory):
+    """(dataset dir, results dir) of a run-all over every variant kind at seed
+    3, S in {100, 10} and k in {0, 4}."""
+    work = tmp_path_factory.mktemp("kinds")
+    assert main(["generate", "--config", str(cli_config), "--out", str(work / "data")]) == 0
+    grid = [flag for kind in KINDS for flag in ("--variant", kind)]
+    assert main(["run-all", "--config", str(cli_config), "--data", str(work / "data"),
+                 "--out", str(work / "grid"), "--seed", "3", *grid,
+                 "--source-fraction", "100", "--source-fraction", "10",
+                 "--k", "0", "--k", "4"]) == 0
+    return work / "data", work / "grid" / "results"
+
+
+def _records_without_wall_clock(path):
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    for record in records:
+        record.pop("wall_clock_seconds", None)
+    return records
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("frac,k", [(100, 0), (100, 4), (10, 0), (10, 4)])
+def test_cli_train_writes_the_run_directory_run_all_writes(kinds_grid, cli_config, tmp_path,
+                                                           frac, k, kind):
+    data_dir, results = kinds_grid
+    run_dir = tmp_path / "run"
+    grid_dir = results / f"S{frac}" / f"k{k}" / kind.replace(":", "_") / "seed3"
+    assert main(["train", "--config", str(cli_config), "--data", str(data_dir),
+                 "--variant", kind, "--seed", "3", "--source-fraction", str(frac),
+                 "--k", str(k), "--out", str(run_dir)]) == 0
+    assert json.loads((grid_dir / "run.json").read_text())["status"] == "ok"
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(
+        [p.name for p in grid_dir.iterdir()] + ["features.csv"])
+    for name in ("eval.csv", "cka.csv", "run.json"):
+        assert (run_dir / name).read_bytes() == (grid_dir / name).read_bytes(), name
+    assert (_records_without_wall_clock(run_dir / "metrics.jsonl")
+            == _records_without_wall_clock(grid_dir / "metrics.jsonl"))
+    with np.load(run_dir / "model.npz") as ours, np.load(grid_dir / "model.npz") as theirs:
+        assert ours.files == theirs.files
+        for key in ours.files:
+            assert np.array_equal(ours[key], theirs[key]), key
+
+
 def test_cli_missing_config_is_error(tmp_path):
     assert main(["generate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "d")]) == 2
@@ -684,6 +732,18 @@ def test_cli_run_all_repeated_flag_is_one_line_error(cli_config, tmp_path, capsy
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_all_builds_every_cell_before_training_any(cli_config, tmp_path, capsys):
+    # the k=0 cells would train, but the k=50 cells cannot draw their few-shot rows
+    data_dir, out = tmp_path / "data", tmp_path / "out"
+    assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(cli_config), "--data", str(data_dir),
+                 "--out", str(out), "--k", "0", "--k", "50"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: target 'rot30' few-shot pool has 12 labeled rows, need 50\n"
+    assert not out.exists()  # no run directory, no summary
 
 
 def test_cli_run_all_corrupt_stale_run_is_one_line_error(cli_config, tmp_path, capsys):

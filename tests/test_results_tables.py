@@ -229,6 +229,38 @@ def _run_json_elsewhere(results):
     return "ditto/seed1/run.json: describes S=100 k=0 ditto seed=0"
 
 
+def _set_run_json(results, key, value):
+    path = _ditto_seed1(results) / "run.json"
+    meta = json.loads(path.read_text())
+    meta[key] = value
+    path.write_text(json.dumps(meta))
+
+
+def _run_json_negative_source_count(results):
+    _set_run_json(results, "n_labeled_source", -5)
+    return "ditto/seed1/run.json: n_labeled_source: must be >= 0, got -5"
+
+
+def _run_json_source_count_true(results):
+    _set_run_json(results, "n_labeled_source", True)
+    return "ditto/seed1/run.json: n_labeled_source: expected an integer, got true"
+
+
+def _run_json_no_target(results):
+    _set_run_json(results, "targets", [])
+    return "ditto/seed1/run.json: targets: need at least one target"
+
+
+def _run_json_repeated_target(results):
+    _set_run_json(results, "targets", ["t1", "t1"])
+    return "ditto/seed1/run.json: targets[1]: target 't1' is listed twice"
+
+
+def _run_json_source_as_target(results):
+    _set_run_json(results, "targets", ["src", "t1"])
+    return "ditto/seed1/run.json: targets: the source 'src' is no target"
+
+
 def _eval_csv_short_row(results):
     with open(_ditto_seed1(results) / "eval.csv", "a") as fh:
         fh.write("src,ditto\n")
@@ -303,7 +335,9 @@ def _cka_csv_no_target(results):
 
 
 SPOILERS = [_run_json_not_json, _run_json_not_object, _run_json_no_targets,
-            _run_json_elsewhere, _eval_csv_short_row, _eval_csv_bad_number,
+            _run_json_elsewhere, _run_json_negative_source_count,
+            _run_json_source_count_true, _run_json_no_target, _run_json_repeated_target,
+            _run_json_source_as_target, _eval_csv_short_row, _eval_csv_bad_number,
             _eval_csv_nan_accuracy, _eval_csv_field_too_large, _eval_csv_undecodable, _eval_csv_no_target,
             _eval_csv_empty, _eval_csv_repeated_row]
 
