@@ -37,7 +37,6 @@ produces a NaN/Inf raises `NumericError` immediately (`all_finite`).
 from __future__ import annotations
 
 import math
-from heapq import heappop, heappush
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -208,10 +207,11 @@ class Tape:
 
     Nodes are numbered in execution order, so the numbering is a
     topological order and `backward` can visit a loss's ancestors from the
-    highest number down.  The tape keeps no list of its nodes: nodes point
-    to their tape and parents, never back, so a finished pass is freed by
-    reference counting as soon as its last node is dropped, not at the next
-    cyclic garbage collection.
+    highest number down, keeping only the nodes still pending, keyed by
+    number.  The tape keeps no list of its nodes: nodes point to their tape
+    and parents, never back, so a finished pass is freed by reference
+    counting as soon as its last node is dropped, not at the next cyclic
+    garbage collection.
     """
 
     def __init__(self):
@@ -497,7 +497,9 @@ def backward(loss: TapeNode) -> None:
     loss depends on, whether it was an operand or watched.
 
     Visits the loss and its non-leaf ancestors in reverse topological
-    (creation) order, each at most once.  A `Param` operand receives its
+    (creation) order, each at most once: one dict maps the number of each
+    node reached but not yet visited to the gradient summed into it so far,
+    and the highest number is popped next.  A `Param` operand receives its
     share at once, one `+=` per use; a watched one receives the sum over its
     uses.  A None from a VJP is no gradient, and a constant leaf is never
     queued, so a constant loss returns at once.  Repeated calls without
@@ -507,12 +509,10 @@ def backward(loss: TapeNode) -> None:
         raise ShapeError(f"backward requires a scalar (1x1) loss, got shape {loss.value.shape}")
     if loss.vjp is None:
         return
-    # node number -> (node, gradient summed so far); the heap holds the
-    # negated numbers, so it pops the highest-numbered pending node first
+    # node number -> (node, gradient summed so far)
     pending = {loss.idx: (loss, _SEED_GRADIENT)}
-    order = [-loss.idx]
-    while order:
-        node, g = pending.pop(-heappop(order))
+    while pending:
+        node, g = pending.pop(max(pending))
         for parent, pg in zip(node.parents, node.vjp(g)):
             if pg is None:
                 continue
@@ -524,7 +524,6 @@ def backward(loss: TapeNode) -> None:
                     pending[idx] = (parent, pending[idx][1] + pg)
                 else:
                     pending[idx] = (parent, pg)
-                    heappush(order, -idx)
 
 
 def finite_diff_check(

@@ -16,6 +16,7 @@ Flags always override the corresponding config-file fields.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -56,7 +57,10 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The process's one parser tree, built on first use; parsing leaves it
+    unchanged."""
     parser = argparse.ArgumentParser(prog="ditto",
                                      description=__doc__.strip().splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)

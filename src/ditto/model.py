@@ -14,7 +14,9 @@ laid out in its flat arenas in this order (`param_layout`):
 So the task parameters (encoder + classifier) form one span of the arenas
 and each discriminator another; the optimizer and SAM touch each span with a
 handful of vector operations.  The store is allocated once, zero-filled, when
-the bundle is built; `init_params` and `load_checkpoint` then fill it.
+the bundle is built; `init_params` and `load_checkpoint` then fill it.  A
+checkpoint is that value arena as one float64 vector beside the metadata the
+layout is rebuilt from, so a load is one checked copy.
 """
 
 from __future__ import annotations
@@ -26,11 +28,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .autodiff import ParamStore, Tape, TapeNode, activation, affine, sigmoid
+from .autodiff import ParamStore, Tape, TapeNode, activation, affine, all_finite, sigmoid
 from .errors import DataError, ParameterError, ShapeError, check_fields
 from .rng import Rng
 
 DISC_HIDDEN = 64
+ARENA = "params"  # the checkpoint entry holding the value arena
 ACTIVATIONS = ("tanh", "relu")
 
 
@@ -206,10 +209,12 @@ def predict_logits(bundle: ModelBundle, x) -> np.ndarray:
 
 
 def save_checkpoint(bundle: ModelBundle, path: str) -> None:
-    """Serialize every parameter matrix plus architecture metadata.
+    """Write the architecture metadata and the parameter arena.
 
-    The npz container stores float64 matrices verbatim, so a save/load
-    round-trip is bit-exact.
+    The npz archive holds exactly two entries: `__meta__`, the metadata as
+    UTF-8 JSON bytes, and `params`, the store's value arena verbatim (a 1-D
+    float64 vector in `param_layout` order).  A save/load round trip is
+    bit-exact.
     """
     meta = {
         "input_dim": bundle.spec.input_dim,
@@ -218,18 +223,21 @@ def save_checkpoint(bundle: ModelBundle, path: str) -> None:
         "num_classes": bundle.num_classes,
         "target_ids": list(bundle.target_ids),
     }
-    arrays = {f"param::{name}": bundle.store[name].value for name in bundle.store.names()}
-    arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
-    np.savez(path, **arrays)
+    np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
+             **{ARENA: bundle.store.value})
 
 
 def load_checkpoint(path: str) -> ModelBundle:
     """Rebuild a bundle from `save_checkpoint` output.
 
-    A file that is not an npz archive, a missing or malformed `__meta__`
-    entry, and stored parameters that do not match the layout the metadata
-    implies (a missing, extra or wrong-shaped `param::` entry) raise
-    DataError naming the file.
+    The bundle is built from `__meta__`, then the `params` arena is copied
+    into its store with one assignment.  Each of these raises DataError
+    naming the file: a file that is not an npz archive; a missing or
+    malformed `__meta__` entry; an entry other than the two, so an archive
+    in the old per-parameter form is named by its first `param::` entry; a
+    missing arena, or one that is not a float64 vector of the layout's
+    length; and a non-finite value, named by the parameter whose span holds
+    the first one.
     """
     with open(path, "rb") as fh:
         try:
@@ -249,17 +257,22 @@ def load_checkpoint(path: str) -> ModelBundle:
             except (ValueError, TypeError, KeyError) as exc:  # ParameterError is a ValueError
                 raise DataError(f"{path}: bad checkpoint metadata: {type(exc).__name__}: "
                                 f"{exc}") from None
-            keys = {key for key in data.files if key.startswith("param::")}
-            extra = sorted(keys - {f"param::{name}" for name in bundle.store.names()})
-            if extra:
-                raise DataError(f"{path}: unexpected parameter {extra[0]!r}")
-            for p in bundle.store.params():
-                key = f"param::{p.name}"
-                if key not in keys:
-                    raise DataError(f"{path}: missing parameter {key!r}")
-                value = data[key]
-                if value.shape != p.shape:
-                    raise DataError(f"{path}: parameter {key!r} has shape {value.shape}, "
-                                    f"expected {p.shape}")
-                p.value[...] = value
+            for key in data.files:
+                if key not in ("__meta__", ARENA):
+                    raise DataError(f"{path}: unexpected entry {key!r}")
+            if ARENA not in data.files:
+                raise DataError(f"{path}: no {ARENA!r} entry")
+            try:
+                arena = data[ARENA]
+            except (ValueError, zipfile.BadZipFile) as exc:  # object arrays need pickle
+                raise DataError(f"{path}: unreadable {ARENA!r} entry: {exc}") from None
+    value = bundle.store.value
+    if arena.dtype.kind != "f" or arena.dtype.itemsize != 8 or arena.shape != value.shape:
+        raise DataError(f"{path}: {ARENA!r} is {arena.dtype} of shape {arena.shape}, "
+                        f"expected float64 of shape {value.shape}")
+    if not all_finite(arena):
+        first = int(np.flatnonzero(~np.isfinite(arena))[0])
+        name = next(p.name for p in bundle.store.params() if first < p.stop)
+        raise DataError(f"{path}: parameter {name!r} holds a non-finite value")
+    value[...] = arena
     return bundle

@@ -383,6 +383,26 @@ def test_diamond_reuse_sums_both_paths():
     assert float(store["w"].grad[0, 0]) == 6.0
 
 
+def test_shared_node_is_visited_once_after_every_consumer():
+    # h feeds u and then v, and the product lists v first: a walk that took
+    # the pending nodes in the order it reached them would visit h from u
+    # and then once more from v
+    store = ParamStore()
+    store.add("W", Rng(3).normal(0, 1, (3, 2)))
+    X = Rng(4).normal(0, 1, (4, 3))
+    h = matmul(Tape().constant(X), store["W"])
+    u = sigmoid(h)
+    v = activation(h, "tanh")
+    loss = summation(hadamard(v, u))
+    seen, vjp = [], h.vjp
+    h.vjp = lambda g: seen.append(g) or vjp(g)
+    backward(loss)
+    assert len(seen) == 1
+    dh = (1.0 - v.value ** 2) * u.value + v.value * u.value * (1.0 - u.value)
+    assert np.allclose(seen[0], dh, rtol=1e-12, atol=0.0)
+    assert np.allclose(store["W"].grad, X.T @ dh, rtol=1e-12, atol=1e-15)
+
+
 def test_minimum_ties_go_to_first_operand():
     store = ParamStore()
     store.add("a", np.array([[1.0]]))

@@ -403,11 +403,34 @@ def test_cli_missing_config_is_error(tmp_path):
                  "--out", str(tmp_path / "d")]) == 2
 
 
-def _drop_classifier_weight(run_dir, data_dir):
+def _rewrite_model(run_dir, edit):
     with np.load(run_dir / "model.npz") as data:
-        arrays = {key: data[key] for key in data.files if key != "param::classifier.W"}
+        arrays = {key: data[key] for key in data.files}
+    edit(arrays)
     np.savez(run_dir / "model.npz", **arrays)
-    return "param::classifier.W"
+
+
+def _drop_arena(run_dir, data_dir):
+    _rewrite_model(run_dir, lambda arrays: arrays.pop("params"))
+    return "model.npz: no 'params' entry"
+
+
+def _model_nan_weight(run_dir, data_dir):
+    _rewrite_model(run_dir, lambda arrays: arrays["params"].__setitem__(0, np.nan))
+    return "model.npz: parameter 'encoder.layer0.W' holds a non-finite value"
+
+
+def _model_float32(run_dir, data_dir):
+    _rewrite_model(run_dir, lambda arrays: arrays.update(
+        params=arrays["params"].astype(np.float32)))
+    return "model.npz: 'params' is float32 of shape"
+
+
+def _model_per_parameter_form(run_dir, data_dir):
+    bundle = load_checkpoint(run_dir / "model.npz")
+    _rewrite_model(run_dir, lambda arrays: arrays.update(
+        {f"param::{name}": bundle.store[name].value for name in bundle.store.names()}))
+    return "model.npz: unexpected entry 'param::encoder.layer0.W'"
 
 
 def _drop_manifest(run_dir, data_dir):
@@ -474,16 +497,20 @@ def _model_fewer_classes(run_dir, data_dir):
     return "model.npz: checkpoint num_classes 2 is too few for label 2 of domain 'src' split eval"
 
 
-@pytest.mark.parametrize("spoil", [_drop_classifier_weight, _drop_manifest, _corrupt_csv,
+@pytest.mark.parametrize("spoil", [_drop_arena, _drop_manifest, _corrupt_csv,
                                    _csv_field_too_large, _csv_undecodable,
                                    _manifest_not_json, _manifest_empty, _model_not_npz,
                                    _model_without_meta, _model_is_a_directory,
-                                   _model_wider_input, _model_fewer_classes],
+                                   _model_wider_input, _model_fewer_classes,
+                                   _model_nan_weight, _model_float32,
+                                   _model_per_parameter_form],
                          ids=["checkpoint_missing_param", "no_manifest", "bad_csv",
                               "csv_field_too_large", "csv_undecodable",
                               "manifest_not_json", "manifest_empty", "model_not_npz",
                               "model_without_meta", "model_is_a_directory",
-                              "model_input_dim_misfit", "model_num_classes_misfit"])
+                              "model_input_dim_misfit", "model_num_classes_misfit",
+                              "model_nan_weight", "model_float32",
+                              "model_per_parameter_form"])
 def test_cli_eval_bad_input_is_one_line_error(cli_config, tmp_path, capsys, spoil):
     data_dir, run_dir = tmp_path / "data", tmp_path / "run"
     assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
@@ -499,6 +526,7 @@ def test_cli_eval_bad_input_is_one_line_error(cli_config, tmp_path, capsys, spoi
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+    assert not (tmp_path / "scores.csv").exists()
 
 
 def _data_and_checkpoint(cli_config, tmp_path):
@@ -868,6 +896,25 @@ def test_cli_negative_k_or_seed_rejected_before_training(cli_config, tmp_path, c
     assert exc.value.code == 2
     assert f"{flags[-2]}: expected an integer >= 0, got '{flags[-1]}'" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+def test_cli_parser_serves_one_call_after_another(cli_config, tmp_path, capsys):
+    data_dir, model = _data_and_checkpoint(cli_config, tmp_path)  # a successful `generate`
+    train = ["train", "--config", str(cli_config), "--data", str(data_dir),
+             "--out", str(tmp_path / "run")]
+    capsys.readouterr()
+    for bad, message in ((["--k", "-1"], "argument --k: expected an integer >= 0, got '-1'"),
+                         (["--bogus"], "unrecognized arguments: --bogus")):
+        with pytest.raises(SystemExit) as exc:
+            main(train + bad)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: ditto ") and err.endswith(f": error: {message}\n")
+    assert not (tmp_path / "run").exists()
+    scores = tmp_path / "scores.csv"
+    assert main(["eval", "--model", str(model), "--data", str(data_dir),
+                 "--out", str(scores), "--method", "m"]) == 0
+    assert scores.read_text().splitlines()[1].split(",")[1] == "m"
 
 
 @pytest.mark.parametrize("results,flags,named", [

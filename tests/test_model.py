@@ -15,11 +15,13 @@ from ditto.autodiff import (
 )
 from ditto.errors import DataError, NumericError, ParameterError, ShapeError
 from ditto.model import (
+    ARENA,
     DISC_HIDDEN,
     classify,
     discriminate,
     encode,
     extract_features,
+    param_layout,
     predict_logits,
 )
 
@@ -254,6 +256,34 @@ def test_checkpoint_round_trip_bit_exact(tmp_path):
     assert np.array_equal(predict_logits(loaded, X), predict_logits(bundle, X))
 
 
+@pytest.mark.parametrize("spec, targets", [
+    (SPEC, ()),
+    (EncoderSpec(input_dim=3, hidden_dims=[6, 4, 5], activation="relu"), ("t1", "t0")),
+], ids=["zero_targets", "relu_encoder"])
+def test_checkpoint_round_trip_copies_the_whole_arena(tmp_path, spec, targets):
+    bundle = init_params(spec, num_classes=3, targets=list(targets), rng=Rng(21))
+    path = tmp_path / "model.npz"
+    save_checkpoint(bundle, path)
+    loaded = load_checkpoint(path)
+    assert loaded.spec == spec and loaded.target_ids == bundle.target_ids
+    assert np.array_equal(loaded.store.value, bundle.store.value)
+    assert loaded.store.value is not bundle.store.value
+
+
+def test_checkpoint_archive_is_metadata_and_one_arena(tmp_path):
+    bundle = make_bundle(seed=15)
+    path = tmp_path / "model.npz"
+    save_checkpoint(bundle, path)
+    with np.load(path) as data:
+        assert sorted(data.files) == ["__meta__", ARENA]
+        arena = data[ARENA]
+    assert arena.dtype == np.float64 and arena.shape == bundle.store.value.shape
+    assert np.array_equal(arena, bundle.store.value)
+    expected = np.concatenate([bundle.store[name].value.ravel()
+                               for name, _ in param_layout(SPEC, 4, bundle.target_ids)])
+    assert np.array_equal(arena, expected)
+
+
 def rewrite_checkpoint(path, edit):
     with np.load(path) as data:
         arrays = {key: data[key] for key in data.files}
@@ -261,16 +291,65 @@ def rewrite_checkpoint(path, edit):
     np.savez(path, **arrays)
 
 
-@pytest.mark.parametrize("edit, key", [
-    (lambda a: a.pop("param::classifier.W"), "param::classifier.W"),
-    (lambda a: a.update({"param::encoder.layer2.W": np.ones((5, 5))}), "param::encoder.layer2.W"),
-    (lambda a: a.update({"param::encoder.layer0.W": np.ones((4, 8))}), "param::encoder.layer0.W"),
-], ids=["missing", "extra", "wrong_shape"])
-def test_checkpoint_layout_mismatch_raises_data_error_naming_key(tmp_path, edit, key):
+def _retyped(dtype):
+    return lambda a: a.update({ARENA: a[ARENA].astype(dtype)})
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda a: a.pop(ARENA), f"no '{ARENA}' entry"),
+    (lambda a: a.update(extra=np.zeros(3)), "unexpected entry 'extra'"),
+    (lambda a: a.update({ARENA: a[ARENA][:-1]}), "expected float64 of shape (999,)"),
+    (lambda a: a.update({ARENA: a[ARENA].reshape(27, 37)}), "float64 of shape (27, 37)"),
+    (_retyped(np.float32), "'params' is float32 of shape (999,)"),
+    (_retyped(np.int64), "'params' is int64 of shape (999,)"),
+    (_retyped(bool), "'params' is bool of shape (999,)"),
+    (_retyped(np.complex128), "'params' is complex128 of shape (999,)"),
+    (_retyped(object), "unreadable 'params' entry"),
+], ids=["no_arena", "extra_entry", "wrong_length", "two_d", "float32", "int", "bool",
+        "complex", "object"])
+def test_checkpoint_arena_mismatch_is_a_data_error_naming_it(tmp_path, edit, named):
     path = tmp_path / "model.npz"
     save_checkpoint(make_bundle(seed=13), path)
     rewrite_checkpoint(path, edit)
-    with pytest.raises(DataError, match=key.replace(".", r"\.")):
+    with pytest.raises(DataError, match="model.npz: ") as exc:
+        load_checkpoint(path)
+    assert named in str(exc.value)
+
+
+def _spoil_arena(index, bad):
+    def edit(arrays):
+        arrays[ARENA][index] = bad
+        arrays[ARENA][-1] = np.nan  # a later non-finite value is not the one named
+    return edit
+
+
+@pytest.mark.parametrize("index, bad, name", [
+    (0, np.nan, "encoder.layer0.W"),
+    (100, -np.inf, "classifier.b"),  # the classifier bias is [97, 101)
+    (101, np.inf, "disc.t0.layer0.W"),
+    (998, np.nan, "disc.t1.head.b"),
+], ids=["nan_first", "neg_inf_span_end", "inf_span_start", "nan_last"])
+def test_non_finite_checkpoint_names_its_parameter(tmp_path, index, bad, name):
+    path = tmp_path / "model.npz"
+    save_checkpoint(make_bundle(seed=16), path)
+    rewrite_checkpoint(path, _spoil_arena(index, bad))
+    with pytest.raises(DataError, match="model.npz: ") as exc:
+        load_checkpoint(path)
+    assert f"parameter '{name}' holds a non-finite value" in str(exc.value)
+
+
+def test_per_parameter_checkpoint_names_its_first_entry(tmp_path):
+    bundle = make_bundle(seed=17)
+    path = tmp_path / "model.npz"
+    save_checkpoint(bundle, path)
+
+    def old_form(arrays):
+        del arrays[ARENA]
+        arrays.update({f"param::{name}": bundle.store[name].value
+                       for name in bundle.store.names()})
+
+    rewrite_checkpoint(path, old_form)
+    with pytest.raises(DataError, match="unexpected entry 'param::encoder.layer0.W'"):
         load_checkpoint(path)
 
 
