@@ -58,17 +58,15 @@ VARIANTS = {
 class LanguagePrior:
     """Sampling distribution over target domains."""
 
-    probs: dict[str, float]
+    probs: dict[str, float] = field(metadata={"min": 0})
 
     def __post_init__(self):
         check_fields(self)
         if not self.probs:
-            raise ConfigError("prior needs at least one target")
-        if any(p < 0 for p in self.probs.values()):
-            raise ConfigError(f"negative probability in prior: {self.probs}")
+            raise ConfigError("need at least one target", key="probs")
         total = sum(self.probs.values())
         if abs(total - 1.0) > 1e-12:
-            raise ConfigError(f"prior probabilities sum to {total!r}, not 1")
+            raise ConfigError(f"probabilities sum to {total!r}, not 1", key="probs")
 
     @staticmethod
     def uniform(targets: Sequence[str]) -> "LanguagePrior":
@@ -131,7 +129,7 @@ class TrainVariant:
     """Which training procedure to run, with its lambda and SAM radius."""
 
     kind: str
-    lam: float = 1.0
+    lam: float = field(default=1.0, metadata={"min": 0})
     sam: SamConfig = field(default_factory=SamConfig)
     single_target: str | None = None
 
@@ -139,20 +137,20 @@ class TrainVariant:
         check_fields(self)
         if self.kind not in VARIANTS:
             raise ConfigError(f"unknown variant kind {self.kind!r}; "
-                              f"expected one of {tuple(VARIANTS)}")
+                              f"expected one of {tuple(VARIANTS)}", key="kind")
         takes_lam, takes_rho, prior = VARIANTS[self.kind]
-        if self.lam < 0:
-            raise ConfigError(f"lambda must be >= 0, got {self.lam}")
         if not takes_lam and self.lam != 0.0:
-            raise ConfigError(f"{self.kind} requires lambda = 0, got {self.lam}")
+            raise ConfigError(f"{self.kind} requires lambda = 0, got {self.lam}", key="lam")
         if not takes_rho and self.sam.rho != 0.0:
-            raise ConfigError(f"{self.kind} requires rho = 0, got {self.sam.rho}")
+            raise ConfigError(f"{self.kind} requires rho = 0, got {self.sam.rho}",
+                              key="sam.rho")
         if (prior == "single") != (self.single_target is not None):
             raise ConfigError(f"only ditto_single takes a target ('ditto_single:<target>'); "
-                              f"got {self.kind} with target {self.single_target!r}")
+                              f"got {self.kind} with target {self.single_target!r}",
+                              key="single_target")
         if prior == "single" and not valid_domain_id(self.single_target):
             raise ConfigError(f"ditto_single target must be {DOMAIN_ID_RULE}, "
-                              f"got {self.single_target!r}")  # names a run dir
+                              f"got {self.single_target!r}", key="single_target")  # names a run dir
 
     @property
     def needs_prior(self) -> bool:
@@ -187,26 +185,15 @@ class TrainConfig:
     """
 
     encoder: EncoderSpec
-    num_classes: int
-    epochs: int
-    batch_size: int = 32
-    lr: float = 0.01
-    disc_lr: float = 0.05
-    weight_decay: float = 0.0
-    adv_source_from_unlabeled: bool = False
+    num_classes: int = field(metadata={"min": 2})
+    epochs: int = field(metadata={"min": 0})
+    batch_size: int = field(default=32, metadata={"min": 1})
+    lr: float = field(default=0.01, metadata={"above": 0})
+    disc_lr: float = field(default=0.05, metadata={"above": 0})
+    weight_decay: float = field(default=0.0, metadata={"min": 0})
 
     def __post_init__(self):
         check_fields(self)
-        if self.num_classes < 2:
-            raise ConfigError(f"need at least 2 classes, got {self.num_classes}")
-        if self.epochs < 0:
-            raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.lr <= 0 or self.disc_lr <= 0:
-            raise ConfigError("learning rates must be positive")
-        if self.weight_decay < 0:  # AdamWConfig's bound, checked before training starts
-            raise ConfigError(f"must be >= 0, got {self.weight_decay}", key="weight_decay")
 
 
 @dataclass
@@ -254,7 +241,6 @@ def ditto_step(
     variant: TrainVariant,
     step: int,
     rng: Rng,
-    source_pool: np.ndarray | None = None,
 ) -> tuple[float, float | None, str | None]:
     """One joint step: sharpness-aware task phase, then an adversarial phase
     against one sampled target.
@@ -288,13 +274,7 @@ def ditto_step(
         raise DataError(f"target domain {t!r} has an empty unlabeled pool")
     m = X.shape[0]
     target_rows = pool[rng.integers(0, pool.shape[0], m)]
-    if source_pool is not None:
-        if source_pool.shape[0] == 0:
-            raise DataError("source unlabeled pool is empty")
-        source_rows = source_pool[rng.integers(0, source_pool.shape[0], m)]
-    else:
-        source_rows = X
-    domain_X = np.vstack([source_rows, target_rows])
+    domain_X = np.vstack([X, target_rows])
 
     tape = Tape()
     feats = encode(bundle, tape, domain_X)
@@ -408,8 +388,6 @@ def train(
         disc=AdamWConfig(lr=config.disc_lr, total_steps=total_steps,
                          weight_decay=config.weight_decay),
     )
-    source_pool = src.unlabeled if config.adv_source_from_unlabeled else None
-
     shuffle_rng = rng.child("shuffle")
     adv_rng = rng.child("adversarial")
     sample_counts = {t: 0 for t in targets}
@@ -427,8 +405,7 @@ def train(
                 adv_loss, t = None, None
             else:
                 task_loss, adv_loss, t = ditto_step(
-                    bundle, X, y, prior, datasets, opts, variant, step,
-                    adv_rng, source_pool)
+                    bundle, X, y, prior, datasets, opts, variant, step, adv_rng)
             task_losses.append(task_loss)
             if adv_loss is not None:
                 adv_losses.append(adv_loss)

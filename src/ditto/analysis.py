@@ -14,8 +14,8 @@ import numpy as np
 
 from .adaptation import domain_accuracies
 from .data import DomainDataset, csv_records, write_csv
-from .errors import (DataError, ParameterError, ShapeError, UndefinedResultError,
-                     check_fields, is_finite_number)
+from .errors import (DataError, ShapeError, UndefinedResultError, check_fields,
+                     is_finite_number)
 from .model import ModelBundle
 
 CKA_DEGENERATE = 1e-12
@@ -162,17 +162,14 @@ def relative_gain(baseline_acc: float, method_acc: float) -> float:
 class CostParams:
     """Inputs of the annotation budget model; costs in cents."""
 
-    c_s: float = 3.0
-    n_labeled_source: int = 0
-    c_t_over_s: float = 1.0
-    k: int = 0
-    num_targets: int = 0
+    c_s: float = field(default=3.0, metadata={"min": 0})
+    n_labeled_source: int = field(default=0, metadata={"min": 0})
+    c_t_over_s: float = field(default=1.0, metadata={"min": 0})
+    k: int = field(default=0, metadata={"min": 0})
+    num_targets: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self):
         check_fields(self)
-        for name in ("c_s", "n_labeled_source", "c_t_over_s", "k", "num_targets"):
-            if getattr(self, name) < 0:
-                raise ParameterError(f"{name} must be >= 0")
 
 
 def annotation_cost(p: CostParams) -> float:

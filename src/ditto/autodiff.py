@@ -19,10 +19,11 @@ operation takes its tape from a TapeNode operand.
 
 Parameter storage is flat.  A `ParamStore` owns four contiguous 1-D float64
 arenas, `value`, `grad`, `m` and `v`; parameter i occupies the span
-[start_i, stop_i) of each, in insertion order, and its `.value`/`.grad`/`.m`/
-`.v` are reshaped views of that span.  Whole-store operations are therefore
-single vector operations over a span: `reset_grads` zeroes the grad arena
-once, and the optimizer updates each run of adjacent parameters at once
+[start_i, stop_i) of each, in insertion order, and its `.value`/`.grad` are
+reshaped views of that span (the optimizer reads the moments `m`/`v` as
+arena slices).  Whole-store operations are therefore single vector
+operations over a span: `reset_grads` zeroes the grad arena once, and the
+optimizer updates each run of adjacent parameters at once
 (`ParamStore.spans`).
 
 A constant (`Tape.constant`, such as the encoder's input) is a leaf that
@@ -74,13 +75,12 @@ def all_finite(a: np.ndarray) -> bool:
 class Param:
     """A named trainable matrix: views of one span of its store's arenas.
 
-    `value`, `grad`, `m`, `v` (the first/second moment accumulators) are
-    reshaped views of [start, stop) in the store's arenas, so write through
-    them (`p.value[...] = x`) and never rebind them.  `step` is the
-    per-parameter update count used for bias correction.
+    `value` and `grad` are reshaped views of [start, stop) in the store's
+    arenas, so write through them (`p.value[...] = x`) and never rebind them.
+    `step` is the per-parameter update count used for bias correction.
     """
 
-    __slots__ = ("name", "shape", "start", "stop", "step", "value", "grad", "m", "v")
+    __slots__ = ("name", "shape", "start", "stop", "step", "value", "grad")
 
     def __init__(self, name: str, shape: tuple[int, int], start: int):
         self.name = name
@@ -93,8 +93,6 @@ class Param:
         span = slice(self.start, self.stop)
         self.value = store.value[span].reshape(self.shape)
         self.grad = store.grad[span].reshape(self.shape)
-        self.m = store.m[span].reshape(self.shape)
-        self.v = store.v[span].reshape(self.shape)
 
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.shape})"

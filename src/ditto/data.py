@@ -238,21 +238,22 @@ class MixtureSpec:
     """Isotropic Gaussian mixture with one component per class."""
 
     means: list[list[float]]
-    sigma: float = 0.5
+    sigma: float = field(default=0.5, metadata={"min": 0})
 
     def __post_init__(self):
         check_fields(self)
         if len(self.means) < 2:
-            raise ConfigError(f"need at least 2 classes, got {len(self.means)}")
+            raise ConfigError(f"need at least 2 classes, got {len(self.means)}", key="means")
         dims = {len(m) for m in self.means}
         if len(dims) != 1:
-            raise ConfigError(f"class means have mixed dimensions: {sorted(dims)}")
-        if self.sigma < 0:
-            raise ConfigError(f"sigma must be >= 0, got {self.sigma}")
+            raise ConfigError(f"class means have mixed dimensions: {sorted(dims)}",
+                              key="means")
+        if not self.dim:
+            raise ConfigError("class means need at least one feature column", key="means")
         pairs = {tuple(m) for m in self.means}
         if len(pairs) != len(self.means) and self.sigma == 0.0:
             raise ConfigError("coincident class means with sigma = 0 make a "
-                              "degenerate mixture")
+                              "degenerate mixture", key="means")
 
     @property
     def dim(self) -> int:
@@ -265,18 +266,15 @@ class MixtureSpec:
 
 @dataclass
 class SizeSpec:
-    labeled: int = 0
-    unlabeled: int = 0
-    fewshot: int = 0
-    eval: int = 0
+    """Rows per split; the eval split is never empty."""
+
+    labeled: int = field(default=0, metadata={"min": 0})
+    unlabeled: int = field(default=0, metadata={"min": 0})
+    fewshot: int = field(default=0, metadata={"min": 0})
+    eval: int = field(default=0, metadata={"min": 1})
 
     def __post_init__(self):
         check_fields(self)
-        for name in SPLITS:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"split size {name} must be >= 0")
-        if self.eval <= 0:
-            raise ConfigError("eval split must be non-empty")
 
 
 @dataclass
@@ -293,7 +291,7 @@ class DomainSpec:
         if not valid_domain_id(self.id):
             raise ConfigError(f"domain id {self.id!r} must be {DOMAIN_ID_RULE}", key="id")
         if self.kind not in ("source", "target"):
-            raise ConfigError(f"domain kind must be source or target, got {self.kind!r}")
+            raise ConfigError(f"must be source or target, got {self.kind!r}", key="kind")
         _check_transform(self.transform, f" of domain {self.id!r}")
 
 

@@ -2,7 +2,10 @@
 
 Every failure mode raised by the library is one of these classes, so callers
 can distinguish bad shapes from bad configs from bad data without string
-matching.  `check_fields` is the one field rule of every config dataclass.
+matching.  `check_fields` is the one field rule of every config dataclass,
+and the one bound rule: a numeric field declares its range in its metadata
+beside its type, `min` inclusive or `above` exclusive, and a value out of
+range is one ConfigError keyed by the field's JSON key.
 """
 
 import json
@@ -24,7 +27,8 @@ class LabelError(ValueError):
 
 
 class ParameterError(ValueError):
-    """A scalar argument violates its precondition (negative lambda, bad h, ...)."""
+    """A function argument violates its precondition (negative lambda, bad h, ...);
+    a config field out of its bound is a ConfigError."""
 
 
 class StateError(RuntimeError):
@@ -80,8 +84,8 @@ def is_finite_number(v) -> bool:
     return abs(v) <= sys.float_info.max if isinstance(v, numbers.Integral) else math.isfinite(v)
 
 
-_WANTED = {bool: "true or false", int: "an integer", float: "a number", str: "a string",
-           list: "a list", dict: "an object"}
+_WANTED = {int: "an integer", float: "a number", str: "a string", list: "a list",
+           dict: "an object"}
 
 
 @cache
@@ -95,31 +99,40 @@ def config_fields(cls) -> tuple:
 
 
 def check_fields(config) -> None:
-    """Set every field of the config dataclass `config` to `fit` of its value,
-    keyed by its JSON key (its name for a "" key)."""
+    """Set every field of the config dataclass `config` to `fit` of its value
+    and the bound in its metadata, keyed by its JSON key (its name for a ""
+    key)."""
     for f, key, tp in config_fields(type(config)):
-        setattr(config, f.name, fit(tp, getattr(config, f.name), key or f.name))
+        setattr(config, f.name, fit(tp, getattr(config, f.name), key or f.name, f.metadata))
 
 
-def fit(tp, value, key: str):
+def fit(tp, value, key: str, bound: typing.Mapping = types.MappingProxyType({})):
     """`value` as a value of the field type `tp` (an int in a float field
-    becomes a float), else a ConfigError keyed `key`.  The one field rule,
-    for a config read from JSON or built in Python alike: bool is not a
-    number; an int field takes no float; a float field takes a finite int or
-    float; list and dict items have their item type (keyed `key[i]` and
-    `key.name`); `X | None` also takes None; a nested config field holds that
-    dataclass; numpy scalars count as int and float."""
+    becomes a float) within `bound`, else a ConfigError keyed `key`.  The one
+    field rule, for a config read from JSON or built in Python alike: bool is
+    not a number; an int field takes no float; a float field takes a finite
+    int or float; list and dict items have their item type (keyed `key[i]`
+    and `key.name`); `X | None` also takes None; a nested config field holds
+    that dataclass; numpy scalars count as int and float.  `bound` may hold
+    `min` (value >= min) and `above` (value > above); a list or dict field's
+    bound holds for each item."""
     if (tp is int and is_integer(value)) or (tp is float and is_finite_number(value)):
-        return tp(value)
+        value = tp(value)
+        if "min" in bound and not value >= bound["min"]:
+            raise ConfigError(f"must be >= {bound['min']}, got {value}", key=key)
+        if "above" in bound and not value > bound["above"]:
+            raise ConfigError(f"must be > {bound['above']}, got {value}", key=key)
+        return value
     origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # X | None
         (tp,) = set(args) - {type(None)}
-        return None if value is None else fit(tp, value, key)
+        return None if value is None else fit(tp, value, key, bound)
     if tp not in (int, float) and isinstance(value, origin):
         if origin is list:
-            return [fit(args[0], v, f"{key}[{i}]") for i, v in enumerate(value)]
+            return [fit(args[0], v, f"{key}[{i}]", bound) for i, v in enumerate(value)]
         if origin is dict and args:
-            return {fit(args[0], k, key): fit(args[1], v, f"{key}.{k}") for k, v in value.items()}
+            return {fit(args[0], k, key): fit(args[1], v, f"{key}.{k}", bound)
+                    for k, v in value.items()}
         return value
     finite = tp is float and isinstance(value, numbers.Real) and not isinstance(value, bool)
     wanted = "a finite number" if finite else _WANTED.get(origin) or f"a {tp.__name__}"

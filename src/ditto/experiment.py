@@ -60,8 +60,8 @@ from .analysis import (
 )
 from .data import (DomainDataset, DomainSpec, MixtureSpec, read_json_object,
                    subsample_source, write_csv)
-from .errors import (ConfigError, DataError, ParameterError, UndefinedResultError,
-                     check_fields, config_fields, fit)
+from .errors import (ConfigError, DataError, UndefinedResultError, check_fields,
+                     config_fields, fit)
 from .model import ModelBundle, extract_features, save_checkpoint
 from .rng import Rng
 
@@ -79,13 +79,13 @@ class ExperimentConfig:
 
     train: TrainConfig = field(metadata={"json": ""})
     variants: list[str] = field(default_factory=lambda: [BASELINE, "ditto"])
-    lam: float = field(default=1.0, metadata={"json": "lambda"})
-    rho: float = 0.05
-    seeds: list[int] = field(default_factory=lambda: [0, 1, 2])
+    lam: float = field(default=1.0, metadata={"json": "lambda", "min": 0})
+    rho: float = field(default=0.05, metadata={"min": 0})
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2], metadata={"min": 0})
     source_fractions: list[int] = field(default_factory=lambda: [100])
-    ks: list[int] = field(default_factory=lambda: [0])
-    c_s: float = field(default=3.0, metadata={"json": "cost.c_s"})
-    c_t_over_s: float = field(default=1.0, metadata={"json": "cost.c_t_over_s"})
+    ks: list[int] = field(default_factory=lambda: [0], metadata={"min": 0})
+    c_s: float = field(default=3.0, metadata={"json": "cost.c_s", "min": 0})
+    c_t_over_s: float = field(default=1.0, metadata={"json": "cost.c_t_over_s", "min": 0})
 
     def __post_init__(self):
         check_fields(self)
@@ -97,22 +97,15 @@ class ExperimentConfig:
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ConfigError(f"{what} {value!r} is listed twice", key=f"{key}[{i}]")
-                if key in ("seeds", "ks") and value < 0:
-                    raise ConfigError(f"{what} must be >= 0, got {value}", key=f"{key}[{i}]")
-        for key, value in (("lambda", self.lam), ("rho", self.rho)):
-            if value < 0:
-                raise ConfigError(f"{key} must be >= 0, got {value}", key=key)
-        for f in self.source_fractions:
+        for i, f in enumerate(self.source_fractions):
             if f not in (1, 10, 100):
-                raise ConfigError(f"source fractions must be in {{1,10,100}}, got {f}")
-        if self.c_s < 0 or self.c_t_over_s < 0:
-            raise ConfigError(f"cost constants must be >= 0, got c_s={self.c_s}, "
-                              f"c_t_over_s={self.c_t_over_s}")
+                raise ConfigError(f"must be in {{1,10,100}}, got {f}",
+                                  key=f"source_fractions[{i}]")
         for i, name in enumerate(self.variants):
             try:
                 TrainVariant.parse(name)  # the name only: a ditto_single target
             except ConfigError as exc:  # is checked against the dataset per run
-                raise ConfigError(str(exc), key=f"variants[{i}]") from None
+                raise ConfigError(exc.args[0], key=f"variants[{i}]") from None
         ordered = [v for v in self.variants if v != BASELINE]
         self.variants = [BASELINE] + ordered  # baseline first: it seeds the prior
 
@@ -126,12 +119,10 @@ class DatasetConfig:
 
     base: MixtureSpec
     domains: list[DomainSpec]
-    seed: int = 0
+    seed: int = field(default=0, metadata={"min": 0})
 
     def __post_init__(self):
         check_fields(self)
-        if self.seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {self.seed}", key="seed")
 
 
 # ---------------------------------------------------------------------------
@@ -174,12 +165,14 @@ def _build(cls, obj: dict, path: str):
         where = f"{path}.{key}"
         if last in node:
             kwargs[f.name] = _value(tp, node[last], where)
+        elif f.default_factory is not MISSING and is_dataclass(tp):  # a domain's sizes
+            kwargs[f.name] = _value(tp, {}, where)  # its defaults, checked at its own path
         elif f.default is MISSING and f.default_factory is MISSING:
             raise ConfigError(f"{where}: required key missing")
     try:
         return cls(**kwargs)
-    except (ConfigError, ParameterError) as exc:  # a ConfigError's text starts with its key
-        sep = "." if getattr(exc, "key", "") else ": "
+    except ConfigError as exc:  # its text starts with its key
+        sep = "." if exc.key else ": "
         raise ConfigError(f"{path}{sep}{exc}") from None
 
 
@@ -373,20 +366,19 @@ def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
 # aggregates: every table reads each run back once (`_finished_runs`), and
 # every gain is `mean_gain` of the two-decimal accuracies in eval.csv
 
-_RUN_KEYS = {"S": int, "k": int, "variant": str, "seed": int, "source": str,
-             "targets": list[str], "n_labeled_source": int}  # the keys the tables read
+# the keys the tables read, with their types and bounds
+_RUN_KEYS = {"S": (int, {}), "k": (int, {"min": 0}), "variant": (str, {}),
+             "seed": (int, {"min": 0}), "source": (str, {}), "targets": (list[str], {}),
+             "n_labeled_source": (int, {"min": 0})}
 
 
 def _check_run_keys(meta: dict) -> None:
-    """Fit each of `_RUN_KEYS` in a run.json by the one field rule, then
-    check its bounds; a ConfigError names the key at fault."""
-    for name, tp in _RUN_KEYS.items():
+    """Fit each of `_RUN_KEYS` in a run.json by the one field and bound rule;
+    a ConfigError names the key at fault."""
+    for name, (tp, bound) in _RUN_KEYS.items():
         if name not in meta:
             raise ConfigError(f"{name!r} missing")
-        meta[name] = fit(tp, meta[name], name)
-    for name in ("seed", "k", "n_labeled_source"):
-        if meta[name] < 0:
-            raise ConfigError(f"must be >= 0, got {meta[name]}", key=name)
+        meta[name] = fit(tp, meta[name], name, bound)
     targets = meta["targets"]
     if not targets:
         raise ConfigError("need at least one target", key="targets")

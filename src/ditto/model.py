@@ -29,7 +29,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ParamStore, Tape, TapeNode, activation, affine, all_finite, sigmoid
-from .errors import DataError, ParameterError, ShapeError, check_fields
+from .errors import ConfigError, DataError, ParameterError, ShapeError, check_fields
 from .rng import Rng
 
 DISC_HIDDEN = 64
@@ -42,21 +42,17 @@ class EncoderSpec:
     """Architecture of the encoder MLP; the last hidden dim is the feature
     dimension consumed by the classifier and every discriminator."""
 
-    input_dim: int
-    hidden_dims: list[int] = field(default_factory=lambda: [32, 16])
+    input_dim: int = field(metadata={"min": 1})
+    hidden_dims: list[int] = field(default_factory=lambda: [32, 16], metadata={"min": 1})
     activation: str = "tanh"
 
     def __post_init__(self):
         check_fields(self)
-        if self.input_dim <= 0:
-            raise ParameterError(f"input_dim must be positive, got {self.input_dim}")
         if not self.hidden_dims:
-            raise ParameterError("hidden_dims must be non-empty")
-        if any(d <= 0 for d in self.hidden_dims):
-            raise ParameterError(f"hidden dims must be positive, got {self.hidden_dims}")
+            raise ConfigError("must be non-empty", key="hidden_dims")
         if self.activation not in ACTIVATIONS:
-            raise ParameterError(f"activation must be one of {ACTIVATIONS}, "
-                                 f"got {self.activation!r}")
+            raise ConfigError(f"must be one of {ACTIVATIONS}, got {self.activation!r}",
+                              key="activation")
 
     @property
     def feature_dim(self) -> int:
@@ -254,7 +250,7 @@ def load_checkpoint(path: str) -> ModelBundle:
                 spec = EncoderSpec(meta["input_dim"], list(meta["hidden_dims"]),
                                    meta["activation"])
                 bundle = ModelBundle(spec, meta["num_classes"], meta["target_ids"])
-            except (ValueError, TypeError, KeyError) as exc:  # ParameterError is a ValueError
+            except (ValueError, TypeError, KeyError) as exc:  # ConfigError is a ValueError
                 raise DataError(f"{path}: bad checkpoint metadata: {type(exc).__name__}: "
                                 f"{exc}") from None
             for key in data.files:

@@ -20,50 +20,43 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .autodiff import ParamStore, TapeNode, all_finite, backward
-from .errors import (DegenerateGradientError, NumericError, ParameterError, StateError,
-                     check_fields)
+from .errors import (ConfigError, DegenerateGradientError, NumericError, ParameterError,
+                     StateError, check_fields)
 
 DEGENERATE_NORM = 1e-12
 
 
 @dataclass
 class AdamWConfig:
-    lr: float
-    total_steps: int
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
+    lr: float = field(metadata={"above": 0})
+    total_steps: int = field(metadata={"min": 1})
+    beta1: float = field(default=0.9, metadata={"min": 0})
+    beta2: float = field(default=0.999, metadata={"min": 0})
+    eps: float = field(default=1e-8, metadata={"above": 0})
+    weight_decay: float = field(default=0.0, metadata={"min": 0})
 
     def __post_init__(self):
         check_fields(self)
-        if self.lr <= 0:
-            raise ParameterError(f"lr must be positive, got {self.lr}")
-        if self.total_steps <= 0:
-            raise ParameterError(f"total_steps must be positive, got {self.total_steps}")
-        if not (0.0 <= self.beta1 < 1.0) or not (0.0 <= self.beta2 < 1.0):
-            raise ParameterError(f"betas must lie in [0, 1), got {self.beta1}, {self.beta2}")
-        if self.weight_decay < 0:
-            raise ParameterError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        for key in ("beta1", "beta2"):
+            if getattr(self, key) >= 1.0:
+                raise ConfigError(f"must be < 1, got {getattr(self, key)}", key=key)
 
 
 @dataclass
 class SamConfig:
     """rho is the L2 radius of the perturbation neighborhood; 0 disables SAM."""
 
-    rho: float = 0.0
+    rho: float = field(default=0.0, metadata={"min": 0})
 
     def __post_init__(self):
         check_fields(self)
-        if self.rho < 0:
-            raise ParameterError(f"rho must be >= 0, got {self.rho}")
 
 
 def lr_at(config: AdamWConfig, step: int) -> float:

@@ -2,7 +2,6 @@
 its exact degenerate-case reductions."""
 
 import collections
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -311,30 +310,6 @@ def test_train_deterministic(small_dataset):
     assert r1.comparable() == r2.comparable()
     b3, _ = train(CFG, small_dataset, v, seed=12, prior=prior)
     assert not _params_equal(b1, b3)
-
-
-def test_adv_source_from_unlabeled_is_deterministic_and_distinct(small_dataset):
-    # the adversarial source half comes from the source unlabeled pool
-    # instead of the labeled task batch
-    on = replace(CFG, adv_source_from_unlabeled=True)
-    v = TrainVariant.parse("ditto_uniform", 0.5, 0.05)
-    b1, r1 = train(on, small_dataset, v, seed=3)
-    b2, r2 = train(on, small_dataset, v, seed=3)
-    assert _params_equal(b1, b2)
-    assert r1.comparable() == r2.comparable()
-    b3, _ = train(CFG, small_dataset, v, seed=3)
-    assert not _params_equal(b1, b3)
-
-
-def test_adv_source_from_unlabeled_needs_a_source_pool(small_dataset):
-    src = small_dataset.domains["src"]
-    domains = {**small_dataset.domains, "src": replace(src, unlabeled=np.empty((0, 2)))}
-    dataset = DomainDataset(source="src", domains=domains)
-    on = replace(CFG, adv_source_from_unlabeled=True)
-    v = TrainVariant.parse("ditto_uniform", 0.5, 0.05)
-    train(CFG, dataset, v, seed=3)  # the pool is only read when asked for
-    with pytest.raises(DataError, match="source unlabeled pool is empty"):
-        train(on, dataset, v, seed=3)
 
 
 def test_wall_clock_excluded_from_comparable(small_dataset):

@@ -26,8 +26,8 @@ from ditto.analysis import (
     write_eval_csv,
 )
 from ditto.errors import (
+    ConfigError,
     DataError,
-    ParameterError,
     ShapeError,
     UndefinedResultError,
 )
@@ -179,7 +179,7 @@ def test_annotation_cost_pinned_value():
     assert annotation_cost(CostParams(3.0, 1000, 1.0, 0, 5)) == 3000.0
     # doubling the per-target cost ratio doubles only the target term
     assert annotation_cost(CostParams(3.0, 1000, 2.0, 500, 5)) == 18000.0
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         CostParams(c_s=-1.0, n_labeled_source=10, c_t_over_s=1.0, k=0, num_targets=1)
 
 

@@ -606,8 +606,6 @@ def test_cli_run_all_respects_variant_restriction(cli_config, tmp_path):
 MALFORMED = {
     # (section, spoil the section in place, JSON path the error must name)
     "typo_keys": ("experiment", lambda e: e.update(lamda=0.0, epoch=1), "experiment.lamda"),
-    "bool_as_string": ("experiment", lambda e: e.update(adv_source_from_unlabeled="false"),
-                       "experiment.adv_source_from_unlabeled"),
     "float_epochs": ("experiment", lambda e: e.update(epochs=2.9), "experiment.epochs"),
     "bool_as_int": ("experiment", lambda e: e.update(num_classes=True),
                     "experiment.num_classes"),
@@ -616,7 +614,7 @@ MALFORMED = {
     "hidden_dims_string": ("experiment", lambda e: e["encoder"].update(hidden_dims="32"),
                            "experiment.encoder.hidden_dims"),
     "sigmoid_activation": ("experiment", lambda e: e["encoder"].update(activation="sigmoid"),
-                           "experiment.encoder"),
+                           "experiment.encoder.activation"),
     "unknown_cost_key": ("experiment", lambda e: e["cost"].update(c_u=1.0),
                          "experiment.cost.c_u"),
     "rho_grid": ("experiment", lambda e: e.update(rho_grid=[0.01, 0.05]),
@@ -624,7 +622,9 @@ MALFORMED = {
     "out_dir": ("experiment", lambda e: e.update(out_dir="results"), "experiment.out_dir"),
     "no_base": ("dataset", lambda d: d.pop("base"), "dataset.base"),
     "no_eval_size": ("dataset", lambda d: d["domains"][1]["sizes"].pop("eval"),
-                     "dataset.domains[1].sizes"),
+                     "dataset.domains[1].sizes.eval"),
+    "no_sizes": ("dataset", lambda d: d["domains"][1].pop("sizes"),
+                 "dataset.domains[1].sizes.eval"),
     "unknown_variant": ("experiment", lambda e: e.update(variants=["baseline", "dito"]),
                         "experiment.variants[1]"),
     "rotation_without_angle": ("dataset", lambda d: d["domains"][1]["transform"].pop("angle"),
@@ -675,6 +675,27 @@ MALFORMED = {
     "repeated_k": ("experiment", lambda e: e.update(ks=[0, 0]), "experiment.ks[1]"),
     "repeated_source_fraction": ("experiment", lambda e: e.update(source_fractions=[100, 100]),
                                  "experiment.source_fractions[1]"),
+    "source_fraction_50": ("experiment", lambda e: e.update(source_fractions=[100, 50]),
+                           "experiment.source_fractions[1]"),
+    "negative_epochs": ("experiment", lambda e: e.update(epochs=-1), "experiment.epochs"),
+    "zero_batch_size": ("experiment", lambda e: e.update(batch_size=0),
+                        "experiment.batch_size"),
+    "zero_lr": ("experiment", lambda e: e.update(lr=0.0), "experiment.lr"),
+    "one_class": ("experiment", lambda e: e.update(num_classes=1), "experiment.num_classes"),
+    "zero_input_dim": ("experiment", lambda e: e["encoder"].update(input_dim=0),
+                       "experiment.encoder.input_dim"),
+    "zero_hidden_dim": ("experiment", lambda e: e["encoder"].update(hidden_dims=[4, 0]),
+                        "experiment.encoder.hidden_dims[1]"),
+    "negative_cost": ("experiment", lambda e: e["cost"].update(c_s=-1.0),
+                      "experiment.cost.c_s"),
+    "negative_base_sigma": ("dataset", lambda d: d["base"].update(sigma=-0.5),
+                            "dataset.base.sigma"),
+    "zero_width_means": ("dataset", lambda d: d["base"].update(means=[[], [], []]),
+                         "dataset.base.means"),
+    "zero_eval_size": ("dataset", lambda d: d["domains"][0]["sizes"].update(eval=0),
+                       "dataset.domains[0].sizes.eval"),
+    "negative_labeled_size": ("dataset", lambda d: d["domains"][0]["sizes"].update(labeled=-1),
+                              "dataset.domains[0].sizes.labeled"),
 }
 
 
@@ -708,7 +729,9 @@ def test_malformed_config_names_its_json_path(cli_config, case):
                                           ("run-all", "repeated_seed"),
                                           ("run-all", "nan_cost"),
                                           ("run-all", "negative_weight_decay"),
-                                          ("generate", "nan_base_sigma")])
+                                          ("run-all", "negative_epochs"),
+                                          ("generate", "nan_base_sigma"),
+                                          ("generate", "zero_width_means")])
 def test_cli_malformed_config_is_one_line_error(cli_config, tmp_path, capsys, command, case):
     section, spoil, path = MALFORMED[case]
     cfg = json.loads(cli_config.read_text())
@@ -833,7 +856,7 @@ def test_criterion_10_config_parses_as_before():
         train=TrainConfig(encoder=EncoderSpec(input_dim=2, hidden_dims=[16, 8],
                                               activation="tanh"),
                           num_classes=3, epochs=3, batch_size=32, lr=0.02, disc_lr=0.1,
-                          weight_decay=0.0, adv_source_from_unlabeled=False),
+                          weight_decay=0.0),
         variants=["baseline", "ditto", "ditto_minus_sam"], lam=0.25, rho=0.05,
         seeds=[0, 1], source_fractions=[100, 10], ks=[0, 4], c_s=3.0, c_t_over_s=1.0)
     assert dataset_from_dict(dataset) == DatasetConfig(
@@ -938,7 +961,5 @@ def test_cli_cost_rejects_negative_cost_constant(cli_config, tmp_path, capsys):
     capsys.readouterr()
     assert main(["cost", "--config", str(cli_config), "--results", str(tmp_path),
                  "--out", str(tmp_path / "cost.csv"), "--cs", "-1"]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
-    assert "c_s=-1.0" in err
+    assert capsys.readouterr().err == "error: cost.c_s: must be >= 0, got -1.0\n"
     assert not (tmp_path / "cost.csv").exists()

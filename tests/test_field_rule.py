@@ -1,8 +1,10 @@
 """The one field rule of every config dataclass (`ditto.errors.check_fields`):
 a config built in Python is checked like one read from JSON, field by field,
-and a wrong value raises one ConfigError keyed by the field's JSON key."""
+and a wrong value or one outside the field's declared bound raises one
+ConfigError keyed by the field's JSON key."""
 
 import dataclasses
+import math
 import types
 import typing
 
@@ -54,8 +56,6 @@ def _wrong(tp, key: str) -> list[tuple[object, str]]:
     if tp is float:
         return [(float("nan"), key), (float("-inf"), key), (10 ** 400, key), (True, key),
                 ("0.5", key)]
-    if tp is bool:
-        return [("false", key), (1, key)]
     if tp is str:
         return [(3, key), (b"x", key)]
     if origin is list:
@@ -108,6 +108,49 @@ def test_wrong_field_value_is_one_config_error_keyed_by_the_field(build, key):
         build()
     assert exc.value.key == key
     assert str(exc.value).startswith(f"{key}: expected "), str(exc.value)
+
+
+def _bound_cases():
+    """(build at the bound's edge, build one step past it, the key, the
+    message) for every bound a config field declares: `min` takes its bound
+    and rejects the next value down, `above` rejects its bound and takes the
+    next value up.  A list field holds the value as its item [0], a dict
+    field as its item "a", beside a "b" that keeps a prior's sum at 1."""
+    for cls, valid in VALID.items():
+        for f, key, tp in config_fields(cls):
+            item = typing.get_args(tp)[-1] if typing.get_args(tp) else tp
+            for name, wording, way in (("min", ">=", -1), ("above", ">", 1)):
+                if name not in f.metadata:
+                    continue
+                bound = f.metadata[name]
+                # the next value of the item type below (min) or above (above) the bound
+                step = bound + way if item is int else math.nextafter(bound, way * math.inf)
+                ok, bad = (bound, step) if name == "min" else (step, bound)
+                at, message = key or f.name, f"must be {wording} {bound}, got {item(bad)}"
+                if typing.get_origin(tp) is list:
+                    ok, bad, at = [ok], [bad], f"{at}[0]"
+                elif typing.get_origin(tp) is dict:
+                    ok, bad, at = {"a": ok, "b": 1.0 - ok}, {"a": bad, "b": 1.0 - bad}, f"{at}.a"
+                yield pytest.param(*(lambda valid=valid, name=f.name, value=value:
+                                     dataclasses.replace(valid, **{name: value})
+                                     for value in (ok, bad)),
+                                   at, message, id=f"{cls.__name__}.{f.name}-{name}")
+
+
+@pytest.mark.parametrize("at_edge,past_edge,key,message", list(_bound_cases()))
+def test_declared_bound_takes_its_edge_and_rejects_one_step_past(at_edge, past_edge, key,
+                                                                  message):
+    at_edge()
+    with pytest.raises(ConfigError) as exc:
+        past_edge()
+    assert exc.value.key == key
+    assert str(exc.value) == f"{key}: {message}"
+
+
+def test_field_metadata_holds_only_a_json_key_and_bounds():
+    for cls in VALID:
+        for f, _, _ in config_fields(cls):
+            assert set(f.metadata) <= {"json", "min", "above"}, (cls, f.name)
 
 
 def test_every_config_dataclass_is_in_the_table():

@@ -13,7 +13,7 @@ from ditto.autodiff import (
     sigmoid,
     softmax_cross_entropy,
 )
-from ditto.errors import DataError, NumericError, ParameterError, ShapeError
+from ditto.errors import ConfigError, DataError, NumericError, ParameterError, ShapeError
 from ditto.model import (
     ARENA,
     DISC_HIDDEN,
@@ -85,11 +85,11 @@ def test_param_name_layout():
 
 
 def test_encoder_spec_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         EncoderSpec(input_dim=0, hidden_dims=[4])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         EncoderSpec(input_dim=2, hidden_dims=[])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         EncoderSpec(input_dim=2, hidden_dims=[4], activation="gelu")
     with pytest.raises(ParameterError):
         init_params(SPEC, num_classes=0, targets=1, rng=Rng(0))
@@ -375,7 +375,7 @@ def _meta_of(hidden_dims):
     (lambda path: rewrite_checkpoint(path, lambda a: a.update(
         __meta__=np.frombuffer(b"[]", np.uint8))), "bad checkpoint metadata"),
     (lambda path: rewrite_checkpoint(path, lambda a: a.update(__meta__=_meta_of("[]"))),
-     "hidden_dims must be non-empty"),
+     "hidden_dims: must be non-empty"),
     (lambda path: rewrite_checkpoint(path, lambda a: a.update(__meta__=_meta_of('"32"'))),
      "bad checkpoint metadata"),
 ], ids=["text", "empty", "broken_zip", "npy_array", "no_meta", "meta_not_json",

@@ -55,15 +55,15 @@ def test_lr_schedule_past_end_clamps_and_warns():
 
 
 def test_adamw_config_validation():
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         AdamWConfig(lr=0.0, total_steps=1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         AdamWConfig(lr=0.1, total_steps=0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         AdamWConfig(lr=0.1, total_steps=1, beta1=1.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         AdamWConfig(lr=0.1, total_steps=1, weight_decay=-0.1)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ConfigError):
         SamConfig(rho=-0.01)
 
 
@@ -386,7 +386,8 @@ def test_arena_adamw_bit_identical_to_per_matrix_loop():
             p = store[n]
             assert p.step == state[n]["step"], (step, n)
             for field in ("value", "m", "v"):
-                assert np.array_equal(getattr(p, field), state[n][field]), (step, n, field)
+                arena = getattr(store, field)[p.start:p.stop].reshape(p.shape)
+                assert np.array_equal(arena, state[n][field]), (step, n, field)
 
 
 def test_adamw_nonfinite_gradient_in_large_matrix_names_it_and_moves_nothing():
