@@ -10,7 +10,9 @@ Subcommands:
     cost       annotation cost table for a finished results directory
     run-all    generate (or load) data, run the full grid, then analyze
 
-Flags always override the corresponding config-file fields.
+Each config flag names the JSON key it sets (`FLAG_KEYS`); its value is
+written there and checked with the file by `parse_config`, and a rejected
+one names both: `error: experiment.cost.c_s (--cs): must be >= 0, got -1.0`.
 """
 
 from __future__ import annotations
@@ -18,42 +20,37 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .analysis import write_eval_csv, zero_shot_eval
 from .data import generate_synthetic, load_dataset
 from .errors import ConfigError, DataError, ParseError
 from .experiment import (
-    BASELINE,
     Cell,
+    DatasetConfig,
     ExperimentConfig,
     analyze_results,
-    dataset_from_dict,
-    experiment_from_dict,
     export_features,
     load_config,
+    parse_config,
     run_experiment,
     write_cost_csv,
 )
 from .model import load_checkpoint
 from .rng import Rng
 
-
-def _non_negative_int(text: str) -> int:
-    """argparse type of `--k` and `--seed`: an integer >= 0."""
-    try:
-        value = int(text)
-    except ValueError:
-        value = -1
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
-    return value
+# the config key each overriding flag of a command sets; a list key takes the
+# flag's values as its list, except that `cost --k` adds its values to `ks`
+_GRID = {"--seed": "experiment.seeds", "--variant": "experiment.variants",
+         "--source-fraction": "experiment.source_fractions", "--k": "experiment.ks"}
+FLAG_KEYS = {"generate": {"--seed": "dataset.seed"}, "train": _GRID, "run-all": _GRID,
+             "cost": {"--cs": "experiment.cost.c_s",
+                      "--ct-over-s": "experiment.cost.c_t_over_s", "--k": "experiment.ks"}}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, seed_nargs: int | None) -> None:
     p.add_argument("--config", type=Path, required=True, help="JSON config file")
-    p.add_argument("--seed", type=_non_negative_int, default=None, help="override config seed")
+    p.add_argument("--seed", type=int, nargs=seed_nargs, help="override config seed")
     p.add_argument("--out", type=Path, required=True, help="output directory")
 
 
@@ -66,14 +63,14 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="synthesize a dataset")
-    _add_common(p)
+    _add_common(p, None)
 
     p = sub.add_parser("train", help="train a single variant/seed")
-    _add_common(p)
+    _add_common(p, 1)  # each grid key of its cell becomes a one-element list
     p.add_argument("--data", type=Path, required=True, help="dataset directory")
-    p.add_argument("--variant", type=str, default="ditto")
-    p.add_argument("--source-fraction", type=int, default=100, choices=(1, 10, 100))
-    p.add_argument("--k", type=_non_negative_int, default=0, help="few-shot rows per target")
+    p.add_argument("--variant", nargs=1, default=["ditto"])
+    p.add_argument("--source-fraction", type=int, nargs=1, default=[100])
+    p.add_argument("--k", type=int, nargs=1, default=[0], help="few-shot rows per target")
 
     p = sub.add_parser("eval", help="score a checkpoint on the eval splits")
     p.add_argument("--model", type=Path, required=True, help="checkpoint (.npz)")
@@ -89,50 +86,75 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, required=True)
     p.add_argument("--results", type=Path, required=True)
     p.add_argument("--out", type=Path, required=True, help="output CSV path")
-    p.add_argument("--cs", type=float, default=None, help="cents per source label")
-    p.add_argument("--ct-over-s", type=float, default=None,
-                   help="target/source labeling cost ratio")
-    p.add_argument("--k", type=_non_negative_int, action="append", default=None,
+    p.add_argument("--cs", type=float, help="cents per source label")
+    p.add_argument("--ct-over-s", type=float, help="target/source labeling cost ratio")
+    p.add_argument("--k", type=int, action="append",
                    help="extra few-shot sizes to list (repeatable)")
 
     p = sub.add_parser("run-all", help="generate+train+analyze in one go")
-    _add_common(p)
+    _add_common(p, 1)
     p.add_argument("--data", type=Path, default=None,
                    help="reuse an existing dataset directory instead of generating")
-    p.add_argument("--variant", type=str, action="append", default=None,
-                   help="restrict to these variants (repeatable)")
-    p.add_argument("--source-fraction", type=int, action="append", default=None,
-                   choices=(1, 10, 100), help="restrict source fractions (repeatable)")
-    p.add_argument("--k", type=_non_negative_int, action="append", default=None,
-                   help="restrict few-shot sizes (repeatable)")
+    p.add_argument("--variant", action="append", help="restrict to these variants (repeatable)")
+    p.add_argument("--source-fraction", type=int, action="append",
+                   help="restrict source fractions (repeatable)")
+    p.add_argument("--k", type=int, action="append", help="restrict few-shot sizes (repeatable)")
     return parser
+
+
+def _parse(cfg: dict, section: str, args):
+    """The `section` ("dataset" or "experiment") of the config `cfg`, built by
+    parse_config once the command's given flags are written into it."""
+    obj, flags = cfg.setdefault(section, {}), {}  # each key path a flag wrote -> the flag
+    for flag, key in FLAG_KEYS[args.command].items():
+        value = getattr(args, flag[2:].replace("-", "_"))
+        head, *parents, last = key.split(".")
+        node = obj if head == section and value is not None else None
+        for part in parents:  # an object of the wrong type is parse_config's to reject
+            node = node.setdefault(part, {}) if isinstance(node, dict) else None
+        if not isinstance(node, dict):
+            continue
+        first = 0
+        if (args.command, flag) == ("cost", "--k"):  # each k once, after the config's ks
+            listed = node.get(last, ExperimentConfig.__dataclass_fields__[last].default_factory())
+            if not isinstance(listed, list):
+                continue
+            first = len(listed)
+            value = listed + [k for k in dict.fromkeys(value) if k not in listed]
+        node[last] = value
+        items = range(first, len(value)) if isinstance(value, list) else ()
+        flags.update(dict.fromkeys([key, *(f"{key}[{i}]" for i in items)], flag))
+    try:
+        return parse_config(DatasetConfig if section == "dataset" else ExperimentConfig, obj,
+                            section)
+    except ConfigError as exc:
+        if exc.key not in flags:
+            raise
+        raise ConfigError(exc.args[0], key=f"{exc.key} ({flags[exc.key]})") from None
 
 
 def _generate(args) -> int:
     cfg = load_config(args.config)
     if "dataset" not in cfg:
         raise ConfigError("config has no 'dataset' section")
-    data = dataset_from_dict(cfg["dataset"])
-    seed = args.seed if args.seed is not None else data.seed
-    generate_synthetic(data.base, data.domains, Rng(seed), out_dir=args.out)
+    data = _parse(cfg, "dataset", args)
+    generate_synthetic(data.base, data.domains, Rng(data.seed), out_dir=args.out)
     print(f"wrote dataset to {args.out}")
     return 0
 
 
 def _train(args) -> int:
-    cfg = load_config(args.config)
-    exp = experiment_from_dict(cfg.get("experiment", {}))
-    seed = args.seed if args.seed is not None else exp.seeds[0]
-    cell = Cell(exp, load_dataset(args.data), args.source_fraction, args.k, seed)
-    variant = exp.variant_of(args.variant)
-    if variant.kind != BASELINE:  # as in run-all: its scores seed priors and gains
+    exp = _parse(load_config(args.config), "experiment", args)
+    cell = Cell(exp, load_dataset(args.data), exp.source_fractions[0], exp.ks[0],
+                exp.seeds[0])
+    for baseline in exp.variants[:-1]:  # as in run-all: its scores seed priors and gains
         print("training the cell's baseline first")
-        cell.run(exp.variant_of(BASELINE))
-    bundle, report = cell.write_run(variant.name, args.out)
+        cell.run(exp.variant_of(baseline))
+    bundle, report = cell.write_run(exp.variants[-1], args.out)
     export_features(bundle, cell.dataset, args.out / "features.csv")
     accs = ", ".join(f"{d}={a:.2f}" for d, a in
                      sorted(report.final_per_domain_acc.items()))
-    print(f"{variant.name} seed={seed}: {accs}")
+    print(f"{exp.variants[-1]} seed={cell.seed}: {accs}")
     return 0
 
 
@@ -157,27 +179,22 @@ def _analyze(args) -> int:
 
 
 def _cost(args) -> int:
-    cfg = load_config(args.config)
-    exp = experiment_from_dict(cfg.get("experiment", {}))
-    exp = _override(exp, c_s=args.cs, c_t_over_s=args.ct_over_s)
-    write_cost_csv(exp, Path(args.results), args.out, extra_ks=args.k)
+    exp = _parse(load_config(args.config), "experiment", args)
+    write_cost_csv(exp, Path(args.results), args.out)
     print(f"wrote {args.out}")
     return 0
 
 
 def _run_all(args) -> int:
     cfg = load_config(args.config)
-    exp = experiment_from_dict(cfg.get("experiment", {}))
-    exp = _override(exp, seeds=None if args.seed is None else [args.seed],
-                    variants=args.variant, source_fractions=args.source_fraction,
-                    ks=args.k)
+    exp = _parse(cfg, "experiment", args)
 
     if args.data is not None:
         dataset = load_dataset(args.data)
     else:
         if "dataset" not in cfg:
             raise ConfigError("config has no 'dataset' section and no --data given")
-        data = dataset_from_dict(cfg["dataset"])
+        data = _parse(cfg, "dataset", args)
         data_dir = args.out / "data"
         dataset = generate_synthetic(data.base, data.domains, Rng(data.seed),
                                      out_dir=data_dir)
@@ -187,13 +204,6 @@ def _run_all(args) -> int:
     analyze_results(results, args.out / "analysis")
     print(f"results under {results}, tables under {args.out / 'analysis'}")
     return 0
-
-
-def _override(exp: ExperimentConfig, **flags) -> ExperimentConfig:
-    """`exp` with the given flags' values (None: flag not given), validated
-    and ordered again as a fresh config."""
-    return replace(exp, **{name: value for name, value in flags.items()
-                           if value is not None})
 
 
 _HANDLERS = {

@@ -42,10 +42,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, DataError, ParameterError, ParseError, check_fields,
-                     is_finite_number, is_integer)
+                     fit, is_finite_number, is_integer)
 from .rng import Rng
 
 SPLITS = ("labeled", "unlabeled", "fewshot", "eval")
+SOURCE_FRACTIONS = (1, 10, 100)  # the percentages of source labels a grid may keep
 _MAX_LABEL = np.iinfo(np.int64).max
 
 
@@ -283,8 +284,8 @@ class DomainSpec:
 
     id: str
     kind: str  # source | target
-    transform: dict = field(default_factory=lambda: {"kind": "identity"})
-    sizes: SizeSpec = field(default_factory=SizeSpec)
+    transform: dict
+    sizes: SizeSpec
 
     def __post_init__(self):
         check_fields(self)
@@ -616,11 +617,9 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
 def subsample_source(dataset: DomainDataset, fraction: int, rng: Rng) -> DomainDataset:
     """Keep a seeded shuffled prefix of the source labeled rows.
 
-    `fraction` is a percentage in {1, 10, 100}; other splits are untouched.
+    `fraction` is a percentage in SOURCE_FRACTIONS; other splits are untouched.
     """
-    if fraction not in (1, 10, 100):
-        raise ConfigError(f"source fraction must be 1, 10 or 100, got {fraction}")
-    if fraction == 100:
+    if fit(int, fraction, "fraction", {"in": SOURCE_FRACTIONS}) == 100:
         return dataset
     labeled = dataset.domains[dataset.source].labeled
     keep = max(1, (labeled.n * fraction) // 100)

@@ -4,8 +4,8 @@ Every failure mode raised by the library is one of these classes, so callers
 can distinguish bad shapes from bad configs from bad data without string
 matching.  `check_fields` is the one field rule of every config dataclass,
 and the one bound rule: a numeric field declares its range in its metadata
-beside its type, `min` inclusive or `above` exclusive, and a value out of
-range is one ConfigError keyed by the field's JSON key.
+beside its type (`min`, `above` or `in`), and a value out of range is one
+ConfigError keyed by the field's JSON key.
 """
 
 import json
@@ -48,7 +48,7 @@ class ConfigError(ValueError):
 
     `key` optionally names the offending JSON key path inside the object
     being built (`"variants[1]"`), and the message starts with it; the
-    config parser appends it to the object's own path.
+    config parser prefixes it with the full path of the object.
     """
 
     def __init__(self, message: str, key: str = ""):
@@ -114,14 +114,17 @@ def fit(tp, value, key: str, bound: typing.Mapping = types.MappingProxyType({}))
     int or float; list and dict items have their item type (keyed `key[i]`
     and `key.name`); `X | None` also takes None; a nested config field holds
     that dataclass; numpy scalars count as int and float.  `bound` may hold
-    `min` (value >= min) and `above` (value > above); a list or dict field's
-    bound holds for each item."""
+    `min` (value >= min), `above` (value > above) and `in` (a tuple holding
+    the value); a list or dict field's bound holds for each item."""
     if (tp is int and is_integer(value)) or (tp is float and is_finite_number(value)):
         value = tp(value)
         if "min" in bound and not value >= bound["min"]:
             raise ConfigError(f"must be >= {bound['min']}, got {value}", key=key)
         if "above" in bound and not value > bound["above"]:
             raise ConfigError(f"must be > {bound['above']}, got {value}", key=key)
+        if "in" in bound and value not in bound["in"]:
+            raise ConfigError(f"must be in {{{','.join(map(str, bound['in']))}}}, got {value}",
+                              key=key)
         return value
     origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # X | None

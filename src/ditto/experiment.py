@@ -58,8 +58,8 @@ from .analysis import (
     write_eval_csv,
     zero_shot_eval,
 )
-from .data import (DomainDataset, DomainSpec, MixtureSpec, read_json_object,
-                   subsample_source, write_csv)
+from .data import (SOURCE_FRACTIONS, DomainDataset, DomainSpec, MixtureSpec,
+                   read_json_object, subsample_source, write_csv)
 from .errors import (ConfigError, DataError, UndefinedResultError, check_fields,
                      config_fields, fit)
 from .model import ModelBundle, extract_features, save_checkpoint
@@ -82,7 +82,8 @@ class ExperimentConfig:
     lam: float = field(default=1.0, metadata={"json": "lambda", "min": 0})
     rho: float = field(default=0.05, metadata={"min": 0})
     seeds: list[int] = field(default_factory=lambda: [0, 1, 2], metadata={"min": 0})
-    source_fractions: list[int] = field(default_factory=lambda: [100])
+    source_fractions: list[int] = field(default_factory=lambda: [100],
+                                        metadata={"in": SOURCE_FRACTIONS})
     ks: list[int] = field(default_factory=lambda: [0], metadata={"min": 0})
     c_s: float = field(default=3.0, metadata={"json": "cost.c_s", "min": 0})
     c_t_over_s: float = field(default=1.0, metadata={"json": "cost.c_t_over_s", "min": 0})
@@ -97,10 +98,6 @@ class ExperimentConfig:
             for i, value in enumerate(values):
                 if value in values[:i]:
                     raise ConfigError(f"{what} {value!r} is listed twice", key=f"{key}[{i}]")
-        for i, f in enumerate(self.source_fractions):
-            if f not in (1, 10, 100):
-                raise ConfigError(f"must be in {{1,10,100}}, got {f}",
-                                  key=f"source_fractions[{i}]")
         for i, name in enumerate(self.variants):
             try:
                 TrainVariant.parse(name)  # the name only: a ditto_single target
@@ -148,7 +145,7 @@ def _check_keys(obj: dict, known: set, path: str, prefix: tuple = ()) -> None:
             continue
         where = ".".join((path,) + here)
         if not any(k[:len(here)] == here for k in known):
-            raise ConfigError(f"{where}: unknown key")
+            raise ConfigError("unknown key", key=where)
         _check_keys(fit(dict, raw, where), known, path, here)  # e.g. "cost"
 
 
@@ -165,15 +162,13 @@ def _build(cls, obj: dict, path: str):
         where = f"{path}.{key}"
         if last in node:
             kwargs[f.name] = _value(tp, node[last], where)
-        elif f.default_factory is not MISSING and is_dataclass(tp):  # a domain's sizes
-            kwargs[f.name] = _value(tp, {}, where)  # its defaults, checked at its own path
         elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError(f"{where}: required key missing")
+            raise ConfigError("required key missing", key=where)
     try:
         return cls(**kwargs)
-    except ConfigError as exc:  # its text starts with its key
-        sep = "." if exc.key else ": "
-        raise ConfigError(f"{path}{sep}{exc}") from None
+    except ConfigError as exc:
+        key = f"{path}.{exc.key}" if exc.key else path
+        raise ConfigError(exc.args[0], key=key) from None
 
 
 def _value(tp, raw, path: str):
@@ -190,20 +185,12 @@ def parse_config(cls, data, path: str):
 
     Unknown keys, missing required keys, values of the wrong JSON type (a
     float is not an int, a string is not a list) and values the dataclass
-    itself rejects all raise ConfigError naming the JSON path, e.g.
+    itself rejects all raise ConfigError keyed by the full JSON path, e.g.
     `experiment.lamda` or `dataset.domains[1].sizes`.
     """
     obj = fit(dict, data, path)
     _check_keys(obj, _known_keys(cls), path)
     return _build(cls, obj, path)
-
-
-def experiment_from_dict(d: dict) -> ExperimentConfig:
-    return parse_config(ExperimentConfig, d, "experiment")
-
-
-def dataset_from_dict(d: dict) -> DatasetConfig:
-    return parse_config(DatasetConfig, d, "dataset")
 
 
 def load_config(path: str | Path) -> dict:
@@ -277,7 +264,7 @@ class Cell:
         if misfit:
             name, reason = misfit
             key = "encoder.input_dim" if name == "input_dim" else name
-            raise ConfigError(f"experiment.{key}: {reason}")
+            raise ConfigError(reason, key=f"experiment.{key}")
         self.config = config
         self.frac, self.k, self.seed = frac, k, seed
         ds = subsample_source(dataset, frac, Rng(seed).child("subsample"))
@@ -469,22 +456,20 @@ def write_summaries(config: ExperimentConfig, out: Path) -> None:
               rows)
 
     # annotation cost against best-of-seeds accuracy
-    _write_cost(config, runs, config.ks, out / "cost.csv")
+    _write_cost(config, runs, out / "cost.csv")
 
 
-def write_cost_csv(config: ExperimentConfig, results: Path, path: Path,
-                   extra_ks: list[int] | None = None) -> None:
+def write_cost_csv(config: ExperimentConfig, results: Path, path: Path) -> None:
     """Cost/accuracy table; requested-but-missing grid cells stay empty.  The
     directory of `path` is made only once the runs have been read."""
-    ks = list(dict.fromkeys(config.ks + (extra_ks or [])))
     runs = _finished_runs(results)
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    _write_cost(config, runs, ks, path)
+    _write_cost(config, runs, path)
 
 
-def _write_cost(config: ExperimentConfig, runs: dict, ks: list[int], path: Path) -> None:
+def _write_cost(config: ExperimentConfig, runs: dict, path: Path) -> None:
     rows = []
-    for frac, k, name in product(config.source_fractions, ks, config.variants):
+    for frac, k, name in product(config.source_fractions, config.ks, config.variants):
         best = _best_seed_accs(runs, config, frac, k, name)
         if best is None:
             rows.append([name, frac, k, config.c_t_over_s, "", ""])

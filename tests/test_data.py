@@ -412,7 +412,8 @@ def test_bad_manifest_is_a_data_error_naming_it(tmp_path, manifest, named):
                                     "a\rb", "a\0b"])
 def test_domain_id_must_be_a_plain_file_name(bad_id):
     with pytest.raises(ConfigError, match="domain id") as exc:
-        DomainSpec(id=bad_id, kind="target", sizes=SizeSpec(eval=1))
+        DomainSpec(id=bad_id, kind="target", transform={"kind": "identity"},
+                   sizes=SizeSpec(eval=1))
     assert exc.value.key == "id"
 
 

@@ -34,9 +34,9 @@ from ditto.cli import main
 from ditto.errors import ConfigError
 from ditto.experiment import (
     Cell,
-    dataset_from_dict,
-    experiment_from_dict,
+    DatasetConfig,
     export_features,
+    parse_config,
     write_report_jsonl,
 )
 from ditto.model import ModelBundle, extract_features
@@ -71,13 +71,13 @@ def test_config_validation():
 
 
 def test_experiment_from_dict_overrides():
-    cfg = experiment_from_dict({
+    cfg = parse_config(ExperimentConfig, {
         "encoder": {"input_dim": 2, "hidden_dims": [8], "activation": "relu"},
         "num_classes": 3, "epochs": 4, "lr": 0.005,
         "variants": ["ditto"], "lambda": 0.25, "rho": 0.1,
         "seeds": [7], "source_fractions": [10], "ks": [0, 3],
         "cost": {"c_s": 2.0, "c_t_over_s": 4.0},
-    })
+    }, "experiment")
     assert cfg.train.encoder.activation == "relu"
     assert cfg.train.epochs == 4
     assert cfg.lam == 0.25
@@ -624,7 +624,9 @@ MALFORMED = {
     "no_eval_size": ("dataset", lambda d: d["domains"][1]["sizes"].pop("eval"),
                      "dataset.domains[1].sizes.eval"),
     "no_sizes": ("dataset", lambda d: d["domains"][1].pop("sizes"),
-                 "dataset.domains[1].sizes.eval"),
+                 "dataset.domains[1].sizes"),
+    "no_transform": ("dataset", lambda d: d["domains"][1].pop("transform"),
+                     "dataset.domains[1].transform"),
     "unknown_variant": ("experiment", lambda e: e.update(variants=["baseline", "dito"]),
                         "experiment.variants[1]"),
     "rotation_without_angle": ("dataset", lambda d: d["domains"][1]["transform"].pop("angle"),
@@ -704,10 +706,11 @@ def test_malformed_config_names_its_json_path(cli_config, case):
     section, spoil, path = MALFORMED[case]
     cfg = json.loads(cli_config.read_text())[section]
     spoil(cfg)
-    parse = experiment_from_dict if section == "experiment" else dataset_from_dict
+    cls = ExperimentConfig if section == "experiment" else DatasetConfig
     with pytest.raises(ConfigError) as exc:
-        parse(cfg)
+        parse_config(cls, cfg, section)
     assert str(exc.value).startswith(path + ":"), str(exc.value)
+    assert exc.value.key == path  # the full JSON path, which the CLI maps to a flag
 
 
 @pytest.mark.parametrize("command,case", [("run-all", "typo_keys"), ("generate", "no_base"),
@@ -833,7 +836,6 @@ def test_cli_config_that_is_a_directory_is_one_line_error(tmp_path, capsys):
 
 
 def test_criterion_10_config_parses_as_before():
-    from ditto.experiment import DatasetConfig
     experiment = {
         "encoder": {"input_dim": 2, "hidden_dims": [16, 8], "activation": "tanh"},
         "num_classes": 3, "epochs": 3, "batch_size": 32, "lr": 0.02,
@@ -852,14 +854,14 @@ def test_criterion_10_config_parses_as_before():
              "transform": {"kind": "rotation", "angle": 25}, "sizes": sizes},
         ],
     }
-    assert experiment_from_dict(experiment) == ExperimentConfig(
+    assert parse_config(ExperimentConfig, experiment, "experiment") == ExperimentConfig(
         train=TrainConfig(encoder=EncoderSpec(input_dim=2, hidden_dims=[16, 8],
                                               activation="tanh"),
                           num_classes=3, epochs=3, batch_size=32, lr=0.02, disc_lr=0.1,
                           weight_decay=0.0),
         variants=["baseline", "ditto", "ditto_minus_sam"], lam=0.25, rho=0.05,
         seeds=[0, 1], source_fractions=[100, 10], ks=[0, 4], c_s=3.0, c_t_over_s=1.0)
-    assert dataset_from_dict(dataset) == DatasetConfig(
+    assert parse_config(DatasetConfig, dataset, "dataset") == DatasetConfig(
         base=MixtureSpec(means=[[0.0, 1.8], [3.0, 0.0], [-3.44, -2.409]], sigma=0.55),
         domains=[
             DomainSpec("src", "source", {"kind": "identity"},
@@ -876,8 +878,8 @@ def test_readme_config_example_parses_strictly():
     block = re.search(r"```json\n(.*?)```", section, re.S).group(1)
     cfg = json.loads(block)
     assert set(cfg) == {"dataset", "experiment"}
-    exp = experiment_from_dict(cfg["experiment"])
-    data = dataset_from_dict(cfg["dataset"])
+    exp = parse_config(ExperimentConfig, cfg["experiment"], "experiment")
+    data = parse_config(DatasetConfig, cfg["dataset"], "dataset")
     assert exp.variants[0] == "baseline"
     assert [d.kind for d in data.domains].count("source") == 1
 
@@ -891,33 +893,33 @@ def test_readme_json_block_is_a_config_that_fits_its_dataset(block):
     cfg = json.loads(block)
     assert cfg and set(cfg) <= {"dataset", "experiment"}
     if "dataset" in cfg:
-        data = dataset_from_dict(cfg["dataset"])
+        data = parse_config(DatasetConfig, cfg["dataset"], "dataset")
         dataset = generate_synthetic(data.base, data.domains, Rng(data.seed))
     if "experiment" in cfg:
-        exp = experiment_from_dict(cfg["experiment"])
+        exp = parse_config(ExperimentConfig, cfg["experiment"], "experiment")
     if len(cfg) == 2:
         Cell(exp, dataset, 100, 0, 0)  # the experiment fits the dataset it documents
 
 
-@pytest.mark.parametrize("argv", [
-    ["train", "--variant", "baseline", "--k", "-1"],
-    ["run-all", "--k", "0", "--k", "-1"],
-    ["cost", "--results", "results", "--k", "-1"],
-    ["train", "--variant", "baseline", "--seed", "-1"],
-    ["generate", "--seed", "-3"],
-    ["run-all", "--seed", "-1"],
+@pytest.mark.parametrize("argv,path", [
+    (["train", "--variant", "baseline", "--k", "-1"], "experiment.ks[0]"),
+    (["run-all", "--k", "0", "--k", "-1"], "experiment.ks[1]"),
+    (["cost", "--results", "results", "--k", "-1"], "experiment.ks[1]"),
+    (["train", "--variant", "baseline", "--seed", "-1"], "experiment.seeds[0]"),
+    (["generate", "--seed", "-3"], "dataset.seed"),
+    (["run-all", "--seed", "-1"], "experiment.seeds[0]"),
 ], ids=["train", "run-all", "cost", "train_seed", "generate_seed", "run-all_seed"])
-def test_cli_negative_k_or_seed_rejected_before_training(cli_config, tmp_path, capsys, argv):
+def test_cli_negative_k_or_seed_rejected_before_training(cli_config, tmp_path, capsys, argv,
+                                                         path):
     data_dir = tmp_path / "data"
     assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
     command, *flags = argv
     extra = ["--data", str(data_dir)] if command == "train" else []
     capsys.readouterr()
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", str(cli_config), "--out", str(tmp_path / "out"),
-              *extra, *flags])
-    assert exc.value.code == 2
-    assert f"{flags[-2]}: expected an integer >= 0, got '{flags[-1]}'" in capsys.readouterr().err
+    assert main([command, "--config", str(cli_config), "--out", str(tmp_path / "out"),
+                 *extra, *flags]) == 2
+    assert capsys.readouterr().err == (f"error: {path} ({flags[-2]}): must be >= 0, "
+                                       f"got {flags[-1]}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -926,7 +928,7 @@ def test_cli_parser_serves_one_call_after_another(cli_config, tmp_path, capsys):
     train = ["train", "--config", str(cli_config), "--data", str(data_dir),
              "--out", str(tmp_path / "run")]
     capsys.readouterr()
-    for bad, message in ((["--k", "-1"], "argument --k: expected an integer >= 0, got '-1'"),
+    for bad, message in ((["--k", "x"], "argument --k: invalid int value: 'x'"),
                          (["--bogus"], "unrecognized arguments: --bogus")):
         with pytest.raises(SystemExit) as exc:
             main(train + bad)
@@ -942,9 +944,11 @@ def test_cli_parser_serves_one_call_after_another(cli_config, tmp_path, capsys):
 
 @pytest.mark.parametrize("results,flags,named", [
     ("nope", [], "nope"),
-    (".", ["--cs", "nan"], "cost.c_s: expected a finite number, got NaN"),
-    (".", ["--cs", "inf"], "cost.c_s: expected a finite number, got Infinity"),
-    (".", ["--ct-over-s", "inf"], "cost.c_t_over_s: expected a finite number, got Infinity"),
+    (".", ["--cs", "nan"], "experiment.cost.c_s (--cs): expected a finite number, got NaN"),
+    (".", ["--cs", "inf"],
+     "experiment.cost.c_s (--cs): expected a finite number, got Infinity"),
+    (".", ["--ct-over-s", "inf"],
+     "experiment.cost.c_t_over_s (--ct-over-s): expected a finite number, got Infinity"),
 ], ids=["missing_results", "nan_cs", "inf_cs", "inf_ct_over_s"])
 def test_cli_cost_failure_leaves_no_out_directory(cli_config, tmp_path, capsys, results,
                                                   flags, named):
@@ -961,5 +965,68 @@ def test_cli_cost_rejects_negative_cost_constant(cli_config, tmp_path, capsys):
     capsys.readouterr()
     assert main(["cost", "--config", str(cli_config), "--results", str(tmp_path),
                  "--out", str(tmp_path / "cost.csv"), "--cs", "-1"]) == 2
-    assert capsys.readouterr().err == "error: cost.c_s: must be >= 0, got -1.0\n"
+    assert capsys.readouterr().err == ("error: experiment.cost.c_s (--cs): "
+                                       "must be >= 0, got -1.0\n")
     assert not (tmp_path / "cost.csv").exists()
+
+
+# every overriding flag of every command that takes it: (command, flags, the
+# error line's key path and reason); each flag names the JSON key it sets
+REJECTED_FLAGS = {
+    ("cost", "--cs"): (["--cs", "-1"], "experiment.cost.c_s", "must be >= 0, got -1.0"),
+    ("cost", "--ct-over-s"): (["--ct-over-s", "nan"], "experiment.cost.c_t_over_s",
+                              "expected a finite number, got NaN"),
+    ("cost", "--k"): (["--k", "-1"], "experiment.ks[1]", "must be >= 0, got -1"),
+    ("generate", "--seed"): (["--seed", "-3"], "dataset.seed", "must be >= 0, got -3"),
+    **{(command, flag): case for command in ("train", "run-all") for flag, case in {
+        "--seed": (["--seed", "-1"], "experiment.seeds[0]", "must be >= 0, got -1"),
+        "--k": (["--k", "-1"], "experiment.ks[0]", "must be >= 0, got -1"),
+        "--source-fraction": (["--source-fraction", "5"], "experiment.source_fractions[0]",
+                              "must be in {1,10,100}, got 5"),
+        "--variant": (["--variant", "bogus"], "experiment.variants[0]",
+                      "unknown variant name 'bogus'"),
+    }.items()},
+}
+
+
+def test_every_overriding_flag_has_a_rejection_case():
+    from ditto.cli import FLAG_KEYS
+    assert set(REJECTED_FLAGS) == {(command, flag) for command, flags in FLAG_KEYS.items()
+                                   for flag in flags}
+    for (command, flag), (_, path, _) in REJECTED_FLAGS.items():
+        assert path.split("[")[0] == FLAG_KEYS[command][flag]
+
+
+@pytest.mark.parametrize("command,flag", list(REJECTED_FLAGS),
+                         ids=[f"{command}{flag}" for command, flag in REJECTED_FLAGS])
+def test_cli_rejected_flag_names_its_key_and_itself(cli_config, tmp_path, capsys, command,
+                                                   flag):
+    flags, path, reason = REJECTED_FLAGS[command, flag]
+    extra = {"cost": ["--results", str(tmp_path)], "train": ["--data", str(tmp_path)]}
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main([command, "--config", str(cli_config), "--out", str(out),
+                 *extra.get(command, []), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {path} ({flag}): {reason}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("spoil,flags,named", [
+    (lambda e: e.update(ks=[-2]), ["--k", "8"], "experiment.ks[0]: must be >= 0, got -2"),
+    (lambda e: e.update(ks=[0, 0]), ["--k", "8"],
+     "experiment.ks[1]: few-shot k 0 is listed twice"),
+    (lambda e: e.update(ks="0"), ["--k", "8"], "experiment.ks: expected a list, got \"0\""),
+    (lambda e: e.update(cost=3.0), ["--cs", "1"], "experiment.cost: expected an object, got 3.0"),
+], ids=["negative_k", "repeated_k", "ks_string", "cost_number"])
+def test_cli_cost_config_error_beside_a_flag_is_the_configs(cli_config, tmp_path, capsys,
+                                                           spoil, flags, named):
+    # a bad value of the file keeps its message and names no flag
+    cfg = json.loads(cli_config.read_text())
+    spoil(cfg["experiment"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["cost", "--config", str(bad), "--results", str(tmp_path),
+                 "--out", str(tmp_path / "out" / "cost.csv"), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not (tmp_path / "out").exists()

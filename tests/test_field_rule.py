@@ -19,7 +19,7 @@ ENCODER = ditto.EncoderSpec(input_dim=2)
 TRAIN = ditto.TrainConfig(encoder=ENCODER, num_classes=3, epochs=1)
 MIXTURE = ditto.MixtureSpec(means=[[0.0, 1.0], [1.0, 0.0]])
 SIZES = ditto.SizeSpec(eval=3)
-DOMAIN = ditto.DomainSpec(id="src", kind="source", sizes=SIZES)
+DOMAIN = ditto.DomainSpec(id="src", kind="source", transform={"kind": "identity"}, sizes=SIZES)
 
 # one valid instance of every config dataclass the rule covers
 VALID = {
@@ -114,11 +114,13 @@ def _bound_cases():
     """(build at the bound's edge, build one step past it, the key, the
     message) for every bound a config field declares: `min` takes its bound
     and rejects the next value down, `above` rejects its bound and takes the
-    next value up.  A list field holds the value as its item [0], a dict
-    field as its item "a", beside a "b" that keeps a prior's sum at 1."""
+    next value up, and `in` takes each of its members and rejects 50.  A list
+    field holds the value as its item [0], a dict field as its item "a",
+    beside a "b" that keeps a prior's sum at 1."""
     for cls, valid in VALID.items():
         for f, key, tp in config_fields(cls):
             item = typing.get_args(tp)[-1] if typing.get_args(tp) else tp
+            edges = []
             for name, wording, way in (("min", ">=", -1), ("above", ">", 1)):
                 if name not in f.metadata:
                     continue
@@ -126,7 +128,15 @@ def _bound_cases():
                 # the next value of the item type below (min) or above (above) the bound
                 step = bound + way if item is int else math.nextafter(bound, way * math.inf)
                 ok, bad = (bound, step) if name == "min" else (step, bound)
-                at, message = key or f.name, f"must be {wording} {bound}, got {item(bad)}"
+                edges.append((name, ok, bad, f"must be {wording} {bound}, got {item(bad)}"))
+            if "in" in f.metadata:
+                members = f.metadata["in"]
+                assert 50 not in members
+                edges += [(f"in-{ok}", ok, 50,
+                           f"must be in {{{','.join(map(str, members))}}}, got 50")
+                          for ok in members]
+            for name, ok, bad, message in edges:
+                at = key or f.name
                 if typing.get_origin(tp) is list:
                     ok, bad, at = [ok], [bad], f"{at}[0]"
                 elif typing.get_origin(tp) is dict:
@@ -150,7 +160,7 @@ def test_declared_bound_takes_its_edge_and_rejects_one_step_past(at_edge, past_e
 def test_field_metadata_holds_only_a_json_key_and_bounds():
     for cls in VALID:
         for f, _, _ in config_fields(cls):
-            assert set(f.metadata) <= {"json", "min", "above"}, (cls, f.name)
+            assert set(f.metadata) <= {"json", "min", "above", "in"}, (cls, f.name)
 
 
 def test_every_config_dataclass_is_in_the_table():

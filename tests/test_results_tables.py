@@ -6,6 +6,7 @@ exact bytes: a best-of-seeds tie, failed runs, an ok run without eval.csv, a
 0.00 baseline, and a stale run the config does not list.
 """
 
+import dataclasses
 import json
 import shutil
 
@@ -167,7 +168,7 @@ def test_summaries_pinned(results):
 
 
 def test_cost_with_an_extra_k_pinned(results, tmp_path):
-    write_cost_csv(CONFIG, results, tmp_path / "cost.csv", extra_ks=[0, 8])
+    write_cost_csv(dataclasses.replace(CONFIG, ks=[0, 4, 8]), results, tmp_path / "cost.csv")
     assert (tmp_path / "cost.csv").read_text() == COST_EXTRA_K
 
 
