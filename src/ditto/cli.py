@@ -24,7 +24,7 @@ from pathlib import Path
 
 from .analysis import write_eval_csv, zero_shot_eval
 from .data import generate_synthetic, load_dataset
-from .errors import ConfigError, DataError, ParseError
+from .errors import ConfigError, DataError, ParseError, parse_config
 from .experiment import (
     Cell,
     DatasetConfig,
@@ -32,7 +32,6 @@ from .experiment import (
     analyze_results,
     export_features,
     load_config,
-    parse_config,
     run_experiment,
     write_cost_csv,
 )
@@ -154,7 +153,7 @@ def _train(args) -> int:
     export_features(bundle, cell.dataset, args.out / "features.csv")
     accs = ", ".join(f"{d}={a:.2f}" for d, a in
                      sorted(report.final_per_domain_acc.items()))
-    print(f"{exp.variants[-1]} seed={cell.seed}: {accs}")
+    print(f"{exp.variants[-1]} seed={cell.record.seed}: {accs}")
     return 0
 
 
@@ -188,13 +187,13 @@ def _cost(args) -> int:
 def _run_all(args) -> int:
     cfg = load_config(args.config)
     exp = _parse(cfg, "experiment", args)
+    data = _parse(cfg, "dataset", args) if "dataset" in cfg else None  # checked with --data too
 
     if args.data is not None:
         dataset = load_dataset(args.data)
     else:
-        if "dataset" not in cfg:
+        if data is None:
             raise ConfigError("config has no 'dataset' section and no --data given")
-        data = _parse(cfg, "dataset", args)
         data_dir = args.out / "data"
         dataset = generate_synthetic(data.base, data.domains, Rng(data.seed),
                                      out_dir=data_dir)

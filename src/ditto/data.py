@@ -16,14 +16,16 @@ with split in {labeled, unlabeled, fewshot, eval}; the label field is empty
 for unlabeled rows.  Feature values are finite floats written with repr, so
 generate -> load round-trips bit-exactly.  A `manifest.json` in the same
 directory records the source domain id, the domain order, and the feature
-dimension.  The format is the form save_dataset writes: `\n` line ends, a
-final newline, no quoted field (no domain id holds a character csv quotes)
-and number fields of ASCII digits, signs, points and exponents only.  One
-numpy C text-reader call reads such a file.  Any other file raises one
-ParseError: the `csv_records` walk names the physical line of its first
-malformed record (the file only, for an undecodable byte), and a file whose
-records are all well formed is named alone.  `write_csv` and `csv_records`
-hold the one CSV dialect of the whole package.
+dimension: the config dataclass `Manifest`, written by `config_json` and
+read back by `parse_record`, so an unknown key is rejected.  The format is
+the form save_dataset writes: `\n` line ends, a final newline, no quoted
+field (no domain id holds a character csv quotes) and number fields of
+ASCII digits, signs, points and exponents only.  One numpy C text-reader
+call reads such a file.  Any other file raises one ParseError: the
+`csv_records` walk names the physical line of its first malformed record
+(the file only, for an undecodable byte), and a file whose records are all
+well formed is named alone.  `write_csv` and `csv_records` hold the one CSV
+dialect of the whole package.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (ConfigError, DataError, ParameterError, ParseError, check_fields,
-                     fit, is_finite_number, is_integer)
+                     config_json, fit, is_finite_number, is_integer, parse_record)
 from .rng import Rng
 
 SPLITS = ("labeled", "unlabeled", "fewshot", "eval")
@@ -283,7 +285,7 @@ class DomainSpec:
     """One domain: its role, its transform of the base mixture, and sizes."""
 
     id: str
-    kind: str  # source | target
+    kind: str = field(metadata={"in": ("source", "target")})
     transform: dict
     sizes: SizeSpec
 
@@ -291,8 +293,6 @@ class DomainSpec:
         check_fields(self)
         if not valid_domain_id(self.id):
             raise ConfigError(f"domain id {self.id!r} must be {DOMAIN_ID_RULE}", key="id")
-        if self.kind not in ("source", "target"):
-            raise ConfigError(f"must be source or target, got {self.kind!r}", key="kind")
         _check_transform(self.transform, f" of domain {self.id!r}")
 
 
@@ -383,40 +383,52 @@ def generate_synthetic(
 # CSV I/O
 
 
+@dataclass
+class Manifest:
+    """A dataset directory's manifest.json: the source domain id, the domain
+    order (each id by DOMAIN_ID_RULE, once), and the feature dimension."""
+
+    source: str
+    domains: list[str]
+    feature_dim: int = field(metadata={"min": 1})
+
+    def __post_init__(self):
+        check_fields(self)
+        for i, dom in enumerate(self.domains):
+            if not valid_domain_id(dom):
+                raise ConfigError(f"domain id {dom!r} must be {DOMAIN_ID_RULE}",
+                                  key=f"domains[{i}]")
+            if dom in self.domains[:i]:
+                raise ConfigError(f"domain {dom!r} is listed twice", key=f"domains[{i}]")
+
+
 def _header(dim: int) -> list[str]:
     return ["domain", "split", "label"] + [f"f{i}" for i in range(dim)]
 
 
 def save_dataset(dataset: DomainDataset, out_dir: str | Path) -> None:
-    """Write manifest.json plus one CSV per (domain, split); an id that
-    breaks DOMAIN_ID_RULE, or a dataset `validate` rejects, raises DataError
+    """Write manifest.json plus one CSV per (domain, split); a dataset
+    `validate` rejects, or an id that breaks DOMAIN_ID_RULE, raises DataError
     before any file is written.
 
     Each file is written a column at a time: the features go through
     `X.T.tolist()` and `repr`, which gives the same digits as
     `repr(float(v))` per value.
     """
-    for dom in dataset.domains:
-        if not valid_domain_id(dom):
-            raise DataError(f"domain id {dom!r} must be {DOMAIN_ID_RULE}")
     dataset.validate()
+    try:
+        manifest = Manifest(dataset.source, list(dataset.domains), dataset.feature_dim)
+    except ConfigError as exc:
+        raise DataError(str(exc)) from None
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    dim = dataset.feature_dim
     for dom, parts in dataset.domains.items():
         for split, X, y in parts.blocks():
             labels = repeat("", X.shape[0]) if y is None else map(str, y.tolist())
-            write_csv(out / f"{dom}.{split}.csv", _header(dim),
+            write_csv(out / f"{dom}.{split}.csv", _header(manifest.feature_dim),
                       zip(repeat(dom), repeat(split), labels,
                           *[map(repr, col) for col in X.T.tolist()]))
-    manifest = {
-        "source": dataset.source,
-        "domains": list(dataset.domains),
-        "feature_dim": dim,
-    }
-    with open(out / "manifest.json", "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_record(out / "manifest.json", manifest)
 
 
 # the bytes of a number column of `save_dataset`'s form, plus its separators.
@@ -557,17 +569,12 @@ def csv_records(path: str | Path, error: type[Exception]):
                         f"{exc.encoding} ({exc.reason})") from None
 
 
-def read_json_object(path: str | Path, error: type[Exception] = DataError) -> dict:
-    """The JSON object in the file at `path`; invalid JSON (or UTF-8) and any
-    other JSON value raise `error` naming the file."""
-    with open(path) as fh:
-        try:
-            obj = json.load(fh)
-        except ValueError as exc:
-            raise error(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise error(f"{path}: expected an object, got {type(obj).__name__}")
-    return obj
+def write_record(path: str | Path, record) -> None:
+    """Write `config_json` of the record dataclass `record` to the file at
+    `path`: indented two spaces, keys sorted, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(config_json(record), fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDataset:
@@ -576,31 +583,19 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
     Reads `manifest.json`, then the file of each domain's split named in
     `splits` (all four by default; `("eval",)` is what scoring needs).  A
     split not read is an empty block of the manifest's width, and the files
-    of such splits are never opened.  A manifest that is not a JSON object
-    with a string `source`, a list of valid domain ids `domains` and a
-    positive integer `feature_dim` raises DataError naming it; `splits` that
-    is empty, repeats a split or names an unknown one raises ParameterError.
+    of such splits are never opened.  A manifest `parse_record` rejects as
+    a `Manifest` raises DataError naming it; `splits` that is empty, repeats
+    a split or names an unknown one raises ParameterError.
     """
     _check_splits(splits)
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
         raise DataError(f"no manifest.json under {root}")
-    manifest = read_json_object(manifest_path)
-    source, ids, dim = (manifest.get(key) for key in ("source", "domains", "feature_dim"))
-    if not isinstance(source, str):
-        raise DataError(f"{manifest_path}: 'source' must be a string, got {source!r}")
-    if not isinstance(ids, list) or not all(map(valid_domain_id, ids)):
-        raise DataError(f"{manifest_path}: 'domains' must be a list of domain ids, each "
-                        f"{DOMAIN_ID_RULE}, got {ids!r}")
-    if not is_integer(dim) or dim < 1:
-        raise DataError(f"{manifest_path}: 'feature_dim' must be a positive integer, "
-                        f"got {dim!r}")
-    for i, dom in enumerate(ids):
-        if dom in ids[:i]:
-            raise DataError(f"{manifest_path}: 'domains' lists {dom!r} twice")
+    manifest = parse_record(Manifest, manifest_path.read_bytes(), manifest_path)
+    dim = manifest.feature_dim
     domains: dict[str, DomainSplits] = {}
-    for dom in ids:
+    for dom in manifest.domains:
         blocks = {}
         for split in SPLITS:
             if split not in splits:
@@ -611,7 +606,7 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
                 raise DataError(f"missing split file {split_path}")
             blocks[split] = _parse_split_file(split_path, dom, split, dim, split != "unlabeled")
         domains[dom] = DomainSplits.from_blocks(blocks)
-    return DomainDataset(source=source, domains=domains).validate(splits)
+    return DomainDataset(source=manifest.source, domains=domains).validate(splits)
 
 
 def subsample_source(dataset: DomainDataset, fraction: int, rng: Rng) -> DomainDataset:

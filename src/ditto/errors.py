@@ -1,11 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the one config rule.
 
 Every failure mode raised by the library is one of these classes, so callers
 can distinguish bad shapes from bad configs from bad data without string
 matching.  `check_fields` is the one field rule of every config dataclass,
-and the one bound rule: a numeric field declares its range in its metadata
-beside its type (`min`, `above` or `in`), and a value out of range is one
-ConfigError keyed by the field's JSON key.
+and the one bound rule: a field declares its range in its metadata beside
+its type (`min`, `above` or `in`), and a value out of range is one
+ConfigError keyed by the field's JSON key.  `parse_config` is the one JSON
+reader of every config dataclass, records included (run.json, manifest.json,
+a checkpoint's `__meta__`); `config_json` is the one writer of a record.
 """
 
 import json
@@ -14,7 +16,7 @@ import numbers
 import sys
 import types
 import typing
-from dataclasses import fields
+from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
 
 
@@ -115,8 +117,10 @@ def fit(tp, value, key: str, bound: typing.Mapping = types.MappingProxyType({}))
     and `key.name`); `X | None` also takes None; a nested config field holds
     that dataclass; numpy scalars count as int and float.  `bound` may hold
     `min` (value >= min), `above` (value > above) and `in` (a tuple holding
-    the value); a list or dict field's bound holds for each item."""
-    if (tp is int and is_integer(value)) or (tp is float and is_finite_number(value)):
+    the value; a str field takes it too); a list or dict field's bound holds
+    for each item."""
+    if ((tp is int and is_integer(value)) or (tp is float and is_finite_number(value))
+            or (tp is str and isinstance(value, str))):
         value = tp(value)
         if "min" in bound and not value >= bound["min"]:
             raise ConfigError(f"must be >= {bound['min']}, got {value}", key=key)
@@ -141,3 +145,105 @@ def fit(tp, value, key: str, bound: typing.Mapping = types.MappingProxyType({}))
     wanted = "a finite number" if finite else _WANTED.get(origin) or f"a {tp.__name__}"
     raise ConfigError(f"expected {wanted}, got {json.dumps(value, default=repr, skipkeys=True)}",
                       key=key)
+
+
+# ---------------------------------------------------------------------------
+# One strict parser builds every config dataclass by walking its fields
+# (`config_fields` gives each one's JSON key), so the dataclass defaults are
+# the only defaults and each dataclass checks its own field types.
+
+
+def _at(path: str, key: str) -> str:
+    """The JSON path of `key` inside the object at `path` ("" is the root)."""
+    return f"{path}.{key}" if path else key
+
+
+@cache
+def _known_keys(cls) -> frozenset[tuple[str, ...]]:
+    """Every key path an object for `cls` may hold."""
+    known = set()
+    for _, key, tp in config_fields(cls):
+        known |= {tuple(key.split("."))} if key else _known_keys(tp)
+    return frozenset(known)
+
+
+def _check_keys(obj: dict, known: frozenset, path: str, prefix: tuple = ()) -> None:
+    for key, raw in obj.items():
+        here = prefix + (key,)
+        if here in known:
+            continue
+        where = _at(path, ".".join(here))
+        if not any(k[:len(here)] == here for k in known):
+            raise ConfigError("unknown key", key=where)
+        _check_keys(fit(dict, raw, where), known, path, here)  # e.g. "cost"
+
+
+def _build(cls, obj: dict, path: str):
+    kwargs = {}
+    for f, key, tp in config_fields(cls):
+        if not key:
+            kwargs[f.name] = _build(tp, obj, path)
+            continue
+        *parents, last = key.split(".")
+        node = obj
+        for part in parents:
+            node = node.get(part, {})
+        where = _at(path, key)
+        if last in node:
+            kwargs[f.name] = _value(tp, node[last], where)
+        elif f.default is MISSING and f.default_factory is MISSING:
+            raise ConfigError("required key missing", key=where)
+    try:
+        return cls(**kwargs)
+    except ConfigError as exc:
+        raise ConfigError(exc.args[0], key=_at(path, exc.key) if exc.key else path) from None
+
+
+def _value(tp, raw, path: str):
+    """`raw` with each JSON object a config dataclass `tp` holds built as one."""
+    if is_dataclass(tp):
+        return parse_config(tp, raw, path)
+    if typing.get_origin(tp) is list and isinstance(raw, list):
+        return [_value(typing.get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(raw)]
+    return raw
+
+
+def parse_config(cls, data, path: str):
+    """Build the config dataclass `cls` from the JSON value at `path` ("" for
+    a whole file).
+
+    Unknown keys, missing required keys, values of the wrong JSON type (a
+    float is not an int, a string is not a list) and values the dataclass
+    itself rejects all raise ConfigError keyed by the full JSON path, e.g.
+    `experiment.lamda` or `dataset.domains[1].sizes`.
+    """
+    obj = fit(dict, data, path)
+    _check_keys(obj, _known_keys(cls), path)
+    return _build(cls, obj, path)
+
+
+def parse_record(cls, text: bytes, where: str):
+    """The record dataclass `cls` read from the UTF-8 JSON `text` of the file
+    `where`; text that is not JSON, or a record `parse_config` rejects, is one
+    DataError naming `where`: `.../run.json: k: must be >= 0, got -1`."""
+    try:
+        data = json.loads(text.decode("utf-8"))
+    except ValueError as exc:
+        raise DataError(f"{where}: not valid JSON: {exc}") from None
+    try:
+        return parse_config(cls, data, "")
+    except ConfigError as exc:
+        raise DataError(f"{where}: {exc}") from None
+
+
+def config_json(record) -> dict:
+    """The JSON object `parse_config` reads `record` back from: each field
+    under its (undotted) JSON key, a "" field's keys merged in, None left out."""
+    obj = {}
+    for f, key, _ in config_fields(type(record)):
+        value = getattr(record, f.name)
+        if not key:
+            obj.update(config_json(value))
+        elif value is not None:
+            obj[key] = value
+    return obj

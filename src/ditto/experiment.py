@@ -10,7 +10,7 @@ grid run gets error.txt and a failed run.json instead):
                     baseline, with relative gains (two decimals)
     cka.csv         per-target similarity to the source under this model
     model.npz       checkpoint (bit-exact parameter round-trip)
-    run.json        run metadata (no timings, fully deterministic)
+    run.json        the run's `RunRecord` (no timings, fully deterministic)
 
 Aggregates, under `out/`:
 
@@ -22,14 +22,14 @@ Aggregates, under `out/`:
 
 Every aggregate is a deterministic function of (config, dataset, seeds), so
 reruns produce byte-identical files; wall-clock time appears only in
-metrics.jsonl.
+metrics.jsonl.  The tables read each run back through its run.json, parsed
+by `parse_record` as the config dataclass `RunRecord` it was written from.
 """
 
 from __future__ import annotations
 
 import json
-import typing
-from dataclasses import MISSING, dataclass, field, is_dataclass
+from dataclasses import dataclass, field, replace
 from itertools import product
 from pathlib import Path
 
@@ -59,9 +59,8 @@ from .analysis import (
     zero_shot_eval,
 )
 from .data import (SOURCE_FRACTIONS, DomainDataset, DomainSpec, MixtureSpec,
-                   read_json_object, subsample_source, write_csv)
-from .errors import (ConfigError, DataError, UndefinedResultError, check_fields,
-                     config_fields, fit)
+                   subsample_source, write_csv, write_record)
+from .errors import ConfigError, DataError, UndefinedResultError, check_fields, parse_record
 from .model import ModelBundle, extract_features, save_checkpoint
 from .rng import Rng
 
@@ -122,81 +121,42 @@ class DatasetConfig:
         check_fields(self)
 
 
-# ---------------------------------------------------------------------------
-# config file handling (JSON; CLI flags override individual fields)
-#
-# One strict parser builds every config dataclass by walking its fields
-# (`config_fields` gives each one's JSON key), so the dataclass defaults are
-# the only defaults and each dataclass checks its own field types.
+@dataclass
+class RunRecord:
+    """A run's run.json: its grid coordinates, its dataset's domains and kept
+    source rows, and whether it finished ("ok") or failed with `error`."""
 
+    frac: int = field(metadata={"json": "S"})
+    variant: str
+    seed: int = field(metadata={"min": 0})
+    k: int = field(metadata={"min": 0})
+    n_labeled_source: int = field(metadata={"min": 0})
+    source: str
+    targets: list[str]
+    status: str = field(metadata={"in": ("ok", "failed")})
+    error: str | None = None
 
-def _known_keys(cls) -> set[tuple[str, ...]]:
-    """Every key path an object for `cls` may hold."""
-    known = set()
-    for _, key, tp in config_fields(cls):
-        known |= {tuple(key.split("."))} if key else _known_keys(tp)
-    return known
-
-
-def _check_keys(obj: dict, known: set, path: str, prefix: tuple = ()) -> None:
-    for key, raw in obj.items():
-        here = prefix + (key,)
-        if here in known:
-            continue
-        where = ".".join((path,) + here)
-        if not any(k[:len(here)] == here for k in known):
-            raise ConfigError("unknown key", key=where)
-        _check_keys(fit(dict, raw, where), known, path, here)  # e.g. "cost"
-
-
-def _build(cls, obj: dict, path: str):
-    kwargs = {}
-    for f, key, tp in config_fields(cls):
-        if not key:
-            kwargs[f.name] = _build(tp, obj, path)
-            continue
-        *parents, last = key.split(".")
-        node = obj
-        for part in parents:
-            node = node.get(part, {})
-        where = f"{path}.{key}"
-        if last in node:
-            kwargs[f.name] = _value(tp, node[last], where)
-        elif f.default is MISSING and f.default_factory is MISSING:
-            raise ConfigError("required key missing", key=where)
-    try:
-        return cls(**kwargs)
-    except ConfigError as exc:
-        key = f"{path}.{exc.key}" if exc.key else path
-        raise ConfigError(exc.args[0], key=key) from None
-
-
-def _value(tp, raw, path: str):
-    """`raw` with each JSON object a config dataclass `tp` holds built as one."""
-    if is_dataclass(tp):
-        return parse_config(tp, raw, path)
-    if typing.get_origin(tp) is list and isinstance(raw, list):
-        return [_value(typing.get_args(tp)[0], v, f"{path}[{i}]") for i, v in enumerate(raw)]
-    return raw
-
-
-def parse_config(cls, data, path: str):
-    """Build the config dataclass `cls` from the JSON value at `path`.
-
-    Unknown keys, missing required keys, values of the wrong JSON type (a
-    float is not an int, a string is not a list) and values the dataclass
-    itself rejects all raise ConfigError keyed by the full JSON path, e.g.
-    `experiment.lamda` or `dataset.domains[1].sizes`.
-    """
-    obj = fit(dict, data, path)
-    _check_keys(obj, _known_keys(cls), path)
-    return _build(cls, obj, path)
+    def __post_init__(self):
+        check_fields(self)
+        if not self.targets:
+            raise ConfigError("need at least one target", key="targets")
+        if self.source in self.targets:
+            raise ConfigError(f"the source {self.source!r} is no target", key="targets")
+        for i, target in enumerate(self.targets):
+            if target in self.targets[:i]:
+                raise ConfigError(f"target {target!r} is listed twice", key=f"targets[{i}]")
 
 
 def load_config(path: str | Path) -> dict:
     """The JSON object in `path`, holding a `dataset` and/or an `experiment`
     section."""
-    cfg = read_json_object(path, ConfigError)
+    with open(path) as fh:
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{path}: expected an object, got {type(cfg).__name__}")
     for key in cfg:
         if key not in ("dataset", "experiment"):
             raise ConfigError(f"{key}: unknown config section")
@@ -255,7 +215,8 @@ class Cell:
     on it one at a time; one that needs a target prior builds it from the
     zero-shot scores of the cell's baseline, which must have run before it.
     An experiment whose input_dim or num_classes does not fit the dataset
-    raises ConfigError here, before anything trains.
+    raises ConfigError here, and a dataset without a target domain
+    DataError, before anything trains.
     """
 
     def __init__(self, config: ExperimentConfig, dataset: DomainDataset,
@@ -265,10 +226,14 @@ class Cell:
             name, reason = misfit
             key = "encoder.input_dim" if name == "input_dim" else name
             raise ConfigError(reason, key=f"experiment.{key}")
+        if not dataset.target_ids():
+            raise DataError("the dataset has no target domain")
         self.config = config
-        self.frac, self.k, self.seed = frac, k, seed
         ds = subsample_source(dataset, frac, Rng(seed).child("subsample"))
-        self.n_labeled_source = ds.domains[ds.source].labeled.n
+        self.record = RunRecord(  # each run.json of the cell, but for variant and status
+            frac=frac, variant=BASELINE, seed=seed, k=k,
+            n_labeled_source=ds.domains[ds.source].labeled.n, source=ds.source,
+            targets=ds.target_ids(), status="ok")
         if k > 0:
             ds = few_shot_augment(ds, k, Rng(seed).child("fewshot"))
         self.dataset = ds
@@ -282,7 +247,8 @@ class Cell:
                 raise ConfigError("baseline run unavailable; cannot build the "
                                   "target prior")
             prior = compute_prior(self.baseline_scores, self.dataset.source)
-        bundle, report = train(self.config.train, self.dataset, variant, self.seed, prior)
+        bundle, report = train(self.config.train, self.dataset, variant, self.record.seed,
+                               prior)
         if variant.kind == BASELINE:
             self.baseline_scores = report.final_per_domain_acc
         return bundle, report
@@ -310,14 +276,8 @@ class Cell:
 
     def write_meta(self, name: str, run_dir: Path, error: str | None = None) -> None:
         """The run.json of variant `name` on the cell: ok, or failed with `error`."""
-        meta = {"variant": name, "seed": self.seed, "S": self.frac, "k": self.k,
-                "source": self.dataset.source, "targets": self.dataset.target_ids(),
-                "n_labeled_source": self.n_labeled_source, "status": "ok"}
-        if error is not None:
-            meta.update(status="failed", error=error)
-        with open(run_dir / "run.json", "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_record(run_dir / "run.json", replace(
+            self.record, variant=name, status="ok" if error is None else "failed", error=error))
 
 
 def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
@@ -336,7 +296,7 @@ def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
              in product(config.source_fractions, config.ks, config.seeds)]
     for cell in cells:
         for name in config.variants:
-            run_dir = _run_dir(out, cell.frac, cell.k, name, cell.seed)
+            run_dir = _run_dir(out, cell.record.frac, cell.record.k, name, cell.record.seed)
             run_dir.mkdir(parents=True, exist_ok=True)
             try:
                 cell.write_run(name, run_dir)
@@ -353,55 +313,30 @@ def run_experiment(config: ExperimentConfig, dataset: DomainDataset,
 # aggregates: every table reads each run back once (`_finished_runs`), and
 # every gain is `mean_gain` of the two-decimal accuracies in eval.csv
 
-# the keys the tables read, with their types and bounds
-_RUN_KEYS = {"S": (int, {}), "k": (int, {"min": 0}), "variant": (str, {}),
-             "seed": (int, {"min": 0}), "source": (str, {}), "targets": (list[str], {}),
-             "n_labeled_source": (int, {"min": 0})}
-
-
-def _check_run_keys(meta: dict) -> None:
-    """Fit each of `_RUN_KEYS` in a run.json by the one field and bound rule;
-    a ConfigError names the key at fault."""
-    for name, (tp, bound) in _RUN_KEYS.items():
-        if name not in meta:
-            raise ConfigError(f"{name!r} missing")
-        meta[name] = fit(tp, meta[name], name, bound)
-    targets = meta["targets"]
-    if not targets:
-        raise ConfigError("need at least one target", key="targets")
-    if meta["source"] in targets:
-        raise ConfigError(f"the source {meta['source']!r} is no target", key="targets")
-    for i, target in enumerate(targets):
-        if target in targets[:i]:
-            raise ConfigError(f"target {target!r} is listed twice", key=f"targets[{i}]")
-
-
-def _finished_runs(results: Path) -> dict[tuple[int, int, str, int], tuple[dict, EvalTable]]:
+def _finished_runs(results: Path) -> dict[tuple[int, int, str, int],
+                                          tuple[RunRecord, EvalTable]]:
     """{(S, k, variant, seed): (run.json, eval.csv)} of every run under
     `results` whose status is "ok" and whose eval.csv exists, in path order.
-    A missing `results` directory or a corrupt, misplaced or incomplete
-    artifact raises DataError naming it."""
+    Every run.json is parsed, a failed run's too.  A missing `results`
+    directory or a corrupt, misplaced or incomplete artifact raises DataError
+    naming it."""
     if not results.is_dir():
         raise DataError(f"{results}: no such results directory")
     runs = {}
     for meta_path in sorted(results.glob("S*/k*/*/seed*/run.json")):
-        meta = read_json_object(meta_path)
+        run = parse_record(RunRecord, meta_path.read_bytes(), meta_path)
         eval_path = meta_path.parent / "eval.csv"
-        if meta.get("status") != "ok" or not eval_path.exists():
+        if run.status != "ok" or not eval_path.exists():
             continue
-        try:
-            _check_run_keys(meta)
-        except ConfigError as exc:
-            raise DataError(f"{meta_path}: {exc}") from None
-        key = (meta["S"], meta["k"], meta["variant"], meta["seed"])
+        key = (run.frac, run.k, run.variant, run.seed)
         if _run_dir(results, *key) != meta_path.parent:
             raise DataError(f"{meta_path}: describes S={key[0]} k={key[1]} {key[2]} "
                             f"seed={key[3]}, which belongs in another directory")
         table, _ = read_eval_csv(eval_path)
-        for dom in [meta["source"]] + meta["targets"]:
-            if (meta["variant"], dom) not in table.entries:
-                raise DataError(f"{eval_path}: no {meta['variant']} accuracy on {dom!r}")
-        runs[key] = meta, table
+        for dom in [run.source] + run.targets:
+            if (run.variant, dom) not in table.entries:
+                raise DataError(f"{eval_path}: no {run.variant} accuracy on {dom!r}")
+        runs[key] = run, table
     return runs
 
 
@@ -409,18 +344,18 @@ def _accs(table: EvalTable, method: str) -> dict[str, float]:
     return {dom: acc for (m, dom), acc in table.entries.items() if m == method}
 
 
-def _mean_target_acc(meta: dict, accs: dict[str, float]) -> float:
-    return float(np.mean([accs[t] for t in meta["targets"]]))
+def _mean_target_acc(run: RunRecord, accs: dict[str, float]) -> float:
+    return float(np.mean([accs[t] for t in run.targets]))
 
 
 def _best_seed_accs(runs: dict, config: ExperimentConfig, frac: int, k: int,
-                    variant: str) -> tuple[dict, dict[str, float]] | None:
-    """(meta, accuracies) of the best seed: the highest mean target accuracy,
+                    variant: str) -> tuple[RunRecord, dict[str, float]] | None:
+    """(run, accuracies) of the best seed: the highest mean target accuracy,
     ties to the seed listed first in config.seeds; None if none finished."""
     finished = [runs[frac, k, variant, seed] for seed in config.seeds
                 if (frac, k, variant, seed) in runs]
-    return max([(meta, _accs(table, variant)) for meta, table in finished],
-               key=lambda run: _mean_target_acc(*run), default=None)
+    return max([(run, _accs(table, variant)) for run, table in finished],
+               key=lambda best: _mean_target_acc(*best), default=None)
 
 
 def write_summaries(config: ExperimentConfig, out: Path) -> None:
@@ -434,7 +369,7 @@ def write_summaries(config: ExperimentConfig, out: Path) -> None:
     for name in config.variants:
         bests = [_best_seed_accs(runs, config, f, k0, name) for f in config.source_fractions]
         rows.append([name] + ["" if base is None or best is None else
-                              mean_gain(base[1], best[1], base[0]["targets"])
+                              mean_gain(base[1], best[1], base[0].targets)
                               for base, best in zip(bases, bests)])
     write_csv(out / "summary.csv", ["variant"] + [f"S{f}" for f in config.source_fractions],
               rows)
@@ -447,10 +382,10 @@ def write_summaries(config: ExperimentConfig, out: Path) -> None:
         if run is None:
             rows.append([name, frac, k, seed, "", ""])
             continue
-        meta, accs = run[0], _accs(run[1], name)
+        accs = _accs(run[1], name)
         gain = "" if base is None else mean_gain(_accs(base[1], BASELINE), accs,
-                                                  meta["targets"])
-        rows.append([name, frac, k, seed, fmt_acc(_mean_target_acc(meta, accs)), gain])
+                                                  run[0].targets)
+        rows.append([name, frac, k, seed, fmt_acc(_mean_target_acc(run[0], accs)), gain])
     write_csv(out / "summary_per_seed.csv", ["variant", "S", "k", "seed",
                                              "mean_target_accuracy", "mean_relative_gain"],
               rows)
@@ -474,12 +409,12 @@ def _write_cost(config: ExperimentConfig, runs: dict, path: Path) -> None:
         if best is None:
             rows.append([name, frac, k, config.c_t_over_s, "", ""])
             continue
-        meta, accs = best
+        run, accs = best
         cost = annotation_cost(CostParams(
-            c_s=config.c_s, n_labeled_source=meta["n_labeled_source"],
-            c_t_over_s=config.c_t_over_s, k=k, num_targets=len(meta["targets"])))
+            c_s=config.c_s, n_labeled_source=run.n_labeled_source,
+            c_t_over_s=config.c_t_over_s, k=k, num_targets=len(run.targets)))
         rows.append([name, frac, k, config.c_t_over_s,
-                     f"{cost:.2f}", fmt_acc(_mean_target_acc(meta, accs))])
+                     f"{cost:.2f}", fmt_acc(_mean_target_acc(run, accs))])
     write_csv(path, ["method", "S", "k", "c_t_over_s", "cost_cents", "mean_target_accuracy"],
               rows)
 
@@ -491,12 +426,12 @@ def analyze_results(results: str | Path, out_dir: str | Path) -> Path:
     results, out = Path(results), Path(out_dir)
     runs = _finished_runs(results)
     a_rows, c_rows = [], []
-    for (frac, k, name, seed), (meta, table) in runs.items():
-        targets = meta["targets"]
+    for (frac, k, name, seed), (run, table) in runs.items():
+        targets = run.targets
         accs = _accs(table, name)
         gain = "" if name == BASELINE else mean_gain(_accs(table, BASELINE), accs, targets)
-        gap = float(np.mean([accs[meta["source"]] - accs[t] for t in targets]))
-        a_rows.append([name, frac, k, seed, fmt_acc(_mean_target_acc(meta, accs)), gain,
+        gap = float(np.mean([accs[run.source] - accs[t] for t in targets]))
+        a_rows.append([name, frac, k, seed, fmt_acc(_mean_target_acc(run, accs)), gain,
                        fmt_acc(gap)])
 
         cka_path = _run_dir(results, frac, k, name, seed) / "cka.csv"

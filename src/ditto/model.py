@@ -16,7 +16,8 @@ and each discriminator another; the optimizer and SAM touch each span with a
 handful of vector operations.  The store is allocated once, zero-filled, when
 the bundle is built; `init_params` and `load_checkpoint` then fill it.  A
 checkpoint is that value arena as one float64 vector beside the metadata the
-layout is rebuilt from, so a load is one checked copy.
+layout is rebuilt from (the config dataclass `CheckpointMeta`, written by
+`config_json` and read back by `parse_record`), so a load is one checked copy.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ParamStore, Tape, TapeNode, activation, affine, all_finite, sigmoid
-from .errors import ConfigError, DataError, ParameterError, ShapeError, check_fields
+from .errors import (ConfigError, DataError, ParameterError, ShapeError, check_fields,
+                     config_json, parse_record)
 from .rng import Rng
 
 DISC_HIDDEN = 64
@@ -44,19 +46,32 @@ class EncoderSpec:
 
     input_dim: int = field(metadata={"min": 1})
     hidden_dims: list[int] = field(default_factory=lambda: [32, 16], metadata={"min": 1})
-    activation: str = "tanh"
+    activation: str = field(default="tanh", metadata={"in": ACTIVATIONS})
 
     def __post_init__(self):
         check_fields(self)
         if not self.hidden_dims:
             raise ConfigError("must be non-empty", key="hidden_dims")
-        if self.activation not in ACTIVATIONS:
-            raise ConfigError(f"must be one of {ACTIVATIONS}, got {self.activation!r}",
-                              key="activation")
 
     @property
     def feature_dim(self) -> int:
         return self.hidden_dims[-1]
+
+
+@dataclass
+class CheckpointMeta:
+    """A checkpoint's `__meta__` entry: the architecture its arena is laid out
+    by, with the encoder's keys flat beside `num_classes` and `target_ids`."""
+
+    encoder: EncoderSpec = field(metadata={"json": ""})
+    num_classes: int = field(metadata={"min": 1})
+    target_ids: list[str]
+
+    def __post_init__(self):
+        check_fields(self)
+        for i, t in enumerate(self.target_ids):
+            if t in self.target_ids[:i]:
+                raise ConfigError(f"target {t!r} is listed twice", key=f"target_ids[{i}]")
 
 
 def param_layout(
@@ -212,13 +227,8 @@ def save_checkpoint(bundle: ModelBundle, path: str) -> None:
     float64 vector in `param_layout` order).  A save/load round trip is
     bit-exact.
     """
-    meta = {
-        "input_dim": bundle.spec.input_dim,
-        "hidden_dims": list(bundle.spec.hidden_dims),
-        "activation": bundle.spec.activation,
-        "num_classes": bundle.num_classes,
-        "target_ids": list(bundle.target_ids),
-    }
+    meta = config_json(CheckpointMeta(bundle.spec, bundle.num_classes,
+                                      list(bundle.target_ids)))
     np.savez(path, __meta__=np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8),
              **{ARENA: bundle.store.value})
 
@@ -228,12 +238,12 @@ def load_checkpoint(path: str) -> ModelBundle:
 
     The bundle is built from `__meta__`, then the `params` arena is copied
     into its store with one assignment.  Each of these raises DataError
-    naming the file: a file that is not an npz archive; a missing or
-    malformed `__meta__` entry; an entry other than the two, so an archive
-    in the old per-parameter form is named by its first `param::` entry; a
-    missing arena, or one that is not a float64 vector of the layout's
-    length; and a non-finite value, named by the parameter whose span holds
-    the first one.
+    naming the file: a file that is not an npz archive; an entry other than
+    the two, so an archive in the old per-parameter form is named by its
+    first `param::` entry; a missing or unreadable entry; a `__meta__` that
+    `parse_record` rejects as a `CheckpointMeta`, named by its key; an arena
+    that is not a float64 vector of the layout's length; and a non-finite
+    value, named by the parameter whose span holds the first one.
     """
     with open(path, "rb") as fh:
         try:
@@ -243,26 +253,21 @@ def load_checkpoint(path: str) -> ModelBundle:
         if not isinstance(data, np.lib.npyio.NpzFile):
             raise DataError(f"{path}: not a checkpoint archive: a single .npy array")
         with data:
-            if "__meta__" not in data.files:
-                raise DataError(f"{path}: no '__meta__' entry")
-            try:
-                meta = json.loads(bytes(data["__meta__"]).decode("utf-8"))
-                spec = EncoderSpec(meta["input_dim"], list(meta["hidden_dims"]),
-                                   meta["activation"])
-                bundle = ModelBundle(spec, meta["num_classes"], meta["target_ids"])
-            except (ValueError, TypeError, KeyError) as exc:  # ConfigError is a ValueError
-                raise DataError(f"{path}: bad checkpoint metadata: {type(exc).__name__}: "
-                                f"{exc}") from None
             for key in data.files:
                 if key not in ("__meta__", ARENA):
                     raise DataError(f"{path}: unexpected entry {key!r}")
-            if ARENA not in data.files:
-                raise DataError(f"{path}: no {ARENA!r} entry")
-            try:
-                arena = data[ARENA]
-            except (ValueError, zipfile.BadZipFile) as exc:  # object arrays need pickle
-                raise DataError(f"{path}: unreadable {ARENA!r} entry: {exc}") from None
-    value = bundle.store.value
+            entries = {}
+            for key in ("__meta__", ARENA):
+                if key not in data.files:
+                    raise DataError(f"{path}: no {key!r} entry")
+                try:
+                    entries[key] = data[key]
+                except (ValueError, zipfile.BadZipFile) as exc:  # object arrays need pickle
+                    raise DataError(f"{path}: unreadable {key!r} entry: {exc}") from None
+    meta = parse_record(CheckpointMeta, bytes(entries["__meta__"]),
+                        f"{path}: bad checkpoint metadata")
+    bundle = ModelBundle(meta.encoder, meta.num_classes, meta.target_ids)
+    arena, value = entries[ARENA], bundle.store.value
     if arena.dtype.kind != "f" or arena.dtype.itemsize != 8 or arena.shape != value.shape:
         raise DataError(f"{path}: {ARENA!r} is {arena.dtype} of shape {arena.shape}, "
                         f"expected float64 of shape {value.shape}")

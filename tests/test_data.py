@@ -388,21 +388,32 @@ def test_missing_manifest(tmp_path):
 @pytest.mark.parametrize("manifest,named", [
     ("{not json", "not valid JSON"),
     ("[]", "expected an object"),
-    ("{}", "'source' must be a string"),
-    ('{"source": "s", "domains": "s,t", "feature_dim": 2}', "'domains' must be a list"),
-    ('{"source": "s", "domains": ["s", "../t"], "feature_dim": 2}', "'domains' must be a list"),
-    ('{"source": "s", "domains": ["s", ""], "feature_dim": 2}', "'domains' must be a list"),
-    ('{"source": "s", "domains": ["s", "t"], "feature_dim": "2"}', "'feature_dim' must be"),
-    ('{"source": "s", "domains": ["s", "t"], "feature_dim": 0}', "'feature_dim' must be"),
-    ('{"source": "s", "domains": ["s", "t", "t"], "feature_dim": 2}', "'domains' lists 't' twice"),
-    ('{"source": "s", "domains": ["s", "a,b"], "feature_dim": 2}', "'domains' must be a list"),
-    ('{"source": "s", "domains": ["s", "a\\"b"], "feature_dim": 2}', "'domains' must be a list"),
-    ('{"source": "s", "domains": ["s", "a\\nb"], "feature_dim": 2}', "'domains' must be a list"),
+    ("{}", "source: required key missing"),
+    ('{"source": "s", "domains": "s,t", "feature_dim": 2}',
+     'domains: expected a list, got "s,t"'),
+    ('{"source": "s", "domains": ["s", "../t"], "feature_dim": 2}',
+     "domains[1]: domain id '../t' must be a non-empty string"),
+    ('{"source": "s", "domains": ["s", ""], "feature_dim": 2}',
+     "domains[1]: domain id '' must be a non-empty string"),
+    ('{"source": "s", "domains": ["s", "t"], "feature_dim": "2"}',
+     'feature_dim: expected an integer, got "2"'),
+    ('{"source": "s", "domains": ["s", "t"], "feature_dim": 0}',
+     "feature_dim: must be >= 1, got 0"),
+    ('{"source": "s", "domains": ["s", "t", "t"], "feature_dim": 2}',
+     "domains[2]: domain 't' is listed twice"),
+    ('{"source": "s", "domains": ["s", "a,b"], "feature_dim": 2}',
+     "domains[1]: domain id 'a,b' must be"),
+    ('{"source": "s", "domains": ["s", "a\\"b"], "feature_dim": 2}',
+     "domains[1]: domain id 'a\"b' must be"),
+    ('{"source": "s", "domains": ["s", "a\\nb"], "feature_dim": 2}',
+     "domains[1]: domain id 'a\\nb' must be"),
     ('{"source": "s", "domains": ["s", "a\\u0000b"], "feature_dim": 2}',
-     "'domains' must be a list"),
+     "domains[1]: domain id 'a\\x00b' must be"),
+    ('{"source": "s", "domains": ["s", "t"], "feature_dim": 2, "feature_dims": 2}',
+     "feature_dims: unknown key"),
 ], ids=["not_json", "not_object", "empty_object", "domains_string", "id_climbs_out",
         "empty_id", "dim_string", "dim_zero", "domain_twice", "id_with_comma", "id_with_quote",
-        "id_with_newline", "id_with_nul"])
+        "id_with_newline", "id_with_nul", "unknown_key"])
 def test_bad_manifest_is_a_data_error_naming_it(tmp_path, manifest, named):
     with pytest.raises(DataError, match="manifest.json: " + re.escape(named)):
         _write_and_load(tmp_path, "manifest.json", manifest)

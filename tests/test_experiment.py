@@ -31,15 +31,16 @@ from ditto import (
 )
 from ditto.analysis import read_eval_csv, relative_gain
 from ditto.cli import main
-from ditto.errors import ConfigError
+from ditto.data import Manifest
+from ditto.errors import ConfigError, config_json, parse_config
 from ditto.experiment import (
     Cell,
     DatasetConfig,
+    RunRecord,
     export_features,
-    parse_config,
     write_report_jsonl,
 )
-from ditto.model import ModelBundle, extract_features
+from ditto.model import CheckpointMeta, ModelBundle, extract_features
 
 from conftest import make_dataset
 
@@ -398,6 +399,59 @@ def test_cli_train_writes_the_run_directory_run_all_writes(kinds_grid, cli_confi
             assert np.array_equal(ours[key], theirs[key]), key
 
 
+def test_every_record_parses_back_to_the_dataclass_it_was_written_from(kinds_grid):
+    # generate's manifest.json, and each run.json and checkpoint `__meta__` of a grid
+    data_dir, results = kinds_grid
+    text = (data_dir / "manifest.json").read_text()
+    manifest = parse_config(Manifest, json.loads(text), "")
+    assert manifest == Manifest(source="src", domains=["src", "rot30", "rot60"], feature_dim=2)
+    assert json.dumps(config_json(manifest), indent=2, sort_keys=True) + "\n" == text
+    runs = sorted(results.glob("S*/k*/*/seed*/run.json"))
+    assert len(runs) == 4 * len(KINDS)
+    for path in runs:
+        text = path.read_text()
+        run = parse_config(RunRecord, json.loads(text), "")
+        frac, k = int(path.parts[-5][1:]), int(path.parts[-4][1:])
+        assert run == RunRecord(frac=frac, variant=run.variant, seed=3, k=k,
+                                n_labeled_source=96 * frac // 100, source="src",
+                                targets=["rot30", "rot60"], status="ok")
+        assert path.parts[-3] == run.variant.replace(":", "_") and run.variant in KINDS
+        assert json.dumps(config_json(run), indent=2, sort_keys=True) + "\n" == text
+        with np.load(path.parent / "model.npz") as data:
+            raw = bytes(data["__meta__"])
+        meta = parse_config(CheckpointMeta, json.loads(raw), "")
+        assert meta == CheckpointMeta(encoder=EncoderSpec(2, [16, 8], "tanh"), num_classes=3,
+                                      target_ids=["rot30", "rot60"])
+        assert json.dumps(config_json(meta)).encode() == raw
+
+
+def test_cli_run_all_with_data_still_parses_the_dataset_section(cli_config, tmp_path,
+                                                                 capsys):
+    data_dir, out = tmp_path / "data", tmp_path / "out"
+    assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
+    cfg = json.loads(cli_config.read_text())
+    cfg["dataset"]["bogus"] = 1
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(bad), "--data", str(data_dir),
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: dataset.bogus: unknown key\n"
+    assert not out.exists()
+
+
+def test_cli_run_all_on_a_dataset_without_targets_fails_before_training(cli_config, tmp_path,
+                                                                       capsys):
+    cfg = json.loads(cli_config.read_text())
+    cfg["dataset"]["domains"] = cfg["dataset"]["domains"][:1]
+    config, out = tmp_path / "source_only.json", tmp_path / "out"
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the dataset has no target domain\n"
+    assert sorted(p.name for p in out.iterdir()) == ["data"]  # nothing trained
+
+
 def test_cli_missing_config_is_error(tmp_path):
     assert main(["generate", "--config", str(tmp_path / "nope.json"),
                  "--out", str(tmp_path / "d")]) == 2
@@ -470,7 +524,7 @@ def _manifest_not_json(run_dir, data_dir):
 
 def _manifest_empty(run_dir, data_dir):
     (data_dir / "manifest.json").write_text("{}")
-    return "manifest.json: 'source' must be a string"
+    return "manifest.json: source: required key missing"
 
 
 def _model_not_npz(run_dir, data_dir):

@@ -12,8 +12,10 @@ import numpy as np
 import pytest
 
 import ditto
+from ditto.data import Manifest
 from ditto.errors import ConfigError, config_fields
-from ditto.experiment import DatasetConfig
+from ditto.experiment import DatasetConfig, RunRecord
+from ditto.model import CheckpointMeta
 
 ENCODER = ditto.EncoderSpec(input_dim=2)
 TRAIN = ditto.TrainConfig(encoder=ENCODER, num_classes=3, epochs=1)
@@ -35,6 +37,10 @@ VALID = {
     ditto.TrainVariant: ditto.TrainVariant("ditto_single", single_target="t"),
     ditto.CostParams: ditto.CostParams(),
     ditto.LanguagePrior: ditto.LanguagePrior({"a": 0.5, "b": 0.5}),
+    RunRecord: RunRecord(frac=100, variant="ditto", seed=0, k=0, n_labeled_source=10,
+                         source="src", targets=["t"], status="ok"),
+    Manifest: Manifest(source="src", domains=["src", "t"], feature_dim=2),
+    CheckpointMeta: CheckpointMeta(encoder=ENCODER, num_classes=3, target_ids=["t"]),
 }
 
 # the package's dataclasses that hold data or results, not configuration
@@ -114,9 +120,10 @@ def _bound_cases():
     """(build at the bound's edge, build one step past it, the key, the
     message) for every bound a config field declares: `min` takes its bound
     and rejects the next value down, `above` rejects its bound and takes the
-    next value up, and `in` takes each of its members and rejects 50.  A list
-    field holds the value as its item [0], a dict field as its item "a",
-    beside a "b" that keeps a prior's sum at 1."""
+    next value up, and `in` takes each of its members and rejects 50 (an int
+    member set) or "OK" (a str member set).  A list field holds the value as
+    its item [0], a dict field as its item "a", beside a "b" that keeps a
+    prior's sum at 1."""
     for cls, valid in VALID.items():
         for f, key, tp in config_fields(cls):
             item = typing.get_args(tp)[-1] if typing.get_args(tp) else tp
@@ -131,9 +138,10 @@ def _bound_cases():
                 edges.append((name, ok, bad, f"must be {wording} {bound}, got {item(bad)}"))
             if "in" in f.metadata:
                 members = f.metadata["in"]
-                assert 50 not in members
-                edges += [(f"in-{ok}", ok, 50,
-                           f"must be in {{{','.join(map(str, members))}}}, got 50")
+                outside = "OK" if item is str else 50
+                assert outside not in members
+                edges += [(f"in-{ok}", ok, outside,
+                           f"must be in {{{','.join(map(str, members))}}}, got {outside}")
                           for ok in members]
             for name, ok, bad, message in edges:
                 at = key or f.name

@@ -1,4 +1,5 @@
 import io
+import json
 
 import numpy as np
 import pytest
@@ -364,6 +365,15 @@ def _meta_of(hidden_dims):
                          f'"tanh", "num_classes": 2, "target_ids": ["a"]}}'.encode(), np.uint8)
 
 
+def _set_meta(key, value):
+    """Spoil a checkpoint by setting `key` of its `__meta__` to `value`."""
+    def edit(arrays):
+        meta = json.loads(bytes(arrays["__meta__"]))
+        meta[key] = value
+        arrays["__meta__"] = np.frombuffer(json.dumps(meta).encode(), np.uint8)
+    return lambda path: rewrite_checkpoint(path, edit)
+
+
 @pytest.mark.parametrize("spoil, named", [
     (lambda path: path.write_bytes(b"not an archive"), "not a checkpoint archive"),
     (lambda path: path.write_bytes(b""), "not a checkpoint archive"),
@@ -377,9 +387,23 @@ def _meta_of(hidden_dims):
     (lambda path: rewrite_checkpoint(path, lambda a: a.update(__meta__=_meta_of("[]"))),
      "hidden_dims: must be non-empty"),
     (lambda path: rewrite_checkpoint(path, lambda a: a.update(__meta__=_meta_of('"32"'))),
-     "bad checkpoint metadata"),
+     'bad checkpoint metadata: hidden_dims: expected a list, got "32"'),
+    (_set_meta("target_ids", "ab"), 'bad checkpoint metadata: target_ids: expected a list, '
+                                    'got "ab"'),
+    (_set_meta("target_ids", [1, 2]), "bad checkpoint metadata: target_ids[0]: expected a "
+                                      "string, got 1"),
+    (_set_meta("target_ids", ["t0", "t0"]), "bad checkpoint metadata: target_ids[1]: target "
+                                            "'t0' is listed twice"),
+    (_set_meta("num_classes", 3.0), "bad checkpoint metadata: num_classes: expected an "
+                                    "integer, got 3.0"),
+    (_set_meta("num_classes", True), "bad checkpoint metadata: num_classes: expected an "
+                                     "integer, got true"),
+    (_set_meta("num_classes", 0), "bad checkpoint metadata: num_classes: must be >= 1, got 0"),
+    (_set_meta("input_dims", 2), "bad checkpoint metadata: input_dims: unknown key"),
 ], ids=["text", "empty", "broken_zip", "npy_array", "no_meta", "meta_not_json",
-        "meta_not_object", "meta_rejected_by_spec", "meta_wrong_type"])
+        "meta_not_object", "meta_rejected_by_spec", "meta_wrong_type", "targets_a_string",
+        "targets_not_strings", "target_twice", "classes_a_float", "classes_a_bool",
+        "no_classes", "unknown_key"])
 def test_unreadable_checkpoint_is_a_data_error_naming_it(tmp_path, spoil, named):
     path = tmp_path / "model.npz"
     save_checkpoint(make_bundle(seed=14), path)

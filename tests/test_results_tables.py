@@ -221,7 +221,7 @@ def _run_json_no_targets(results):
     meta = json.loads(path.read_text())
     del meta["targets"]
     path.write_text(json.dumps(meta))
-    return "ditto/seed1/run.json: 'targets' missing"
+    return "ditto/seed1/run.json: targets: required key missing"
 
 
 def _run_json_elsewhere(results):
@@ -260,6 +260,31 @@ def _run_json_repeated_target(results):
 def _run_json_source_as_target(results):
     _set_run_json(results, "targets", ["src", "t1"])
     return "ditto/seed1/run.json: targets: the source 'src' is no target"
+
+
+def _run_json_bad_status(results):
+    _set_run_json(results, "status", "OK")
+    return "ditto/seed1/run.json: status: must be in {ok,failed}, got OK"
+
+
+def _run_json_no_status(results):
+    path = _ditto_seed1(results) / "run.json"
+    meta = json.loads(path.read_text())
+    del meta["status"]
+    path.write_text(json.dumps(meta))
+    return "ditto/seed1/run.json: status: required key missing"
+
+
+def _run_json_unknown_key(results):
+    _set_run_json(results, "seeds", [1])
+    return "ditto/seed1/run.json: seeds: unknown key"
+
+
+def _failed_run_json_negative_k(results):
+    # a failed run's run.json is parsed too, though no table reads it
+    path = results / "S100" / "k0" / "ditto_single_t2" / "seed1" / "run.json"
+    path.write_text(path.read_text().replace('"k": 0', '"k": -1'))
+    return "ditto_single_t2/seed1/run.json: k: must be >= 0, got -1"
 
 
 def _eval_csv_short_row(results):
@@ -338,7 +363,9 @@ def _cka_csv_no_target(results):
 SPOILERS = [_run_json_not_json, _run_json_not_object, _run_json_no_targets,
             _run_json_elsewhere, _run_json_negative_source_count,
             _run_json_source_count_true, _run_json_no_target, _run_json_repeated_target,
-            _run_json_source_as_target, _eval_csv_short_row, _eval_csv_bad_number,
+            _run_json_source_as_target, _run_json_bad_status, _run_json_no_status,
+            _run_json_unknown_key, _failed_run_json_negative_k, _eval_csv_short_row,
+            _eval_csv_bad_number,
             _eval_csv_nan_accuracy, _eval_csv_field_too_large, _eval_csv_undecodable, _eval_csv_no_target,
             _eval_csv_empty, _eval_csv_repeated_row]
 
