@@ -1,5 +1,8 @@
 """Generate a synthetic benchmark where each domain is the same Gaussian
-mixture seen through a different rotation, and write it as CSV files.
+mixture seen through a different rotation, and write it to disk: a
+manifest.json and one `.npy` file per (domain, split), each a structured
+array with one element per row (an int64 `label` on labeled splits, and
+the float64 features `x`).
 
 Eval rows are paired across domains (one shared draw, rotated per domain),
 which is what makes later representation-similarity comparisons well posed.
@@ -7,6 +10,8 @@ which is what makes later representation-similarity comparisons well posed.
 
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from ditto import DomainSpec, MixtureSpec, Rng, SizeSpec, generate_synthetic
 
@@ -38,10 +43,11 @@ def main():
         print(f"  {dom:6s} labeled={s.labeled.n:4d} unlabeled={len(s.unlabeled):4d} "
               f"fewshot={s.fewshot.n:3d} eval={s.eval.n:4d}")
 
-    sample = out / "src.labeled.csv"
-    print(f"\nfirst rows of {sample.name}")
-    for line in sample.read_text().splitlines()[:4]:
-        print(f"  {line}")
+    sample = out / "src.labeled.npy"
+    rows = np.load(sample, allow_pickle=False)
+    print(f"\nfirst rows of {sample.name} ({rows.dtype.descr})")
+    for row in rows[:3]:
+        print(f"  label={row['label']} x={row['x'].tolist()}")
 
 
 if __name__ == "__main__":

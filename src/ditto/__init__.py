@@ -7,8 +7,9 @@ reversal, sharpness-aware task updates, difficulty-weighted target sampling,
 and the measurement stack (representation similarity, correlations, transfer
 gap and cost tables) used to compare training variants.
 
-Everything is deterministic given a seed: datasets, training runs, and the
-CSV/JSONL artifacts derived from them.
+Everything is deterministic given a seed: datasets (one `.npy` file per
+domain and split), training runs, and the CSV/JSONL artifacts derived from
+them.
 """
 
 from .adaptation import (

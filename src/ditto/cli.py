@@ -2,7 +2,8 @@
 
 Subcommands:
 
-    generate   synthesize a multi-domain dataset and write it as CSV splits
+    generate   synthesize a multi-domain dataset and write one .npy file per
+               (domain, split)
     train      train one variant on one grid cell and write its run directory
     eval       score a saved checkpoint on every domain's eval split (reads
                only the manifest and the eval split files)

@@ -1,5 +1,5 @@
 """Multi-domain datasets: the in-memory containers (`Rows`, `DomainSplits`,
-`DomainDataset`), synthetic generation, and the on-disk CSV format.
+`DomainDataset`), synthetic generation, and the on-disk form.
 
 Each domain is a transformed view of a shared Gaussian class mixture, which
 plays the role of a separate language over a common task.  Training splits
@@ -8,37 +8,27 @@ shared base sample pushed through every domain's transform, so eval row i
 corresponds across domains and feature matrices are genuinely paired for
 similarity analysis.
 
-File format, one CSV per (domain, split) named `{domain}.{split}.csv`:
-
-    domain,split,label,f0,f1,...
-
-with split in {labeled, unlabeled, fewshot, eval}; the label field is empty
-for unlabeled rows.  Feature values are finite floats written with repr, so
-generate -> load round-trips bit-exactly.  A `manifest.json` in the same
-directory records the source domain id, the domain order, and the feature
-dimension: the config dataclass `Manifest`, written by `config_json` and
-read back by `parse_record`, so an unknown key is rejected.  The format is
-the form save_dataset writes: `\n` line ends, a final newline, no quoted
-field (no domain id holds a character csv quotes) and number fields of
-ASCII digits, signs, points and exponents only.  One numpy C text-reader
-call reads such a file.  Any other file raises one ParseError: the
-`csv_records` walk names the physical line of its first malformed record
-(the file only, for an undecodable byte), and a file whose records are all
-well formed is named alone.  `write_csv` and `csv_records` hold the one CSV
-dialect of the whole package.
+On disk a dataset is a directory.  Its `manifest.json` records the source
+domain id, the domain order, and the feature dimension: the config dataclass
+`Manifest`, written by `config_json` and read back by `parse_record`, so an
+unknown key is rejected.  Beside it is one `.npy` file per (domain, split),
+named `{domain}.{split}.npy`, with split in {labeled, unlabeled, fewshot,
+eval}.  Each holds a 1-D structured array with one element per row: a
+`label` field (`<i8`) on every split but the unlabeled one, and an `x` field
+(`<f8`, shape `(feature_dim,)`).  The file holds the values' bytes, so
+save -> load round-trips bit-exactly.  Only that form loads: its header is
+checked before any row is read, and any other file raises one ParseError
+naming it.  `write_csv` and `csv_records` hold the one CSV dialect of the
+whole package, which its tables use.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
-import locale
 import math
 import warnings
-from contextlib import closing
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +54,9 @@ def _check_splits(splits) -> None:
             raise ParameterError(f"splits names {split!r} twice")
 
 
-# what a domain id must be: ids name dataset files and run directories and
-# fill the domain column unquoted, so an id holds no path separator, nothing
-# csv quotes, and no NUL, which open() refuses
+# what a domain id must be: ids name dataset files and run directories, so an
+# id holds no path separator and no NUL, which open() refuses; and they fill
+# the tables' domain column, where an id holds nothing csv would quote
 DOMAIN_ID_RULE = "a non-empty string without '/', '\\', ',', '\"', CR, LF or NUL"
 
 
@@ -345,7 +335,7 @@ def generate_synthetic(
     rng: Rng,
     out_dir: str | Path | None = None,
 ) -> DomainDataset:
-    """Draw every domain's splits and (optionally) write them as CSV files.
+    """Draw every domain's splits and (optionally) write them with save_dataset.
 
     Eval rows are paired: one shared draw, transformed per domain, with a
     per-domain noise stream when the transform itself is stochastic.  All
@@ -380,7 +370,7 @@ def generate_synthetic(
 
 
 # ---------------------------------------------------------------------------
-# CSV I/O
+# dataset files
 
 
 @dataclass
@@ -402,19 +392,17 @@ class Manifest:
                 raise ConfigError(f"domain {dom!r} is listed twice", key=f"domains[{i}]")
 
 
-def _header(dim: int) -> list[str]:
-    return ["domain", "split", "label"] + [f"f{i}" for i in range(dim)]
+def _split_dtype(dim: int, labeled: bool) -> np.dtype:
+    """The row of a split file: a little-endian int64 `label` on a labeled
+    split only, beside `x`, the row's `dim` little-endian float64 features."""
+    return np.dtype(([("label", "<i8")] if labeled else []) + [("x", "<f8", (dim,))])
 
 
 def save_dataset(dataset: DomainDataset, out_dir: str | Path) -> None:
-    """Write manifest.json plus one CSV per (domain, split); a dataset
-    `validate` rejects, or an id that breaks DOMAIN_ID_RULE, raises DataError
-    before any file is written.
-
-    Each file is written a column at a time: the features go through
-    `X.T.tolist()` and `repr`, which gives the same digits as
-    `repr(float(v))` per value.
-    """
+    """Write manifest.json plus one `.npy` file per (domain, split); a
+    dataset `validate` rejects, or an id that breaks DOMAIN_ID_RULE, raises
+    DataError before any file is written.  An empty split is written as zero
+    rows of the dataset's width, whatever its own width."""
     dataset.validate()
     try:
         manifest = Manifest(dataset.source, list(dataset.domains), dataset.feature_dim)
@@ -424,125 +412,49 @@ def save_dataset(dataset: DomainDataset, out_dir: str | Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     for dom, parts in dataset.domains.items():
         for split, X, y in parts.blocks():
-            labels = repeat("", X.shape[0]) if y is None else map(str, y.tolist())
-            write_csv(out / f"{dom}.{split}.csv", _header(manifest.feature_dim),
-                      zip(repeat(dom), repeat(split), labels,
-                          *[map(repr, col) for col in X.T.tolist()]))
+            rows = np.empty(X.shape[0], _split_dtype(manifest.feature_dim, y is not None))
+            rows["x"] = X.reshape(X.shape[0], manifest.feature_dim)
+            if y is not None:
+                rows["label"] = y
+            np.save(out / f"{dom}.{split}.npy", rows, allow_pickle=False)
     write_record(out / "manifest.json", manifest)
 
 
-# the bytes of a number column of `save_dataset`'s form, plus its separators.
-# numpy's text reader and Python's `int`/`float` accept the same strings over
-# this set, with the same values (floats go through PyOS_string_to_double on
-# both sides); outside it they differ: `float` takes `1_0`, `nan` and spaces.
-_NUMBER_BYTES = b"0123456789+-.eE,\n"
-
-
-def _parse_saved_form(data: bytes, domain: str, split: str, dim: int,
-                      labeled: bool) -> tuple[np.ndarray, np.ndarray | None] | None:
-    """The (X, y) of a split file's bytes in the exact form `save_dataset`
-    writes, parsed by one `np.loadtxt` call; None for any other file.
-
-    Every test is a C-level scan of the bytes.  A file it accepts holds the
-    values `int` and `float` read from its fields, and no file it rejects
-    loads: `_parse_split_file` only words the error.
-    """
-    header = (",".join(_header(dim)) + "\n").encode()
-    if not data.startswith(header):
-        return None
-    if len(data) == len(header):
-        return np.empty((0, dim)), (np.empty(0, np.int64) if labeled else None)
-    try:  # in the encoding of `save_dataset`'s open()
-        prefix = f"\n{domain},{split},{'' if labeled else ','}".encode(
-            locale.getpreferredencoding(False))
-    except UnicodeEncodeError:
-        return None
-    n = data.count(b"\n") - 1  # rows below the header
-    if not data.endswith(b"\n") or data.count(prefix, len(header) - 1) != n:
-        return None
-    # with every row starting with the prefix, the bytes outside the header
-    # and the prefixes are all number bytes iff deleting the number bytes
-    # leaves the header's and n prefixes' worth
-    kept = [len(b.translate(None, _NUMBER_BYTES)) for b in (data, header, prefix)]
-    if kept[0] != kept[1] + n * kept[2]:
-        return None
-    # loadtxt raises on a row without column 2 + dim, so with this total
-    # every row has exactly 2 + dim commas, as the header does
-    if data.count(b",") != (n + 1) * (2 + dim):
-        return None
-    first = 2 if labeled else 3
-    fields = ([("y", np.int64)] if labeled else []) + [("X", np.float64, (dim,))]
-    # latin-1 decodes any byte; the domain column is never read.  A warning
-    # is an error here: numpy 1.23-1.26 read an int field such as `1.5` as a
-    # float truncated to 1, and only warn that this is deprecated
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            rows = np.loadtxt(io.BytesIO(data), np.dtype(fields), delimiter=",",
-                              comments=None, skiprows=1, usecols=range(first, 3 + dim),
-                              ndmin=1, encoding="latin-1")
-    except (ValueError, Warning):
-        return None
-    X = np.ascontiguousarray(rows["X"])
-    y = np.ascontiguousarray(rows["y"]) if labeled else None
-    if (labeled and y.min() < 0) or not np.isfinite(X).all():
-        return None
-    return X, y
-
-
-def _check_row(path: Path, lineno: int, row: list[str], domain: str, split: str,
-               dim: int, labeled: bool) -> None:
-    """Raise the ParseError naming line `lineno` if the csv row is malformed."""
-    if len(row) != 3 + dim:
-        raise ParseError(f"{path}:{lineno}: expected {3 + dim} columns, got {len(row)}")
-    if row[0] != domain:
-        raise ParseError(f"{path}:{lineno}: domain {row[0]!r} does not match "
-                         f"file domain {domain!r}")
-    if row[1] != split:
-        raise ParseError(f"{path}:{lineno}: split {row[1]!r} does not match "
-                         f"file split {split!r}")
-    if labeled:
-        if row[2] == "":
-            raise ParseError(f"{path}:{lineno}: missing label in {split} split")
+def _read_split(path: Path, dim: int, labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """One split file's contiguous (X, y); y is None for an unlabeled split.
+    Only a file in `save_dataset`'s form loads: its header must hold one
+    dimension of `_split_dtype(dim, labeled)` rows, as many as the bytes
+    after it hold.  These checks run before any row is read, and a file
+    that fails one raises ParseError naming it."""
+    want = _split_dtype(dim, labeled)
+    with open(path, "rb") as fh:
         try:
-            label = int(row[2])
-        except ValueError:
-            raise ParseError(f"{path}:{lineno}: label {row[2]!r} is not an "
-                             f"integer") from None
-        if label < 0:
-            raise ParseError(f"{path}:{lineno}: label must be >= 0")
-        if label > _MAX_LABEL:
-            raise ParseError(f"{path}:{lineno}: label {row[2]!r} does not fit in int64")
-    elif row[2] != "":
-        raise ParseError(f"{path}:{lineno}: unlabeled rows must have an empty "
-                         f"label, got {row[2]!r}")
-    try:
-        values = [float(v) for v in row[3:]]
-    except ValueError:
-        raise ParseError(f"{path}:{lineno}: non-numeric feature value") from None
-    if not all(map(math.isfinite, values)):
-        raise ParseError(f"{path}:{lineno}: non-finite feature value")
-
-
-def _parse_split_file(path: Path, domain: str, split: str, dim: int,
-                      labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """One split file's (X, y); y is None for an unlabeled split.  Only a
-    file in `save_dataset`'s own form loads.  Any other is walked record by
-    record, reading no data, for the ParseError of its first malformed
-    record; a file with none is not in the form, and its error names it."""
-    parsed = _parse_saved_form(path.read_bytes(), domain, split, dim, labeled)
-    if parsed is not None:
-        return parsed
-    with closing(csv_records(path, ParseError)) as records:
-        _, header = next(records, (None, None))
-        if header is None:
-            raise ParseError(f"{path}:1: empty file, expected header")
-        if header != _header(dim):
-            raise ParseError(f"{path}:1: bad header {header[:4]}..., expected "
-                             f"domain,split,label,f0..f{dim-1}")
-        for lineno, row in records:
-            _check_row(path, lineno, row, domain, split, dim, labeled)
-    raise ParseError(f"{path}: not in the form save_dataset writes")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                version = np.lib.format.read_magic(fh)
+                if version != (1, 0):  # what np.save writes for a header this short
+                    raise ValueError(f"format version {version[0]}.{version[1]}, not 1.0")
+                shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+        # the header is a Python literal that numpy evaluates: besides its
+        # ValueError, bad bytes raise SyntaxError, TokenError, TypeError,
+        # RecursionError or MemoryError there, and a header numpy must first
+        # repair (as Python 2 wrote) only warns.  The error keeps the first
+        # line of numpy's text
+        except Exception as exc:
+            why = (str(exc) or type(exc).__name__).splitlines()[0]
+            raise ParseError(f"{path}: not a .npy split file ({why})") from None
+        if dtype != want:
+            raise ParseError(f"{path}: holds {dtype.descr} rows, expected {want.descr}")
+        if len(shape) != 1:
+            raise ParseError(f"{path}: holds an array of shape {shape}, expected one "
+                             f"dimension")
+        left = path.stat().st_size - fh.tell()
+        if shape[0] * want.itemsize != left:
+            raise ParseError(f"{path}: header claims {shape[0]} rows of {want.itemsize} "
+                             f"bytes, but {left} bytes follow it")
+        rows = np.fromfile(fh, want, count=shape[0])
+    return (np.ascontiguousarray(rows["x"]),
+            np.ascontiguousarray(rows["label"]) if labeled else None)
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
@@ -584,8 +496,10 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
     `splits` (all four by default; `("eval",)` is what scoring needs).  A
     split not read is an empty block of the manifest's width, and the files
     of such splits are never opened.  A manifest `parse_record` rejects as
-    a `Manifest` raises DataError naming it; `splits` that is empty, repeats
-    a split or names an unknown one raises ParameterError.
+    a `Manifest` raises DataError naming it, and so does a directory that
+    holds the older CSV split files in place of the `.npy` ones; a split
+    file not in `save_dataset`'s form raises ParseError; `splits` that is
+    empty, repeats a split or names an unknown one raises ParameterError.
     """
     _check_splits(splits)
     root = Path(path)
@@ -598,14 +512,22 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
     for dom in manifest.domains:
         blocks = {}
         for split in SPLITS:
+            labeled = split != "unlabeled"
+            split_path = root / f"{dom}.{split}.npy"
             if split not in splits:
-                blocks[split] = np.empty((0, dim)), np.empty(0, np.int64)
-                continue
-            split_path = root / f"{dom}.{split}.csv"
-            if not split_path.is_file():
+                X, y = np.empty((0, dim)), (np.empty(0, np.int64) if labeled else None)
+            elif split_path.is_file():
+                X, y = _read_split(split_path, dim, labeled)
+            elif (root / f"{dom}.{split}.csv").is_file():
+                raise DataError(f"{root}: holds the CSV dataset form, which is no longer "
+                                f"read; write the dataset again with `ditto generate`")
+            else:
                 raise DataError(f"missing split file {split_path}")
-            blocks[split] = _parse_split_file(split_path, dom, split, dim, split != "unlabeled")
-        domains[dom] = DomainSplits.from_blocks(blocks)
+            try:
+                blocks[split] = X if y is None else Rows(X, y)
+            except DataError as exc:
+                raise DataError(f"domain {dom!r} split {split}: {exc}") from None
+        domains[dom] = DomainSplits(**blocks)
     return DomainDataset(source=manifest.source, domains=domains).validate(splits)
 
 

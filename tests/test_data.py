@@ -1,9 +1,8 @@
-"""Synthetic data generation, the CSV dataset format, and its failure modes."""
+"""Synthetic data generation, the `.npy` dataset files, and their failure modes."""
 
 import ast
-import csv
 import re
-import warnings
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -315,15 +314,15 @@ def test_noise_transform():
         apply_transform(X, {"kind": "warp"})
 
 
-# --- CSV round trip ----------------------------------------------------------
+# --- round trip ----------------------------------------------------------------
 
 
 def test_save_load_round_trip_exact(tmp_path):
     ds = two_domain()
     save_dataset(ds, tmp_path)
     assert (tmp_path / "manifest.json").exists()
-    assert (tmp_path / "s.labeled.csv").exists()
-    assert (tmp_path / "t.unlabeled.csv").exists()
+    assert (tmp_path / "s.labeled.npy").exists()
+    assert (tmp_path / "t.unlabeled.npy").exists()
 
     loaded = load_dataset(tmp_path)
     assert loaded.source == ds.source
@@ -339,12 +338,15 @@ def test_save_load_round_trip_exact(tmp_path):
         assert np.array_equal(a.eval.y, b.eval.y)
 
 
-def test_unlabeled_rows_have_empty_label(tmp_path):
+def test_split_files_hold_one_structured_row_per_element(tmp_path):
     ds = two_domain()
     save_dataset(ds, tmp_path)
-    lines = (tmp_path / "t.unlabeled.csv").read_text().splitlines()
-    assert lines[0] == "domain,split,label,f0,f1"
-    assert all(line.split(",")[2] == "" for line in lines[1:])
+    unlabeled = np.load(tmp_path / "t.unlabeled.npy", allow_pickle=False)
+    assert unlabeled.dtype.descr == [("x", "<f8", (2,))] and unlabeled.shape == (45,)
+    assert unlabeled["x"].tobytes() == ds.domains["t"].unlabeled.tobytes()
+    labeled = np.load(tmp_path / "s.labeled.npy", allow_pickle=False)
+    assert labeled.dtype.descr == [("label", "<i8"), ("x", "<f8", (2,))]
+    assert labeled["label"].tobytes() == ds.domains["s"].labeled.y.tobytes()
 
 
 def test_regeneration_byte_identical(tmp_path):
@@ -363,8 +365,12 @@ def test_regeneration_byte_identical(tmp_path):
                                    transform={"kind": "rotation", "angle": 45.0},
                                    sizes=SizeSpec(labeled=0, unlabeled=20, fewshot=5, eval=10))],
                        Rng(77), out_dir=d2)
-    for f in sorted(d1.iterdir()):
-        assert (d2 / f.name).read_bytes() == f.read_bytes(), f.name
+    files = sorted(f.name for f in d1.iterdir())
+    assert files == sorted(f.name for f in d2.iterdir())
+    assert files == ["manifest.json"] + sorted(f"{dom}.{split}.npy" for dom in "st"
+                                               for split in ditto.data.SPLITS)
+    for name in files:
+        assert (d2 / name).read_bytes() == (d1 / name).read_bytes(), name
 
 
 # --- parse errors ------------------------------------------------------------
@@ -431,11 +437,11 @@ def test_domain_id_must_be_a_plain_file_name(bad_id):
 def test_missing_split_file(tmp_path):
     ds = two_domain()
     save_dataset(ds, tmp_path)
-    (tmp_path / "t.unlabeled.csv").unlink()
-    with pytest.raises(DataError, match="t.unlabeled.csv"):
+    (tmp_path / "t.unlabeled.npy").unlink()
+    with pytest.raises(DataError, match=r"t\.unlabeled\.npy"):
         load_dataset(tmp_path)
-    (tmp_path / "t.unlabeled.csv").mkdir()  # a directory is no split file either
-    with pytest.raises(DataError, match="missing split file .*t.unlabeled.csv"):
+    (tmp_path / "t.unlabeled.npy").mkdir()  # a directory is no split file either
+    with pytest.raises(DataError, match=r"missing split file .*t\.unlabeled\.npy"):
         load_dataset(tmp_path)
 
 
@@ -484,7 +490,7 @@ def test_load_named_splits_only(tmp_path, splits):
     full = load_dataset(tmp_path)
     for dom in full.domains:
         for split in set(ditto.data.SPLITS) - set(splits):
-            (tmp_path / f"{dom}.{split}.csv").unlink()  # a split not named is never opened
+            (tmp_path / f"{dom}.{split}.npy").unlink()  # a split not named is never opened
     part = load_dataset(tmp_path, splits=splits)
     assert part.source == full.source and list(part.domains) == list(full.domains)
     for dom in full.domains:
@@ -530,131 +536,306 @@ def test_eval_only_dataset_fails_training_validation(tmp_path):
         train(cfg, ds, TrainVariant.parse("baseline"), 0)
 
 
-def test_parse_error_empty_file(tmp_path):
-    with pytest.raises(ParseError, match=r"s\.labeled\.csv:1"):
-        _write_and_load(tmp_path, "s.labeled.csv", "")
+# --- split file faults ---------------------------------------------------------
 
 
-def test_parse_error_bad_header(tmp_path):
-    with pytest.raises(ParseError, match=":1"):
-        _write_and_load(tmp_path, "s.labeled.csv",
-                        "wrong,header,here,f0,f1\ns,labeled,0,1.0,2.0\n")
+LABELED = [("label", "<i8"), ("x", "<f8", (2,))]
 
 
-def test_parse_error_column_count_with_line_number(tmp_path):
-    content = ("domain,split,label,f0,f1\n"
-               "s,labeled,0,1.0,2.0\n"
-               "s,labeled,1,3.0\n")
-    with pytest.raises(ParseError, match=":3"):
-        _write_and_load(tmp_path, "s.labeled.csv", content)
+def _resave(path, dtype=None, change=None):
+    """Write the rows of the split file at `path` again: as `dtype` (each
+    field of the same name and shape copied, any other zero), or with
+    `change` applied to them."""
+    rows = np.load(path, allow_pickle=False)
+    if dtype is not None:
+        cast = np.zeros(rows.shape, dtype)
+        for name in set(cast.dtype.names) & set(rows.dtype.names):
+            if cast[name].shape == rows[name].shape:
+                cast[name] = rows[name]
+        rows = cast
+    if change is not None:
+        change(rows)
+    np.save(path, rows, allow_pickle=False)
 
 
-def test_parse_error_wrong_domain(tmp_path):
-    content = ("domain,split,label,f0,f1\n"
-               "OTHER,labeled,0,1.0,2.0\n")
-    with pytest.raises(ParseError, match=":2"):
-        _write_and_load(tmp_path, "s.labeled.csv", content)
+def _rewrite_header(path, shape=None, writer=np.lib.format.write_array_header_1_0):
+    """Write the rows of the split file at `path` again under a header that
+    `writer` writes, claiming `shape` (their own by default)."""
+    rows = np.load(path, allow_pickle=False)
+    header = np.lib.format.header_data_from_array_1_0(rows)
+    header["shape"] = rows.shape if shape is None else shape
+    with open(path, "wb") as fh:
+        writer(fh, header)
+        fh.write(rows.tobytes())
 
 
-def test_parse_error_bad_label(tmp_path):
-    header = "domain,split,label,f0,f1\n"
-    with pytest.raises(ParseError, match="label"):
-        _write_and_load(tmp_path, "s.labeled.csv", header + "s,labeled,x,1.0,2.0\n")
-    with pytest.raises(ParseError, match="label"):
-        _write_and_load(tmp_path, "s.labeled.csv", header + "s,labeled,-1,1.0,2.0\n")
-    with pytest.raises(ParseError, match="label"):
-        _write_and_load(tmp_path, "s.labeled.csv", header + "s,labeled,,1.0,2.0\n")
+MAGIC_1_0 = b"\x93NUMPY\x01\x00"
+LABELED_HEADER = "{'descr': %s, 'fortran_order': False, 'shape': (30,), }" % LABELED
 
 
-def test_parse_error_label_in_unlabeled_split(tmp_path):
-    content = ("domain,split,label,f0,f1\n"
-               "t,unlabeled,1,1.0,2.0\n")
-    with pytest.raises(ParseError, match="unlabeled"):
-        _write_and_load(tmp_path, "t.unlabeled.csv", content)
+def _header_text(text, version=b"\x01\x00"):
+    """A spoiler writing the rows of a split file again after a header of
+    format `version` holding `text`."""
+    def spoil(path):
+        body = np.load(path, allow_pickle=False).tobytes()
+        head = text.encode("latin-1")
+        path.write_bytes(MAGIC_1_0[:6] + version + struct.pack("<H", len(head)) + head + body)
+    return spoil
 
 
-def test_parse_error_non_numeric_feature(tmp_path):
-    content = ("domain,split,label,f0,f1\n"
-               "s,labeled,0,1.0,abc\n")
-    with pytest.raises(ParseError, match=":2"):
-        _write_and_load(tmp_path, "s.labeled.csv", content)
+def _keep(n):
+    """A spoiler keeping the first `n` bytes of a split file (n < 0: all but
+    the last -n)."""
+    return lambda path: path.write_bytes(path.read_bytes()[:n])
 
 
-# each error kind: the file it spoils, a row with that fault, and the message
-GOOD_ROW = {"s.labeled.csv": "s,labeled,0,1.0,2.0", "t.unlabeled.csv": "t,unlabeled,,1.0,2.0"}
-BAD_ROWS = {
-    "columns": ("s.labeled.csv", "s,labeled,1,3.0", "expected 5 columns, got 4"),
-    "blank_line": ("s.labeled.csv", "", "expected 5 columns, got 0"),
-    "domain": ("s.labeled.csv", "OTHER,labeled,0,1.0,2.0",
-               "domain 'OTHER' does not match file domain 's'"),
-    "split": ("s.labeled.csv", "s,fewshot,0,1.0,2.0",
-              "split 'fewshot' does not match file split 'labeled'"),
-    "missing_label": ("s.labeled.csv", "s,labeled,,1.0,2.0", "missing label in labeled split"),
-    "label_not_int": ("s.labeled.csv", "s,labeled,1.5,1.0,2.0", "label '1.5' is not an integer"),
-    "negative_label": ("s.labeled.csv", "s,labeled,-1,1.0,2.0", "label must be >= 0"),
-    "label_beyond_int64": ("s.labeled.csv", "s,labeled,9223372036854775808,1.0,2.0",
-                           "label '9223372036854775808' does not fit in int64"),
-    "label_in_unlabeled": ("t.unlabeled.csv", "t,unlabeled,1,1.0,2.0",
-                           "unlabeled rows must have an empty label, got '1'"),
-    "non_numeric": ("s.labeled.csv", "s,labeled,0,1.0,abc", "non-numeric feature value"),
-    "non_finite": ("s.labeled.csv", "s,labeled,0,nan,-inf", "non-finite feature value"),
-    "field_too_large": ("s.labeled.csv", "s,labeled,0," + "1" * 140_000 + ",2.0",
-                        "field larger than field limit (131072)"),
+def _save_npz(path):
+    with open(path, "wb") as fh:  # np.savez would add `.npz` to a path
+        np.savez(fh, rows=np.zeros(2, LABELED))
+
+
+def _save_pickled(path):
+    with open(path, "wb") as fh:
+        np.save(fh, np.array([{"x": [1.0, 2.0]}], dtype=object), allow_pickle=True)
+
+
+def _set(field, value):
+    return lambda rows: rows[field].__setitem__(0, value)
+
+
+NOT_NPY = ("{path}: not a .npy split file (the magic string is not correct; "
+           "expected b'\\x93NUMPY', got {head!r})")
+
+
+def _holds(descr, expected=LABELED):
+    return f"{{path}}: holds {descr} rows, expected {expected}"
+
+
+def _not_npy(why):
+    return f"{{path}}: not a .npy split file ({why})"
+
+
+def _header_claims(rows, follow):
+    return f"{{path}}: header claims {rows} rows of 24 bytes, but {follow} bytes follow it"
+
+
+def _non_finite(split):
+    return f"domain {{domain!r}} split {split} has a non-finite feature value"
+
+
+def _bad_labels(split, low):
+    return f"domain {{domain!r}} split {split}: labels must be >= 0 and fit in int64, got {low}..2"
+
+
+PADDED = np.dtype({"names": ["label", "x"], "formats": ["<i8", ("<f8", (2,))],
+                   "offsets": [0, 16], "itemsize": 32})
+TITLED = np.dtype([(("t", "label"), "<i8"), ("x", "<f8", (2,))])
+
+
+# a fault of a split file: the split whose file it spoils (in `two_domain`,
+# 30 eval and 45 unlabeled rows of 2 features), how, and the error loading
+# it raises, pinned whole ({head} is the file's first 6 bytes)
+SPLIT_FAULTS = {
+    "truncated": ("eval", lambda p: p.write_bytes(p.read_bytes()[:-1]), ParseError,
+                  "{path}: header claims 30 rows of 24 bytes, but 719 bytes follow it"),
+    "bytes_past_the_rows": ("eval", lambda p: p.write_bytes(p.read_bytes() + b"\0"),
+                            ParseError,
+                            "{path}: header claims 30 rows of 24 bytes, but 721 bytes follow it"),
+    "text_file": ("eval", lambda p: p.write_text("domain,split,label,f0,f1\n"), ParseError,
+                  NOT_NPY),
+    "npz_archive": ("eval", _save_npz, ParseError, NOT_NPY),
+    "format_version_2": ("eval", lambda p: _rewrite_header(
+                             p, writer=np.lib.format.write_array_header_2_0), ParseError,
+                         "{path}: not a .npy split file (format version 2.0, not 1.0)"),
+    "pickled_object_array": ("eval", _save_pickled, ParseError, _holds([("", "|O")])),
+    "claims_10**12_rows": ("eval", lambda p: _rewrite_header(p, (10**12,)), ParseError,
+                           "{path}: header claims 1000000000000 rows of 24 bytes, but 720 "
+                           "bytes follow it"),
+    "x_float32": ("eval", lambda p: _resave(p, [("label", "<i8"), ("x", "<f4", (2,))]),
+                  ParseError, _holds([("label", "<i8"), ("x", "<f4", (2,))])),
+    "label_int32": ("eval", lambda p: _resave(p, [("label", "<i4"), ("x", "<f8", (2,))]),
+                    ParseError, _holds([("label", "<i4"), ("x", "<f8", (2,))])),
+    "big_endian": ("eval", lambda p: _resave(p, [("label", ">i8"), ("x", ">f8", (2,))]),
+                   ParseError, _holds([("label", ">i8"), ("x", ">f8", (2,))])),
+    "labeled_without_label": ("eval", lambda p: _resave(p, [("x", "<f8", (2,))]),
+                              ParseError, _holds([("x", "<f8", (2,))])),
+    "unlabeled_with_label": ("unlabeled", lambda p: _resave(p, LABELED), ParseError,
+                             _holds(LABELED, [("x", "<f8", (2,))])),
+    "wrong_width": ("eval", lambda p: _resave(p, [("label", "<i8"), ("x", "<f8", (3,))]),
+                    ParseError, _holds([("label", "<i8"), ("x", "<f8", (3,))])),
+    "two_dimensional": ("eval", lambda p: _rewrite_header(p, (15, 2)), ParseError,
+                        "{path}: holds an array of shape (15, 2), expected one dimension"),
+    "nan_feature": ("eval", lambda p: _resave(p, change=_set("x", np.nan)), DataError,
+                    "domain {domain!r} split eval has a non-finite feature value"),
+    "negative_label": ("eval", lambda p: _resave(p, change=_set("label", -1)), DataError,
+                       "domain {domain!r} split eval: labels must be >= 0 and fit in int64, "
+                       "got -1..2"),
+    # the magic string, the format version and the header's Python literal
+    "empty_file": ("eval", _keep(0), ParseError,
+                   _not_npy("EOF: reading magic string, expected 8 bytes got 0")),
+    "shorter_than_the_magic": ("eval", _keep(4), ParseError,
+                               _not_npy("EOF: reading magic string, expected 8 bytes got 4")),
+    "magic_only": ("eval", _keep(8), ParseError,
+                   _not_npy("EOF: reading array header length, expected 2 bytes got 0")),
+    "format_version_1_1": ("eval", _header_text(LABELED_HEADER, b"\x01\x01"), ParseError,
+                           _not_npy("format version 1.1, not 1.0")),
+    "format_version_3": ("eval", _header_text(LABELED_HEADER, b"\x03\x00"), ParseError,
+                         _not_npy("format version 3.0, not 1.0")),
+    "header_past_the_end": ("eval", lambda p: p.write_bytes(
+                                MAGIC_1_0 + struct.pack("<H", 500) + b"{"), ParseError,
+                            _not_npy("EOF: reading array header, expected 500 bytes got 1")),
+    "header_not_a_dict": ("eval", _header_text("[1, 2]"), ParseError,
+                          _not_npy("Header is not a dictionary: [1, 2]")),
+    "header_missing_a_key": ("eval", _header_text("{'descr': %s, 'shape': (30,)}" % LABELED),
+                             ParseError, _not_npy("Header does not contain the correct keys: "
+                                                  "['descr', 'shape']")),
+    "header_extra_key": ("eval", _header_text(LABELED_HEADER[:-1] + "'rows': 30}"), ParseError,
+                         _not_npy("Header does not contain the correct keys: "
+                                  "['descr', 'fortran_order', 'rows', 'shape']")),
+    "shape_not_a_tuple": ("eval", _header_text(LABELED_HEADER.replace("(30,)", "30")),
+                          ParseError, _not_npy("shape is not valid: 30")),
+    "shape_of_floats": ("eval", _header_text(LABELED_HEADER.replace("(30,)", "(30.0,)")),
+                        ParseError, _not_npy("shape is not valid: (30.0,)")),
+    "fortran_order_not_a_bool": ("eval", _header_text(LABELED_HEADER.replace("False", "0")),
+                                 ParseError, _not_npy("fortran_order is not a valid bool: 0")),
+    "descr_not_a_dtype": ("eval", _header_text(LABELED_HEADER.replace(str(LABELED), "'<f99'")),
+                          ParseError, _not_npy("descr is not a valid dtype descriptor: '<f99'")),
+    "descr_repeats_a_field": ("eval", _header_text(LABELED_HEADER.replace(
+                                  str(LABELED), "[('x', '<f8'), ('x', '<f8')]")), ParseError,
+                              _not_npy("name already used as a name or title")),
+    "header_too_large": ("eval", _header_text(LABELED_HEADER + " " * 10_000), ParseError,
+                         _not_npy("Header info length (10091) is large and may not be safe to "
+                                  "load securely.")),
+    "header_unparsable": ("eval", _header_text("{'descr': }"), ParseError,
+                          _not_npy("Cannot parse header: \"{{'descr': }}\"")),
+    # numpy reads these only by way of an exception it does not wrap, or a warning
+    "python2_header": ("eval", _header_text(LABELED_HEADER.replace("(30,)", "(30L,)")),
+                       ParseError, _not_npy("Reading `.npy` or `.npz` file required additional "
+                                            "header parsing as it was created on Python 2. "
+                                            "Save the file again to speed up loading and avoid "
+                                            "this warning.")),
+    "header_unclosed_bracket": ("eval", _header_text("{'descr': ["), ParseError,
+                                _not_npy("('EOF in multi-line statement', (2, 0))")),
+    "header_bytes_key": ("eval", _header_text(LABELED_HEADER.replace("'fortran_order'",
+                                                                     "b'fortran_order'")),
+                         ParseError, _not_npy("'<' not supported between instances of 'bytes' "
+                                              "and 'str'")),
+    "header_deeply_nested": ("eval", _header_text("-" * 5000 + "1"), ParseError,
+                             _not_npy("maximum recursion depth exceeded during ast "
+                                      "construction")),
+    # the row type
+    "x_big_endian": ("eval", lambda p: _resave(p, [("label", "<i8"), ("x", ">f8", (2,))]),
+                     ParseError, _holds([("label", "<i8"), ("x", ">f8", (2,))])),
+    "label_uint64": ("eval", lambda p: _resave(p, [("label", "<u8"), ("x", "<f8", (2,))]),
+                     ParseError, _holds([("label", "<u8"), ("x", "<f8", (2,))])),
+    "label_float64": ("eval", lambda p: _resave(p, [("label", "<f8"), ("x", "<f8", (2,))]),
+                      ParseError, _holds([("label", "<f8"), ("x", "<f8", (2,))])),
+    "x_int64": ("eval", lambda p: _resave(p, [("label", "<i8"), ("x", "<i8", (2,))]),
+                ParseError, _holds([("label", "<i8"), ("x", "<i8", (2,))])),
+    "fields_reordered": ("eval", lambda p: _resave(p, [("x", "<f8", (2,)), ("label", "<i8")]),
+                         ParseError, _holds([("x", "<f8", (2,)), ("label", "<i8")])),
+    "extra_field": ("eval", lambda p: _resave(p, LABELED + [("weight", "<f8")]), ParseError,
+                    _holds(LABELED + [("weight", "<f8")])),
+    "fields_renamed": ("eval", lambda p: _resave(p, [("y", "<i8"), ("X", "<f8", (2,))]),
+                       ParseError, _holds([("y", "<i8"), ("X", "<f8", (2,))])),
+    "narrow_width": ("eval", lambda p: _resave(p, [("label", "<i8"), ("x", "<f8", (1,))]),
+                     ParseError, _holds([("label", "<i8"), ("x", "<f8", (1,))])),
+    "padded_rows": ("eval", lambda p: _resave(p, PADDED), ParseError,
+                    _holds([("label", "<i8"), ("", "|V8"), ("x", "<f8", (2,))])),
+    "field_with_a_title": ("eval", lambda p: _resave(p, TITLED), ParseError,
+                           _holds([(("t", "label"), "<i8"), ("x", "<f8", (2,))])),
+    "plain_feature_matrix": ("eval", lambda p: np.save(p, np.load(p)["x"]), ParseError,
+                             _holds([("", "<f8")])),
+    "unlabeled_plain_matrix": ("unlabeled", lambda p: np.save(p, np.load(p)["x"]), ParseError,
+                               _holds([("", "<f8")], [("x", "<f8", (2,))])),
+    # the shape against the bytes after the header
+    "zero_dimensional": ("eval", lambda p: _rewrite_header(p, ()), ParseError,
+                         "{path}: holds an array of shape (), expected one dimension"),
+    "three_dimensional": ("eval", lambda p: _rewrite_header(p, (5, 3, 2)), ParseError,
+                          "{path}: holds an array of shape (5, 3, 2), expected one dimension"),
+    "a_row_short": ("eval", _keep(-24), ParseError, _header_claims(30, 696)),
+    "a_row_past_the_rows": ("eval", lambda p: p.write_bytes(p.read_bytes() + bytes(24)),
+                            ParseError, _header_claims(30, 744)),
+    "header_without_rows": ("eval", _keep(-720), ParseError, _header_claims(30, 0)),
+    "claims_no_rows": ("eval", lambda p: _rewrite_header(p, (0,)), ParseError,
+                       _header_claims(0, 720)),
+    "claims_minus_one_row": ("eval", lambda p: _rewrite_header(p, (-1,)), ParseError,
+                             _header_claims(-1, 720)),
+    # the values, which `Rows` and `validate` check once the rows are read
+    "inf_feature": ("eval", lambda p: _resave(p, change=_set("x", np.inf)), DataError,
+                    _non_finite("eval")),
+    "minus_inf_feature": ("eval", lambda p: _resave(p, change=_set("x", -np.inf)), DataError,
+                          _non_finite("eval")),
+    "nan_labeled_feature": ("labeled", lambda p: _resave(p, change=_set("x", np.nan)),
+                            DataError, _non_finite("labeled")),
+    "nan_unlabeled_feature": ("unlabeled", lambda p: _resave(p, change=_set("x", np.nan)),
+                              DataError, _non_finite("unlabeled")),
+    "nan_fewshot_feature": ("fewshot", lambda p: _resave(p, change=_set("x", np.nan)),
+                            DataError, _non_finite("fewshot")),
+    "negative_labeled_label": ("labeled", lambda p: _resave(p, change=_set("label", -1)),
+                               DataError, _bad_labels("labeled", -1)),
+    "negative_fewshot_label": ("fewshot", lambda p: _resave(p, change=_set("label", -1)),
+                               DataError, _bad_labels("fewshot", -1)),
+    "int64_min_label": ("eval", lambda p: _resave(p, change=_set("label", -2**63)), DataError,
+                        _bad_labels("eval", -2**63)),
 }
 
 
-# (first bad line, second bad line): near the start of the file, at lines
-# 513 and 514, and both deep into the file; line 2 is the first row
-BLOCK = 512
-BAD_LINES = {"first_block": (2, 5), "block_boundary": (BLOCK + 1, BLOCK + 2),
-             "later_block": (2 * BLOCK + 90, 2 * BLOCK + 91)}
+def spoil_split_file(data_dir, domain, case):
+    """Apply the fault `case` of SPLIT_FAULTS to a split file of `domain` in
+    `data_dir`; returns (the error type, the message) loading it raises."""
+    split, spoil, error, message = SPLIT_FAULTS[case]
+    path = data_dir / f"{domain}.{split}.npy"
+    spoil(path)
+    return error, message.format(path=path, domain=domain, head=path.read_bytes()[:6])
 
 
-@pytest.mark.parametrize("where", list(BAD_LINES))
-@pytest.mark.parametrize("kind", list(BAD_ROWS))
-def test_parse_error_names_the_first_of_two_bad_lines(tmp_path, kind, where):
-    # the second bad line fails a check that runs earlier in a row, so a
-    # parser that checked whole columns in turn would name it instead
-    filename, bad, message = BAD_ROWS[kind]
-    lines = BAD_LINES[where]
-    later = "s,labeled,0" if kind != "columns" else "OTHER,labeled,0,1.0,2.0"
-    if filename == "t.unlabeled.csv":
-        later = "t,unlabeled,,1.0"
-    rows = [GOOD_ROW[filename]] * (3 * BLOCK)
-    rows[lines[0] - 2], rows[lines[1] - 2] = bad, later
-    content = "domain,split,label,f0,f1\n" + "\n".join(rows) + "\n"
-    with pytest.raises(ParseError) as exc:
-        _write_and_load(tmp_path, filename, content)
-    assert str(exc.value) == f"{tmp_path / filename}:{lines[0]}: {message}"
-
-
-# files only the csv module's or the text decoder's error can name: a CRLF file
-# with a field past csv's limit, and a byte that is not UTF-8 in a domain cell
-UNREADABLE = {
-    "field_too_large_crlf": ("s.eval.csv", b"domain,split,label,f0,f1\r\ns,eval,0,"
-                             + b"1" * 140_000 + b",2.0\r\n",
-                             r":2: field larger than field limit \(131072\)"),
-    "undecodable_domain": ("t.labeled.csv", b"domain,split,label,f0,f1\nt\xe9,labeled,0,1.0,2.0\n",
-                           r": cannot decode b'\\xe9' as [-\w]+ \(invalid continuation byte\)$"),
-}
-
-
-@pytest.mark.parametrize("case", list(UNREADABLE))
-def test_unreadable_split_file_is_a_parse_error_naming_it(tmp_path, case):
-    filename, data, message = UNREADABLE[case]
+@pytest.mark.parametrize("case", list(SPLIT_FAULTS))
+def test_split_file_fault_is_one_pinned_error(tmp_path, case):
     save_dataset(two_domain(), tmp_path)
-    (tmp_path / filename).write_bytes(data)
-    with pytest.raises(ParseError) as exc:
+    error, message = spoil_split_file(tmp_path, "s", case)
+    with pytest.raises(error) as exc:
         load_dataset(tmp_path)
-    assert re.match(re.escape(str(tmp_path / filename)) + message, str(exc.value))
+    assert type(exc.value) is error and str(exc.value) == message
 
 
-# --- CSV format edge cases ---------------------------------------------------
+@pytest.mark.parametrize("case", list(SPLIT_FAULTS))
+def test_eval_only_load_meets_a_split_file_fault_only_in_an_eval_file(tmp_path, case):
+    save_dataset(two_domain(), tmp_path)
+    error, message = spoil_split_file(tmp_path, "s", case)
+    if SPLIT_FAULTS[case][0] != "eval":  # the spoiled file is never opened
+        assert load_dataset(tmp_path, splits=("eval",)).domains["s"].eval.X.shape == (30, 2)
+        return
+    with pytest.raises(error) as exc:
+        load_dataset(tmp_path, splits=("eval",))
+    assert type(exc.value) is error and str(exc.value) == message
 
 
-def _dataset_of(X, source="s", target="t"):
-    """Every split of both domains holds the rows X (labels 0, 1, 2, ...)."""
-    y = np.arange(X.shape[0]) % 3
+# a header numpy's reader takes as it takes np.save's own, and its text
+SAME_HEADERS = {
+    "keys_reordered": "{'shape': (30,), 'fortran_order': False, 'descr': %s}" % LABELED,
+    "no_padding": LABELED_HEADER.replace(", }", "}"),
+    "fortran_order_of_one_dimension": LABELED_HEADER.replace("False", "True"),
+    "spaces_in_the_shape": LABELED_HEADER.replace("(30,)", "( 30 , )"),
+    "padded_to_16_bytes": LABELED_HEADER + " " * 3 + "\n",
+}
+
+
+@pytest.mark.parametrize("case", list(SAME_HEADERS))
+def test_a_header_numpy_reads_alike_loads_the_same_rows(tmp_path, case):
+    save_dataset(two_domain(), tmp_path)
+    want = load_dataset(tmp_path)
+    _header_text(SAME_HEADERS[case])(tmp_path / "s.eval.npy")
+    _assert_bit_identical(want, load_dataset(tmp_path))
+
+
+# --- edge values and empty splits ------------------------------------------------
+
+
+def _dataset_of(X, source="s", target="t", y=None):
+    """Every split of both domains holds the rows X, with the labels y
+    (by default 0, 1, 2, 0, ...)."""
+    y = np.arange(X.shape[0]) % 3 if y is None else y
     splits = lambda: DomainSplits(labeled=Rows(X, y), unlabeled=X, fewshot=Rows(X, y),
                                   eval=Rows(X, y))
     return DomainDataset(source=source, domains={source: splits(), target: splits()})
@@ -674,11 +855,14 @@ def _assert_bit_identical(a, b):
 
 def _float64_edges_dataset():
     edges = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.797e308, -1.797e308,
-             np.finfo(np.float64).max, 0.1, -0.1, 1 / 3]
+             1.7976931348623157e308, -1.7976931348623157e308, 0.1, -0.1, 1 / 3]
     bits = np.random.default_rng(0).integers(0, 2**64, size=4000, dtype=np.uint64)
     noise = bits.view(np.float64)
     values = np.concatenate([edges, noise[np.isfinite(noise)]])
-    return _dataset_of(values[: values.size // 2 * 2].reshape(-1, 2))
+    X = values[: values.size // 2 * 2].reshape(-1, 2)
+    y = np.arange(X.shape[0]) % 3
+    y[-1] = 2**63 - 1  # the largest label
+    return _dataset_of(X, y=y)
 
 
 def test_round_trip_is_bit_exact_at_the_edges_of_float64(tmp_path):
@@ -687,97 +871,49 @@ def test_round_trip_is_bit_exact_at_the_edges_of_float64(tmp_path):
     _assert_bit_identical(ds, load_dataset(tmp_path))
 
 
-def test_quoted_field_is_rejected_naming_the_file(tmp_path):
-    ds = _dataset_of(np.array([[0.5, -1.5], [2.0, 3.0]]))
-    save_dataset(ds, tmp_path)
-    path = tmp_path / "s.eval.csv"
-    path.write_text(path.read_text().replace("s,eval,0,", '"s",eval,0,'))
-    with pytest.raises(ParseError) as exc:
-        load_dataset(tmp_path)
-    assert str(exc.value) == f"{path}: not in the form save_dataset writes"
-
-
-def test_parse_error_names_the_physical_line_of_a_record(tmp_path):
-    # the quoted feature of the second record spans lines 3-4, so the bad
-    # third record is on line 5; without it the file is not in the form
-    ds = _dataset_of(np.array([[0.5, -1.5], [2.0, 3.0], [1.0, 1.0]]))
-    save_dataset(ds, tmp_path)
-    path = tmp_path / "s.eval.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    path.write_text("".join(lines[:2]) + 's,eval,1,"2.0\n",3.0\n' + "s,eval,2,x,1.0\n")
-    with pytest.raises(ParseError) as exc:
-        load_dataset(tmp_path)
-    assert str(exc.value) == f"{path}:5: non-numeric feature value"
-    path.write_text("".join(lines[:2]) + 's,eval,1,"2.0\n",3.0\n')
-    with pytest.raises(ParseError) as exc:
-        load_dataset(tmp_path)
-    assert str(exc.value) == f"{path}: not in the form save_dataset writes"
-
-
-def _header_only_dataset():
-    """Target labeled and fewshot and source unlabeled splits with no rows."""
+def _empty_splits_dataset(width=2):
+    """Target labeled and fewshot and source unlabeled splits with no rows,
+    `width` columns wide."""
     ds = two_domain(sizes=SizeSpec(labeled=6, unlabeled=4, fewshot=3, eval=5))
     for split in ("labeled", "fewshot"):
-        setattr(ds.domains["t"], split, Rows(np.empty((0, 2)), np.empty(0, np.int64)))
-    ds.domains["s"].unlabeled = np.empty((0, 2))
+        setattr(ds.domains["t"], split, Rows(np.empty((0, width)), np.empty(0, np.int64)))
+    ds.domains["s"].unlabeled = np.empty((0, width))
     return ds
 
 
-def test_header_only_splits_load_as_empty_arrays(tmp_path):
-    ds = _header_only_dataset()
+@pytest.mark.parametrize("width", [2, 0, 5])
+def test_empty_splits_load_as_zero_rows_of_the_dataset_width(tmp_path, width):
+    ds = _empty_splits_dataset(width)
     save_dataset(ds, tmp_path)
-    assert (tmp_path / "t.labeled.csv").read_text() == "domain,split,label,f0,f1\n"
+    rows = np.load(tmp_path / "t.labeled.npy", allow_pickle=False)
+    assert rows.shape == (0,) and rows.dtype.descr == LABELED
     loaded = load_dataset(tmp_path)
     t = loaded.domains["t"]
     for X in (t.labeled.X, t.fewshot.X, loaded.domains["s"].unlabeled):
         assert X.shape == (0, 2) and X.dtype == np.float64
     for y in (t.labeled.y, t.fewshot.y):
         assert y.shape == (0,) and y.dtype == np.int64
-    _assert_bit_identical(ds, loaded)
+    _assert_bit_identical(_empty_splits_dataset(), loaded)
 
 
-def test_crlf_files_are_rejected_naming_the_file(tmp_path):
-    lf, crlf = tmp_path / "lf", tmp_path / "crlf"
-    save_dataset(make_dataset(angles=(15,)), lf)
-    crlf.mkdir()
-    for f in lf.iterdir():
-        data = f.read_bytes()
-        if f.suffix == ".csv":
-            assert b"\r" not in data
-            data = data.replace(b"\n", b"\r\n")
-        (crlf / f.name).write_bytes(data)
-    load_dataset(lf)
-    with pytest.raises(ParseError) as exc:
-        load_dataset(crlf)
-    assert str(exc.value) == f"{crlf / 'src.labeled.csv'}: not in the form save_dataset writes"
-
-
-def _outcome(parse, path, domain, split, labeled):
-    """What a split-file parser makes of a file: its arrays' dtype, shape,
-    layout and bytes, or its ParseError's text."""
-    try:
-        X, y = parse(path, domain, split, 2, labeled)
-    except ParseError as exc:
-        return str(exc)
-    arrays = (X,) if y is None else (X, y)
-    return [(a.dtype, a.shape, a.flags["C_CONTIGUOUS"], a.tobytes()) for a in arrays]
+def _outcome(X, y):
+    """What a split reader gives: its arrays' dtype, shape, layout and bytes."""
+    return [(a.dtype, a.shape, a.flags["C_CONTIGUOUS"], a.tobytes())
+            for a in ((X,) if y is None else (X, y))]
 
 
 @pytest.mark.parametrize("case", ["generated", "float64_edges", "header_only", "non_ascii_ids"])
 def test_every_file_save_dataset_writes_takes_the_numpy_path(tmp_path, case):
     ds = {"generated": lambda: make_dataset(angles=(15, 30)),
-          "float64_edges": _float64_edges_dataset, "header_only": _header_only_dataset,
+          "float64_edges": _float64_edges_dataset, "header_only": _empty_splits_dataset,
           "non_ascii_ids": lambda: _dataset_of(np.array([[0.5, -1.5], [2.0, 3.0]]),
                                                source="espa\u00f1ol", target="\u65e5\u672c")}[case]()
     save_dataset(ds, tmp_path)
     for dom in ds.domains:
         for split, (X, y) in _split_blocks(ds, dom).items():
-            path = tmp_path / f"{dom}.{split}.csv"
-            labeled = split != "unlabeled"
-            parsed = ditto.data._parse_saved_form(path.read_bytes(), dom, split, 2, labeled)
-            assert parsed is not None, path.name
-            assert _outcome(lambda *args: parsed, path, dom, split, labeled) == \
-                _outcome(lambda *args: (X, y), path, dom, split, labeled)
+            read = ditto.data._read_split(tmp_path / f"{dom}.{split}.npy", 2,
+                                          split != "unlabeled")
+            assert _outcome(*read) == _outcome(X, y), f"{dom}.{split}"
 
 
 def test_loading_a_generated_ladder_never_walks_the_csv_records(tmp_path, monkeypatch):
@@ -785,141 +921,35 @@ def test_loading_a_generated_ladder_never_walks_the_csv_records(tmp_path, monkey
     save_dataset(ds, tmp_path)
 
     def refuse(*args):
-        raise AssertionError("csv_records called on a file save_dataset wrote")
+        raise AssertionError("csv_records called on a dataset directory")
 
     monkeypatch.setattr(ditto.data, "csv_records", refuse)
     _assert_bit_identical(ds, load_dataset(tmp_path))
 
 
-# a split file's body below the header, and what loading it gives: the
-# rows (X, y) it loads, or its ParseError's text
-NOT_IN_FORM = "{path}: not in the form save_dataset writes"
-GOOD_LINE = "s,labeled,0,1.0,2.0\n"
-PATH_CORPUS = {
-    "quoted_comma_id": ("a,b", "eval", '"a,b",eval,0,0.5,1.5\n', NOT_IN_FORM),
-    "quoted_quote_id": ('say "hi"', "unlabeled", '"say ""hi""",unlabeled,,0.5,1.5\n',
-                        NOT_IN_FORM),
-    "unquoted_comma_id": ("a,b", "eval", "a,b,eval,0,0.5,1.5\n",
-                          "{path}:2: expected 5 columns, got 6"),
-    "non_ascii_id": ("espa\u00f1ol", "eval", "espa\u00f1ol,eval,0,0.5,1.5\n", ([[0.5, 1.5]], [0])),
-    "id_with_space_and_hash": ("a b#", "eval", "a b#,eval,0,0.5,1.5\n", ([[0.5, 1.5]], [0])),
-    "crlf": ("s", "labeled", GOOD_LINE.replace("\n", "\r\n") * 2, NOT_IN_FORM),
-    "no_final_newline": ("s", "labeled", GOOD_LINE + GOOD_LINE.rstrip("\n"), NOT_IN_FORM),
-    "blank_line": ("s", "labeled", GOOD_LINE + "\n" + GOOD_LINE,
-                   "{path}:3: expected 5 columns, got 0"),
-    "extra_column": ("s", "labeled", GOOD_LINE + "s,labeled,0,1.0,2.0,3.0\n",
-                     "{path}:3: expected 5 columns, got 6"),
-    # the commas add up to two rows' worth
-    "short_then_long_row": ("s", "labeled", "s,labeled,0,1.0\ns,labeled,0,1.0,2.0,3.0\n",
-                            "{path}:2: expected 5 columns, got 4"),
-    "header_only": ("s", "labeled", "", ([], [])),
-}
-
-
-def _not_int(number):
-    return f"{{path}}:3: label {number!r} is not an integer"
-
-
-# a number: what loading it gives as a label, as a labeled row's feature and
-# as an unlabeled row's feature (the value it loads as, or the error's text)
-NUMBERS = {
-    " 1.5": (_not_int(" 1.5"), NOT_IN_FORM, NOT_IN_FORM),
-    "1_0": (NOT_IN_FORM, NOT_IN_FORM, NOT_IN_FORM),
-    "\u0661": (NOT_IN_FORM, NOT_IN_FORM, NOT_IN_FORM),
-    "+1": (1, 1.0, 1.0),
-    "007": (7, 7.0, 7.0),
-    "-0": (0, -0.0, -0.0),
-    ".5": (_not_int(".5"), 0.5, 0.5),
-    "5.": (_not_int("5."), 5.0, 5.0),
-    "1e5": (_not_int("1e5"), 1e5, 1e5),
-    "1E-5": (_not_int("1E-5"), 1e-5, 1e-5),
-    "1e400": (_not_int("1e400"), "{path}:3: non-finite feature value",
-              "{path}:2: non-finite feature value"),
-    "nan": (_not_int("nan"), "{path}:3: non-finite feature value",
-            "{path}:2: non-finite feature value"),
-    "9223372036854775808": ("{path}:3: label '9223372036854775808' does not fit in int64",
-                            9223372036854775808.0, 9223372036854775808.0),
-}
-for number, (label, feature, unlabeled) in NUMBERS.items():
-    PATH_CORPUS[f"label {number!r}"] = (
-        "s", "labeled", f"{GOOD_LINE}s,labeled,{number},1.0,2.0\n",
-        label if isinstance(label, str) else ([[1.0, 2.0], [1.0, 2.0]], [0, label]))
-    PATH_CORPUS[f"feature {number!r}"] = (
-        "s", "labeled", f"{GOOD_LINE}s,labeled,1,{number},2.0\n",
-        feature if isinstance(feature, str) else ([[1.0, 2.0], [feature, 2.0]], [0, 1]))
-    PATH_CORPUS[f"unlabeled {number!r}"] = (
-        "t", "unlabeled", f"t,unlabeled,,1.0,{number}\n",
-        unlabeled if isinstance(unlabeled, str) else ([[1.0, unlabeled]], None))
-# numpy 1.23-1.26 read an int field such as `5.` as a truncated float with
-# only a DeprecationWarning; the label cases run with warnings as warnings,
-# as outside this suite, so such a numpy would show a silent misread here
-PATH_CASES = [pytest.param(case, marks=pytest.mark.filterwarnings("default"))
-              if case.startswith("label ") else case for case in PATH_CORPUS]
-
-
-@pytest.mark.parametrize("case", PATH_CASES)
-def test_split_file_loads_or_fails_as_pinned(tmp_path, case):
-    domain, split, body, want = PATH_CORPUS[case]
-    path = tmp_path / f"{domain}.{split}.csv"
-    path.write_bytes(f"domain,split,label,f0,f1\n{body}".encode())
-    labeled = split != "unlabeled"
-    got = _outcome(ditto.data._parse_split_file, path, domain, split, labeled)
-    if isinstance(want, str):
-        assert got == want.format(path=path)
-    else:
-        X, y = want
-        X = np.array(X, dtype=np.float64).reshape(-1, 2)
-        assert _outcome(lambda *args: (X, y if y is None else np.array(y, dtype=np.int64)),
-                        path, domain, split, labeled) == got
-
-
-@pytest.mark.filterwarnings("default")
-def test_split_file_whose_loadtxt_warns_is_rejected(tmp_path, monkeypatch):
-    path = tmp_path / "s.labeled.csv"
-    path.write_bytes(f"domain,split,label,f0,f1\n{GOOD_LINE}".encode())
-    loadtxt = np.loadtxt
-
-    def warning_loadtxt(*args, **kwargs):
-        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.",
-                      DeprecationWarning)
-        return loadtxt(*args, **kwargs)
-
-    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
-    assert ditto.data._parse_saved_form(path.read_bytes(), "s", "labeled", 2, True) is None
-    with pytest.raises(ParseError) as exc:
-        ditto.data._parse_split_file(path, "s", "labeled", 2, True)
-    assert str(exc.value) == NOT_IN_FORM.format(path=path)
-
-
 def _save_row_by_row(dataset, out):
-    """Reference writer: one csv row per feature row, each value through repr."""
+    """Reference writer: numpy's version 1.0 header, then each row's label
+    and features packed little-endian, one row at a time."""
     dim = dataset.feature_dim
-    for dom, splits in dataset.domains.items():
-        for split, X, y in (("labeled", splits.labeled.X, splits.labeled.y),
-                            ("unlabeled", splits.unlabeled, None),
-                            ("fewshot", splits.fewshot.X, splits.fewshot.y),
-                            ("eval", splits.eval.X, splits.eval.y)):
-            with open(out / f"{dom}.{split}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(["domain", "split", "label"] + [f"f{i}" for i in range(dim)])
+    for dom in dataset.domains:
+        for split, (X, y) in _split_blocks(dataset, dom).items():
+            descr = ([("label", "<i8")] if y is not None else []) + [("x", "<f8", (dim,))]
+            with open(out / f"{dom}.{split}.npy", "wb") as fh:
+                np.lib.format.write_array_header_1_0(
+                    fh, {"descr": descr, "fortran_order": False, "shape": (X.shape[0],)})
                 for i in range(X.shape[0]):
-                    label = "" if y is None else str(int(y[i]))
-                    writer.writerow([dom, split, label] + [repr(float(v)) for v in X[i]])
+                    if y is not None:
+                        fh.write(struct.pack("<q", int(y[i])))
+                    fh.write(struct.pack(f"<{dim}d", *X[i].tolist()))
 
 
 @pytest.mark.parametrize("case", ["generated", "edges"])
 def test_save_dataset_bytes_match_a_row_by_row_writer(tmp_path, case):
-    if case == "generated":
-        ds = make_dataset(angles=(15, 30))
-    else:
-        bits = np.random.default_rng(1).integers(0, 2**64, size=600, dtype=np.uint64)
-        noise = bits.view(np.float64)
-        X = np.concatenate([[0.0, -0.0, 5e-324, 1.797e308], noise[np.isfinite(noise)]])
-        ds = _dataset_of(X[: X.size // 2 * 2].reshape(-1, 2), source="espa\u00f1ol")
+    ds = make_dataset(angles=(15, 30)) if case == "generated" else _float64_edges_dataset()
     save_dataset(ds, tmp_path / "cols")
     (tmp_path / "rows").mkdir()
     _save_row_by_row(ds, tmp_path / "rows")
-    written = sorted(f.name for f in (tmp_path / "cols").glob("*.csv"))
+    written = sorted(f.name for f in (tmp_path / "cols").glob("*.npy"))
     assert written == sorted(f.name for f in (tmp_path / "rows").iterdir())
     for name in written:
         assert (tmp_path / "cols" / name).read_bytes() == (tmp_path / "rows" / name).read_bytes()

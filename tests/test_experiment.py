@@ -43,6 +43,7 @@ from ditto.experiment import (
 from ditto.model import CheckpointMeta, ModelBundle, extract_features
 
 from conftest import make_dataset
+from test_data import spoil_split_file
 
 TRAIN_CFG = TrainConfig(encoder=EncoderSpec(input_dim=2, hidden_dims=[16, 8]),
                         num_classes=3, epochs=2, batch_size=32, lr=0.02, disc_lr=0.05)
@@ -302,7 +303,7 @@ def test_cli_generate_and_train(cli_config, tmp_path):
     data_dir = tmp_path / "data"
     assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
     assert (data_dir / "manifest.json").exists()
-    assert (data_dir / "rot60.unlabeled.csv").exists()
+    assert (data_dir / "rot60.unlabeled.npy").exists()
 
     run_dir = tmp_path / "run"
     assert main(["train", "--config", str(cli_config), "--data", str(data_dir),
@@ -492,23 +493,9 @@ def _drop_manifest(run_dir, data_dir):
     return "manifest.json"
 
 
-def _corrupt_csv(run_dir, data_dir):
-    (data_dir / "rot30.eval.csv").write_text("not,a,header\n")
-    return "rot30.eval.csv:1"
-
-
-def _csv_field_too_large(run_dir, data_dir):
-    path = data_dir / "rot30.eval.csv"
-    lines = path.read_bytes().split(b"\n")
-    lines[2] = lines[2] + b"1" * 140_000  # one feature of the second row grows
-    path.write_bytes(b"\r\n".join(lines))
-    return "rot30.eval.csv:3: field larger than field limit (131072)"
-
-
-def _csv_undecodable(run_dir, data_dir):
-    path = data_dir / "rot30.eval.csv"
-    path.write_bytes(path.read_bytes().replace(b"\nrot30,", b"\nrot3\xe9,", 1))
-    return "rot30.eval.csv: cannot decode b'\\xe9'"
+def _split_fault(case):
+    """A spoiler applying the split file fault `case` of `test_data` to rot30."""
+    return lambda run_dir, data_dir: spoil_split_file(data_dir, "rot30", case)[1]
 
 
 def _model_is_a_directory(run_dir, data_dir):
@@ -551,15 +538,21 @@ def _model_fewer_classes(run_dir, data_dir):
     return "model.npz: checkpoint num_classes 2 is too few for label 2 of domain 'src' split eval"
 
 
-@pytest.mark.parametrize("spoil", [_drop_arena, _drop_manifest, _corrupt_csv,
-                                   _csv_field_too_large, _csv_undecodable,
+@pytest.mark.parametrize("spoil", [_drop_arena, _drop_manifest, _split_fault("text_file"),
+                                   _split_fault("pickled_object_array"),
+                                   _split_fault("wrong_width"), _split_fault("empty_file"),
+                                   _split_fault("big_endian"),
+                                   _split_fault("header_unclosed_bracket"),
+                                   _split_fault("python2_header"), _split_fault("nan_feature"),
                                    _manifest_not_json, _manifest_empty, _model_not_npz,
                                    _model_without_meta, _model_is_a_directory,
                                    _model_wider_input, _model_fewer_classes,
                                    _model_nan_weight, _model_float32,
                                    _model_per_parameter_form],
-                         ids=["checkpoint_missing_param", "no_manifest", "bad_csv",
-                              "csv_field_too_large", "csv_undecodable",
+                         ids=["checkpoint_missing_param", "no_manifest", "split_not_npy",
+                              "split_object_array", "split_wrong_width", "split_empty_file",
+                              "split_big_endian", "split_header_unclosed_bracket",
+                              "split_python2_header", "split_nan_feature",
                               "manifest_not_json", "manifest_empty", "model_not_npz",
                               "model_without_meta", "model_is_a_directory",
                               "model_input_dim_misfit", "model_num_classes_misfit",
@@ -594,12 +587,12 @@ def _data_and_checkpoint(cli_config, tmp_path):
 
 def _spoil_training_splits(data_dir):
     """Break a file of each training split; every eval split stays intact."""
-    (data_dir / "rot30.labeled.csv").unlink()
-    (data_dir / "src.unlabeled.csv").write_text("not,a,header\n")
-    path = data_dir / "rot60.fewshot.csv"
-    lines = path.read_text().splitlines(keepends=True)
-    lines[1] = lines[1].rsplit(",", 1)[0] + ",nan\n"
-    path.write_text("".join(lines))
+    (data_dir / "rot30.labeled.npy").unlink()
+    (data_dir / "src.unlabeled.npy").write_text("not,a,header\n")
+    path = data_dir / "rot60.fewshot.npy"
+    rows = np.load(path, allow_pickle=False)
+    rows["x"][1, 1] = np.nan
+    np.save(path, rows, allow_pickle=False)
 
 
 def test_cli_eval_ignores_broken_training_splits(cli_config, tmp_path):
@@ -619,29 +612,44 @@ def test_cli_training_still_reads_every_split(cli_config, tmp_path, capsys, comm
     assert main([command, "--config", str(cli_config), "--data", str(data_dir),
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == (
-        f"error: {data_dir / 'src.unlabeled.csv'}:1: bad header ['not', 'a', 'header']..., "
-        f"expected domain,split,label,f0..f1\n")
+        f"error: {data_dir / 'src.unlabeled.npy'}: not a .npy split file (the magic string "
+        f"is not correct; expected b'\\x93NUMPY', got b'not,a,')\n")
 
 
-def test_cli_eval_parses_one_split_file_per_domain(cli_config, tmp_path, monkeypatch):
+def test_cli_eval_reads_one_split_file_per_domain(cli_config, tmp_path, monkeypatch):
     import ditto.data
 
     data_dir, model = _data_and_checkpoint(cli_config, tmp_path)
-    parsed = []
-    parse = ditto.data._parse_split_file
+    read = []
+    read_split = ditto.data._read_split
 
-    def counted(path, domain, split, dim, labeled):
-        parsed.append((domain, split))
-        return parse(path, domain, split, dim, labeled)
+    def counted(path, dim, labeled):
+        read.append(path.name)
+        return read_split(path, dim, labeled)
 
-    monkeypatch.setattr(ditto.data, "_parse_split_file", counted)
+    monkeypatch.setattr(ditto.data, "_read_split", counted)
     assert main(["eval", "--model", str(model), "--data", str(data_dir),
                  "--out", str(tmp_path / "eval.csv")]) == 0
-    assert parsed == [("src", "eval"), ("rot30", "eval"), ("rot60", "eval")]
-    parsed.clear()
+    assert read == ["src.eval.npy", "rot30.eval.npy", "rot60.eval.npy"]
+    read.clear()
     ditto.data.load_dataset(data_dir)
-    assert parsed == [(dom, split) for dom in ("src", "rot30", "rot60")
-                      for split in ("labeled", "unlabeled", "fewshot", "eval")]
+    assert read == [f"{dom}.{split}.npy" for dom in ("src", "rot30", "rot60")
+                    for split in ("labeled", "unlabeled", "fewshot", "eval")]
+
+
+def test_cli_eval_of_a_csv_dataset_directory_is_one_error_naming_it(cli_config, tmp_path,
+                                                                    capsys):
+    data_dir, model = _data_and_checkpoint(cli_config, tmp_path)
+    for path in data_dir.glob("*.npy"):  # the older form: one CSV per split
+        path.with_suffix(".csv").write_text("domain,split,label,f0,f1\n")
+        path.unlink()
+    capsys.readouterr()
+    assert main(["eval", "--model", str(model), "--data", str(data_dir),
+                 "--out", str(tmp_path / "eval.csv")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {data_dir}: holds the CSV dataset form, which is no longer read; write the "
+        f"dataset again with `ditto generate`\n")
+    assert not (tmp_path / "eval.csv").exists()
 
 
 def test_cli_run_all_respects_variant_restriction(cli_config, tmp_path):
