@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tape, backward
-from .data import DOMAIN_ID_RULE, DomainDataset, Rows, valid_domain_id
+from .data import DomainDataset, Rows
 from .errors import ConfigError, DataError, LabelError, ParameterError, check_fields
 from .model import (
     EncoderSpec,
@@ -58,12 +58,10 @@ VARIANTS = {
 class LanguagePrior:
     """Sampling distribution over target domains."""
 
-    probs: dict[str, float] = field(metadata={"min": 0})
+    probs: dict[str, float] = field(metadata={"min": 0, "len": 1})
 
     def __post_init__(self):
         check_fields(self)
-        if not self.probs:
-            raise ConfigError("need at least one target", key="probs")
         total = sum(self.probs.values())
         if abs(total - 1.0) > 1e-12:
             raise ConfigError(f"probabilities sum to {total!r}, not 1", key="probs")
@@ -129,9 +127,9 @@ class TrainVariant:
     """Which training procedure to run, with its lambda and SAM radius."""
 
     kind: str
-    lam: float = field(default=1.0, metadata={"min": 0})
-    sam: SamConfig = field(default_factory=SamConfig)
-    single_target: str | None = None
+    lam: float = field(metadata={"min": 0})
+    sam: SamConfig
+    single_target: str | None = field(default=None, metadata={"id": True})
 
     def __post_init__(self):
         check_fields(self)
@@ -148,9 +146,6 @@ class TrainVariant:
             raise ConfigError(f"only ditto_single takes a target ('ditto_single:<target>'); "
                               f"got {self.kind} with target {self.single_target!r}",
                               key="single_target")
-        if prior == "single" and not valid_domain_id(self.single_target):
-            raise ConfigError(f"ditto_single target must be {DOMAIN_ID_RULE}, "
-                              f"got {self.single_target!r}", key="single_target")  # names a run dir
 
     @property
     def needs_prior(self) -> bool:

@@ -54,17 +54,6 @@ def _check_splits(splits) -> None:
             raise ParameterError(f"splits names {split!r} twice")
 
 
-# what a domain id must be: ids name dataset files and run directories, so an
-# id holds no path separator and no NUL, which open() refuses; and they fill
-# the tables' domain column, where an id holds nothing csv would quote
-DOMAIN_ID_RULE = "a non-empty string without '/', '\\', ',', '\"', CR, LF or NUL"
-
-
-def valid_domain_id(name) -> bool:
-    """Whether `name` is a domain id by DOMAIN_ID_RULE."""
-    return isinstance(name, str) and name != "" and not any(c in name for c in '/\\,"\r\n\0')
-
-
 def _is_list_of(item):
     return lambda v: isinstance(v, (list, tuple)) and all(map(item, v))
 
@@ -230,13 +219,11 @@ class DomainDataset:
 class MixtureSpec:
     """Isotropic Gaussian mixture with one component per class."""
 
-    means: list[list[float]]
+    means: list[list[float]] = field(metadata={"len": 2})
     sigma: float = field(default=0.5, metadata={"min": 0})
 
     def __post_init__(self):
         check_fields(self)
-        if len(self.means) < 2:
-            raise ConfigError(f"need at least 2 classes, got {len(self.means)}", key="means")
         dims = {len(m) for m in self.means}
         if len(dims) != 1:
             raise ConfigError(f"class means have mixed dimensions: {sorted(dims)}",
@@ -274,15 +261,13 @@ class SizeSpec:
 class DomainSpec:
     """One domain: its role, its transform of the base mixture, and sizes."""
 
-    id: str
+    id: str = field(metadata={"id": True})
     kind: str = field(metadata={"in": ("source", "target")})
     transform: dict
     sizes: SizeSpec
 
     def __post_init__(self):
         check_fields(self)
-        if not valid_domain_id(self.id):
-            raise ConfigError(f"domain id {self.id!r} must be {DOMAIN_ID_RULE}", key="id")
         _check_transform(self.transform, f" of domain {self.id!r}")
 
 
@@ -329,6 +314,23 @@ def _draw_mixture(base: MixtureSpec, n: int, rng: Rng) -> tuple[np.ndarray, np.n
     return X, y
 
 
+def check_domains(domains: list[DomainSpec]) -> str:
+    """The id of the one source domain among `domains`, else a ConfigError
+    keyed by the domain that breaks the rule: a second source, a repeated id,
+    or an eval size other than the first domain's (eval rows are paired)."""
+    sources = [d.id for d in domains if d.kind == "source"]
+    if len(sources) != 1:
+        raise ConfigError(f"need exactly one source domain, got {len(sources)}", key="domains")
+    for i, spec in enumerate(domains):
+        if spec.id in (d.id for d in domains[:i]):
+            raise ConfigError(f"{spec.id!r} is listed twice", key=f"domains[{i}].id")
+        if spec.sizes.eval != domains[0].sizes.eval:
+            raise ConfigError(f"must equal the first domain's eval size {domains[0].sizes.eval} "
+                              f"(eval rows are paired), got {spec.sizes.eval}",
+                              key=f"domains[{i}].sizes.eval")
+    return sources[0]
+
+
 def generate_synthetic(
     base: MixtureSpec,
     domains: list[DomainSpec],
@@ -339,21 +341,11 @@ def generate_synthetic(
 
     Eval rows are paired: one shared draw, transformed per domain, with a
     per-domain noise stream when the transform itself is stochastic.  All
-    other splits are fresh draws per domain.  Eval sizes must agree across
-    domains so the pairing is total.
+    other splits are fresh draws per domain.  `domains` must pass
+    `check_domains`, whose eval sizes agree so the pairing is total.
     """
-    sources = [d for d in domains if d.kind == "source"]
-    if len(sources) != 1:
-        raise ConfigError(f"need exactly one source domain, got {len(sources)}")
-    ids = [d.id for d in domains]
-    if len(set(ids)) != len(ids):
-        raise ConfigError(f"duplicate domain ids: {ids}")
-    eval_sizes = {d.sizes.eval for d in domains}
-    if len(eval_sizes) != 1:
-        raise ConfigError(f"eval sizes must agree across domains for pairing, "
-                          f"got {sorted(eval_sizes)}")
-
-    eval_base = _draw_mixture(base, eval_sizes.pop(), rng.child("eval_base"))
+    source = check_domains(domains)
+    eval_base = _draw_mixture(base, domains[0].sizes.eval, rng.child("eval_base"))
     built: dict[str, DomainSplits] = {}
     for spec in domains:
         dom_rng = rng.child(f"domain.{spec.id}")
@@ -363,7 +355,7 @@ def generate_synthetic(
                 base, getattr(spec.sizes, split), dom_rng.child(split))
             blocks[split] = apply_transform(X, spec.transform, dom_rng.child(f"{split}.t")), y
         built[spec.id] = DomainSplits.from_blocks(blocks)
-    dataset = DomainDataset(source=sources[0].id, domains=built).validate()
+    dataset = DomainDataset(source=source, domains=built).validate()
     if out_dir is not None:
         save_dataset(dataset, out_dir)
     return dataset
@@ -379,17 +371,11 @@ class Manifest:
     order (each id by DOMAIN_ID_RULE, once), and the feature dimension."""
 
     source: str
-    domains: list[str]
+    domains: list[str] = field(metadata={"id": True, "unique": True})
     feature_dim: int = field(metadata={"min": 1})
 
     def __post_init__(self):
         check_fields(self)
-        for i, dom in enumerate(self.domains):
-            if not valid_domain_id(dom):
-                raise ConfigError(f"domain id {dom!r} must be {DOMAIN_ID_RULE}",
-                                  key=f"domains[{i}]")
-            if dom in self.domains[:i]:
-                raise ConfigError(f"domain {dom!r} is listed twice", key=f"domains[{i}]")
 
 
 def _split_dtype(dim: int, labeled: bool) -> np.dtype:

@@ -4,10 +4,11 @@ Every failure mode raised by the library is one of these classes, so callers
 can distinguish bad shapes from bad configs from bad data without string
 matching.  `check_fields` is the one field rule of every config dataclass,
 and the one bound rule: a field declares its range in its metadata beside
-its type (`min`, `above` or `in`), and a value out of range is one
-ConfigError keyed by the field's JSON key.  `parse_config` is the one JSON
-reader of every config dataclass, records included (run.json, manifest.json,
-a checkpoint's `__meta__`); `config_json` is the one writer of a record.
+its type (`min`, `above`, `in`, `len`, `unique` or `id`), and a value out of
+range is one ConfigError keyed by the field's JSON key.  `parse_config` is
+the one JSON reader of every config dataclass, records included (run.json,
+manifest.json, a checkpoint's `__meta__`); `config_json` is the one writer
+of a record.
 """
 
 import json
@@ -62,7 +63,7 @@ class ConfigError(ValueError):
 
 
 class ParseError(ValueError):
-    """A file could not be parsed; message carries path and line number."""
+    """A file could not be parsed; the message names the file."""
 
 
 class UndefinedResultError(ArithmeticError):
@@ -72,6 +73,18 @@ class UndefinedResultError(ArithmeticError):
 
 class DegenerateGradientError(RuntimeError):
     """Gradient norm too small to normalize; callers skip the perturbation."""
+
+
+# what a domain id must be: ids name dataset files and run directories, so an
+# id holds no path separator and no NUL, which open() refuses; and they fill
+# the tables' domain column, where an id holds nothing csv would quote
+DOMAIN_ID_RULE = "a non-empty string without '/', '\\', ',', '\"', CR, LF or NUL"
+_NOT_IN_ID = frozenset('/\\,"\r\n\0')
+
+
+def valid_domain_id(name: str) -> bool:
+    """Whether the string `name` is a domain id by DOMAIN_ID_RULE."""
+    return name != "" and _NOT_IN_ID.isdisjoint(name)
 
 
 def is_integer(v) -> bool:
@@ -116,9 +129,11 @@ def fit(tp, value, key: str, bound: typing.Mapping = types.MappingProxyType({}))
     int or float; list and dict items have their item type (keyed `key[i]`
     and `key.name`); `X | None` also takes None; a nested config field holds
     that dataclass; numpy scalars count as int and float.  `bound` may hold
-    `min` (value >= min), `above` (value > above) and `in` (a tuple holding
-    the value; a str field takes it too); a list or dict field's bound holds
-    for each item."""
+    `min` (value >= min), `above` (value > above), `in` (a tuple holding the
+    value; a str field takes it too) and `id` (a str by DOMAIN_ID_RULE), which
+    a list or dict field's items each meet, and `len` (a list or dict of at
+    least that many items) and `unique` (no list item repeats, keyed by the
+    repeat), which it meets itself, after its items."""
     if ((tp is int and is_integer(value)) or (tp is float and is_finite_number(value))
             or (tp is str and isinstance(value, str))):
         value = tp(value)
@@ -129,17 +144,29 @@ def fit(tp, value, key: str, bound: typing.Mapping = types.MappingProxyType({}))
         if "in" in bound and value not in bound["in"]:
             raise ConfigError(f"must be in {{{','.join(map(str, bound['in']))}}}, got {value}",
                               key=key)
+        if "id" in bound and not valid_domain_id(value):
+            raise ConfigError(f"domain id {value!r} must be {DOMAIN_ID_RULE}", key=key)
         return value
     origin, args = typing.get_origin(tp) or tp, typing.get_args(tp)
     if origin in (typing.Union, types.UnionType):  # X | None
         (tp,) = set(args) - {type(None)}
         return None if value is None else fit(tp, value, key, bound)
     if tp not in (int, float) and isinstance(value, origin):
+        if origin is not list and not (origin is dict and args):
+            return value
+        each = ({name: b for name, b in bound.items() if name not in ("len", "unique")}
+                if "len" in bound or "unique" in bound else bound)
         if origin is list:
-            return [fit(args[0], v, f"{key}[{i}]", bound) for i, v in enumerate(value)]
-        if origin is dict and args:
-            return {fit(args[0], k, key): fit(args[1], v, f"{key}.{k}", bound)
-                    for k, v in value.items()}
+            value = [fit(args[0], v, f"{key}[{i}]", each) for i, v in enumerate(value)]
+        else:
+            value = {fit(args[0], k, key): fit(args[1], v, f"{key}.{k}", each)
+                     for k, v in value.items()}
+        if len(value) < bound.get("len", 0):
+            raise ConfigError(f"needs {bound['len']} or more items, got {len(value)}", key=key)
+        if "unique" in bound:
+            for i, v in enumerate(value):
+                if v in value[:i]:
+                    raise ConfigError(f"{v!r} is listed twice", key=f"{key}[{i}]")
         return value
     finite = tp is float and isinstance(value, numbers.Real) and not isinstance(value, bool)
     wanted = "a finite number" if finite else _WANTED.get(origin) or f"a {tp.__name__}"

@@ -58,7 +58,7 @@ from .analysis import (
     write_eval_csv,
     zero_shot_eval,
 )
-from .data import (SOURCE_FRACTIONS, DomainDataset, DomainSpec, MixtureSpec,
+from .data import (SOURCE_FRACTIONS, DomainDataset, DomainSpec, MixtureSpec, check_domains,
                    subsample_source, write_csv, write_record)
 from .errors import ConfigError, DataError, UndefinedResultError, check_fields, parse_record
 from .model import ModelBundle, extract_features, save_checkpoint
@@ -77,26 +77,23 @@ class ExperimentConfig:
     """
 
     train: TrainConfig = field(metadata={"json": ""})
-    variants: list[str] = field(default_factory=lambda: [BASELINE, "ditto"])
+    # an empty variants list still runs the baseline
+    variants: list[str] = field(default_factory=lambda: [BASELINE, "ditto"],
+                                metadata={"unique": True})
     lam: float = field(default=1.0, metadata={"json": "lambda", "min": 0})
     rho: float = field(default=0.05, metadata={"min": 0})
-    seeds: list[int] = field(default_factory=lambda: [0, 1, 2], metadata={"min": 0})
+    seeds: list[int] = field(default_factory=lambda: [0, 1, 2],
+                             metadata={"min": 0, "len": 1, "unique": True})
     source_fractions: list[int] = field(default_factory=lambda: [100],
-                                        metadata={"in": SOURCE_FRACTIONS})
-    ks: list[int] = field(default_factory=lambda: [0], metadata={"min": 0})
+                                        metadata={"in": SOURCE_FRACTIONS, "len": 1,
+                                                  "unique": True})
+    ks: list[int] = field(default_factory=lambda: [0],
+                          metadata={"min": 0, "len": 1, "unique": True})
     c_s: float = field(default=3.0, metadata={"json": "cost.c_s", "min": 0})
     c_t_over_s: float = field(default=1.0, metadata={"json": "cost.c_t_over_s", "min": 0})
 
     def __post_init__(self):
         check_fields(self)
-        for key, what in (("variants", "variant"), ("seeds", "seed"),
-                          ("source_fractions", "source fraction"), ("ks", "few-shot k")):
-            values = getattr(self, key)
-            if not values and key != "variants":  # an empty list runs the baseline
-                raise ConfigError(f"need at least one {what}", key=key)
-            for i, value in enumerate(values):
-                if value in values[:i]:
-                    raise ConfigError(f"{what} {value!r} is listed twice", key=f"{key}[{i}]")
         for i, name in enumerate(self.variants):
             try:
                 TrainVariant.parse(name)  # the name only: a ditto_single target
@@ -119,6 +116,7 @@ class DatasetConfig:
 
     def __post_init__(self):
         check_fields(self)
+        check_domains(self.domains)
 
 
 @dataclass
@@ -131,20 +129,15 @@ class RunRecord:
     seed: int = field(metadata={"min": 0})
     k: int = field(metadata={"min": 0})
     n_labeled_source: int = field(metadata={"min": 0})
-    source: str
-    targets: list[str]
+    source: str = field(metadata={"id": True})
+    targets: list[str] = field(metadata={"id": True, "len": 1, "unique": True})
     status: str = field(metadata={"in": ("ok", "failed")})
     error: str | None = None
 
     def __post_init__(self):
         check_fields(self)
-        if not self.targets:
-            raise ConfigError("need at least one target", key="targets")
         if self.source in self.targets:
             raise ConfigError(f"the source {self.source!r} is no target", key="targets")
-        for i, target in enumerate(self.targets):
-            if target in self.targets[:i]:
-                raise ConfigError(f"target {target!r} is listed twice", key=f"targets[{i}]")
 
 
 def load_config(path: str | Path) -> dict:

@@ -30,8 +30,8 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ParamStore, Tape, TapeNode, activation, affine, all_finite, sigmoid
-from .errors import (ConfigError, DataError, ParameterError, ShapeError, check_fields,
-                     config_json, parse_record)
+from .errors import (DataError, ParameterError, ShapeError, check_fields, config_json,
+                     parse_record)
 from .rng import Rng
 
 DISC_HIDDEN = 64
@@ -45,13 +45,12 @@ class EncoderSpec:
     dimension consumed by the classifier and every discriminator."""
 
     input_dim: int = field(metadata={"min": 1})
-    hidden_dims: list[int] = field(default_factory=lambda: [32, 16], metadata={"min": 1})
+    hidden_dims: list[int] = field(default_factory=lambda: [32, 16],
+                                   metadata={"min": 1, "len": 1})
     activation: str = field(default="tanh", metadata={"in": ACTIVATIONS})
 
     def __post_init__(self):
         check_fields(self)
-        if not self.hidden_dims:
-            raise ConfigError("must be non-empty", key="hidden_dims")
 
     @property
     def feature_dim(self) -> int:
@@ -65,13 +64,10 @@ class CheckpointMeta:
 
     encoder: EncoderSpec = field(metadata={"json": ""})
     num_classes: int = field(metadata={"min": 1})
-    target_ids: list[str]
+    target_ids: list[str] = field(metadata={"id": True, "unique": True})
 
     def __post_init__(self):
         check_fields(self)
-        for i, t in enumerate(self.target_ids):
-            if t in self.target_ids[:i]:
-                raise ConfigError(f"target {t!r} is listed twice", key=f"target_ids[{i}]")
 
 
 def param_layout(

@@ -349,8 +349,8 @@ def test_criterion_03_variant_reductions():
         return compute_prior(domain_accuracies(bundle, dataset), "src")
 
     base, _ = train(cfg, dataset, TrainVariant.parse("baseline", 1.0, 0.0), seed=3)
-    red_base, _ = train(cfg, dataset, TrainVariant("ditto", lam=0.0), seed=3,
-                        prior=prior_for(3))
+    red_base, _ = train(cfg, dataset, TrainVariant("ditto", lam=0.0, sam=SamConfig(0.0)),
+                        seed=3, prior=prior_for(3))
 
     minus_la, _ = train(cfg, dataset, TrainVariant.parse("ditto_minus_la", 1.0, RHO),
                         seed=4)
@@ -360,8 +360,8 @@ def test_criterion_03_variant_reductions():
     prior5 = prior_for(5)
     minus_sam, _ = train(cfg, dataset, TrainVariant.parse("ditto_minus_sam", LAM, 0.0),
                          seed=5, prior=prior5)
-    red_sam, _ = train(cfg, dataset, TrainVariant("ditto", lam=LAM), seed=5,
-                       prior=prior5)
+    red_sam, _ = train(cfg, dataset, TrainVariant("ditto", lam=LAM, sam=SamConfig(0.0)),
+                       seed=5, prior=prior5)
 
     _report("03", equal(base, red_base) and equal(minus_la, red_la)
             and equal(minus_sam, red_sam))

@@ -176,11 +176,6 @@ def test_variant_parse_rejects_unknown():
         TrainVariant.parse("dittoo", 1.0, 0.05)
     with pytest.raises(ConfigError):
         TrainVariant.parse("ditto_single", 1.0, 0.05)  # no target id
-    from ditto.optim import SamConfig
-    with pytest.raises(ConfigError):
-        TrainVariant(kind="baseline", sam=SamConfig(rho=0.1)).validate()
-    with pytest.raises(ConfigError):
-        TrainVariant(kind="ditto_minus_la", lam=1.0).validate()
     with pytest.raises(ConfigError):
         TrainVariant.parse("ditto", -1.0, 0.05)
 
@@ -209,19 +204,22 @@ def test_variant_parse_follows_the_table(name, lam, rho, prior):
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: TrainVariant("baseline", lam=0.5), "baseline requires lambda = 0"),
+    (lambda: TrainVariant("baseline", lam=0.5, sam=SamConfig(0.0)),
+     "baseline requires lambda = 0"),
     (lambda: TrainVariant("ditto_minus_la", lam=0.5, sam=SamConfig(0.05)),
      "ditto_minus_la requires lambda = 0"),
     (lambda: TrainVariant("baseline", lam=0.0, sam=SamConfig(0.1)),
      "baseline requires rho = 0"),
     (lambda: TrainVariant("ditto_minus_sam", lam=1.0, sam=SamConfig(0.1)),
      "ditto_minus_sam requires rho = 0"),
-    (lambda: TrainVariant("ditto_uniform", single_target="rot45"),
+    (lambda: TrainVariant("ditto_uniform", 1.0, SamConfig(0.05), single_target="rot45"),
      "only ditto_single takes a target"),
-    (lambda: TrainVariant("ditto_single"), "only ditto_single takes a target"),
+    (lambda: TrainVariant("ditto_single", lam=1.0, sam=SamConfig(0.05)),
+     "only ditto_single takes a target"),
     (lambda: TrainVariant.parse("ditto:foo"), "only ditto_single takes a target"),
     (lambda: TrainVariant.parse("baseline:x"), "only ditto_single takes a target"),
-    (lambda: TrainVariant("ditto", lam=float("nan")), "lam: expected a finite number, got NaN"),
+    (lambda: TrainVariant("ditto", lam=float("nan"), sam=SamConfig(0.05)),
+     "lam: expected a finite number, got NaN"),
     (lambda: TrainConfig(encoder=CFG.encoder, num_classes=3, epochs=1, lr=float("nan")),
      "lr: expected a finite number, got NaN"),
 ], ids=["lambda_on_baseline", "lambda_on_minus_la", "rho_on_baseline", "rho_on_minus_sam",
@@ -230,6 +228,13 @@ def test_variant_parse_follows_the_table(name, lam, rho, prior):
 def test_variant_construction_enforces_the_table(build, message):
     with pytest.raises(ConfigError, match=message):
         build()
+
+
+@pytest.mark.parametrize("kind", list(VARIANTS))
+def test_variant_takes_lambda_and_sam_explicitly(kind):
+    # defaults once built a ditto without SAM and a baseline that rejected its own lambda
+    with pytest.raises(TypeError, match="lam"):
+        TrainVariant(kind)
 
 
 # --- training loop -----------------------------------------------------------
@@ -274,7 +279,7 @@ def test_reduction_lambda_and_rho_zero_is_baseline(small_dataset):
     base_bundle, base_rep = train(CFG, small_dataset,
                                   TrainVariant.parse("baseline", 1.0, 0.0), seed=3)
     red_bundle, red_rep = train(CFG, small_dataset,
-                                TrainVariant("ditto", lam=0.0), seed=3,
+                                TrainVariant("ditto", lam=0.0, sam=SamConfig(0.0)), seed=3,
                                 prior=full_prior(small_dataset, seed=3))
     assert _params_equal(base_bundle, red_bundle)
     assert base_rep.final_per_domain_acc == red_rep.final_per_domain_acc
@@ -296,7 +301,8 @@ def test_reduction_rho_zero_is_minus_sam(small_dataset):
                                 TrainVariant.parse("ditto_minus_sam", 1.0, 0.0),
                                 seed=5, prior=prior)
     red_bundle, red_rep = train(CFG, small_dataset,
-                                TrainVariant("ditto", lam=1.0), seed=5, prior=prior)
+                                TrainVariant("ditto", lam=1.0, sam=SamConfig(0.0)), seed=5,
+                                prior=prior)
     assert _params_equal(sam_bundle, red_bundle)
     assert sam_rep.target_sample_counts == red_rep.target_sample_counts
 

@@ -406,7 +406,7 @@ def test_missing_manifest(tmp_path):
     ('{"source": "s", "domains": ["s", "t"], "feature_dim": 0}',
      "feature_dim: must be >= 1, got 0"),
     ('{"source": "s", "domains": ["s", "t", "t"], "feature_dim": 2}',
-     "domains[2]: domain 't' is listed twice"),
+     "domains[2]: 't' is listed twice"),
     ('{"source": "s", "domains": ["s", "a,b"], "feature_dim": 2}',
      "domains[1]: domain id 'a,b' must be"),
     ('{"source": "s", "domains": ["s", "a\\"b"], "feature_dim": 2}',

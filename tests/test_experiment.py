@@ -441,6 +441,31 @@ def test_cli_run_all_with_data_still_parses_the_dataset_section(cli_config, tmp_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spoil,named", [
+    (lambda domains: domains[1].update(kind="source"),
+     "dataset.domains: need exactly one source domain, got 2"),
+    (lambda domains: domains[2].update(id="src"), "dataset.domains[2].id: 'src' is listed twice"),
+    (lambda domains: domains[2]["sizes"].update(eval=30),
+     "dataset.domains[2].sizes.eval: must equal the first domain's eval size 60 (eval rows "
+     "are paired), got 30"),
+], ids=["two_sources", "repeated_id", "unequal_eval"])
+@pytest.mark.parametrize("command", ["generate", "run-all"])
+def test_cli_bad_domain_list_is_one_error_in_generate_and_run_all(cli_config, tmp_path, capsys,
+                                                                 spoil, named, command):
+    # run-all checks the dataset section even when --data names a dataset to use
+    data_dir, out = tmp_path / "data", tmp_path / "out"
+    assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
+    cfg = json.loads(cli_config.read_text())
+    spoil(cfg["dataset"]["domains"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    data = ["--data", str(data_dir)] if command == "run-all" else []
+    assert main([command, "--config", str(bad), *data, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {named}\n"
+    assert not out.exists()
+
+
 def test_cli_run_all_on_a_dataset_without_targets_fails_before_training(cli_config, tmp_path,
                                                                        capsys):
     cfg = json.loads(cli_config.read_text())
@@ -836,8 +861,9 @@ def test_cli_experiment_that_does_not_fit_is_one_line_error(cli_config, tmp_path
 
 
 @pytest.mark.parametrize("flags,named", [
-    (["--variant", "ditto", "--variant", "ditto"], "variant 'ditto' is listed twice"),
-    (["--k", "0", "--k", "0"], "few-shot k 0 is listed twice"),
+    (["--variant", "ditto", "--variant", "ditto"],
+     "experiment.variants[1] (--variant): 'ditto' is listed twice"),
+    (["--k", "0", "--k", "0"], "experiment.ks[1] (--k): 0 is listed twice"),
 ], ids=["variant", "k"])
 def test_cli_run_all_repeated_flag_is_one_line_error(cli_config, tmp_path, capsys, flags,
                                                     named):
@@ -1076,7 +1102,7 @@ def test_cli_rejected_flag_names_its_key_and_itself(cli_config, tmp_path, capsys
 @pytest.mark.parametrize("spoil,flags,named", [
     (lambda e: e.update(ks=[-2]), ["--k", "8"], "experiment.ks[0]: must be >= 0, got -2"),
     (lambda e: e.update(ks=[0, 0]), ["--k", "8"],
-     "experiment.ks[1]: few-shot k 0 is listed twice"),
+     "experiment.ks[1]: 0 is listed twice"),
     (lambda e: e.update(ks="0"), ["--k", "8"], "experiment.ks: expected a list, got \"0\""),
     (lambda e: e.update(cost=3.0), ["--cs", "1"], "experiment.cost: expected an object, got 3.0"),
 ], ids=["negative_k", "repeated_k", "ks_string", "cost_number"])

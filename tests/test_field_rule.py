@@ -13,7 +13,7 @@ import pytest
 
 import ditto
 from ditto.data import Manifest
-from ditto.errors import ConfigError, config_fields
+from ditto.errors import DOMAIN_ID_RULE, ConfigError, config_fields
 from ditto.experiment import DatasetConfig, RunRecord
 from ditto.model import CheckpointMeta
 
@@ -34,11 +34,12 @@ VALID = {
     ditto.DomainSpec: DOMAIN,
     ditto.SamConfig: ditto.SamConfig(rho=0.05),
     ditto.AdamWConfig: ditto.AdamWConfig(lr=0.1, total_steps=10),
-    ditto.TrainVariant: ditto.TrainVariant("ditto_single", single_target="t"),
+    ditto.TrainVariant: ditto.TrainVariant("ditto_single", lam=1.0, sam=ditto.SamConfig(0.05),
+                                           single_target="t"),
     ditto.CostParams: ditto.CostParams(),
-    ditto.LanguagePrior: ditto.LanguagePrior({"a": 0.5, "b": 0.5}),
+    ditto.LanguagePrior: ditto.LanguagePrior({"a": 1.0}),
     RunRecord: RunRecord(frac=100, variant="ditto", seed=0, k=0, n_labeled_source=10,
-                         source="src", targets=["t"], status="ok"),
+                         source="src", targets=["tgt"], status="ok"),
     Manifest: Manifest(source="src", domains=["src", "t"], feature_dim=2),
     CheckpointMeta: CheckpointMeta(encoder=ENCODER, num_classes=3, target_ids=["t"]),
 }
@@ -120,13 +121,16 @@ def _bound_cases():
     """(build at the bound's edge, build one step past it, the key, the
     message) for every bound a config field declares: `min` takes its bound
     and rejects the next value down, `above` rejects its bound and takes the
-    next value up, and `in` takes each of its members and rejects 50 (an int
-    member set) or "OK" (a str member set).  A list field holds the value as
-    its item [0], a dict field as its item "a", beside a "b" that keeps a
-    prior's sum at 1."""
+    next value up, `in` takes each of its members and rejects 50 (an int
+    member set) or "OK" (a str member set), and `id` takes "t" and rejects
+    "a/b".  A list field holds such a value as its item [0], a dict field as
+    its item "a", beside a "b" that keeps a prior's sum at 1.  `len` takes the
+    first n items of the valid field and rejects its first n - 1, and `unique`
+    takes the valid list and rejects it with its first item again at the end."""
     for cls, valid in VALID.items():
         for f, key, tp in config_fields(cls):
             item = typing.get_args(tp)[-1] if typing.get_args(tp) else tp
+            at = key or f.name
             edges = []
             for name, wording, way in (("min", ">=", -1), ("above", ">", 1)):
                 if name not in f.metadata:
@@ -143,16 +147,33 @@ def _bound_cases():
                 edges += [(f"in-{ok}", ok, outside,
                            f"must be in {{{','.join(map(str, members))}}}, got {outside}")
                           for ok in members]
+            if "id" in f.metadata:
+                edges.append(("id", "t", "a/b", f"domain id 'a/b' must be {DOMAIN_ID_RULE}"))
+            cases = []  # (name, ok, bad, key, message)
             for name, ok, bad, message in edges:
-                at = key or f.name
+                where = at
                 if typing.get_origin(tp) is list:
-                    ok, bad, at = [ok], [bad], f"{at}[0]"
+                    ok, bad, where = [ok], [bad], f"{at}[0]"
                 elif typing.get_origin(tp) is dict:
-                    ok, bad, at = {"a": ok, "b": 1.0 - ok}, {"a": bad, "b": 1.0 - bad}, f"{at}.a"
+                    ok, bad, where = {"a": ok, "b": 1.0 - ok}, {"a": bad, "b": 1.0 - bad}, \
+                        f"{at}.a"
+                cases.append((name, ok, bad, where, message))
+            whole = getattr(valid, f.name)  # the bounds on a list or dict field itself
+            if "len" in f.metadata:
+                n = f.metadata["len"]
+                assert len(whole) >= n, (cls, f.name)
+                first = (lambda m: dict(list(whole.items())[:m])
+                         if isinstance(whole, dict) else whole[:m])
+                cases.append(("len", first(n), first(n - 1), at,
+                              f"needs {n} or more items, got {n - 1}"))
+            if "unique" in f.metadata:
+                cases.append(("unique", whole, whole + whole[:1], f"{at}[{len(whole)}]",
+                              f"{whole[0]!r} is listed twice"))
+            for name, ok, bad, where, message in cases:
                 yield pytest.param(*(lambda valid=valid, name=f.name, value=value:
                                      dataclasses.replace(valid, **{name: value})
                                      for value in (ok, bad)),
-                                   at, message, id=f"{cls.__name__}.{f.name}-{name}")
+                                   where, message, id=f"{cls.__name__}.{f.name}-{name}")
 
 
 @pytest.mark.parametrize("at_edge,past_edge,key,message", list(_bound_cases()))
@@ -168,7 +189,8 @@ def test_declared_bound_takes_its_edge_and_rejects_one_step_past(at_edge, past_e
 def test_field_metadata_holds_only_a_json_key_and_bounds():
     for cls in VALID:
         for f, _, _ in config_fields(cls):
-            assert set(f.metadata) <= {"json", "min", "above", "in"}, (cls, f.name)
+            assert set(f.metadata) <= {"json", "min", "above", "in", "len", "unique", "id"}, \
+                (cls, f.name)
 
 
 def test_every_config_dataclass_is_in_the_table():

@@ -385,15 +385,15 @@ def _set_meta(key, value):
     (lambda path: rewrite_checkpoint(path, lambda a: a.update(
         __meta__=np.frombuffer(b"[]", np.uint8))), "bad checkpoint metadata"),
     (lambda path: rewrite_checkpoint(path, lambda a: a.update(__meta__=_meta_of("[]"))),
-     "hidden_dims: must be non-empty"),
+     "hidden_dims: needs 1 or more items, got 0"),
     (lambda path: rewrite_checkpoint(path, lambda a: a.update(__meta__=_meta_of('"32"'))),
      'bad checkpoint metadata: hidden_dims: expected a list, got "32"'),
     (_set_meta("target_ids", "ab"), 'bad checkpoint metadata: target_ids: expected a list, '
                                     'got "ab"'),
     (_set_meta("target_ids", [1, 2]), "bad checkpoint metadata: target_ids[0]: expected a "
                                       "string, got 1"),
-    (_set_meta("target_ids", ["t0", "t0"]), "bad checkpoint metadata: target_ids[1]: target "
-                                            "'t0' is listed twice"),
+    (_set_meta("target_ids", ["t0", "t0"]), "bad checkpoint metadata: target_ids[1]: 't0' "
+                                            "is listed twice"),
     (_set_meta("num_classes", 3.0), "bad checkpoint metadata: num_classes: expected an "
                                     "integer, got 3.0"),
     (_set_meta("num_classes", True), "bad checkpoint metadata: num_classes: expected an "

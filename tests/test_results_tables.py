@@ -249,12 +249,12 @@ def _run_json_source_count_true(results):
 
 def _run_json_no_target(results):
     _set_run_json(results, "targets", [])
-    return "ditto/seed1/run.json: targets: need at least one target"
+    return "ditto/seed1/run.json: targets: needs 1 or more items, got 0"
 
 
 def _run_json_repeated_target(results):
     _set_run_json(results, "targets", ["t1", "t1"])
-    return "ditto/seed1/run.json: targets[1]: target 't1' is listed twice"
+    return "ditto/seed1/run.json: targets[1]: 't1' is listed twice"
 
 
 def _run_json_source_as_target(results):
