@@ -16,10 +16,10 @@ named `{domain}.{split}.npy`, with split in {labeled, unlabeled, fewshot,
 eval}.  Each holds a 1-D structured array with one element per row: a
 `label` field (`<i8`) on every split but the unlabeled one, and an `x` field
 (`<f8`, shape `(feature_dim,)`).  The file holds the values' bytes, so
-save -> load round-trips bit-exactly.  Only that form loads: its header is
-checked before any row is read, and any other file raises one ParseError
-naming it.  `write_csv` and `csv_records` hold the one CSV dialect of the
-whole package, which its tables use.
+save -> load round-trips bit-exactly.  Only that form loads: `read_npy`, the
+package's one `.npy` reader (checkpoints' too), checks the header before any
+row is read, and any other file is one ParseError naming it.  `write_csv` and
+`csv_records` hold the package's one CSV dialect, which its tables use.
 """
 
 from __future__ import annotations
@@ -406,39 +406,38 @@ def save_dataset(dataset: DomainDataset, out_dir: str | Path) -> None:
     write_record(out / "manifest.json", manifest)
 
 
+def read_npy(fh, size: int, want: np.dtype, name, what: str = "split file") -> np.ndarray:
+    """The 1-D `want` array in the `size`-byte `.npy` stream `fh`, if in `np.save`'s
+    form: the magic string, version 1.0, a header of exactly `want` in one
+    dimension and as many items as the bytes after it hold, checked before
+    one read; else a ParseError naming `name` (not a `what`)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):  # what np.save writes for a header this short
+                raise ValueError(f"format version {version[0]}.{version[1]}, not 1.0")
+            shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    # numpy evaluates the header, a Python literal: bad bytes raise ValueError, SyntaxError,
+    # TokenError, TypeError, RecursionError or MemoryError; a Python 2 one only warns
+    except Exception as exc:
+        why = (str(exc) or type(exc).__name__).splitlines()[0]
+        raise ParseError(f"{name}: not a .npy {what} ({why})") from None
+    if dtype != want:
+        raise ParseError(f"{name}: holds {dtype.descr} rows, expected {want.descr}")
+    if len(shape) != 1:
+        raise ParseError(f"{name}: holds an array of shape {shape}, expected one dimension")
+    left = size - fh.tell()
+    if shape[0] * want.itemsize != left:
+        raise ParseError(f"{name}: header claims {shape[0]} rows of {want.itemsize} "
+                         f"bytes, but {left} bytes follow it")
+    return np.frombuffer(bytearray(fh.read(left)), want)  # writable, unlike bytes
+
+
 def _read_split(path: Path, dim: int, labeled: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    """One split file's contiguous (X, y); y is None for an unlabeled split.
-    Only a file in `save_dataset`'s form loads: its header must hold one
-    dimension of `_split_dtype(dim, labeled)` rows, as many as the bytes
-    after it hold.  These checks run before any row is read, and a file
-    that fails one raises ParseError naming it."""
-    want = _split_dtype(dim, labeled)
+    """One split file's contiguous (X, y); y is None for an unlabeled split."""
     with open(path, "rb") as fh:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                version = np.lib.format.read_magic(fh)
-                if version != (1, 0):  # what np.save writes for a header this short
-                    raise ValueError(f"format version {version[0]}.{version[1]}, not 1.0")
-                shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
-        # the header is a Python literal that numpy evaluates: besides its
-        # ValueError, bad bytes raise SyntaxError, TokenError, TypeError,
-        # RecursionError or MemoryError there, and a header numpy must first
-        # repair (as Python 2 wrote) only warns.  The error keeps the first
-        # line of numpy's text
-        except Exception as exc:
-            why = (str(exc) or type(exc).__name__).splitlines()[0]
-            raise ParseError(f"{path}: not a .npy split file ({why})") from None
-        if dtype != want:
-            raise ParseError(f"{path}: holds {dtype.descr} rows, expected {want.descr}")
-        if len(shape) != 1:
-            raise ParseError(f"{path}: holds an array of shape {shape}, expected one "
-                             f"dimension")
-        left = path.stat().st_size - fh.tell()
-        if shape[0] * want.itemsize != left:
-            raise ParseError(f"{path}: header claims {shape[0]} rows of {want.itemsize} "
-                             f"bytes, but {left} bytes follow it")
-        rows = np.fromfile(fh, want, count=shape[0])
+        rows = read_npy(fh, path.stat().st_size, _split_dtype(dim, labeled), path)
     return (np.ascontiguousarray(rows["x"]),
             np.ascontiguousarray(rows["label"]) if labeled else None)
 
@@ -481,11 +480,11 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
     Reads `manifest.json`, then the file of each domain's split named in
     `splits` (all four by default; `("eval",)` is what scoring needs).  A
     split not read is an empty block of the manifest's width, and the files
-    of such splits are never opened.  A manifest `parse_record` rejects as
-    a `Manifest` raises DataError naming it, and so does a directory that
-    holds the older CSV split files in place of the `.npy` ones; a split
-    file not in `save_dataset`'s form raises ParseError; `splits` that is
-    empty, repeats a split or names an unknown one raises ParameterError.
+    of such splits are never opened.  A DataError names the manifest that
+    `parse_record` rejects, the split file whose labels `Rows` rejects, or
+    the directory (holding the older CSV split files, or a dataset that
+    `validate` rejects); a split file `read_npy` refuses is a ParseError, and
+    `splits` empty, repeating or naming an unknown split a ParameterError.
     """
     _check_splits(splits)
     root = Path(path)
@@ -512,9 +511,12 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
             try:
                 blocks[split] = X if y is None else Rows(X, y)
             except DataError as exc:
-                raise DataError(f"domain {dom!r} split {split}: {exc}") from None
+                raise DataError(f"{split_path}: {exc}") from None
         domains[dom] = DomainSplits(**blocks)
-    return DomainDataset(source=manifest.source, domains=domains).validate(splits)
+    try:
+        return DomainDataset(source=manifest.source, domains=domains).validate(splits)
+    except DataError as exc:
+        raise DataError(f"{root}: {exc}") from None
 
 
 def subsample_source(dataset: DomainDataset, fraction: int, rng: Rng) -> DomainDataset:

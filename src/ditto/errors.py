@@ -63,7 +63,8 @@ class ConfigError(ValueError):
 
 
 class ParseError(ValueError):
-    """A file could not be parsed; the message names the file."""
+    """A `.npy` file or entry that `data.read_npy`, the package's one `.npy`
+    reader, refuses; the message names it (a checkpoint's is a DataError)."""
 
 
 class UndefinedResultError(ArithmeticError):

@@ -17,11 +17,13 @@ handful of vector operations.  The store is allocated once, zero-filled, when
 the bundle is built; `init_params` and `load_checkpoint` then fill it.  A
 checkpoint is that value arena as one float64 vector beside the metadata the
 layout is rebuilt from (the config dataclass `CheckpointMeta`, written by
-`config_json` and read back by `parse_record`), so a load is one checked copy.
+`config_json` and read back by `parse_record`): two `read_npy` entries, so a
+load is one checked copy.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import zipfile
 from dataclasses import dataclass, field
@@ -30,8 +32,9 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import ParamStore, Tape, TapeNode, activation, affine, all_finite, sigmoid
-from .errors import (DataError, ParameterError, ShapeError, check_fields, config_json,
-                     parse_record)
+from .data import read_npy
+from .errors import (DataError, ParameterError, ParseError, ShapeError, check_fields,
+                     config_json, parse_record)
 from .rng import Rng
 
 DISC_HIDDEN = 64
@@ -130,11 +133,6 @@ class ModelBundle:
             raise KeyError(f"unknown target id {t!r}; known targets: {list(self.target_ids)}")
 
 
-def _glorot(rng: Rng, fan_in: int, fan_out: int) -> np.ndarray:
-    a = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-a, a, (fan_in, fan_out))
-
-
 def init_params(
     spec: EncoderSpec,
     num_classes: int,
@@ -155,7 +153,8 @@ def init_params(
     bundle = ModelBundle(spec, num_classes, targets)
     for p in bundle.store.params():
         if p.name.endswith(".W"):
-            p.value[...] = _glorot(rng, *p.shape)
+            a = np.sqrt(6.0 / sum(p.shape))
+            p.value[...] = rng.uniform(-a, a, p.shape)
     return bundle
 
 
@@ -230,43 +229,41 @@ def save_checkpoint(bundle: ModelBundle, path: str) -> None:
 
 
 def load_checkpoint(path: str) -> ModelBundle:
-    """Rebuild a bundle from `save_checkpoint` output.
-
-    The bundle is built from `__meta__`, then the `params` arena is copied
-    into its store with one assignment.  Each of these raises DataError
-    naming the file: a file that is not an npz archive; an entry other than
-    the two, so an archive in the old per-parameter form is named by its
-    first `param::` entry; a missing or unreadable entry; a `__meta__` that
-    `parse_record` rejects as a `CheckpointMeta`, named by its key; an arena
-    that is not a float64 vector of the layout's length; and a non-finite
-    value, named by the parameter whose span holds the first one.
+    """Rebuild a bundle from `save_checkpoint` output: `read_npy` reads each
+    entry of the zip archive, CRC-checked, `__meta__` as `u1` bytes and
+    `params` as a `<f8` vector (another dtype, `>f8` too, is refused).  A
+    path that cannot be opened is an OSError naming it; any other fault is
+    one DataError naming the file: bytes zipfile cannot read, an entry other
+    than the two (the old per-parameter form is named by its first `param::`
+    entry), a missing entry or one `read_npy` refuses, a `__meta__` that
+    `parse_record` rejects (named by its key), an arena not of the layout's
+    length, or a non-finite value (named by the parameter holding the first).
     """
+    entries = {}
     with open(path, "rb") as fh:
         try:
-            data = np.load(fh)
-        except (ValueError, EOFError, zipfile.BadZipFile) as exc:
-            raise DataError(f"{path}: not a checkpoint archive: {exc}") from None
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise DataError(f"{path}: not a checkpoint archive: a single .npy array")
-        with data:
-            for key in data.files:
-                if key not in ("__meta__", ARENA):
-                    raise DataError(f"{path}: unexpected entry {key!r}")
-            entries = {}
-            for key in ("__meta__", ARENA):
-                if key not in data.files:
-                    raise DataError(f"{path}: no {key!r} entry")
-                try:
-                    entries[key] = data[key]
-                except (ValueError, zipfile.BadZipFile) as exc:  # object arrays need pickle
-                    raise DataError(f"{path}: unreadable {key!r} entry: {exc}") from None
-    meta = parse_record(CheckpointMeta, bytes(entries["__meta__"]),
+            archive = zipfile.ZipFile(fh)  # reads through `fh`, which it leaves open
+            names = archive.namelist()
+            for name in names:
+                if name not in ("__meta__.npy", f"{ARENA}.npy"):
+                    raise ParseError(f"{path}: unexpected entry {name.removesuffix('.npy')!r}")
+            for key, dtype in (("__meta__", "u1"), (ARENA, "<f8")):
+                if f"{key}.npy" not in names:
+                    raise ParseError(f"{path}: no {key!r} entry")
+                data = archive.read(f"{key}.npy")
+                entries[key] = read_npy(io.BytesIO(data), len(data), np.dtype(dtype),
+                                        f"{path}: {key!r}", "array")
+        except ParseError as exc:  # each names the file
+            raise DataError(str(exc)) from None
+        except Exception as exc:  # BadZipFile, EOFError, OSError, RuntimeError, zlib.error...
+            raise DataError(f"{path}: not a checkpoint archive: "
+                            f"{str(exc) or type(exc).__name__}") from None
+    meta = parse_record(CheckpointMeta, entries["__meta__"].tobytes(),
                         f"{path}: bad checkpoint metadata")
     bundle = ModelBundle(meta.encoder, meta.num_classes, meta.target_ids)
     arena, value = entries[ARENA], bundle.store.value
-    if arena.dtype.kind != "f" or arena.dtype.itemsize != 8 or arena.shape != value.shape:
-        raise DataError(f"{path}: {ARENA!r} is {arena.dtype} of shape {arena.shape}, "
-                        f"expected float64 of shape {value.shape}")
+    if arena.size != value.size:
+        raise DataError(f"{path}: {ARENA!r} holds {arena.size} values, expected {value.size}")
     if not all_finite(arena):
         first = int(np.flatnonzero(~np.isfinite(arena))[0])
         name = next(p.name for p in bundle.store.params() if first < p.stop)

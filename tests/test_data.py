@@ -620,11 +620,11 @@ def _header_claims(rows, follow):
 
 
 def _non_finite(split):
-    return f"domain {{domain!r}} split {split} has a non-finite feature value"
+    return f"{{path.parent}}: domain {{domain!r}} split {split} has a non-finite feature value"
 
 
-def _bad_labels(split, low):
-    return f"domain {{domain!r}} split {split}: labels must be >= 0 and fit in int64, got {low}..2"
+def _bad_labels(low):
+    return f"{{path}}: labels must be >= 0 and fit in int64, got {low}..2"
 
 
 PADDED = np.dtype({"names": ["label", "x"], "formats": ["<i8", ("<f8", (2,))],
@@ -666,10 +666,9 @@ SPLIT_FAULTS = {
     "two_dimensional": ("eval", lambda p: _rewrite_header(p, (15, 2)), ParseError,
                         "{path}: holds an array of shape (15, 2), expected one dimension"),
     "nan_feature": ("eval", lambda p: _resave(p, change=_set("x", np.nan)), DataError,
-                    "domain {domain!r} split eval has a non-finite feature value"),
+                    _non_finite("eval")),
     "negative_label": ("eval", lambda p: _resave(p, change=_set("label", -1)), DataError,
-                       "domain {domain!r} split eval: labels must be >= 0 and fit in int64, "
-                       "got -1..2"),
+                       _bad_labels(-1)),
     # the magic string, the format version and the header's Python literal
     "empty_file": ("eval", _keep(0), ParseError,
                    _not_npy("EOF: reading magic string, expected 8 bytes got 0")),
@@ -773,11 +772,11 @@ SPLIT_FAULTS = {
     "nan_fewshot_feature": ("fewshot", lambda p: _resave(p, change=_set("x", np.nan)),
                             DataError, _non_finite("fewshot")),
     "negative_labeled_label": ("labeled", lambda p: _resave(p, change=_set("label", -1)),
-                               DataError, _bad_labels("labeled", -1)),
+                               DataError, _bad_labels(-1)),
     "negative_fewshot_label": ("fewshot", lambda p: _resave(p, change=_set("label", -1)),
-                               DataError, _bad_labels("fewshot", -1)),
+                               DataError, _bad_labels(-1)),
     "int64_min_label": ("eval", lambda p: _resave(p, change=_set("label", -2**63)), DataError,
-                        _bad_labels("eval", -2**63)),
+                        _bad_labels(-2**63)),
 }
 
 

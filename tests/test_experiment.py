@@ -503,7 +503,7 @@ def _model_nan_weight(run_dir, data_dir):
 def _model_float32(run_dir, data_dir):
     _rewrite_model(run_dir, lambda arrays: arrays.update(
         params=arrays["params"].astype(np.float32)))
-    return "model.npz: 'params' is float32 of shape"
+    return "model.npz: 'params': holds [('', '<f4')] rows, expected [('', '<f8')]"
 
 
 def _model_per_parameter_form(run_dir, data_dir):
