@@ -11,7 +11,7 @@ wall, which steadily pushes the iterate out into the flat basin.
 
 import numpy as np
 
-from ditto import AdamWConfig, ParamStore, SamConfig, Tape, sam_step
+from ditto import AdamWConfig, ParamStore, Tape, sam_step
 from ditto.autodiff import affine, hadamard, minimum, summation
 
 SHARP_SCALE = 25.0
@@ -37,10 +37,9 @@ def descend(rho, steps=400, lr=0.02, trace_at=(0, 50, 100, 200, 399)):
     store = ParamStore()
     store.add("w", np.array([[START]]))
     cfg = AdamWConfig(lr=lr, total_steps=steps)
-    sam = SamConfig(rho=rho)
     trace = []
     for step in range(steps):
-        sam_step(well_loss(store), store, sam, cfg, step)
+        sam_step(well_loss(store), store, rho, cfg, step)
         if step in trace_at:
             trace.append((step, float(store["w"].value[0, 0])))
     return float(store["w"].value[0, 0]), trace

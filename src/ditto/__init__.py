@@ -27,7 +27,6 @@ from .analysis import (
     CostParams,
     EvalTable,
     annotation_cost,
-    cka_accuracy_correlation,
     gap_table,
     linear_cka,
     pearson,
@@ -69,7 +68,7 @@ from .model import (
     load_checkpoint,
     save_checkpoint,
 )
-from .optim import AdamWConfig, SamConfig, adamw_step, lr_at, sam_backward, sam_step
+from .optim import AdamWConfig, adamw_step, lr_at, sam_backward, sam_step
 from .rng import Rng
 
 __version__ = "0.1.0"
@@ -96,7 +95,6 @@ __all__ = [
     "ParseError",
     "Rng",
     "Rows",
-    "SamConfig",
     "ShapeError",
     "SizeSpec",
     "StateError",
@@ -109,7 +107,6 @@ __all__ = [
     "analyze_results",
     "annotation_cost",
     "backward",
-    "cka_accuracy_correlation",
     "compute_prior",
     "domain_accuracies",
     "extract_features",

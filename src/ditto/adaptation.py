@@ -33,7 +33,7 @@ from .model import (
     predict_logits,
 )
 from .autodiff import binary_cross_entropy, grad_reverse, softmax_cross_entropy
-from .optim import AdamWConfig, SamConfig, adamw_step, sam_backward, sam_step
+from .optim import AdamWConfig, adamw_step, sam_backward, sam_step
 from .rng import Rng
 
 # kind -> (takes lambda, takes rho, prior source); a kind that does not take
@@ -124,11 +124,12 @@ def sample_target(prior: LanguagePrior, rng: Rng) -> str:
 
 @dataclass
 class TrainVariant:
-    """Which training procedure to run, with its lambda and SAM radius."""
+    """Which training procedure to run, with its lambda and SAM radius rho
+    (the L2 radius of the perturbation neighborhood; 0 disables SAM)."""
 
     kind: str
     lam: float = field(metadata={"min": 0})
-    sam: SamConfig
+    rho: float = field(metadata={"min": 0})
     single_target: str | None = field(default=None, metadata={"id": True})
 
     def __post_init__(self):
@@ -139,9 +140,8 @@ class TrainVariant:
         takes_lam, takes_rho, prior = VARIANTS[self.kind]
         if not takes_lam and self.lam != 0.0:
             raise ConfigError(f"{self.kind} requires lambda = 0, got {self.lam}", key="lam")
-        if not takes_rho and self.sam.rho != 0.0:
-            raise ConfigError(f"{self.kind} requires rho = 0, got {self.sam.rho}",
-                              key="sam.rho")
+        if not takes_rho and self.rho != 0.0:
+            raise ConfigError(f"{self.kind} requires rho = 0, got {self.rho}", key="rho")
         if (prior == "single") != (self.single_target is not None):
             raise ConfigError(f"only ditto_single takes a target ('ditto_single:<target>'); "
                               f"got {self.kind} with target {self.single_target!r}",
@@ -167,7 +167,7 @@ class TrainVariant:
             raise ConfigError(f"unknown variant name {name!r}")
         takes_lam, takes_rho, _ = VARIANTS[kind]
         return TrainVariant(kind, lam=lam if takes_lam else 0.0,
-                            sam=SamConfig(rho if takes_rho else 0.0),
+                            rho=rho if takes_rho else 0.0,
                             single_target=target if sep else None)
 
 
@@ -222,7 +222,7 @@ def baseline_step(
     rho); discriminators untouched."""
     if X.shape[0] == 0:
         raise DataError("empty batch")
-    return sam_step(_task_loss_proc(bundle, X, y), bundle.store, variant.sam, opts.enc,
+    return sam_step(_task_loss_proc(bundle, X, y), bundle.store, variant.rho, opts.enc,
                     step, bundle.task_param_names())
 
 
@@ -260,8 +260,7 @@ def ditto_step(
         raise DataError("empty batch")
     store = bundle.store
     task_names = bundle.task_param_names()
-    task_loss = sam_backward(_task_loss_proc(bundle, X, y), store,
-                             variant.sam.rho, task_names)
+    task_loss = sam_backward(_task_loss_proc(bundle, X, y), store, variant.rho, task_names)
 
     t = sample_target(prior, rng)
     pool = datasets.domains[t].unlabeled

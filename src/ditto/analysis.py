@@ -127,8 +127,7 @@ class EvalTable:
         return [d for d in self.domains(method) if d != self.source]
 
 
-def zero_shot_eval(bundle: ModelBundle, datasets: DomainDataset,
-                   method: str = "baseline") -> EvalTable:
+def zero_shot_eval(bundle: ModelBundle, datasets: DomainDataset, method: str) -> EvalTable:
     """Per-domain argmax accuracy of one trained model, tagged with `method`."""
     table = EvalTable(source=datasets.source)
     for dom, acc in domain_accuracies(bundle, datasets).items():
@@ -175,31 +174,6 @@ class CostParams:
 def annotation_cost(p: CostParams) -> float:
     """Total labeling cost: c_s*n + c_s*c_t_over_s*k*num_targets (cents)."""
     return p.c_s * p.n_labeled_source + p.c_s * p.c_t_over_s * p.k * p.num_targets
-
-
-def cka_accuracy_correlation(
-    features: dict[str, np.ndarray],
-    table: EvalTable,
-    source: str,
-    method: str | None = None,
-) -> tuple[float, float, dict[str, float]]:
-    """Correlate per-target CKA-to-source against per-target accuracy.
-
-    Returns (pearson, spearman, {target: cka}).  Needs at least 3 targets;
-    raises UndefinedResultError if either series is constant.
-    """
-    methods = table.methods()
-    if method is None:
-        if len(methods) != 1:
-            raise DataError(f"table holds methods {methods}; pick one")
-        method = methods[0]
-    targets = sorted(t for t in features if t != source)
-    if len(targets) < 3:
-        raise DataError(f"need at least 3 target domains, got {len(targets)}")
-    ckas = {t: linear_cka(features[source], features[t]) for t in targets}
-    cka_series = [ckas[t] for t in targets]
-    acc_series = [table.get(method, t) for t in targets]
-    return pearson(cka_series, acc_series), spearman(cka_series, acc_series), ckas
 
 
 # ---------------------------------------------------------------------------

@@ -163,7 +163,9 @@ def _eval(args) -> int:
     dataset = load_dataset(args.data, splits=("eval",))
     misfit = dataset.misfit(bundle.spec.input_dim, bundle.num_classes)
     if misfit:
-        raise DataError(f"{args.model}: checkpoint {' '.join(misfit)}")
+        name, reason, split_file = misfit
+        where = f", read from {args.data / split_file}" if split_file else ""
+        raise DataError(f"{args.model}: checkpoint {name} {reason}{where}")
     table = zero_shot_eval(bundle, dataset, method=args.method)
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_eval_csv(table, args.out)

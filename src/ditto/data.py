@@ -189,18 +189,20 @@ class DomainDataset:
                 raise DataError(f"target domain {dom!r} has an empty unlabeled split")
         return self
 
-    def misfit(self, input_dim: int, num_classes: int) -> tuple[str, str] | None:
+    def misfit(self, input_dim: int, num_classes: int) -> tuple[str, str, str | None] | None:
         """Why a model with `input_dim` inputs and `num_classes` classes cannot
-        take this dataset, as (the model field at fault, the reason); None when
-        it fits."""
+        take this dataset, as (the model field at fault, the reason, the name
+        of the split file holding the label at fault or None); None when it
+        fits."""
         if self.feature_dim != input_dim:
             return "input_dim", (f"{input_dim} does not match the dataset's "
-                                 f"{self.feature_dim} feature columns")
+                                 f"{self.feature_dim} feature columns"), None
         for dom, parts in self.domains.items():
             for split, _, y in parts.blocks():
                 if y is not None and y.size and y.max() >= num_classes:
-                    return "num_classes", (f"{num_classes} is too few for label "
-                                           f"{y.max()} of domain {dom!r} split {split}")
+                    reason = (f"{num_classes} is too few for label {y.max()} "
+                              f"of domain {dom!r} split {split}")
+                    return "num_classes", reason, f"{dom}.{split}.npy"
         return None
 
     def with_source_labeled(self, rows: Rows) -> "DomainDataset":

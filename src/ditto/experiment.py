@@ -216,7 +216,7 @@ class Cell:
                  frac: int, k: int, seed: int):
         misfit = dataset.misfit(config.train.encoder.input_dim, config.train.num_classes)
         if misfit:
-            name, reason = misfit
+            name, reason, _ = misfit
             key = "encoder.input_dim" if name == "input_dim" else name
             raise ConfigError(reason, key=f"experiment.{key}")
         if not dataset.target_ids():

@@ -136,20 +136,16 @@ class ModelBundle:
 def init_params(
     spec: EncoderSpec,
     num_classes: int,
-    targets: int | Sequence[str],
+    targets: Sequence[str],
     rng: Rng,
 ) -> ModelBundle:
-    """Glorot-uniform weights (a = sqrt(6/(fan_in+fan_out))), zero biases.
+    """Glorot-uniform weights (a = sqrt(6/(fan_in+fan_out))), zero biases,
+    with one discriminator per target id.
 
-    `targets` may be a count (ids become t0..t{n-1}) or explicit domain ids.
     Initialization is deterministic given the rng seed: weights are drawn in
     arena order (encoder layers, classifier, discriminators by sorted target
     id).
     """
-    if isinstance(targets, int):
-        if targets < 0:
-            raise ParameterError(f"target count must be >= 0, got {targets}")
-        targets = [f"t{i}" for i in range(targets)]
     bundle = ModelBundle(spec, num_classes, targets)
     for p in bundle.store.params():
         if p.name.endswith(".W"):

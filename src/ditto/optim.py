@@ -27,33 +27,18 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .autodiff import ParamStore, TapeNode, all_finite, backward
-from .errors import (ConfigError, DegenerateGradientError, NumericError, ParameterError,
-                     StateError, check_fields)
+from .errors import (DegenerateGradientError, NumericError, ParameterError, StateError,
+                     check_fields)
 
 DEGENERATE_NORM = 1e-12
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # AdamW's moment decays and denominator floor
 
 
 @dataclass
 class AdamWConfig:
     lr: float = field(metadata={"above": 0})
     total_steps: int = field(metadata={"min": 1})
-    beta1: float = field(default=0.9, metadata={"min": 0})
-    beta2: float = field(default=0.999, metadata={"min": 0})
-    eps: float = field(default=1e-8, metadata={"above": 0})
     weight_decay: float = field(default=0.0, metadata={"min": 0})
-
-    def __post_init__(self):
-        check_fields(self)
-        for key in ("beta1", "beta2"):
-            if getattr(self, key) >= 1.0:
-                raise ConfigError(f"must be < 1, got {getattr(self, key)}", key=key)
-
-
-@dataclass
-class SamConfig:
-    """rho is the L2 radius of the perturbation neighborhood; 0 disables SAM."""
-
-    rho: float = field(default=0.0, metadata={"min": 0})
 
     def __post_init__(self):
         check_fields(self)
@@ -81,7 +66,7 @@ def adamw_step(
 ) -> None:
     """One decoupled-weight-decay Adam update on the named parameters.
 
-    w <- w - lr_t*wd*w - lr_t * m_hat / (sqrt(v_hat) + eps), with the usual
+    w <- w - lr_t*wd*w - lr_t * m_hat / (sqrt(v_hat) + EPS), with the usual
     bias-corrected moments; lr_t comes from the linear schedule at `step`,
     while bias correction uses each parameter's own update count (so rarely
     updated discriminators are corrected properly).  Every gradient is
@@ -89,8 +74,8 @@ def adamw_step(
     once per stretch of arena whose parameters share an update count.  The
     moments are updated in place and the update is built in two scratch
     arrays, with the same operations in the same order as
-    m = b1*m + (1-b1)*g, v = b2*v + ((1-b2)*g)*g,
-    update = (lr_t*m_hat) / (sqrt(v_hat) + eps) + (lr_t*wd)*w, w -= update.
+    m = BETA1*m + (1-BETA1)*g, v = BETA2*v + ((1-BETA2)*g)*g,
+    update = (lr_t*m_hat) / (sqrt(v_hat) + EPS) + (lr_t*wd)*w, w -= update.
     """
     lr_t = lr_at(config, step)
     spans = store.spans(names)
@@ -98,7 +83,6 @@ def adamw_step(
         if not all_finite(store.grad[span]):
             bad = next(p for p in run if not np.all(np.isfinite(p.grad)))
             raise NumericError(f"non-finite gradient in parameter {bad.name!r}")
-    beta1, beta2 = config.beta1, config.beta2
     for _, run in spans:
         for count, group in itertools.groupby(run, key=attrgetter("step")):
             group = list(group)
@@ -107,20 +91,20 @@ def adamw_step(
                 p.step = t
             span = slice(group[0].start, group[-1].stop)
             w, g, m, v = (arena[span] for arena in (store.value, store.grad, store.m, store.v))
-            # m <- beta1*m + (1-beta1)*g
-            m *= beta1
-            scratch = np.multiply(g, 1.0 - beta1)
+            # m <- BETA1*m + (1-BETA1)*g
+            m *= BETA1
+            scratch = np.multiply(g, 1.0 - BETA1)
             m += scratch
-            # v <- beta2*v + ((1-beta2)*g)*g
-            np.multiply(g, 1.0 - beta2, out=scratch)
+            # v <- BETA2*v + ((1-BETA2)*g)*g
+            np.multiply(g, 1.0 - BETA2, out=scratch)
             scratch *= g
-            v *= beta2
+            v *= BETA2
             v += scratch
-            # update = (lr_t * m_hat) / (sqrt(v_hat) + eps)
-            np.divide(v, 1.0 - beta2 ** t, out=scratch)
+            # update = (lr_t * m_hat) / (sqrt(v_hat) + EPS)
+            np.divide(v, 1.0 - BETA2 ** t, out=scratch)
             np.sqrt(scratch, out=scratch)
-            scratch += config.eps
-            update = np.divide(m, 1.0 - beta1 ** t)
+            scratch += EPS
+            update = np.divide(m, 1.0 - BETA1 ** t)
             update *= lr_t
             update /= scratch
             if config.weight_decay:
@@ -213,12 +197,12 @@ def sam_backward(
 def sam_step(
     loss_proc: Callable[[], TapeNode],
     store: ParamStore,
-    sam: SamConfig,
+    rho: float,
     adamw: AdamWConfig,
     step: int,
     names: Sequence[str] | None = None,
 ) -> float:
     """Full SAM step: sharpness-aware backward followed by an AdamW update."""
-    loss = sam_backward(loss_proc, store, sam.rho, names)
+    loss = sam_backward(loss_proc, store, rho, names)
     adamw_step(store, adamw, step, names)
     return loss

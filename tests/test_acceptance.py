@@ -21,7 +21,6 @@ from ditto import (
     MixtureSpec,
     ParamStore,
     Rng,
-    SamConfig,
     SizeSpec,
     Tape,
     TrainConfig,
@@ -306,7 +305,7 @@ def test_criterion_02c_zero_radius_is_adamw():
     b.add("w", np.array([[1.5, -2.0]]))
     ok = True
     for step in range(10):
-        sam_step(quad_loss(a), a, SamConfig(rho=0.0), cfg, step)
+        sam_step(quad_loss(a), a, 0.0, cfg, step)
         b.reset_grads()
         backward(quad_loss(b)())
         adamw_step(b, cfg, step)
@@ -349,18 +348,18 @@ def test_criterion_03_variant_reductions():
         return compute_prior(domain_accuracies(bundle, dataset), "src")
 
     base, _ = train(cfg, dataset, TrainVariant.parse("baseline", 1.0, 0.0), seed=3)
-    red_base, _ = train(cfg, dataset, TrainVariant("ditto", lam=0.0, sam=SamConfig(0.0)),
+    red_base, _ = train(cfg, dataset, TrainVariant("ditto", lam=0.0, rho=0.0),
                         seed=3, prior=prior_for(3))
 
     minus_la, _ = train(cfg, dataset, TrainVariant.parse("ditto_minus_la", 1.0, RHO),
                         seed=4)
-    red_la, _ = train(cfg, dataset, TrainVariant("ditto", lam=0.0, sam=SamConfig(rho=RHO)),
+    red_la, _ = train(cfg, dataset, TrainVariant("ditto", lam=0.0, rho=RHO),
                       seed=4, prior=prior_for(4))
 
     prior5 = prior_for(5)
     minus_sam, _ = train(cfg, dataset, TrainVariant.parse("ditto_minus_sam", LAM, 0.0),
                          seed=5, prior=prior5)
-    red_sam, _ = train(cfg, dataset, TrainVariant("ditto", lam=LAM, sam=SamConfig(0.0)),
+    red_sam, _ = train(cfg, dataset, TrainVariant("ditto", lam=LAM, rho=0.0),
                        seed=5, prior=prior5)
 
     _report("03", equal(base, red_base) and equal(minus_la, red_la)

@@ -23,7 +23,6 @@ from ditto import (
 from ditto.adaptation import VARIANTS, Rows
 from ditto.errors import ConfigError, DataError, LabelError, ParameterError
 from ditto.model import predict_logits
-from ditto.optim import SamConfig
 
 from conftest import make_dataset
 
@@ -145,16 +144,16 @@ def test_single_target_prior_always_samples_it():
 
 def test_variant_parse_names():
     v = TrainVariant.parse("baseline", lam=1.0, rho=0.05)
-    assert v.kind == "baseline" and v.lam == 0.0 and v.sam.rho == 0.0
+    assert v.kind == "baseline" and v.lam == 0.0 and v.rho == 0.0
 
     v = TrainVariant.parse("ditto", lam=0.7, rho=0.05)
-    assert v.lam == 0.7 and v.sam.rho == 0.05
+    assert v.lam == 0.7 and v.rho == 0.05
 
     v = TrainVariant.parse("ditto_minus_sam", lam=0.7, rho=0.05)
-    assert v.lam == 0.7 and v.sam.rho == 0.0
+    assert v.lam == 0.7 and v.rho == 0.0
 
     v = TrainVariant.parse("ditto_minus_la", lam=0.7, rho=0.05)
-    assert v.lam == 0.0 and v.sam.rho == 0.05
+    assert v.lam == 0.0 and v.rho == 0.05
 
     v = TrainVariant.parse("ditto_single:rot45", lam=1.0, rho=0.05)
     assert v.kind == "ditto_single" and v.single_target == "rot45"
@@ -199,26 +198,26 @@ def test_variant_table_has_the_six_kinds():
                          ids=[row[0] for row in VARIANT_ROWS])
 def test_variant_parse_follows_the_table(name, lam, rho, prior):
     v = TrainVariant.parse(name, lam=0.7, rho=0.05)
-    assert (v.lam, v.sam.rho, VARIANTS[v.kind][2], v.name) == (lam, rho, prior, name)
+    assert (v.lam, v.rho, VARIANTS[v.kind][2], v.name) == (lam, rho, prior, name)
     assert v.needs_prior == (prior == "baseline")
 
 
 @pytest.mark.parametrize("build,message", [
-    (lambda: TrainVariant("baseline", lam=0.5, sam=SamConfig(0.0)),
+    (lambda: TrainVariant("baseline", lam=0.5, rho=0.0),
      "baseline requires lambda = 0"),
-    (lambda: TrainVariant("ditto_minus_la", lam=0.5, sam=SamConfig(0.05)),
+    (lambda: TrainVariant("ditto_minus_la", lam=0.5, rho=0.05),
      "ditto_minus_la requires lambda = 0"),
-    (lambda: TrainVariant("baseline", lam=0.0, sam=SamConfig(0.1)),
+    (lambda: TrainVariant("baseline", lam=0.0, rho=0.1),
      "baseline requires rho = 0"),
-    (lambda: TrainVariant("ditto_minus_sam", lam=1.0, sam=SamConfig(0.1)),
+    (lambda: TrainVariant("ditto_minus_sam", lam=1.0, rho=0.1),
      "ditto_minus_sam requires rho = 0"),
-    (lambda: TrainVariant("ditto_uniform", 1.0, SamConfig(0.05), single_target="rot45"),
+    (lambda: TrainVariant("ditto_uniform", 1.0, 0.05, single_target="rot45"),
      "only ditto_single takes a target"),
-    (lambda: TrainVariant("ditto_single", lam=1.0, sam=SamConfig(0.05)),
+    (lambda: TrainVariant("ditto_single", lam=1.0, rho=0.05),
      "only ditto_single takes a target"),
     (lambda: TrainVariant.parse("ditto:foo"), "only ditto_single takes a target"),
     (lambda: TrainVariant.parse("baseline:x"), "only ditto_single takes a target"),
-    (lambda: TrainVariant("ditto", lam=float("nan"), sam=SamConfig(0.05)),
+    (lambda: TrainVariant("ditto", lam=float("nan"), rho=0.05),
      "lam: expected a finite number, got NaN"),
     (lambda: TrainConfig(encoder=CFG.encoder, num_classes=3, epochs=1, lr=float("nan")),
      "lr: expected a finite number, got NaN"),
@@ -235,6 +234,8 @@ def test_variant_takes_lambda_and_sam_explicitly(kind):
     # defaults once built a ditto without SAM and a baseline that rejected its own lambda
     with pytest.raises(TypeError, match="lam"):
         TrainVariant(kind)
+    with pytest.raises(TypeError, match="rho"):
+        TrainVariant(kind, 0.0)
 
 
 # --- training loop -----------------------------------------------------------
@@ -279,18 +280,17 @@ def test_reduction_lambda_and_rho_zero_is_baseline(small_dataset):
     base_bundle, base_rep = train(CFG, small_dataset,
                                   TrainVariant.parse("baseline", 1.0, 0.0), seed=3)
     red_bundle, red_rep = train(CFG, small_dataset,
-                                TrainVariant("ditto", lam=0.0, sam=SamConfig(0.0)), seed=3,
+                                TrainVariant("ditto", lam=0.0, rho=0.0), seed=3,
                                 prior=full_prior(small_dataset, seed=3))
     assert _params_equal(base_bundle, red_bundle)
     assert base_rep.final_per_domain_acc == red_rep.final_per_domain_acc
 
 
 def test_reduction_lambda_zero_is_minus_la(small_dataset):
-    from ditto.optim import SamConfig
     la_bundle, _ = train(CFG, small_dataset,
                          TrainVariant.parse("ditto_minus_la", 1.0, 0.05), seed=4)
     red_bundle, _ = train(CFG, small_dataset,
-                          TrainVariant("ditto", lam=0.0, sam=SamConfig(rho=0.05)),
+                          TrainVariant("ditto", lam=0.0, rho=0.05),
                           seed=4, prior=full_prior(small_dataset, seed=4))
     assert _params_equal(la_bundle, red_bundle)
 
@@ -301,7 +301,7 @@ def test_reduction_rho_zero_is_minus_sam(small_dataset):
                                 TrainVariant.parse("ditto_minus_sam", 1.0, 0.0),
                                 seed=5, prior=prior)
     red_bundle, red_rep = train(CFG, small_dataset,
-                                TrainVariant("ditto", lam=1.0, sam=SamConfig(0.0)), seed=5,
+                                TrainVariant("ditto", lam=1.0, rho=0.0), seed=5,
                                 prior=prior)
     assert _params_equal(sam_bundle, red_bundle)
     assert sam_rep.target_sample_counts == red_rep.target_sample_counts

@@ -220,6 +220,25 @@ def test_with_source_labeled_swaps_only_the_source_labeled_rows():
     assert out.domains["t"] is ds.domains["t"]
 
 
+
+def test_misfit_is_none_for_a_model_that_fits():
+    assert two_domain().misfit(input_dim=2, num_classes=3) is None
+
+
+def test_misfit_of_the_feature_width_names_no_split_file():
+    assert two_domain().misfit(input_dim=3, num_classes=3) == (
+        "input_dim", "3 does not match the dataset's 2 feature columns", None)
+
+
+@pytest.mark.parametrize("dom,split", [("s", "labeled"), ("s", "fewshot"), ("s", "eval"),
+                                       ("t", "labeled"), ("t", "fewshot")])
+def test_misfit_names_the_split_file_holding_a_label_past_num_classes(dom, split):
+    ds = two_domain()
+    getattr(ds.domains[dom], split).y[3] = 7
+    assert ds.misfit(input_dim=2, num_classes=3) == (
+        "num_classes", f"3 is too few for label 7 of domain {dom!r} split {split}",
+        f"{dom}.{split}.npy")
+
 # --- transforms --------------------------------------------------------------
 
 

@@ -87,7 +87,7 @@ def test_experiment_from_dict_overrides():
     assert cfg.ks == [0, 3]
     assert cfg.c_t_over_s == 4.0
     v = cfg.variant_of("ditto")
-    assert v.lam == 0.25 and v.sam.rho == 0.1
+    assert v.lam == 0.25 and v.rho == 0.1
 
 
 @pytest.fixture(scope="module")
@@ -560,7 +560,17 @@ def _model_wider_input(run_dir, data_dir):
 def _model_fewer_classes(run_dir, data_dir):
     spec = EncoderSpec(input_dim=2, hidden_dims=[16, 8])
     save_checkpoint(init_params(spec, 2, ["rot30", "rot60"], Rng(0)), run_dir / "model.npz")
-    return "model.npz: checkpoint num_classes 2 is too few for label 2 of domain 'src' split eval"
+    return (f"{run_dir / 'model.npz'}: checkpoint num_classes 2 is too few for label 2 of "
+            f"domain 'src' split eval, read from {data_dir / 'src.eval.npy'}")
+
+
+def _split_label_past_classes(run_dir, data_dir):
+    path = data_dir / "rot60.eval.npy"
+    rows = np.load(path, allow_pickle=False)
+    rows["label"][1] = 7
+    np.save(path, rows, allow_pickle=False)
+    return (f"{run_dir / 'model.npz'}: checkpoint num_classes 3 is too few for label 7 of "
+            f"domain 'rot60' split eval, read from {path}")
 
 
 @pytest.mark.parametrize("spoil", [_drop_arena, _drop_manifest, _split_fault("text_file"),
@@ -572,7 +582,7 @@ def _model_fewer_classes(run_dir, data_dir):
                                    _manifest_not_json, _manifest_empty, _model_not_npz,
                                    _model_without_meta, _model_is_a_directory,
                                    _model_wider_input, _model_fewer_classes,
-                                   _model_nan_weight, _model_float32,
+                                   _split_label_past_classes, _model_nan_weight, _model_float32,
                                    _model_per_parameter_form],
                          ids=["checkpoint_missing_param", "no_manifest", "split_not_npy",
                               "split_object_array", "split_wrong_width", "split_empty_file",
@@ -581,7 +591,7 @@ def _model_fewer_classes(run_dir, data_dir):
                               "manifest_not_json", "manifest_empty", "model_not_npz",
                               "model_without_meta", "model_is_a_directory",
                               "model_input_dim_misfit", "model_num_classes_misfit",
-                              "model_nan_weight", "model_float32",
+                              "split_label_past_num_classes", "model_nan_weight", "model_float32",
                               "model_per_parameter_form"])
 def test_cli_eval_bad_input_is_one_line_error(cli_config, tmp_path, capsys, spoil):
     data_dir, run_dir = tmp_path / "data", tmp_path / "run"

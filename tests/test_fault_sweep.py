@@ -6,10 +6,11 @@ fixed number of seeded edits (set a byte, truncate, insert a byte), one at a
 time, and the command that reads it runs in process after each: `generate`
 for the config, `eval` for the manifest, an eval split and the checkpoint,
 `analyze` for the run artifacts.  Every edit must end in exit 0, or in exit 2
-with exactly one `error:` line that names a file of the grid (not always the
-edited one: a target renamed in run.json is missing from eval.csv) or a JSON
-key path of the edited file; any other exception, or a warning, fails the
-test.  The file is restored after each edit.
+with exactly one `error:` line that names the edited file's own directory or
+a path inside it (not always the edited file: a target renamed in run.json is
+missing from eval.csv beside it), or, for the config only, a JSON key path of
+the edited file.  Any other exception, or a
+warning, fails the test.  The file is restored after each edit.
 """
 
 import json
@@ -75,11 +76,14 @@ def _edit(data: bytes, rng: Rng) -> bytes:
     return data[:pos] + bytes([byte]) + data[pos:]
 
 
-def _names_file_or_key(line: str, root, data: bytes) -> bool:
-    """Whether the error line names a path under `root`, or starts with a key
-    path whose head is a top-level key of the JSON object `data`."""
-    if str(root) in line:
+def _names_path_or_key(line: str, directory, data: bytes | None) -> bool:
+    """Whether the error line names `directory` or a path inside it, or, when
+    `data` is given, starts with a key path whose head is a top-level key of
+    the JSON object `data`."""
+    if str(directory) in line:
         return True
+    if data is None:
+        return False
     try:
         obj = json.loads(data)
     except ValueError:
@@ -107,6 +111,7 @@ def test_every_edit_is_read_or_one_named_error(grid, capsys, name):
             lines = err.splitlines()
             assert code == 2 and len(lines) == 1 and lines[0].startswith("error: "), \
                 (i, code, err)
-            assert _names_file_or_key(lines[0], grid, data), (i, lines[0])
+            keys = data if name == "config.json" else None
+            assert _names_path_or_key(lines[0], grid / where, keys), (i, lines[0])
     finally:
         path.write_bytes(original)

@@ -32,10 +32,8 @@ VALID = {
     ditto.MixtureSpec: MIXTURE,
     ditto.SizeSpec: SIZES,
     ditto.DomainSpec: DOMAIN,
-    ditto.SamConfig: ditto.SamConfig(rho=0.05),
     ditto.AdamWConfig: ditto.AdamWConfig(lr=0.1, total_steps=10),
-    ditto.TrainVariant: ditto.TrainVariant("ditto_single", lam=1.0, sam=ditto.SamConfig(0.05),
-                                           single_target="t"),
+    ditto.TrainVariant: ditto.TrainVariant("ditto_single", lam=1.0, rho=0.05, single_target="t"),
     ditto.CostParams: ditto.CostParams(),
     ditto.LanguagePrior: ditto.LanguagePrior({"a": 1.0}),
     RunRecord: RunRecord(frac=100, variant="ditto", seed=0, k=0, n_labeled_source=10,
@@ -101,7 +99,7 @@ PROBES = {
         lambda: ditto.MixtureSpec(MIXTURE.means, sigma=float("nan")), "sigma"),
     "AdamWConfig_total_steps_2.5": (lambda: ditto.AdamWConfig(0.1, total_steps=2.5),
                                     "total_steps"),
-    "SamConfig_True": (lambda: ditto.SamConfig(True), "rho"),
+    "TrainVariant_rho_True": (lambda: ditto.TrainVariant("ditto", 1.0, True), "rho"),
     "CostParams_nan_c_s": (lambda: ditto.CostParams(c_s=float("nan")), "c_s"),
     "ExperimentConfig_inf_cost": (lambda: ditto.ExperimentConfig(TRAIN, c_s=float("inf")),
                                   "cost.c_s"),
@@ -210,5 +208,6 @@ def test_numpy_scalars_count_and_an_int_in_a_float_field_becomes_a_float():
     assert type(cost.c_s) is float and type(cost.c_t_over_s) is float
     exp = ditto.ExperimentConfig(TRAIN, seeds=[np.int64(1)], c_t_over_s=1)
     assert exp.seeds == [1] and repr(exp.c_t_over_s) == "1.0"  # as read from JSON
-    variant = ditto.TrainVariant("ditto", lam=1, sam=ditto.SamConfig(np.float64(0.05)))
-    assert (variant.lam, variant.sam.rho, variant.single_target) == (1.0, 0.05, None)
+    variant = ditto.TrainVariant("ditto", lam=1, rho=np.float64(0.05))
+    assert (variant.lam, variant.rho, variant.single_target) == (1.0, 0.05, None)
+    assert type(variant.rho) is float

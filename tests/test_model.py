@@ -59,18 +59,25 @@ def test_glorot_sample_std():
     # Uniform(-a, a) with a = sqrt(6/(fan_in+fan_out)) has standard deviation
     # a/sqrt(3) = sqrt(2/(fan_in+fan_out)); for a square 100x100 layer: 0.1
     spec = EncoderSpec(input_dim=100, hidden_dims=[100], activation="tanh")
-    bundle = init_params(spec, num_classes=2, targets=0, rng=Rng(1))
+    bundle = init_params(spec, num_classes=2, targets=[], rng=Rng(1))
     std = bundle.store["encoder.layer0.W"].value.std()
     assert abs(std - 0.1) / 0.1 < 0.10
 
 
 def test_target_count_expands_to_ids():
-    bundle = init_params(SPEC, num_classes=2, targets=3, rng=Rng(0))
+    bundle = init_params(SPEC, num_classes=2, targets=["t2", "t0", "t1"], rng=Rng(0))
     assert bundle.target_ids == ("t0", "t1", "t2")
     # one discriminator per target
     disc_names = [n for n in bundle.store.names() if n.startswith("disc.")]
     assert len(disc_names) == 3 * 4
 
+
+
+def test_init_params_draws_the_same_weights_whatever_the_target_order():
+    a = init_params(SPEC, num_classes=2, targets=["t2", "t0", "t1"], rng=Rng(0))
+    b = init_params(SPEC, num_classes=2, targets=["t0", "t1", "t2"], rng=Rng(0))
+    assert a.store.names() == b.store.names()
+    assert np.array_equal(a.store.value, b.store.value)
 
 def test_param_name_layout():
     bundle = make_bundle()
@@ -95,7 +102,7 @@ def test_encoder_spec_validation():
     with pytest.raises(ConfigError):
         EncoderSpec(input_dim=2, hidden_dims=[4], activation="gelu")
     with pytest.raises(ParameterError):
-        init_params(SPEC, num_classes=0, targets=1, rng=Rng(0))
+        init_params(SPEC, num_classes=0, targets=["t0"], rng=Rng(0))
 
 
 def test_forward_matches_manual_recomputation():

@@ -1,10 +1,12 @@
 """Optimizer contracts: the linear schedule, hand-executed AdamW steps, the
 two-phase sharpness-aware protocol, and its exact reductions."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from ditto import AdamWConfig, ParamStore, SamConfig, Tape, adamw_step, lr_at, sam_step
+from ditto import AdamWConfig, ParamStore, Tape, TrainVariant, adamw_step, lr_at, sam_step
 from ditto.autodiff import affine, backward, hadamard, minimum, summation
 from ditto.errors import (
     ConfigError,
@@ -13,7 +15,7 @@ from ditto.errors import (
     ParameterError,
     StateError,
 )
-from ditto.optim import sam_backward, sam_perturb, sam_restore
+from ditto.optim import BETA1, BETA2, EPS, sam_backward, sam_perturb, sam_restore
 from ditto.rng import Rng
 
 
@@ -60,11 +62,17 @@ def test_adamw_config_validation():
     with pytest.raises(ConfigError):
         AdamWConfig(lr=0.1, total_steps=0)
     with pytest.raises(ConfigError):
-        AdamWConfig(lr=0.1, total_steps=1, beta1=1.0)
-    with pytest.raises(ConfigError):
         AdamWConfig(lr=0.1, total_steps=1, weight_decay=-0.1)
-    with pytest.raises(ConfigError):
-        SamConfig(rho=-0.01)
+
+
+def test_adamw_config_fields_are_lr_total_steps_weight_decay():
+    # the moment decays and the denominator floor are constants, not settings
+    assert [f.name for f in dataclasses.fields(AdamWConfig)] == [
+        "lr", "total_steps", "weight_decay"]
+
+
+def test_adamw_constants_are_the_published_defaults():
+    assert (BETA1, BETA2, EPS) == (0.9, 0.999, 1e-8)
 
 
 @pytest.mark.parametrize("build,error,message", [
@@ -72,7 +80,8 @@ def test_adamw_config_validation():
      "lr: expected a finite number, got NaN"),
     (lambda: AdamWConfig(lr=0.1, total_steps=1, weight_decay=float("nan")), ConfigError,
      "weight_decay: expected a finite number, got NaN"),
-    (lambda: SamConfig(rho=float("nan")), ConfigError, "rho: expected a finite number, got NaN"),
+    (lambda: TrainVariant("ditto", lam=1.0, rho=float("nan")), ConfigError,
+     "rho: expected a finite number, got NaN"),
     (lambda: sam_perturb(ParamStore(), rho=float("nan")), ParameterError, None),
 ], ids=["adamw_lr", "adamw_weight_decay", "sam_rho", "sam_perturb_rho"])
 def test_nan_hyperparameter_is_rejected(build, error, message):
@@ -109,6 +118,32 @@ def test_adamw_single_step_with_weight_decay_hand_oracle():
     assert abs(float(store["w"].value[0, 0]) - 0.899) < 1e-8
 
 
+@pytest.mark.parametrize("g", [1e-12, 1e-8, 1e-3, 1.0, 1e3])
+def test_adamw_first_step_is_lr_times_g_over_abs_g_plus_eps(g):
+    # bias correction gives m_hat = g and v_hat = g*g at t = 1, so the step is
+    # lr*g/(|g| + EPS): about lr*sign(g) for |g| >> EPS, lr/2 at |g| = EPS
+    store = ParamStore()
+    store.add("w", np.array([[0.0, 0.0]]))
+    store["w"].grad[...] = [[g, -g]]
+    adamw_step(store, AdamWConfig(lr=0.1, total_steps=10), 0)
+    moved = 0.1 * g / (g + EPS)
+    np.testing.assert_allclose(store["w"].value, [[-moved, moved]], rtol=1e-12, atol=0)
+
+
+def test_adamw_constant_gradient_moves_lr_t_every_step():
+    # a constant gradient keeps m_hat = g and v_hat = g*g at every update
+    # count, so step s moves w by lr_at(s) * g / (|g| + EPS)
+    store = ParamStore()
+    store.add("w", np.array([[0.0]]))
+    cfg = AdamWConfig(lr=0.1, total_steps=50)
+    for step in range(40):
+        before = float(store["w"].value[0, 0])
+        store["w"].grad[...] = 2.0
+        adamw_step(store, cfg, step)
+        moved = before - float(store["w"].value[0, 0])
+        assert abs(moved - lr_at(cfg, step) * 2.0 / (2.0 + EPS)) < 1e-13, step
+
+
 def test_adamw_nonfinite_gradient_names_parameter():
     store = ParamStore()
     store.add("encoder.layer0.W", np.ones((1, 1)))
@@ -141,7 +176,7 @@ def test_adamw_per_parameter_step_counts():
         adamw_step(late, cfg, step, names=[])  # skipped: no update, no state
     late["w"].grad[...] = 1.0
     adamw_step(late, cfg, 7, names=["w"])
-    expected = 1.0 - (lr_at(cfg, 7) * 1.0) / (1.0 + cfg.eps)
+    expected = 1.0 - (lr_at(cfg, 7) * 1.0) / (1.0 + EPS)
     assert abs(float(late["w"].value[0, 0]) - expected) < 1e-12
 
 
@@ -267,11 +302,20 @@ def test_sam_rho_zero_trajectory_bit_identical_to_adamw():
     b.add("w", np.array([[1.5, -2.0]]))
 
     for step in range(10):
-        sam_step(quad_loss(a), a, SamConfig(rho=0.0), cfg, step)
+        sam_step(quad_loss(a), a, 0.0, cfg, step)
         b.reset_grads()
         backward(quad_loss(b)())
         adamw_step(b, cfg, step)
         assert np.array_equal(a["w"].value, b["w"].value), f"diverged at step {step}"
+
+
+@pytest.mark.parametrize("rho", [-0.1, -np.inf, np.inf, np.nan])
+def test_sam_step_rejects_a_rho_that_is_not_a_finite_number_at_least_0(rho):
+    store = ParamStore()
+    store.add("w", np.array([[1.5, -2.0]]))
+    with pytest.raises(ParameterError, match="rho must be a finite number >= 0"):
+        sam_step(quad_loss(store), store, rho, AdamWConfig(lr=0.1, total_steps=10), 0)
+    assert np.array_equal(store["w"].value, [[1.5, -2.0]])
 
 
 def test_sam_rho_positive_differs_from_adamw():
@@ -281,8 +325,8 @@ def test_sam_rho_positive_differs_from_adamw():
     b = ParamStore()
     b.add("w", np.array([[1.5]]))
     for step in range(5):
-        sam_step(quad_loss(a), a, SamConfig(rho=0.3), cfg, step)
-        sam_step(quad_loss(b), b, SamConfig(rho=0.0), cfg, step)
+        sam_step(quad_loss(a), a, 0.3, cfg, step)
+        sam_step(quad_loss(b), b, 0.0, cfg, step)
     assert not np.array_equal(a["w"].value, b["w"].value)
 
 
@@ -318,9 +362,8 @@ def run_double_well(rho, lr=0.02, steps=400):
     store = ParamStore()
     store.add("w", np.array([[DOUBLE_WELL_START]]))
     cfg = AdamWConfig(lr=lr, total_steps=steps)
-    sam = SamConfig(rho=rho)
     for step in range(steps):
-        sam_step(double_well_loss(store), store, sam, cfg, step)
+        sam_step(double_well_loss(store), store, rho, cfg, step)
     return float(store["w"].value[0, 0])
 
 
@@ -354,11 +397,11 @@ def reference_adamw(state, config, step, names):
     for name in names:
         p = state[name]
         p["step"] += 1
-        p["m"] = config.beta1 * p["m"] + (1.0 - config.beta1) * p["grad"]
-        p["v"] = config.beta2 * p["v"] + (1.0 - config.beta2) * p["grad"] * p["grad"]
-        m_hat = p["m"] / (1.0 - config.beta1 ** p["step"])
-        v_hat = p["v"] / (1.0 - config.beta2 ** p["step"])
-        update = lr_t * m_hat / (np.sqrt(v_hat) + config.eps)
+        p["m"] = BETA1 * p["m"] + (1.0 - BETA1) * p["grad"]
+        p["v"] = BETA2 * p["v"] + (1.0 - BETA2) * p["grad"] * p["grad"]
+        m_hat = p["m"] / (1.0 - BETA1 ** p["step"])
+        v_hat = p["v"] / (1.0 - BETA2 ** p["step"])
+        update = lr_t * m_hat / (np.sqrt(v_hat) + EPS)
         if config.weight_decay:
             update = update + lr_t * config.weight_decay * p["value"]
         p["value"] = p["value"] - update

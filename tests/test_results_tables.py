@@ -19,7 +19,6 @@ from ditto.cli import main
 from ditto.errors import DataError
 from ditto.experiment import write_cost_csv, write_summaries
 
-DOMAINS = ("src", "t1", "t2", "t3")
 TARGETS = ["t1", "t2", "t3"]
 
 # seeds in descending order: a best-of-seeds tie keeps the first listed seed
@@ -31,23 +30,23 @@ CONFIG = ExperimentConfig(
 
 
 def _run(results, frac, k, variant, seed, accs=None, base=None, ckas=(0.9, 0.8, 0.7),
-         status="ok"):
+         status="ok", targets=TARGETS):
     """One run directory as the grid runner leaves it; `accs` and `base` are
-    the variant's and the same-cell baseline's accuracies on DOMAINS, and no
-    `accs` means no eval.csv."""
+    the variant's and the same-cell baseline's accuracies on the source and
+    then `targets`, and no `accs` means no eval.csv."""
     run_dir = results / f"S{frac}" / f"k{k}" / variant.replace(":", "_") / f"seed{seed}"
     run_dir.mkdir(parents=True)
     meta = {"variant": variant, "seed": seed, "S": frac, "k": k, "source": "src",
-            "targets": TARGETS, "n_labeled_source": frac, "status": status}
+            "targets": targets, "n_labeled_source": frac, "status": status}
     (run_dir / "run.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     if accs is None:
         return run_dir
     table = EvalTable(source="src")
     for method, values in ((variant, accs), ("baseline", base or ())):
-        for dom, acc in zip(DOMAINS, values):
+        for dom, acc in zip(("src", *targets), values):
             table.add(method, dom, acc)
     write_eval_csv(table, run_dir / "eval.csv")
-    write_cka_csv(dict(zip(TARGETS, ckas)), dict(zip(TARGETS, accs[1:])), run_dir / "cka.csv")
+    write_cka_csv(dict(zip(targets, ckas)), dict(zip(targets, accs[1:])), run_dir / "cka.csv")
     return run_dir
 
 
@@ -185,6 +184,17 @@ def test_analysis_skips_an_ok_run_without_eval_csv(results, tmp_path):
     assert (out / "analysis.csv").read_text() == ANALYSIS
     assert (out / "correlation.csv").read_text() == CORRELATION
 
+
+
+def test_cka_accuracy_correlation_needs_three_targets(tmp_path):
+    # a run with two targets gets its analysis row but no correlation row
+    results = tmp_path / "results"
+    _run(results, 100, 0, "baseline", 0, [90.0, 60.0, 50.0], ckas=(0.9, 0.8),
+         targets=["t1", "t2"])
+    out = analyze_results(results, tmp_path / "analysis")
+    assert (out / "analysis.csv").read_text().splitlines()[1:] == [
+        "baseline,100,0,0,55.00,,35.00"]
+    assert (out / "correlation.csv").read_text() == "variant,S,k,seed,pearson,spearman\n"
 
 def test_each_finished_run_is_read_once(results, tmp_path, monkeypatch):
     reads = []
