@@ -37,11 +37,12 @@ def main():
     x = rng.normal(0, 1, (6, 2))
     labels = np.array([0, 1, 2, 0, 1, 2])
 
-    store = ParamStore()
-    store.add("W1", rng.normal(0, 0.5, (2, 8)))
-    store.add("b1", np.zeros((1, 8)))
-    store.add("W2", rng.normal(0, 0.5, (8, 3)))
-    store.add("b2", np.zeros((1, 3)))
+    store = ParamStore([
+        ("W1", rng.normal(0, 0.5, (2, 8))),
+        ("b1", np.zeros((1, 8))),
+        ("W2", rng.normal(0, 0.5, (8, 3))),
+        ("b2", np.zeros((1, 3))),
+    ])
 
     loss_proc = classifier_loss(store, x, labels)
 
@@ -55,9 +56,7 @@ def main():
     print(f"worst relative error  {worst:.3e}  (central differences, h=1e-5)")
 
     # A single op checked the same way: C = A @ B, loss = sum(C).
-    mm_store = ParamStore()
-    mm_store.add("A", rng.normal(0, 1, (3, 4)))
-    mm_store.add("B", rng.normal(0, 1, (4, 2)))
+    mm_store = ParamStore([("A", rng.normal(0, 1, (3, 4))), ("B", rng.normal(0, 1, (4, 2)))])
 
     def mm_loss():
         tape = Tape()
@@ -67,8 +66,7 @@ def main():
 
     # The reversal op is the one place finite differences must NOT agree:
     # its forward is the identity while its backward scales by -lam.
-    rv_store = ParamStore()
-    rv_store.add("v", rng.normal(0, 1, (2, 3)))
+    rv_store = ParamStore([("v", rng.normal(0, 1, (2, 3)))])
 
     def reversed_sum():
         tape = Tape()

@@ -34,8 +34,7 @@ def well_loss(store):
 
 
 def descend(rho, steps=400, lr=0.02, trace_at=(0, 50, 100, 200, 399)):
-    store = ParamStore()
-    store.add("w", np.array([[START]]))
+    store = ParamStore([("w", np.array([[START]]))])
     cfg = AdamWConfig(lr=lr, total_steps=steps)
     trace = []
     for step in range(steps):

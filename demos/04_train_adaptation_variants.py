@@ -40,7 +40,7 @@ def main():
                          num_classes=3, epochs=100, batch_size=64,
                          lr=0.02, disc_lr=0.1, weight_decay=0.01)
 
-    _, base_report = train(config, dataset, TrainVariant.parse("baseline"), SEED)
+    _, base_report = train(config, dataset, TrainVariant.parse("baseline", 0.0, 0.0), SEED)
     base_acc = base_report.final_per_domain_acc
 
     prior = compute_prior(base_acc, dataset.source)

@@ -45,7 +45,7 @@ def main():
     config = TrainConfig(encoder=EncoderSpec(input_dim=2, hidden_dims=[32, 16]),
                          num_classes=3, epochs=30, batch_size=64,
                          lr=0.02, disc_lr=0.1, weight_decay=0.01)
-    bundle, report = train(config, dataset, TrainVariant.parse("baseline"), seed=0)
+    bundle, report = train(config, dataset, TrainVariant.parse("baseline", 0.0, 0.0), seed=0)
     acc = report.final_per_domain_acc
 
     src_feats = extract_features(bundle, dataset.domains[dataset.source].eval.X)

@@ -159,7 +159,7 @@ class TrainVariant:
         return self.kind
 
     @staticmethod
-    def parse(name: str, lam: float = 1.0, rho: float = 0.05) -> "TrainVariant":
+    def parse(name: str, lam: float, rho: float) -> "TrainVariant":
         """Build a variant from its CLI name `kind[:target]`; a kind that does
         not take lambda or rho gets 0."""
         kind, sep, target = name.partition(":")

@@ -18,13 +18,13 @@ operands are all parameters, such as `hadamard(w, w)`, needs it, because an
 operation takes its tape from a TapeNode operand.
 
 Parameter storage is flat.  A `ParamStore` owns four contiguous 1-D float64
-arenas, `value`, `grad`, `m` and `v`; parameter i occupies the span
-[start_i, stop_i) of each, in insertion order, and its `.value`/`.grad` are
-reshaped views of that span (the optimizer reads the moments `m`/`v` as
-arena slices).  Whole-store operations are therefore single vector
-operations over a span: `reset_grads` zeroes the grad arena once, and the
-optimizer updates each run of adjacent parameters at once
-(`ParamStore.spans`).
+arenas, `value`, `grad`, `m` and `v`, laid out once when the store is
+built; parameter i occupies the span [start_i, stop_i) of each, in
+construction order, and its `.value`/`.grad` are reshaped views of that span
+(the optimizer reads the moments `m`/`v` as arena slices).  Whole-store
+operations are therefore single vector operations over a span: `reset_grads`
+zeroes the grad arena once, and the optimizer updates each run of adjacent
+parameters at once (`ParamStore.spans`).
 
 A constant (`Tape.constant`, such as the encoder's input) is a leaf that
 takes no gradient: `affine` and `matmul` return None for it instead of
@@ -82,17 +82,15 @@ class Param:
 
     __slots__ = ("name", "shape", "start", "stop", "step", "value", "grad")
 
-    def __init__(self, name: str, shape: tuple[int, int], start: int):
+    def __init__(self, name: str, shape: tuple[int, int], start: int, store: "ParamStore"):
         self.name = name
         self.shape = shape
         self.start = start
         self.stop = start + shape[0] * shape[1]
         self.step = 0
-
-    def _bind(self, store: "ParamStore") -> None:
         span = slice(self.start, self.stop)
-        self.value = store.value[span].reshape(self.shape)
-        self.grad = store.grad[span].reshape(self.shape)
+        self.value = store.value[span].reshape(shape)
+        self.grad = store.grad[span].reshape(shape)
 
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.shape})"
@@ -101,43 +99,26 @@ class Param:
 class ParamStore:
     """Ordered mapping from hierarchical names to parameters in flat arenas.
 
-    Iteration order is insertion order, which is also arena order, and keeps
-    every whole-store operation (global gradient norms, optimizer sweeps)
-    deterministic.  `layout` lists (name, shape) pairs that are allocated at
-    once with zero values; `add` appends one more parameter, reallocating
-    the arenas and rebinding every parameter's views.
+    The layout is fixed at construction: `values` lists every (name, initial
+    matrix) pair, and the arenas are allocated once and never grow.
+    Iteration order is the order of `values`, which is also arena order, and
+    keeps every whole-store operation (global gradient norms, optimizer
+    sweeps) deterministic.
     """
 
-    def __init__(self, layout: Iterable[tuple[str, tuple[int, int]]] = ()):
+    def __init__(self, values: Iterable[tuple[str, object]]):
+        values = [(name, _as_matrix(value)) for name, value in values]
+        size = sum(value.size for _, value in values)
+        self.value, self.grad, self.m, self.v = (np.zeros(size) for _ in range(4))
         self._params: dict[str, Param] = {}
         self._spans: dict[tuple[str, ...] | None, list[tuple[slice, list[Param]]]] = {}
-        size = 0
-        for name, shape in layout:
-            size = self._insert(name, tuple(shape), size).stop
-        self._allocate(size)
-
-    def _insert(self, name: str, shape: tuple[int, int], start: int) -> Param:
-        if name in self._params:
-            raise ParameterError(f"duplicate parameter name: {name}")
-        p = Param(name, shape, start)
-        self._params[name] = p
-        return p
-
-    def _allocate(self, size: int) -> None:
-        self.value, self.grad, self.m, self.v = (np.zeros(size) for _ in range(4))
-        self._spans.clear()
-        for p in self._params.values():
-            p._bind(self)
-
-    def add(self, name: str, value) -> Param:
-        value = _as_matrix(value)
-        old = (self.value, self.grad, self.m, self.v)
-        p = self._insert(name, value.shape, old[0].size)
-        self._allocate(p.stop)
-        for new, prev in zip((self.value, self.grad, self.m, self.v), old):
-            new[:prev.size] = prev
-        p.value[...] = value
-        return p
+        start = 0
+        for name, value in values:
+            if name in self._params:
+                raise ParameterError(f"duplicate parameter name: {name}")
+            p = self._params[name] = Param(name, value.shape, start, self)
+            p.value[...] = value
+            start = p.stop
 
     def __getitem__(self, name: str) -> Param:
         return self._params[name]
@@ -159,8 +140,8 @@ class ParamStore:
         maximal runs that lie back to back in the arenas; each run comes
         with the arena slice it covers.
 
-        The result is computed once per name sequence and shared until the
-        next `add`: do not modify it.
+        The result is computed once per name sequence and shared: do not
+        modify it.
         """
         key = None if names is None else tuple(names)
         cached = self._spans.get(key)

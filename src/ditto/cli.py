@@ -150,8 +150,8 @@ def _train(args) -> int:
     for baseline in exp.variants[:-1]:  # as in run-all: its scores seed priors and gains
         print("training the cell's baseline first")
         cell.run(exp.variant_of(baseline))
-    bundle, report = cell.write_run(exp.variants[-1], args.out)
-    export_features(bundle, cell.dataset, args.out / "features.csv")
+    report, features = cell.write_run(exp.variants[-1], args.out)
+    export_features(features, cell.dataset, args.out / "features.csv")
     accs = ", ".join(f"{d}={a:.2f}" for d, a in
                      sorted(report.final_per_domain_acc.items()))
     print(f"{exp.variants[-1]} seed={cell.record.seed}: {accs}")

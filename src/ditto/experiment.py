@@ -96,8 +96,8 @@ class ExperimentConfig:
         check_fields(self)
         for i, name in enumerate(self.variants):
             try:
-                TrainVariant.parse(name)  # the name only: a ditto_single target
-            except ConfigError as exc:  # is checked against the dataset per run
+                self.variant_of(name)  # a ditto_single target is checked
+            except ConfigError as exc:  # against the dataset per run
                 raise ConfigError(exc.args[0], key=f"variants[{i}]") from None
         ordered = [v for v in self.variants if v != BASELINE]
         self.variants = [BASELINE] + ordered  # baseline first: it seeds the prior
@@ -175,21 +175,23 @@ def write_report_jsonl(report: TrainReport, path: str | Path) -> None:
         }, sort_keys=True) + "\n")
 
 
-def export_features(bundle: ModelBundle, dataset: DomainDataset, path: str | Path) -> None:
-    """Eval-split encoder features for every domain, one row per example.
+def export_features(features: dict[str, np.ndarray], dataset: DomainDataset,
+                    path: str | Path) -> None:
+    """Every domain's eval-split encoder features, one row per example.
 
-    Columns: domain,row_index,class_label_or_empty,f0..f{d-1}.  Features are
-    written with repr, so reloading reproduces similarity values to well
-    under the 1e-9 text round-trip budget.
+    `features` maps each domain of `dataset` to the features of its eval
+    rows, as `Cell.write_run` returns them.  Columns:
+    domain,row_index,class_label_or_empty,f0..f{d-1}.  Features are written
+    with repr, so reloading reproduces similarity values to well under the
+    1e-9 text round-trip budget.
     """
     rows = []
     for dom in [dataset.source] + dataset.target_ids():
-        split = dataset.domains[dom].eval
-        feats = extract_features(bundle, split.X)
+        labels, feats = dataset.domains[dom].eval.y, features[dom]
         for i in range(feats.shape[0]):
-            rows.append([dom, i, str(int(split.y[i]))] + [repr(float(v)) for v in feats[i]])
+            rows.append([dom, i, str(int(labels[i]))] + [repr(float(v)) for v in feats[i]])
     write_csv(path, ["domain", "row_index", "class_label_or_empty"]
-              + [f"f{i}" for i in range(bundle.feature_dim)], rows)
+              + [f"f{i}" for i in range(features[dataset.source].shape[1])], rows)
 
 
 def _variant_dirname(name: str) -> str:
@@ -246,10 +248,12 @@ class Cell:
             self.baseline_scores = report.final_per_domain_acc
         return bundle, report
 
-    def write_run(self, name: str, run_dir: Path) -> tuple[ModelBundle, TrainReport]:
+    def write_run(self, name: str, run_dir: Path) -> tuple[TrainReport, dict[str, np.ndarray]]:
         """Train variant `name` on the cell and write its run directory:
         metrics.jsonl, eval.csv (with the cell's baseline rows once the
-        baseline has run), cka.csv, model.npz and an ok run.json."""
+        baseline has run), cka.csv, model.npz and an ok run.json.  Returns
+        the report and each domain's eval-split features, which cka.csv
+        was computed from."""
         bundle, report = self.run(self.config.variant_of(name))
         ds, targets = self.dataset, self.dataset.target_ids()
         table = zero_shot_eval(bundle, ds, method=name)
@@ -265,7 +269,7 @@ class Cell:
                       run_dir / "cka.csv")
         save_checkpoint(bundle, run_dir / "model.npz")
         self.write_meta(name, run_dir)
-        return bundle, report
+        return report, feats
 
     def write_meta(self, name: str, run_dir: Path, error: str | None = None) -> None:
         """The run.json of variant `name` on the cell: ok, or failed with `error`."""

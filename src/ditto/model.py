@@ -109,7 +109,7 @@ class ModelBundle:
         if len(set(self.target_ids)) != len(self.target_ids):
             raise ParameterError(f"duplicate target ids: {target_ids}")
         layout = param_layout(spec, num_classes, self.target_ids)
-        self.store = ParamStore(layout)
+        self.store = ParamStore((name, np.zeros(shape)) for name, shape in layout)
         self._task_names = [name for name, _ in layout if not name.startswith("disc.")]
 
     @property

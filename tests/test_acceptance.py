@@ -7,7 +7,6 @@ so that cluster correspondence across rotations stays resolvable, with one
 tight 90-degree angular gap so that even small rotations cost accuracy.
 """
 
-import csv
 import json
 import time
 
@@ -150,89 +149,87 @@ def test_criterion_01_finite_difference_gradients():
             return summation(proc())
         return loss
 
-    def case_matmul(store, tape_ref):
-        store.add("A", rng.normal(0, 1, (3, 4)))
-        store.add("B", rng.normal(0, 1, (4, 2)))
+    def case_matmul():
+        store = ParamStore([("A", rng.normal(0, 1, (3, 4))), ("B", rng.normal(0, 1, (4, 2)))])
         def proc():
             tape = Tape()
             return matmul(tape.watch(store["A"]), tape.watch(store["B"]))
-        return scalar(proc)
+        return store, scalar(proc)
 
-    def case_affine(store, tape_ref):
-        store.add("X", rng.normal(0, 1, (4, 3)))
-        store.add("W", rng.normal(0, 1, (3, 2)))
-        store.add("b", rng.normal(0, 1, (1, 2)))
+    def case_affine():
+        store = ParamStore([("X", rng.normal(0, 1, (4, 3))), ("W", rng.normal(0, 1, (3, 2))),
+                            ("b", rng.normal(0, 1, (1, 2)))])
         def proc():
             tape = Tape()
             return affine(tape.watch(store["X"]), tape.watch(store["W"]),
                           tape.watch(store["b"]))
-        return scalar(proc)
+        return store, scalar(proc)
 
     def _away_from_kink(shape):
         x = rng.normal(0, 1, shape)
         x[np.abs(x) < 0.05] += 0.2
         return x
 
-    def case_tanh(store, tape_ref):
-        store.add("X", rng.normal(0, 1, (5, 4)))
+    def case_tanh():
+        store = ParamStore([("X", rng.normal(0, 1, (5, 4)))])
         def proc():
             tape = Tape()
             return activation(tape.watch(store["X"]), "tanh")
-        return scalar(proc)
+        return store, scalar(proc)
 
-    def case_relu(store, tape_ref):
-        store.add("X", _away_from_kink((5, 4)))
+    def case_relu():
+        store = ParamStore([("X", _away_from_kink((5, 4)))])
         def proc():
             tape = Tape()
             return activation(tape.watch(store["X"]), "relu")
-        return scalar(proc)
+        return store, scalar(proc)
 
-    def case_sigmoid(store, tape_ref):
-        store.add("X", rng.normal(0, 1, (5, 4)))
+    def case_sigmoid():
+        store = ParamStore([("X", rng.normal(0, 1, (5, 4)))])
         def proc():
             tape = Tape()
             return sigmoid(tape.watch(store["X"]))
-        return scalar(proc)
+        return store, scalar(proc)
 
-    def case_hadamard(store, tape_ref):
-        store.add("A", rng.normal(0, 1, (4, 4)))
-        store.add("B", rng.normal(0, 1, (4, 4)))
+    def case_hadamard():
+        store = ParamStore([("A", rng.normal(0, 1, (4, 4))), ("B", rng.normal(0, 1, (4, 4)))])
         def proc():
             tape = Tape()
             return hadamard(tape.watch(store["A"]), tape.watch(store["B"]))
-        return scalar(proc)
+        return store, scalar(proc)
 
-    def case_minimum(store, tape_ref):
+    def case_minimum():
         a = rng.normal(0, 1, (4, 3))
         b = a + np.where(rng.normal(0, 1, (4, 3)) > 0, 0.5, -0.5)
-        store.add("A", a)
-        store.add("B", b)
+        store = ParamStore([("A", a), ("B", b)])
         def proc():
             tape = Tape()
             return minimum(tape.watch(store["A"]), tape.watch(store["B"]))
-        return scalar(proc)
+        return store, scalar(proc)
 
-    def case_softmax_ce(store, tape_ref):
-        store.add("Z", rng.normal(0, 2, (6, 3)))
+    def case_softmax_ce():
+        store = ParamStore([("Z", rng.normal(0, 2, (6, 3)))])
         y = rng.integers(0, 3, 6)
         def loss():
             tape = Tape()
             return softmax_cross_entropy(tape.watch(store["Z"]), y)
-        return loss
+        return store, loss
 
-    def case_bce(store, tape_ref):
-        store.add("Z", rng.normal(0, 1, (6, 1)))
+    def case_bce():
+        store = ParamStore([("Z", rng.normal(0, 1, (6, 1)))])
         y = rng.integers(0, 2, 6).astype(np.float64).reshape(6, 1)
         def loss():
             tape = Tape()
             return binary_cross_entropy(sigmoid(tape.watch(store["Z"])), y)
-        return loss
+        return store, loss
 
-    def case_pipeline(store, tape_ref):
-        store.add("W1", rng.normal(0, 0.5, (2, 8)))
-        store.add("b1", rng.normal(0, 0.1, (1, 8)))
-        store.add("W2", rng.normal(0, 0.5, (8, 3)))
-        store.add("b2", rng.normal(0, 0.1, (1, 3)))
+    def case_pipeline():
+        store = ParamStore([
+            ("W1", rng.normal(0, 0.5, (2, 8))),
+            ("b1", rng.normal(0, 0.1, (1, 8))),
+            ("W2", rng.normal(0, 0.5, (8, 3))),
+            ("b2", rng.normal(0, 0.1, (1, 3))),
+        ])
         X = rng.normal(0, 1, (5, 2))
         y = rng.integers(0, 3, 5)
         def loss():
@@ -241,7 +238,7 @@ def test_criterion_01_finite_difference_gradients():
                                   tape.watch(store["b1"])), "tanh")
             z = affine(h, tape.watch(store["W2"]), tape.watch(store["b2"]))
             return softmax_cross_entropy(z, y)
-        return loss
+        return store, loss
 
     cases = [case_matmul, case_affine, case_tanh, case_relu, case_sigmoid,
              case_hadamard, case_minimum, case_softmax_ce, case_bce,
@@ -249,16 +246,14 @@ def test_criterion_01_finite_difference_gradients():
     worst = 0.0
     for case in cases:
         for _ in range(50):
-            store = ParamStore()
-            loss = case(store, None)
+            store, loss = case()
             err = finite_diff_check(loss, store, h=1e-5)
             worst = max(worst, err)
 
     # the reversal op's forward is deliberately not the antiderivative of its
     # backward, so it is checked against its defining contract instead
     x = rng.normal(0, 1, (4, 3))
-    store = ParamStore()
-    store.add("X", x)
+    store = ParamStore([("X", x)])
     tape = Tape()
     node = tape.watch(store["X"])
     backward(summation(grad_reverse(node, 0.7)))
@@ -273,8 +268,7 @@ def test_criterion_01_finite_difference_gradients():
 
 
 def test_criterion_02a_exact_perturbation():
-    store = ParamStore()
-    store.add("w", np.zeros((1, 2)))
+    store = ParamStore([("w", np.zeros((1, 2)))])
     store["w"].grad[...] = np.array([[3.0, 4.0]])
     sam_perturb(store, rho=0.05)
     _report("02a", np.array_equal(store["w"].value, np.array([[0.03, 0.04]])))
@@ -284,9 +278,7 @@ def test_criterion_02b_perturbation_norm():
     rng = Rng(21)
     ok = True
     for trial in range(10):
-        store = ParamStore()
-        store.add("A", rng.normal(0, 1, (4, 3)))
-        store.add("B", rng.normal(0, 1, (2, 5)))
+        store = ParamStore([("A", rng.normal(0, 1, (4, 3))), ("B", rng.normal(0, 1, (2, 5)))])
         originals = {n: store[n].value.copy() for n in store.names()}
         store["A"].grad[...] = rng.normal(0, 1, (4, 3))
         store["B"].grad[...] = rng.normal(0, 1, (2, 5))
@@ -299,10 +291,8 @@ def test_criterion_02b_perturbation_norm():
 
 def test_criterion_02c_zero_radius_is_adamw():
     cfg = AdamWConfig(lr=0.05, total_steps=10, weight_decay=0.01)
-    a = ParamStore()
-    a.add("w", np.array([[1.5, -2.0]]))
-    b = ParamStore()
-    b.add("w", np.array([[1.5, -2.0]]))
+    a = ParamStore([("w", np.array([[1.5, -2.0]]))])
+    b = ParamStore([("w", np.array([[1.5, -2.0]]))])
     ok = True
     for step in range(10):
         sam_step(quad_loss(a), a, 0.0, cfg, step)

@@ -24,7 +24,6 @@ from ditto.adaptation import VARIANTS, Rows
 from ditto.errors import ConfigError, DataError, LabelError, ParameterError
 from ditto.model import predict_logits
 
-from conftest import make_dataset
 
 CFG = TrainConfig(encoder=EncoderSpec(input_dim=2, hidden_dims=[16, 8]),
                   num_classes=3, epochs=2, batch_size=32, lr=0.02, disc_lr=0.05)
@@ -215,8 +214,8 @@ def test_variant_parse_follows_the_table(name, lam, rho, prior):
      "only ditto_single takes a target"),
     (lambda: TrainVariant("ditto_single", lam=1.0, rho=0.05),
      "only ditto_single takes a target"),
-    (lambda: TrainVariant.parse("ditto:foo"), "only ditto_single takes a target"),
-    (lambda: TrainVariant.parse("baseline:x"), "only ditto_single takes a target"),
+    (lambda: TrainVariant.parse("ditto:foo", 1.0, 0.05), "only ditto_single takes a target"),
+    (lambda: TrainVariant.parse("baseline:x", 1.0, 0.05), "only ditto_single takes a target"),
     (lambda: TrainVariant("ditto", lam=float("nan"), rho=0.05),
      "lam: expected a finite number, got NaN"),
     (lambda: TrainConfig(encoder=CFG.encoder, num_classes=3, epochs=1, lr=float("nan")),
@@ -230,12 +229,17 @@ def test_variant_construction_enforces_the_table(build, message):
 
 
 @pytest.mark.parametrize("kind", list(VARIANTS))
-def test_variant_takes_lambda_and_sam_explicitly(kind):
-    # defaults once built a ditto without SAM and a baseline that rejected its own lambda
+def test_variant_takes_lambda_and_rho_explicitly(kind):
+    # defaults once built a ditto without SAM and a baseline that rejected its own lambda;
+    # parse has no defaults either, so the grid's lambda and rho live in ExperimentConfig only
     with pytest.raises(TypeError, match="lam"):
         TrainVariant(kind)
     with pytest.raises(TypeError, match="rho"):
         TrainVariant(kind, 0.0)
+    with pytest.raises(TypeError, match="lam"):
+        TrainVariant.parse(kind)
+    with pytest.raises(TypeError, match="rho"):
+        TrainVariant.parse(kind, 0.0)
 
 
 # --- training loop -----------------------------------------------------------

@@ -50,9 +50,7 @@ def _sweep(build, n=INSTANCES, tol=FD_TOL, seed=0):
 
 def test_matmul_gradients():
     def build(rng):
-        store = ParamStore()
-        store.add("A", rng.normal(0, 1, (3, 4)))
-        store.add("B", rng.normal(0, 1, (4, 2)))
+        store = ParamStore([("A", rng.normal(0, 1, (3, 4))), ("B", rng.normal(0, 1, (4, 2)))])
 
         def loss_proc():
             tape = Tape()
@@ -65,10 +63,11 @@ def test_matmul_gradients():
 
 def test_affine_gradients():
     def build(rng):
-        store = ParamStore()
-        store.add("x", rng.normal(0, 1, (5, 3)))
-        store.add("W", rng.normal(0, 1, (3, 4)))
-        store.add("b", rng.normal(0, 1, (1, 4)))
+        store = ParamStore([
+            ("x", rng.normal(0, 1, (5, 3))),
+            ("W", rng.normal(0, 1, (3, 4))),
+            ("b", rng.normal(0, 1, (1, 4))),
+        ])
 
         def loss_proc():
             tape = Tape()
@@ -83,11 +82,10 @@ def test_affine_gradients():
 @pytest.mark.parametrize("kind", ["tanh", "relu"])
 def test_activation_gradients(kind):
     def build(rng):
-        store = ParamStore()
         # keep relu inputs away from its kink at 0
         x = rng.normal(0, 1, (4, 5))
         x = np.where(np.abs(x) < 0.1, x + 0.3, x)
-        store.add("x", x)
+        store = ParamStore([("x", x)])
 
         def loss_proc():
             tape = Tape()
@@ -100,8 +98,7 @@ def test_activation_gradients(kind):
 
 def test_sigmoid_gradients():
     def build(rng):
-        store = ParamStore()
-        store.add("x", rng.normal(0, 2, (4, 3)))
+        store = ParamStore([("x", rng.normal(0, 2, (4, 3)))])
 
         def loss_proc():
             tape = Tape()
@@ -114,9 +111,7 @@ def test_sigmoid_gradients():
 
 def test_hadamard_gradients():
     def build(rng):
-        store = ParamStore()
-        store.add("a", rng.normal(0, 1, (4, 4)))
-        store.add("b", rng.normal(0, 1, (4, 4)))
+        store = ParamStore([("a", rng.normal(0, 1, (4, 4))), ("b", rng.normal(0, 1, (4, 4)))])
 
         def loss_proc():
             tape = Tape()
@@ -129,12 +124,10 @@ def test_hadamard_gradients():
 
 def test_minimum_gradients():
     def build(rng):
-        store = ParamStore()
         # keep the two branches well separated so h=1e-5 cannot flip the min
         a = rng.normal(0, 1, (4, 3))
         b = a + np.where(rng.uniform(-1, 1, (4, 3)) > 0, 0.5, -0.5)
-        store.add("a", a)
-        store.add("b", b)
+        store = ParamStore([("a", a), ("b", b)])
 
         def loss_proc():
             tape = Tape()
@@ -147,8 +140,7 @@ def test_minimum_gradients():
 
 def test_softmax_cross_entropy_gradients():
     def build(rng):
-        store = ParamStore()
-        store.add("logits", rng.normal(0, 1, (5, 3)))
+        store = ParamStore([("logits", rng.normal(0, 1, (5, 3)))])
         labels = rng.integers(0, 3, 5)
 
         def loss_proc():
@@ -162,8 +154,7 @@ def test_softmax_cross_entropy_gradients():
 
 def test_binary_cross_entropy_gradients():
     def build(rng):
-        store = ParamStore()
-        store.add("x", rng.normal(0, 1, (6, 1)))
+        store = ParamStore([("x", rng.normal(0, 1, (6, 1)))])
         labels = rng.integers(0, 2, 6)
 
         def loss_proc():
@@ -178,14 +169,15 @@ def test_binary_cross_entropy_gradients():
 def test_full_mlp_pipeline_gradients():
     # end to end: two hidden layers, classifier head, softmax loss
     def build(rng):
-        store = ParamStore()
         x = rng.normal(0, 1, (8, 3))
-        store.add("W0", rng.normal(0, 0.5, (3, 6)))
-        store.add("b0", rng.normal(0, 0.1, (1, 6)))
-        store.add("W1", rng.normal(0, 0.5, (6, 4)))
-        store.add("b1", rng.normal(0, 0.1, (1, 4)))
-        store.add("W2", rng.normal(0, 0.5, (4, 3)))
-        store.add("b2", rng.normal(0, 0.1, (1, 3)))
+        store = ParamStore([
+            ("W0", rng.normal(0, 0.5, (3, 6))),
+            ("b0", rng.normal(0, 0.1, (1, 6))),
+            ("W1", rng.normal(0, 0.5, (6, 4))),
+            ("b1", rng.normal(0, 0.1, (1, 4))),
+            ("W2", rng.normal(0, 0.5, (4, 3))),
+            ("b2", rng.normal(0, 0.1, (1, 3))),
+        ])
         labels = rng.integers(0, 3, 8)
 
         def loss_proc():
@@ -211,8 +203,7 @@ def test_softmax_cross_entropy_matches_logsumexp_oracle():
         logits = rng.normal(0, 2, (5, 3))
         y = rng.integers(0, 3, 5)
         tape = Tape()
-        store = ParamStore()
-        store.add("logits", logits)
+        store = ParamStore([("logits", logits)])
         loss = softmax_cross_entropy(tape.watch(store["logits"]), y)
         backward(loss)
 
@@ -280,8 +271,7 @@ def test_binary_cross_entropy_half_is_ln2():
 
 
 def test_binary_cross_entropy_clamps_saturated_probabilities():
-    store = ParamStore()
-    store.add("p", np.array([[0.0], [1.0], [0.5]]))
+    store = ParamStore([("p", np.array([[0.0], [1.0], [0.5]]))])
 
     def loss_proc():
         tape = Tape()
@@ -314,9 +304,8 @@ def test_grad_reverse_negates_and_scales():
     # f(x) = sum(r(x) * r(x)) with r = grad_reverse: true derivative of the
     # recorded function is 2x, the reversal layer must deliver -2*lam*x
     for lam in (1.0, 0.5, 0.0):
-        store = ParamStore()
         x = np.array([[1.0, -2.0, 3.0]])
-        store.add("x", x)
+        store = ParamStore([("x", x)])
         tape = Tape()
         node = tape.watch(store["x"])
         rev = grad_reverse(node, lam)
@@ -342,8 +331,7 @@ def test_backward_requires_scalar_loss():
 
 
 def test_gradients_accumulate_across_backward_calls():
-    store = ParamStore()
-    store.add("w", np.array([[2.0]]))
+    store = ParamStore([("w", np.array([[2.0]]))])
 
     def loss():
         tape = Tape()
@@ -360,9 +348,8 @@ def test_gradients_accumulate_across_backward_calls():
 
 
 def test_backward_deterministic_on_same_tape():
-    store = ParamStore()
     rng = Rng(8)
-    store.add("W", rng.normal(0, 1, (3, 3)))
+    store = ParamStore([("W", rng.normal(0, 1, (3, 3)))])
     tape = Tape()
     loss = summation(matmul(tape.watch(store["W"]), tape.watch(store["W"])))
     backward(loss)
@@ -374,8 +361,7 @@ def test_backward_deterministic_on_same_tape():
 
 def test_diamond_reuse_sums_both_paths():
     # w feeds two branches that are added via a second watch of the same node
-    store = ParamStore()
-    store.add("w", np.array([[3.0]]))
+    store = ParamStore([("w", np.array([[3.0]]))])
     tape = Tape()
     w = tape.watch(store["w"])
     sq = hadamard(w, w)  # w^2, dL/dw = 2w = 6
@@ -387,8 +373,7 @@ def test_shared_node_is_visited_once_after_every_consumer():
     # h feeds u and then v, and the product lists v first: a walk that took
     # the pending nodes in the order it reached them would visit h from u
     # and then once more from v
-    store = ParamStore()
-    store.add("W", Rng(3).normal(0, 1, (3, 2)))
+    store = ParamStore([("W", Rng(3).normal(0, 1, (3, 2)))])
     X = Rng(4).normal(0, 1, (4, 3))
     h = matmul(Tape().constant(X), store["W"])
     u = sigmoid(h)
@@ -404,9 +389,7 @@ def test_shared_node_is_visited_once_after_every_consumer():
 
 
 def test_minimum_ties_go_to_first_operand():
-    store = ParamStore()
-    store.add("a", np.array([[1.0]]))
-    store.add("b", np.array([[1.0]]))
+    store = ParamStore([("a", np.array([[1.0]])), ("b", np.array([[1.0]]))])
     tape = Tape()
     backward(summation(minimum(tape.watch(store["a"]), tape.watch(store["b"]))))
     assert float(store["a"].grad[0, 0]) == 1.0
@@ -428,8 +411,7 @@ def test_cross_tape_operands_raise_state_error():
     with pytest.raises(StateError):
         hadamard(a, b)
     # parameter operands take no part in choosing the tape
-    store = ParamStore()
-    W = store.add("W", np.ones((2, 2)))
+    W = ParamStore([("W", np.ones((2, 2)))])["W"]
     with pytest.raises(StateError):
         affine(a, W, t2.constant(np.ones((1, 2))))
     # with no recorded operand there is no tape to record on
@@ -438,9 +420,8 @@ def test_cross_tape_operands_raise_state_error():
 
 
 def test_nonfinite_param_operand_raises_numeric_error():
-    store = ParamStore()
-    W = store.add("W", np.array([[1.0], [np.nan]]))
-    b = store.add("b", np.zeros((1, 1)))
+    store = ParamStore([("W", np.array([[1.0], [np.nan]])), ("b", np.zeros((1, 1)))])
+    W, b = store["W"], store["b"]
     tape = Tape()
     with pytest.raises(NumericError, match="'W'"):
         affine(tape.constant(np.ones((3, 2))), W, b)
@@ -452,9 +433,8 @@ def test_nonfinite_param_operand_raises_numeric_error():
 def test_param_operand_gradient_lands_in_its_slot():
     # a parameter passed as is gets no node; its gradient goes straight into
     # its slot, and adds onto what an earlier pass left there
-    store = ParamStore()
-    W = store.add("W", np.array([[1.0, 2.0], [3.0, 4.0]]))
-    b = store.add("b", np.array([[0.5, -0.5]]))
+    store = ParamStore([("W", np.array([[1.0, 2.0], [3.0, 4.0]])), ("b", np.array([[0.5, -0.5]]))])
+    W, b = store["W"], store["b"]
     tape = Tape()
     x = tape.constant(np.array([[1.0, -1.0], [2.0, 0.0]]))
     out = affine(x, W, b)
@@ -484,8 +464,7 @@ def test_shape_errors():
 
 
 def test_finite_diff_check_rejects_bad_h():
-    store = ParamStore()
-    store.add("w", np.array([[1.0]]))
+    store = ParamStore([("w", np.array([[1.0]]))])
 
     def loss():
         tape = Tape()
@@ -499,8 +478,7 @@ def test_finite_diff_check_rejects_bad_h():
 
 
 def test_finite_diff_check_restores_parameter_values():
-    store = ParamStore()
-    store.add("w", np.array([[1.5, -0.5]]))
+    store = ParamStore([("w", np.array([[1.5, -0.5]]))])
     before = store["w"].value.copy()
 
     def loss():
@@ -514,8 +492,7 @@ def test_finite_diff_check_restores_parameter_values():
 
 def test_finite_diff_check_flags_wrong_gradients():
     # a deliberately broken vjp must be caught by the checker
-    store = ParamStore()
-    store.add("w", np.array([[2.0]]))
+    store = ParamStore([("w", np.array([[2.0]]))])
 
     def loss():
         tape = Tape()
@@ -530,10 +507,8 @@ def test_finite_diff_check_flags_wrong_gradients():
 
 
 def test_duplicate_parameter_name_rejected():
-    store = ParamStore()
-    store.add("w", np.ones((1, 1)))
-    with pytest.raises(ParameterError):
-        store.add("w", np.zeros((1, 1)))
+    with pytest.raises(ParameterError, match="duplicate parameter name: w"):
+        ParamStore([("w", np.ones((1, 1))), ("w", np.zeros((1, 1)))])
 
 
 def test_finite_arrays_whose_sum_overflows_are_accepted():
@@ -546,23 +521,42 @@ def test_finite_arrays_whose_sum_overflows_are_accepted():
         assert not all_finite(np.array([[np.inf, -np.inf]]))
 
 
-def test_reset_grads_zeroes_every_slot_after_the_arena_grows():
-    store = ParamStore()
-    a = store.add("a", np.array([[1.0, 2.0]]))
-    a.grad[...] = 3.0
-    b = store.add("b", np.array([[4.0], [5.0]]))  # reallocates the arenas
+def test_reset_grads_zeroes_every_slot():
+    store = ParamStore([("a", np.array([[1.0, 2.0]])), ("b", np.array([[4.0], [5.0]]))])
+    a, b = store["a"], store["b"]
     assert store.grad.size == 4
-    assert np.array_equal(a.value, [[1.0, 2.0]]) and np.array_equal(a.grad, [[3.0, 3.0]])
+    a.grad[...] = 3.0
     b.grad[...] = 6.0
+    assert np.array_equal(a.value, [[1.0, 2.0]]) and np.array_equal(a.grad, [[3.0, 3.0]])
     assert np.array_equal(store.grad, [3.0, 3.0, 6.0, 6.0])
     store.reset_grads()
     assert np.array_equal(store.grad, np.zeros(4))
     assert not a.grad.any() and not b.grad.any()
 
 
+def test_store_is_laid_out_once_from_all_of_its_values():
+    a0, b0 = np.array([[1.0, 2.0]]), np.array([[4.0], [5.0]])
+    store = ParamStore([("a", a0), ("b", b0)])
+    assert store.names() == ["a", "b"]
+    assert [(p.start, p.stop, p.shape) for p in store.params()] == [
+        (0, 2, (1, 2)), (2, 4, (2, 1))]
+    assert np.array_equal(store.value, [1.0, 2.0, 4.0, 5.0])
+    assert not store.grad.any() and not store.m.any() and not store.v.any()
+    a0[...] = 0.0  # the initial values are copied in
+    assert np.array_equal(store["a"].value, [[1.0, 2.0]])
+    view = store["b"].value
+    view[...] = 7.0  # a view taken at any time writes through to the arena
+    assert np.array_equal(store.value, [1.0, 2.0, 7.0, 7.0])
+    assert not hasattr(store, "add")
+    assert len(ParamStore([])) == 0 and ParamStore([]).value.size == 0
+    with pytest.raises(TypeError):
+        ParamStore()
+    with pytest.raises(ShapeError):
+        ParamStore([("w", np.ones(3))])
+
+
 def test_finished_pass_is_freed_without_cyclic_gc():
-    store = ParamStore()
-    store.add("w", np.array([[1.0, -2.0]]))
+    store = ParamStore([("w", np.array([[1.0, -2.0]]))])
     gc.disable()
     try:
         tape = Tape()
@@ -585,9 +579,8 @@ def _bits(a):
 
 
 def test_constant_operand_gets_no_gradient():
-    store = ParamStore()
-    W = store.add("W", np.array([[1.0, 2.0], [3.0, 4.0]]))
-    b = store.add("b", np.array([[0.5, -0.5]]))
+    store = ParamStore([("W", np.array([[1.0, 2.0], [3.0, 4.0]])), ("b", np.array([[0.5, -0.5]]))])
+    W, b = store["W"], store["b"]
     tape = Tape()
     x = tape.constant(np.array([[1.0, -1.0], [2.0, 0.0]]))
     g = np.array([[1.0, -2.0], [0.5, 3.0]])
@@ -612,9 +605,8 @@ def test_constant_operand_gets_no_gradient():
 
 def test_constant_input_changes_no_parameter_gradient():
     # backward skips the None a VJP returns for the constant input
-    store = ParamStore()
-    W = store.add("W", np.array([[1.0, 2.0], [3.0, 4.0]]))
-    b = store.add("b", np.array([[0.5, -0.5]]))
+    store = ParamStore([("W", np.array([[1.0, 2.0], [3.0, 4.0]])), ("b", np.array([[0.5, -0.5]]))])
+    W, b = store["W"], store["b"]
     x = np.array([[1.0, -1.0], [2.0, 0.0]])
     backward(summation(activation(affine(Tape().constant(x), W, b), "tanh")))
     local = 1.0 - np.tanh(x @ W.value + b.value) ** 2
@@ -623,8 +615,7 @@ def test_constant_input_changes_no_parameter_gradient():
 
 
 def test_backward_on_a_constant_loss_is_a_no_op():
-    store = ParamStore()
-    store.add("w", np.array([[2.0]]))
+    store = ParamStore([("w", np.array([[2.0]]))])
     backward(Tape().constant([[3.0]]))
     assert not store.grad.any()
     with pytest.raises(ShapeError):

@@ -552,7 +552,7 @@ def test_eval_only_dataset_fails_training_validation(tmp_path):
     cfg = TrainConfig(encoder=EncoderSpec(input_dim=2, hidden_dims=[4]), num_classes=3,
                       epochs=1)
     with pytest.raises(DataError, match="source domain 's' has no labeled rows"):
-        train(cfg, ds, TrainVariant.parse("baseline"), 0)
+        train(cfg, ds, TrainVariant.parse("baseline", 0.0, 0.0), 0)
 
 
 # --- split file faults ---------------------------------------------------------
@@ -991,7 +991,7 @@ def test_train_rejects_a_dataset_with_non_finite_features():
     cfg = TrainConfig(encoder=EncoderSpec(input_dim=2, hidden_dims=[4]), num_classes=3,
                       epochs=1)
     with pytest.raises(DataError, match="domain 'src' split labeled"):
-        train(cfg, ds, TrainVariant.parse("baseline"), 0)
+        train(cfg, ds, TrainVariant.parse("baseline", 0.0, 0.0), 0)
 
 
 # --- source subsampling ------------------------------------------------------

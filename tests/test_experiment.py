@@ -8,6 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import ditto.experiment
+import ditto.model
 from ditto import (
     DomainDataset,
     DomainSpec,
@@ -25,6 +27,7 @@ from ditto import (
     init_params,
     linear_cka,
     load_checkpoint,
+    load_dataset,
     run_experiment,
     save_checkpoint,
     train,
@@ -208,11 +211,15 @@ def test_analyze_results_tables(grid_out, tmp_path):
     assert len(corr) == 1 + 4
 
 
+def _eval_features(bundle, dataset):
+    return {dom: extract_features(bundle, split.eval.X) for dom, split in dataset.domains.items()}
+
+
 def test_export_features_round_trip(grid_out, tmp_path):
     _, dataset, out = grid_out
     bundle = load_checkpoint(out / "S100/k0/ditto/seed0/model.npz")
     path = tmp_path / "features.csv"
-    export_features(bundle, dataset, path)
+    export_features(_eval_features(bundle, dataset), dataset, path)
 
     by_domain = {}
     with open(path) as fh:
@@ -240,7 +247,7 @@ def test_export_features_bytes_pinned(tmp_path):
                                     fewshot=Rows(X, [0, 2]), eval=Rows(X, [0, 2]))
     dataset = DomainDataset(source="s,q", domains={"t": splits(X[::-1].copy()),
                                                    "s,q": splits(X)})
-    export_features(bundle, dataset, tmp_path / "features.csv")
+    export_features(_eval_features(bundle, dataset), dataset, tmp_path / "features.csv")
     assert (tmp_path / "features.csv").read_bytes() == (
         b"domain,row_index,class_label_or_empty,f0,f1\n"
         b'"s,q",0,0,1.1,5.0\n'
@@ -318,6 +325,45 @@ def test_cli_generate_and_train(cli_config, tmp_path):
                  "--method", "check"]) == 0
     table, _ = read_eval_csv(eval_out)
     assert table.domains("check") == ["rot30", "rot60", "src"]
+
+
+def test_cli_train_writes_features_csv_from_the_features_of_cka_csv(cli_config, tmp_path,
+                                                                     monkeypatch):
+    # a 3-domain, 3-epoch `ditto train --variant ditto` trains the baseline and
+    # ditto (4 feature passes per domain each, inside train); after training,
+    # zero_shot_eval and the one pass cka.csv and features.csv share make 2
+    # per domain
+    cfg = json.loads(cli_config.read_text())
+    cfg["experiment"]["epochs"] = 3
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(cfg))
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--config", str(config), "--out", str(data_dir)]) == 0
+    calls, depth = {"inside": 0, "outside": 0}, []
+    real_extract, real_train = ditto.model.extract_features, ditto.experiment.train
+
+    def counted_extract(*args):
+        calls["inside" if depth else "outside"] += 1
+        return real_extract(*args)
+
+    def tracked_train(*args):
+        depth.append(args)
+        try:
+            return real_train(*args)
+        finally:
+            depth.pop()
+
+    for module in (ditto.model, ditto.experiment):
+        monkeypatch.setattr(module, "extract_features", counted_extract)
+    monkeypatch.setattr(ditto.experiment, "train", tracked_train)
+    assert main(["train", "--config", str(config), "--data", str(data_dir),
+                 "--variant", "ditto", "--out", str(run_dir)]) == 0
+    assert calls == {"inside": 2 * (3 + 1) * 3, "outside": 2 * 3}
+    monkeypatch.undo()
+    dataset = load_dataset(data_dir)  # at S100 and k0 the cell keeps every eval split
+    export_features(_eval_features(load_checkpoint(run_dir / "model.npz"), dataset), dataset,
+                    tmp_path / "features.csv")
+    assert (run_dir / "features.csv").read_bytes() == (tmp_path / "features.csv").read_bytes()
 
 
 def test_cli_train_source_fraction_and_k(cli_config, tmp_path):

@@ -64,10 +64,9 @@ def test_glorot_sample_std():
     assert abs(std - 0.1) / 0.1 < 0.10
 
 
-def test_target_count_expands_to_ids():
+def test_one_discriminator_per_target_id():
     bundle = init_params(SPEC, num_classes=2, targets=["t2", "t0", "t1"], rng=Rng(0))
     assert bundle.target_ids == ("t0", "t1", "t2")
-    # one discriminator per target
     disc_names = [n for n in bundle.store.names() if n.startswith("disc.")]
     assert len(disc_names) == 3 * 4
 

@@ -82,7 +82,7 @@ def test_adamw_constants_are_the_published_defaults():
      "weight_decay: expected a finite number, got NaN"),
     (lambda: TrainVariant("ditto", lam=1.0, rho=float("nan")), ConfigError,
      "rho: expected a finite number, got NaN"),
-    (lambda: sam_perturb(ParamStore(), rho=float("nan")), ParameterError, None),
+    (lambda: sam_perturb(ParamStore([]), rho=float("nan")), ParameterError, None),
 ], ids=["adamw_lr", "adamw_weight_decay", "sam_rho", "sam_perturb_rho"])
 def test_nan_hyperparameter_is_rejected(build, error, message):
     with pytest.raises(error, match=message):
@@ -93,8 +93,7 @@ def test_nan_hyperparameter_is_rejected(build, error, message):
 
 
 def test_adamw_zero_gradient_zero_decay_is_identity():
-    store = ParamStore()
-    store.add("w", np.array([[1.0, -2.0]]))
+    store = ParamStore([("w", np.array([[1.0, -2.0]]))])
     before = store["w"].value.copy()
     adamw_step(store, AdamWConfig(lr=0.1, total_steps=100), 0)
     assert np.array_equal(store["w"].value, before)
@@ -102,8 +101,7 @@ def test_adamw_zero_gradient_zero_decay_is_identity():
 
 def test_adamw_single_step_hand_oracle():
     # w=1, g=1, lr=0.1: m_hat=1, v_hat=1, update = 0.1/(1+1e-8) -> w ~ 0.9
-    store = ParamStore()
-    store.add("w", np.array([[1.0]]))
+    store = ParamStore([("w", np.array([[1.0]]))])
     store["w"].grad[...] = 1.0
     adamw_step(store, AdamWConfig(lr=0.1, total_steps=10**6), 0)
     assert abs(float(store["w"].value[0, 0]) - 0.9) < 1e-8
@@ -111,8 +109,7 @@ def test_adamw_single_step_hand_oracle():
 
 def test_adamw_single_step_with_weight_decay_hand_oracle():
     # decoupled decay adds -lr*wd*w = -0.001 -> w ~ 0.899
-    store = ParamStore()
-    store.add("w", np.array([[1.0]]))
+    store = ParamStore([("w", np.array([[1.0]]))])
     store["w"].grad[...] = 1.0
     adamw_step(store, AdamWConfig(lr=0.1, total_steps=10**6, weight_decay=0.01), 0)
     assert abs(float(store["w"].value[0, 0]) - 0.899) < 1e-8
@@ -122,8 +119,7 @@ def test_adamw_single_step_with_weight_decay_hand_oracle():
 def test_adamw_first_step_is_lr_times_g_over_abs_g_plus_eps(g):
     # bias correction gives m_hat = g and v_hat = g*g at t = 1, so the step is
     # lr*g/(|g| + EPS): about lr*sign(g) for |g| >> EPS, lr/2 at |g| = EPS
-    store = ParamStore()
-    store.add("w", np.array([[0.0, 0.0]]))
+    store = ParamStore([("w", np.array([[0.0, 0.0]]))])
     store["w"].grad[...] = [[g, -g]]
     adamw_step(store, AdamWConfig(lr=0.1, total_steps=10), 0)
     moved = 0.1 * g / (g + EPS)
@@ -133,8 +129,7 @@ def test_adamw_first_step_is_lr_times_g_over_abs_g_plus_eps(g):
 def test_adamw_constant_gradient_moves_lr_t_every_step():
     # a constant gradient keeps m_hat = g and v_hat = g*g at every update
     # count, so step s moves w by lr_at(s) * g / (|g| + EPS)
-    store = ParamStore()
-    store.add("w", np.array([[0.0]]))
+    store = ParamStore([("w", np.array([[0.0]]))])
     cfg = AdamWConfig(lr=0.1, total_steps=50)
     for step in range(40):
         before = float(store["w"].value[0, 0])
@@ -145,17 +140,14 @@ def test_adamw_constant_gradient_moves_lr_t_every_step():
 
 
 def test_adamw_nonfinite_gradient_names_parameter():
-    store = ParamStore()
-    store.add("encoder.layer0.W", np.ones((1, 1)))
+    store = ParamStore([("encoder.layer0.W", np.ones((1, 1)))])
     store["encoder.layer0.W"].grad[...] = np.nan
     with pytest.raises(NumericError, match="encoder.layer0.W"):
         adamw_step(store, AdamWConfig(lr=0.1, total_steps=10), 0)
 
 
 def test_adamw_names_argument_restricts_update():
-    store = ParamStore()
-    store.add("a", np.array([[1.0]]))
-    store.add("b", np.array([[1.0]]))
+    store = ParamStore([("a", np.array([[1.0]])), ("b", np.array([[1.0]]))])
     store["a"].grad[...] = 1.0
     store["b"].grad[...] = 1.0
     adamw_step(store, AdamWConfig(lr=0.1, total_steps=100), 0, names=["a"])
@@ -168,8 +160,7 @@ def test_adamw_per_parameter_step_counts():
     # first-step bias correction (its own counter), not the global step:
     # with g=1 both corrected moments are exactly 1, so the update is
     # lr_t(7)/(1+eps); global-step correction would give ~3.5x less
-    late = ParamStore()
-    late.add("w", np.array([[1.0]]))
+    late = ParamStore([("w", np.array([[1.0]]))])
     cfg = AdamWConfig(lr=0.05, total_steps=10**6)
 
     for step in range(7):
@@ -186,8 +177,7 @@ def test_adamw_per_parameter_step_counts():
 def test_perturbation_exact_three_four_example():
     # w=0 so the parameter values ARE eps_hat, with no addition rounding:
     # ||(3,4)|| = 5, scale = 0.05/5 = 0.01, eps_hat = (0.03, 0.04) exactly
-    store = ParamStore()
-    store.add("w", np.zeros((1, 2)))
+    store = ParamStore([("w", np.zeros((1, 2)))])
     store["w"].grad[...] = np.array([[3.0, 4.0]])
     sam_perturb(store, rho=0.05)
     assert np.array_equal(store["w"].value, np.array([[0.03, 0.04]]))
@@ -196,9 +186,7 @@ def test_perturbation_exact_three_four_example():
 def test_perturbation_norm_equals_rho():
     rng = Rng(21)
     for trial in range(10):
-        store = ParamStore()
-        store.add("A", rng.normal(0, 1, (4, 3)))
-        store.add("B", rng.normal(0, 1, (2, 5)))
+        store = ParamStore([("A", rng.normal(0, 1, (4, 3))), ("B", rng.normal(0, 1, (2, 5)))])
         originals = {n: store[n].value.copy() for n in store.names()}
         store["A"].grad[...] = rng.normal(0, 1, (4, 3))
         store["B"].grad[...] = rng.normal(0, 1, (2, 5))
@@ -209,23 +197,20 @@ def test_perturbation_norm_equals_rho():
 
 
 def test_perturbation_zero_rho_is_identity():
-    store = ParamStore()
-    store.add("w", np.array([[2.0]]))
+    store = ParamStore([("w", np.array([[2.0]]))])
     store["w"].grad[...] = 5.0
     sam_perturb(store, rho=0.0)
     assert np.array_equal(store["w"].value, np.array([[2.0]]))
 
 
 def test_degenerate_gradient_raises():
-    store = ParamStore()
-    store.add("w", np.array([[1.0]]))
+    store = ParamStore([("w", np.array([[1.0]]))])
     with pytest.raises(DegenerateGradientError):
         sam_perturb(store, rho=0.1)
 
 
 def test_restore_bit_exact_and_single_use():
-    store = ParamStore()
-    store.add("w", np.array([[0.1, -0.7, 3.3]]))
+    store = ParamStore([("w", np.array([[0.1, -0.7, 3.3]]))])
     before = store["w"].value.copy()
     store["w"].grad[...] = np.array([[1.0, 2.0, -1.0]])
     pert = sam_perturb(store, rho=0.2)
@@ -237,19 +222,16 @@ def test_restore_bit_exact_and_single_use():
 
 
 def test_restore_rejects_foreign_store():
-    a = ParamStore()
-    a.add("w", np.array([[1.0]]))
+    a = ParamStore([("w", np.array([[1.0]]))])
     a["w"].grad[...] = 1.0
     pert = sam_perturb(a, rho=0.1)
-    b = ParamStore()
-    b.add("w", np.array([[1.0]]))
+    b = ParamStore([("w", np.array([[1.0]]))])
     with pytest.raises(StateError):
         sam_restore(b, pert)
 
 
 def test_restore_reproduces_loss_exactly():
-    store = ParamStore()
-    store.add("w", np.array([[1.3, -0.4]]))
+    store = ParamStore([("w", np.array([[1.3, -0.4]]))])
     loss_proc = quad_loss(store)
     loss_before = float(loss_proc().value[0, 0])
     store.reset_grads()
@@ -262,8 +244,7 @@ def test_restore_reproduces_loss_exactly():
 def test_sam_backward_phase3_gradient_at_perturbed_point():
     # f(w)=w^2 at w=1, rho=0.5: phase-1 grad 2, |g|=2, eps=0.5 -> w+eps=1.5,
     # phase-3 grad = 3 (not 2); parameters restored to w=1
-    store = ParamStore()
-    store.add("w", np.array([[1.0]]))
+    store = ParamStore([("w", np.array([[1.0]]))])
     loss = sam_backward(quad_loss(store), store, rho=0.5)
     assert loss == 1.0  # loss reported at w, not at w+eps
     assert float(store["w"].grad[0, 0]) == 3.0
@@ -271,8 +252,7 @@ def test_sam_backward_phase3_gradient_at_perturbed_point():
 
 
 def test_sam_backward_rho_zero_single_pass():
-    store = ParamStore()
-    store.add("w", np.array([[2.0]]))
+    store = ParamStore([("w", np.array([[2.0]]))])
     loss = sam_backward(quad_loss(store), store, rho=0.0)
     assert loss == 4.0
     assert float(store["w"].grad[0, 0]) == 4.0  # plain gradient 2w
@@ -280,8 +260,7 @@ def test_sam_backward_rho_zero_single_pass():
 
 def test_sam_backward_degenerate_falls_back_to_plain():
     # loss is constant in w: zero gradient, perturbation skipped, no error
-    store = ParamStore()
-    store.add("w", np.array([[1.0]]))
+    store = ParamStore([("w", np.array([[1.0]]))])
 
     def flat_loss():
         tape = Tape()
@@ -296,10 +275,8 @@ def test_sam_backward_degenerate_falls_back_to_plain():
 
 def test_sam_rho_zero_trajectory_bit_identical_to_adamw():
     cfg = AdamWConfig(lr=0.05, total_steps=10, weight_decay=0.01)
-    a = ParamStore()
-    a.add("w", np.array([[1.5, -2.0]]))
-    b = ParamStore()
-    b.add("w", np.array([[1.5, -2.0]]))
+    a = ParamStore([("w", np.array([[1.5, -2.0]]))])
+    b = ParamStore([("w", np.array([[1.5, -2.0]]))])
 
     for step in range(10):
         sam_step(quad_loss(a), a, 0.0, cfg, step)
@@ -311,8 +288,7 @@ def test_sam_rho_zero_trajectory_bit_identical_to_adamw():
 
 @pytest.mark.parametrize("rho", [-0.1, -np.inf, np.inf, np.nan])
 def test_sam_step_rejects_a_rho_that_is_not_a_finite_number_at_least_0(rho):
-    store = ParamStore()
-    store.add("w", np.array([[1.5, -2.0]]))
+    store = ParamStore([("w", np.array([[1.5, -2.0]]))])
     with pytest.raises(ParameterError, match="rho must be a finite number >= 0"):
         sam_step(quad_loss(store), store, rho, AdamWConfig(lr=0.1, total_steps=10), 0)
     assert np.array_equal(store["w"].value, [[1.5, -2.0]])
@@ -320,10 +296,8 @@ def test_sam_step_rejects_a_rho_that_is_not_a_finite_number_at_least_0(rho):
 
 def test_sam_rho_positive_differs_from_adamw():
     cfg = AdamWConfig(lr=0.05, total_steps=20)
-    a = ParamStore()
-    a.add("w", np.array([[1.5]]))
-    b = ParamStore()
-    b.add("w", np.array([[1.5]]))
+    a = ParamStore([("w", np.array([[1.5]]))])
+    b = ParamStore([("w", np.array([[1.5]]))])
     for step in range(5):
         sam_step(quad_loss(a), a, 0.3, cfg, step)
         sam_step(quad_loss(b), b, 0.0, cfg, step)
@@ -359,8 +333,7 @@ def double_well_loss(store):
 
 
 def run_double_well(rho, lr=0.02, steps=400):
-    store = ParamStore()
-    store.add("w", np.array([[DOUBLE_WELL_START]]))
+    store = ParamStore([("w", np.array([[DOUBLE_WELL_START]]))])
     cfg = AdamWConfig(lr=lr, total_steps=steps)
     for step in range(steps):
         sam_step(double_well_loss(store), store, rho, cfg, step)
@@ -385,10 +358,7 @@ ARENA_SHAPES = {"enc.W": (2, 32), "enc.b": (1, 32), "mid.W": (32, 16), "mid.b": 
 
 def arena_store(seed):
     rng = Rng(seed)
-    store = ParamStore()
-    for name, shape in ARENA_SHAPES.items():
-        store.add(name, rng.normal(0, 1, shape))
-    return store
+    return ParamStore((name, rng.normal(0, 1, shape)) for name, shape in ARENA_SHAPES.items())
 
 
 def reference_adamw(state, config, step, names):
@@ -434,10 +404,11 @@ def test_arena_adamw_bit_identical_to_per_matrix_loop():
 
 
 def test_adamw_nonfinite_gradient_in_large_matrix_names_it_and_moves_nothing():
-    store = ParamStore()
-    store.add("a", np.ones((3, 3)))
-    store.add("big", np.ones((64, 32)))
-    store.add("c", np.ones((1, 4)))
+    store = ParamStore([
+        ("a", np.ones((3, 3))),
+        ("big", np.ones((64, 32))),
+        ("c", np.ones((1, 4))),
+    ])
     store.grad[...] = 1.0
     store["big"].grad[17, 5] = np.nan
     before = store.value.copy()
@@ -488,11 +459,10 @@ def test_sam_norm_sums_each_matrix_over_its_own_elements():
     # pairwise summation to split them: any other grouping of the squares
     # would change the last bits of the norm
     shapes = {"a": (64, 32), "b": (1, 32), "c": (32, 48), "d": (7, 3)}
-    store = ParamStore()
+    store = ParamStore((name, np.zeros(shape)) for name, shape in shapes.items())
     rng = Rng(9)
-    for name, shape in shapes.items():
-        p = store.add(name, np.zeros(shape))
-        p.grad[...] = rng.normal(0, 1, shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    for p in store.params():
+        p.grad[...] = rng.normal(0, 1, p.shape) * 10.0 ** rng.uniform(-8, 8, p.shape)
     for names in (None, ["c", "a", "d"]):
         chosen = list(shapes) if names is None else names
         sq = 0.0
@@ -504,7 +474,7 @@ def test_sam_norm_sums_each_matrix_over_its_own_elements():
         sam_restore(store, pert)
 
 
-def test_spans_are_shared_until_the_store_grows():
+def test_spans_are_computed_once_per_name_sequence():
     store = arena_store(2)
     names = ["enc.W", "enc.b", "cls.W"]
     spans = store.spans(names)
@@ -512,8 +482,5 @@ def test_spans_are_shared_until_the_store_grows():
     assert [(s.start, s.stop) for s, _ in spans] == [
         (store["enc.W"].start, store["enc.b"].stop), (store["cls.W"].start, store["cls.W"].stop)]
     everything = store.spans()
-    extra = store.add("extra.W", np.ones((2, 2)))
-    assert store.spans() is not everything
-    assert store.spans()[-1][1][-1] is extra
-    assert [(s, [p.name for p in run]) for s, run in store.spans(names)] == \
-        [(s, [p.name for p in run]) for s, run in spans]
+    assert store.spans() is everything
+    assert everything == [(slice(0, store.value.size), list(store.params()))]
