@@ -54,7 +54,6 @@ from .errors import (
     LabelError,
     NumericError,
     ParameterError,
-    ParseError,
     ShapeError,
     StateError,
     UndefinedResultError,
@@ -92,7 +91,6 @@ __all__ = [
     "NumericError",
     "ParamStore",
     "ParameterError",
-    "ParseError",
     "Rng",
     "Rows",
     "ShapeError",

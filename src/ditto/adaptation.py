@@ -5,10 +5,7 @@ sharpness-aware minimization while, at every step, sampling one target domain
 from a prior weighted toward the weakest targets and playing a minimax game
 against that target's discriminator through a gradient-reversal pass.
 
-The variants are the rows of `VARIANTS`.  Reductions hold exactly: a ditto
-step with lambda = 0 is the baseline step (no sampling, no discriminator
-pass, no rng draws), so it runs ditto_minus_la's instructions, and with
-rho = 0 as well it is bit-for-bit the baseline.
+The variants are the rows of `VARIANTS`.
 """
 
 from __future__ import annotations
@@ -236,7 +233,7 @@ def ditto_step(
     variant: TrainVariant,
     step: int,
     rng: Rng,
-) -> tuple[float, float | None, str | None]:
+) -> tuple[float, float, str]:
     """One joint step: sharpness-aware task phase, then an adversarial phase
     against one sampled target.
 
@@ -251,11 +248,8 @@ def ditto_step(
          discriminator (its own, faster optimizer).  Other discriminators
          are untouched.
 
-    With lambda = 0 this is `baseline_step` (no rng draws).  Returns (task
-    loss, adversarial loss or None, t or None).
+    Returns (task loss, adversarial loss, t).
     """
-    if variant.lam == 0.0:
-        return baseline_step(bundle, X, y, opts, variant, step), None, None
     if X.shape[0] == 0:
         raise DataError("empty batch")
     store = bundle.store
@@ -348,6 +342,11 @@ def train(
     the caller's (from a baseline's zero-shot scores), "uniform" and "single"
     build theirs here, and None takes none.  A `prior` passed to a kind
     whose source is not "baseline" is a ConfigError.
+
+    A variant with lambda = 0 steps by `baseline_step` (no sampling, no
+    discriminator pass, no rng draws), so the reductions hold exactly: ditto
+    with lambda = 0 runs ditto_minus_la's instructions, and with rho = 0 as
+    well it is bit-for-bit the baseline.
     """
     started = time.perf_counter()
     datasets.validate()
@@ -394,7 +393,7 @@ def train(
         for start in range(0, n, config.batch_size):
             idx = perm[start:start + config.batch_size]
             X, y = src.labeled.X[idx], src.labeled.y[idx]
-            if variant.kind == "baseline":
+            if variant.lam == 0.0:
                 task_loss = baseline_step(bundle, X, y, opts, variant, step)
                 adv_loss, t = None, None
             else:
@@ -441,7 +440,7 @@ def few_shot_augment(datasets: DomainDataset, k: int, rng: Rng) -> DomainDataset
         if pool.n < k:
             raise DataError(f"target {t!r} few-shot pool has {pool.n} labeled rows, "
                             f"need {k}")
-        idx = rng.choice_without_replacement(pool.n, k)
+        idx = rng.choice(pool.n, k, replace=False)
         xs.append(pool.X[idx])
         ys.append(pool.y[idx])
     return datasets.with_source_labeled(Rows(np.vstack(xs), np.concatenate(ys)))

@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .analysis import write_eval_csv, zero_shot_eval
 from .data import generate_synthetic, load_dataset
-from .errors import ConfigError, DataError, ParseError, parse_config
+from .errors import ConfigError, DataError, parse_config
 from .experiment import (
     Cell,
     DatasetConfig,
@@ -222,7 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _HANDLERS[args.command](args)
-    except (ConfigError, DataError, ParseError, OSError) as exc:
+    except (ConfigError, DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

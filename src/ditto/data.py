@@ -18,7 +18,7 @@ eval}.  Each holds a 1-D structured array with one element per row: a
 (`<f8`, shape `(feature_dim,)`).  The file holds the values' bytes, so
 save -> load round-trips bit-exactly.  Only that form loads: `read_npy`, the
 package's one `.npy` reader (checkpoints' too), checks the header before any
-row is read, and any other file is one ParseError naming it.  `write_csv` and
+row is read, and any other file is one DataError naming it.  `write_csv` and
 `csv_records` hold the package's one CSV dialect, which its tables use.
 """
 
@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, DataError, ParameterError, ParseError, check_fields,
+from .errors import (ConfigError, DataError, ParameterError, check_fields,
                      config_json, fit, is_finite_number, is_integer, parse_record)
 from .rng import Rng
 
@@ -412,7 +412,7 @@ def read_npy(fh, size: int, want: np.dtype, name, what: str = "split file") -> n
     """The 1-D `want` array in the `size`-byte `.npy` stream `fh`, if in `np.save`'s
     form: the magic string, version 1.0, a header of exactly `want` in one
     dimension and as many items as the bytes after it hold, checked before
-    one read; else a ParseError naming `name` (not a `what`)."""
+    one read; else a DataError naming `name` (not a `what`)."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -424,15 +424,15 @@ def read_npy(fh, size: int, want: np.dtype, name, what: str = "split file") -> n
     # TokenError, TypeError, RecursionError or MemoryError; a Python 2 one only warns
     except Exception as exc:
         why = (str(exc) or type(exc).__name__).splitlines()[0]
-        raise ParseError(f"{name}: not a .npy {what} ({why})") from None
+        raise DataError(f"{name}: not a .npy {what} ({why})") from None
     if dtype != want:
-        raise ParseError(f"{name}: holds {dtype.descr} rows, expected {want.descr}")
+        raise DataError(f"{name}: holds {dtype.descr} rows, expected {want.descr}")
     if len(shape) != 1:
-        raise ParseError(f"{name}: holds an array of shape {shape}, expected one dimension")
+        raise DataError(f"{name}: holds an array of shape {shape}, expected one dimension")
     left = size - fh.tell()
     if shape[0] * want.itemsize != left:
-        raise ParseError(f"{name}: header claims {shape[0]} rows of {want.itemsize} "
-                         f"bytes, but {left} bytes follow it")
+        raise DataError(f"{name}: header claims {shape[0]} rows of {want.itemsize} "
+                        f"bytes, but {left} bytes follow it")
     return np.frombuffer(bytearray(fh.read(left)), want)  # writable, unlike bytes
 
 
@@ -483,10 +483,10 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
     `splits` (all four by default; `("eval",)` is what scoring needs).  A
     split not read is an empty block of the manifest's width, and the files
     of such splits are never opened.  A DataError names the manifest that
-    `parse_record` rejects, the split file whose labels `Rows` rejects, or
-    the directory (holding the older CSV split files, or a dataset that
-    `validate` rejects); a split file `read_npy` refuses is a ParseError, and
-    `splits` empty, repeating or naming an unknown split a ParameterError.
+    `parse_record` rejects, the split file that `read_npy` refuses or whose
+    labels `Rows` rejects, or the directory (holding the older CSV split
+    files, or a dataset that `validate` rejects); `splits` empty, repeating
+    or naming an unknown split is a ParameterError.
     """
     _check_splits(splits)
     root = Path(path)

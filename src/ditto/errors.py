@@ -43,7 +43,8 @@ class NumericError(ArithmeticError):
 
 
 class DataError(ValueError):
-    """Dataset contents violate an invariant (empty split, missing domain, ...)."""
+    """Dataset contents violate an invariant (empty split, missing domain, ...),
+    or a data file is not in its form (the message names the file)."""
 
 
 class ConfigError(ValueError):
@@ -62,11 +63,6 @@ class ConfigError(ValueError):
         return f"{self.key}: {self.args[0]}" if self.key else self.args[0]
 
 
-class ParseError(ValueError):
-    """A `.npy` file or entry that `data.read_npy`, the package's one `.npy`
-    reader, refuses; the message names it (a checkpoint's is a DataError)."""
-
-
 class UndefinedResultError(ArithmeticError):
     """The requested statistic is undefined for this input (zero variance,
     zero baseline)."""
@@ -77,10 +73,11 @@ class DegenerateGradientError(RuntimeError):
 
 
 # what a domain id must be: ids name dataset files and run directories, so an
-# id holds no path separator and no NUL, which open() refuses; and they fill
-# the tables' domain column, where an id holds nothing csv would quote
-DOMAIN_ID_RULE = "a non-empty string without '/', '\\', ',', '\"', CR, LF or NUL"
-_NOT_IN_ID = frozenset('/\\,"\r\n\0')
+# id holds no path separator, no NUL (open() refuses it) and no ':' (the
+# variant separator: `ditto_single:a:b` would share `a_b`'s run directory);
+# and they fill the tables' domain column, where an id holds nothing csv quotes
+DOMAIN_ID_RULE = "a non-empty string without '/', '\\', ',', '\"', ':', CR, LF or NUL"
+_NOT_IN_ID = frozenset('/\\,"\r\n\0:')
 
 
 def valid_domain_id(name: str) -> bool:

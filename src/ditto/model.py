@@ -33,8 +33,8 @@ import numpy as np
 
 from .autodiff import ParamStore, Tape, TapeNode, activation, affine, all_finite, sigmoid
 from .data import read_npy
-from .errors import (DataError, ParameterError, ParseError, ShapeError, check_fields,
-                     config_json, parse_record)
+from .errors import (DataError, ParameterError, ShapeError, check_fields, config_json,
+                     parse_record)
 from .rng import Rng
 
 DISC_HIDDEN = 64
@@ -242,15 +242,15 @@ def load_checkpoint(path: str) -> ModelBundle:
             names = archive.namelist()
             for name in names:
                 if name not in ("__meta__.npy", f"{ARENA}.npy"):
-                    raise ParseError(f"{path}: unexpected entry {name.removesuffix('.npy')!r}")
+                    raise DataError(f"{path}: unexpected entry {name.removesuffix('.npy')!r}")
             for key, dtype in (("__meta__", "u1"), (ARENA, "<f8")):
                 if f"{key}.npy" not in names:
-                    raise ParseError(f"{path}: no {key!r} entry")
+                    raise DataError(f"{path}: no {key!r} entry")
                 data = archive.read(f"{key}.npy")
                 entries[key] = read_npy(io.BytesIO(data), len(data), np.dtype(dtype),
                                         f"{path}: {key!r}", "array")
-        except ParseError as exc:  # each names the file
-            raise DataError(str(exc)) from None
+        except DataError:  # each names the file
+            raise
         except Exception as exc:  # BadZipFile, EOFError, OSError, RuntimeError, zlib.error...
             raise DataError(f"{path}: not a checkpoint archive: "
                             f"{str(exc) or type(exc).__name__}") from None

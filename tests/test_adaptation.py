@@ -470,7 +470,8 @@ def test_few_shot_pool_exhaustion_raises(small_dataset):
 def test_training_steps_record_a_fixed_graph(small_dataset, monkeypatch):
     # Non-leaf tape records per step, counted at `Tape._record` as the bench
     # tracer counts them (its autodiff.ops_per_step).  A baseline step is one
-    # task pass: 2 x (affine, tanh), classifier affine, cross-entropy.  A ditto
+    # task pass: 2 x (affine, tanh), classifier affine, cross-entropy, and a
+    # ditto_minus_la step (lambda = 0, so `baseline_step`) two of them.  A ditto
     # step with SAM and lambda > 0 is two task passes plus the adversarial
     # pass: encoder (4), grad_reverse, discriminator (affine, tanh, affine,
     # sigmoid) and binary cross-entropy.
@@ -497,7 +498,7 @@ def test_training_steps_record_a_fixed_graph(small_dataset, monkeypatch):
     for step, name in enumerate(["baseline", "ditto", "ditto_minus_la", "ditto_minus_sam"]):
         variant = TrainVariant.parse(name, lam=0.25, rho=0.05)
         recorded.clear()
-        if name == "baseline":
+        if variant.lam == 0.0:  # the step `train` takes for it
             baseline_step(bundle, X, y, opts, variant, step)
         else:
             ditto_step(bundle, X, y, prior, small_dataset, opts, variant, step, Rng(1))

@@ -27,7 +27,7 @@ from ditto import (
 )
 import ditto.data
 from ditto.data import apply_transform
-from ditto.errors import ConfigError, DataError, ParameterError, ParseError
+from ditto.errors import ConfigError, DataError, ParameterError
 
 from conftest import make_dataset
 
@@ -655,129 +655,129 @@ TITLED = np.dtype([(("t", "label"), "<i8"), ("x", "<f8", (2,))])
 # 30 eval and 45 unlabeled rows of 2 features), how, and the error loading
 # it raises, pinned whole ({head} is the file's first 6 bytes)
 SPLIT_FAULTS = {
-    "truncated": ("eval", lambda p: p.write_bytes(p.read_bytes()[:-1]), ParseError,
+    "truncated": ("eval", lambda p: p.write_bytes(p.read_bytes()[:-1]), DataError,
                   "{path}: header claims 30 rows of 24 bytes, but 719 bytes follow it"),
     "bytes_past_the_rows": ("eval", lambda p: p.write_bytes(p.read_bytes() + b"\0"),
-                            ParseError,
+                            DataError,
                             "{path}: header claims 30 rows of 24 bytes, but 721 bytes follow it"),
-    "text_file": ("eval", lambda p: p.write_text("domain,split,label,f0,f1\n"), ParseError,
+    "text_file": ("eval", lambda p: p.write_text("domain,split,label,f0,f1\n"), DataError,
                   NOT_NPY),
-    "npz_archive": ("eval", _save_npz, ParseError, NOT_NPY),
+    "npz_archive": ("eval", _save_npz, DataError, NOT_NPY),
     "format_version_2": ("eval", lambda p: _rewrite_header(
-                             p, writer=np.lib.format.write_array_header_2_0), ParseError,
+                             p, writer=np.lib.format.write_array_header_2_0), DataError,
                          "{path}: not a .npy split file (format version 2.0, not 1.0)"),
-    "pickled_object_array": ("eval", _save_pickled, ParseError, _holds([("", "|O")])),
-    "claims_10**12_rows": ("eval", lambda p: _rewrite_header(p, (10**12,)), ParseError,
+    "pickled_object_array": ("eval", _save_pickled, DataError, _holds([("", "|O")])),
+    "claims_10**12_rows": ("eval", lambda p: _rewrite_header(p, (10**12,)), DataError,
                            "{path}: header claims 1000000000000 rows of 24 bytes, but 720 "
                            "bytes follow it"),
     "x_float32": ("eval", lambda p: _resave(p, [("label", "<i8"), ("x", "<f4", (2,))]),
-                  ParseError, _holds([("label", "<i8"), ("x", "<f4", (2,))])),
+                  DataError, _holds([("label", "<i8"), ("x", "<f4", (2,))])),
     "label_int32": ("eval", lambda p: _resave(p, [("label", "<i4"), ("x", "<f8", (2,))]),
-                    ParseError, _holds([("label", "<i4"), ("x", "<f8", (2,))])),
+                    DataError, _holds([("label", "<i4"), ("x", "<f8", (2,))])),
     "big_endian": ("eval", lambda p: _resave(p, [("label", ">i8"), ("x", ">f8", (2,))]),
-                   ParseError, _holds([("label", ">i8"), ("x", ">f8", (2,))])),
+                   DataError, _holds([("label", ">i8"), ("x", ">f8", (2,))])),
     "labeled_without_label": ("eval", lambda p: _resave(p, [("x", "<f8", (2,))]),
-                              ParseError, _holds([("x", "<f8", (2,))])),
-    "unlabeled_with_label": ("unlabeled", lambda p: _resave(p, LABELED), ParseError,
+                              DataError, _holds([("x", "<f8", (2,))])),
+    "unlabeled_with_label": ("unlabeled", lambda p: _resave(p, LABELED), DataError,
                              _holds(LABELED, [("x", "<f8", (2,))])),
     "wrong_width": ("eval", lambda p: _resave(p, [("label", "<i8"), ("x", "<f8", (3,))]),
-                    ParseError, _holds([("label", "<i8"), ("x", "<f8", (3,))])),
-    "two_dimensional": ("eval", lambda p: _rewrite_header(p, (15, 2)), ParseError,
+                    DataError, _holds([("label", "<i8"), ("x", "<f8", (3,))])),
+    "two_dimensional": ("eval", lambda p: _rewrite_header(p, (15, 2)), DataError,
                         "{path}: holds an array of shape (15, 2), expected one dimension"),
     "nan_feature": ("eval", lambda p: _resave(p, change=_set("x", np.nan)), DataError,
                     _non_finite("eval")),
     "negative_label": ("eval", lambda p: _resave(p, change=_set("label", -1)), DataError,
                        _bad_labels(-1)),
     # the magic string, the format version and the header's Python literal
-    "empty_file": ("eval", _keep(0), ParseError,
+    "empty_file": ("eval", _keep(0), DataError,
                    _not_npy("EOF: reading magic string, expected 8 bytes got 0")),
-    "shorter_than_the_magic": ("eval", _keep(4), ParseError,
+    "shorter_than_the_magic": ("eval", _keep(4), DataError,
                                _not_npy("EOF: reading magic string, expected 8 bytes got 4")),
-    "magic_only": ("eval", _keep(8), ParseError,
+    "magic_only": ("eval", _keep(8), DataError,
                    _not_npy("EOF: reading array header length, expected 2 bytes got 0")),
-    "format_version_1_1": ("eval", _header_text(LABELED_HEADER, b"\x01\x01"), ParseError,
+    "format_version_1_1": ("eval", _header_text(LABELED_HEADER, b"\x01\x01"), DataError,
                            _not_npy("format version 1.1, not 1.0")),
-    "format_version_3": ("eval", _header_text(LABELED_HEADER, b"\x03\x00"), ParseError,
+    "format_version_3": ("eval", _header_text(LABELED_HEADER, b"\x03\x00"), DataError,
                          _not_npy("format version 3.0, not 1.0")),
     "header_past_the_end": ("eval", lambda p: p.write_bytes(
-                                MAGIC_1_0 + struct.pack("<H", 500) + b"{"), ParseError,
+                                MAGIC_1_0 + struct.pack("<H", 500) + b"{"), DataError,
                             _not_npy("EOF: reading array header, expected 500 bytes got 1")),
-    "header_not_a_dict": ("eval", _header_text("[1, 2]"), ParseError,
+    "header_not_a_dict": ("eval", _header_text("[1, 2]"), DataError,
                           _not_npy("Header is not a dictionary: [1, 2]")),
     "header_missing_a_key": ("eval", _header_text("{'descr': %s, 'shape': (30,)}" % LABELED),
-                             ParseError, _not_npy("Header does not contain the correct keys: "
+                             DataError, _not_npy("Header does not contain the correct keys: "
                                                   "['descr', 'shape']")),
-    "header_extra_key": ("eval", _header_text(LABELED_HEADER[:-1] + "'rows': 30}"), ParseError,
+    "header_extra_key": ("eval", _header_text(LABELED_HEADER[:-1] + "'rows': 30}"), DataError,
                          _not_npy("Header does not contain the correct keys: "
                                   "['descr', 'fortran_order', 'rows', 'shape']")),
     "shape_not_a_tuple": ("eval", _header_text(LABELED_HEADER.replace("(30,)", "30")),
-                          ParseError, _not_npy("shape is not valid: 30")),
+                          DataError, _not_npy("shape is not valid: 30")),
     "shape_of_floats": ("eval", _header_text(LABELED_HEADER.replace("(30,)", "(30.0,)")),
-                        ParseError, _not_npy("shape is not valid: (30.0,)")),
+                        DataError, _not_npy("shape is not valid: (30.0,)")),
     "fortran_order_not_a_bool": ("eval", _header_text(LABELED_HEADER.replace("False", "0")),
-                                 ParseError, _not_npy("fortran_order is not a valid bool: 0")),
+                                 DataError, _not_npy("fortran_order is not a valid bool: 0")),
     "descr_not_a_dtype": ("eval", _header_text(LABELED_HEADER.replace(str(LABELED), "'<f99'")),
-                          ParseError, _not_npy("descr is not a valid dtype descriptor: '<f99'")),
+                          DataError, _not_npy("descr is not a valid dtype descriptor: '<f99'")),
     "descr_repeats_a_field": ("eval", _header_text(LABELED_HEADER.replace(
-                                  str(LABELED), "[('x', '<f8'), ('x', '<f8')]")), ParseError,
+                                  str(LABELED), "[('x', '<f8'), ('x', '<f8')]")), DataError,
                               _not_npy("name already used as a name or title")),
-    "header_too_large": ("eval", _header_text(LABELED_HEADER + " " * 10_000), ParseError,
+    "header_too_large": ("eval", _header_text(LABELED_HEADER + " " * 10_000), DataError,
                          _not_npy("Header info length (10091) is large and may not be safe to "
                                   "load securely.")),
-    "header_unparsable": ("eval", _header_text("{'descr': }"), ParseError,
+    "header_unparsable": ("eval", _header_text("{'descr': }"), DataError,
                           _not_npy("Cannot parse header: \"{{'descr': }}\"")),
     # numpy reads these only by way of an exception it does not wrap, or a warning
     "python2_header": ("eval", _header_text(LABELED_HEADER.replace("(30,)", "(30L,)")),
-                       ParseError, _not_npy("Reading `.npy` or `.npz` file required additional "
+                       DataError, _not_npy("Reading `.npy` or `.npz` file required additional "
                                             "header parsing as it was created on Python 2. "
                                             "Save the file again to speed up loading and avoid "
                                             "this warning.")),
-    "header_unclosed_bracket": ("eval", _header_text("{'descr': ["), ParseError,
+    "header_unclosed_bracket": ("eval", _header_text("{'descr': ["), DataError,
                                 _not_npy("('EOF in multi-line statement', (2, 0))")),
     "header_bytes_key": ("eval", _header_text(LABELED_HEADER.replace("'fortran_order'",
                                                                      "b'fortran_order'")),
-                         ParseError, _not_npy("'<' not supported between instances of 'bytes' "
+                         DataError, _not_npy("'<' not supported between instances of 'bytes' "
                                               "and 'str'")),
-    "header_deeply_nested": ("eval", _header_text("-" * 5000 + "1"), ParseError,
+    "header_deeply_nested": ("eval", _header_text("-" * 5000 + "1"), DataError,
                              _not_npy("maximum recursion depth exceeded during ast "
                                       "construction")),
     # the row type
     "x_big_endian": ("eval", lambda p: _resave(p, [("label", "<i8"), ("x", ">f8", (2,))]),
-                     ParseError, _holds([("label", "<i8"), ("x", ">f8", (2,))])),
+                     DataError, _holds([("label", "<i8"), ("x", ">f8", (2,))])),
     "label_uint64": ("eval", lambda p: _resave(p, [("label", "<u8"), ("x", "<f8", (2,))]),
-                     ParseError, _holds([("label", "<u8"), ("x", "<f8", (2,))])),
+                     DataError, _holds([("label", "<u8"), ("x", "<f8", (2,))])),
     "label_float64": ("eval", lambda p: _resave(p, [("label", "<f8"), ("x", "<f8", (2,))]),
-                      ParseError, _holds([("label", "<f8"), ("x", "<f8", (2,))])),
+                      DataError, _holds([("label", "<f8"), ("x", "<f8", (2,))])),
     "x_int64": ("eval", lambda p: _resave(p, [("label", "<i8"), ("x", "<i8", (2,))]),
-                ParseError, _holds([("label", "<i8"), ("x", "<i8", (2,))])),
+                DataError, _holds([("label", "<i8"), ("x", "<i8", (2,))])),
     "fields_reordered": ("eval", lambda p: _resave(p, [("x", "<f8", (2,)), ("label", "<i8")]),
-                         ParseError, _holds([("x", "<f8", (2,)), ("label", "<i8")])),
-    "extra_field": ("eval", lambda p: _resave(p, LABELED + [("weight", "<f8")]), ParseError,
+                         DataError, _holds([("x", "<f8", (2,)), ("label", "<i8")])),
+    "extra_field": ("eval", lambda p: _resave(p, LABELED + [("weight", "<f8")]), DataError,
                     _holds(LABELED + [("weight", "<f8")])),
     "fields_renamed": ("eval", lambda p: _resave(p, [("y", "<i8"), ("X", "<f8", (2,))]),
-                       ParseError, _holds([("y", "<i8"), ("X", "<f8", (2,))])),
+                       DataError, _holds([("y", "<i8"), ("X", "<f8", (2,))])),
     "narrow_width": ("eval", lambda p: _resave(p, [("label", "<i8"), ("x", "<f8", (1,))]),
-                     ParseError, _holds([("label", "<i8"), ("x", "<f8", (1,))])),
-    "padded_rows": ("eval", lambda p: _resave(p, PADDED), ParseError,
+                     DataError, _holds([("label", "<i8"), ("x", "<f8", (1,))])),
+    "padded_rows": ("eval", lambda p: _resave(p, PADDED), DataError,
                     _holds([("label", "<i8"), ("", "|V8"), ("x", "<f8", (2,))])),
-    "field_with_a_title": ("eval", lambda p: _resave(p, TITLED), ParseError,
+    "field_with_a_title": ("eval", lambda p: _resave(p, TITLED), DataError,
                            _holds([(("t", "label"), "<i8"), ("x", "<f8", (2,))])),
-    "plain_feature_matrix": ("eval", lambda p: np.save(p, np.load(p)["x"]), ParseError,
+    "plain_feature_matrix": ("eval", lambda p: np.save(p, np.load(p)["x"]), DataError,
                              _holds([("", "<f8")])),
-    "unlabeled_plain_matrix": ("unlabeled", lambda p: np.save(p, np.load(p)["x"]), ParseError,
+    "unlabeled_plain_matrix": ("unlabeled", lambda p: np.save(p, np.load(p)["x"]), DataError,
                                _holds([("", "<f8")], [("x", "<f8", (2,))])),
     # the shape against the bytes after the header
-    "zero_dimensional": ("eval", lambda p: _rewrite_header(p, ()), ParseError,
+    "zero_dimensional": ("eval", lambda p: _rewrite_header(p, ()), DataError,
                          "{path}: holds an array of shape (), expected one dimension"),
-    "three_dimensional": ("eval", lambda p: _rewrite_header(p, (5, 3, 2)), ParseError,
+    "three_dimensional": ("eval", lambda p: _rewrite_header(p, (5, 3, 2)), DataError,
                           "{path}: holds an array of shape (5, 3, 2), expected one dimension"),
-    "a_row_short": ("eval", _keep(-24), ParseError, _header_claims(30, 696)),
+    "a_row_short": ("eval", _keep(-24), DataError, _header_claims(30, 696)),
     "a_row_past_the_rows": ("eval", lambda p: p.write_bytes(p.read_bytes() + bytes(24)),
-                            ParseError, _header_claims(30, 744)),
-    "header_without_rows": ("eval", _keep(-720), ParseError, _header_claims(30, 0)),
-    "claims_no_rows": ("eval", lambda p: _rewrite_header(p, (0,)), ParseError,
+                            DataError, _header_claims(30, 744)),
+    "header_without_rows": ("eval", _keep(-720), DataError, _header_claims(30, 0)),
+    "claims_no_rows": ("eval", lambda p: _rewrite_header(p, (0,)), DataError,
                        _header_claims(0, 720)),
-    "claims_minus_one_row": ("eval", lambda p: _rewrite_header(p, (-1,)), ParseError,
+    "claims_minus_one_row": ("eval", lambda p: _rewrite_header(p, (-1,)), DataError,
                              _header_claims(-1, 720)),
     # the values, which `Rows` and `validate` check once the rows are read
     "inf_feature": ("eval", lambda p: _resave(p, change=_set("x", np.inf)), DataError,

@@ -35,7 +35,7 @@ from ditto import (
 from ditto.analysis import read_eval_csv, relative_gain
 from ditto.cli import main
 from ditto.data import Manifest
-from ditto.errors import ConfigError, config_json, parse_config
+from ditto.errors import DOMAIN_ID_RULE, ConfigError, config_json, parse_config
 from ditto.experiment import (
     Cell,
     DatasetConfig,
@@ -509,6 +509,22 @@ def test_cli_bad_domain_list_is_one_error_in_generate_and_run_all(cli_config, tm
     data = ["--data", str(data_dir)] if command == "run-all" else []
     assert main([command, "--config", str(bad), *data, "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: {named}\n"
+    assert not out.exists()
+
+
+def test_cli_run_all_refuses_a_colon_in_a_domain_id(cli_config, tmp_path, capsys):
+    # ':' separates a variant's kind from its target, and each variant's run
+    # directory spells it '_': 'ditto_single:a:b' and 'ditto_single:a_b'
+    # would write one directory
+    cfg = json.loads(cli_config.read_text())
+    cfg["dataset"]["domains"][1]["id"], cfg["dataset"]["domains"][2]["id"] = "a:b", "a_b"
+    cfg["experiment"].update(epochs=1, variants=["ditto_single:a:b", "ditto_single:a_b"])
+    config, out = tmp_path / "colon.json", tmp_path / "out"
+    config.write_text(json.dumps(cfg))
+    capsys.readouterr()
+    assert main(["run-all", "--config", str(config), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"error: experiment.variants[0]: domain id 'a:b' must "
+                                       f"be {DOMAIN_ID_RULE}\n")
     assert not out.exists()
 
 

@@ -1,11 +1,14 @@
 import io
 import json
 import re
+import zipfile
 
 import numpy as np
 import pytest
 
-from ditto import EncoderSpec, Rng, Tape, backward, init_params, load_checkpoint, save_checkpoint
+from conftest import make_dataset
+from ditto import (EncoderSpec, Rng, Tape, backward, init_params, load_checkpoint, load_dataset,
+                   save_checkpoint, save_dataset)
 from ditto.analysis import linear_cka
 from ditto.autodiff import (
     activation,
@@ -364,6 +367,36 @@ def test_cli_eval_of_an_edited_checkpoint_is_one_error_line(tmp_path, capsys, ca
                  "--out", str(tmp_path / "scores.csv")]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+
+
+def _damage_header(data: bytes) -> bytes:
+    """The `.npy` bytes `data` with byte 20, inside the header's dict, set to '('."""
+    return data[:20] + b"(" + data[21:]
+
+
+def test_one_header_damage_is_one_data_error_in_a_split_file_and_a_checkpoint(tmp_path):
+    # the same damage to a split file and to a checkpoint's arena entry: one
+    # `except DataError` catches each load, and each message names its file
+    save_dataset(make_dataset(), tmp_path / "data")
+    split = tmp_path / "data" / "rot15.eval.npy"
+    split.write_bytes(_damage_header(split.read_bytes()))
+    model = tmp_path / "model.npz"
+    save_checkpoint(make_bundle(seed=13), model)
+    with zipfile.ZipFile(model) as archive:
+        entries = {name: archive.read(name) for name in archive.namelist()}
+    entries[f"{ARENA}.npy"] = _damage_header(entries[f"{ARENA}.npy"])
+    with zipfile.ZipFile(model, "w") as archive:
+        for name, data in entries.items():
+            archive.writestr(name, data)
+    messages = []
+    for load, path in ((load_dataset, tmp_path / "data"), (load_checkpoint, model)):
+        try:
+            load(path)
+        except DataError as exc:
+            messages.append(str(exc))
+    assert len(messages) == 2
+    assert messages[0].startswith(f"{split}: not a .npy split file (Cannot parse header")
+    assert messages[1].startswith(f"{model}: '{ARENA}': not a .npy array (")
 
 
 def _spoil_arena(index, bad):

@@ -46,7 +46,7 @@ def test_permutation_is_permutation():
 
 
 def test_choice_without_replacement_unique_and_in_range():
-    idx = Rng(3).choice_without_replacement(30, 12)
+    idx = Rng(3).choice(30, 12, replace=False)
     assert len(idx) == 12
     assert len(set(idx.tolist())) == 12
     assert idx.min() >= 0 and idx.max() < 30
