@@ -52,7 +52,7 @@ def main():
     print(f"dL/dW1 norm           {np.linalg.norm(store['W1'].grad):.6f}")
     print(f"dL/db2                {np.round(store['b2'].grad, 4)}")
 
-    worst = finite_diff_check(loss_proc, store, h=1e-5)
+    worst = finite_diff_check(loss_proc, store)
     print(f"worst relative error  {worst:.3e}  (central differences, h=1e-5)")
 
     # A single op checked the same way: C = A @ B, loss = sum(C).

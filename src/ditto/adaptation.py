@@ -424,8 +424,9 @@ def train(
 
 
 def few_shot_augment(datasets: DomainDataset, k: int, rng: Rng) -> DomainDataset:
-    """Move k labeled rows per target from its few-shot pool into the source
-    labeled set (sampled without replacement; unlabeled pools unchanged).
+    """Copy k labeled rows per target, drawn from its few-shot pool without
+    replacement, into the source labeled set.  Every target split, the pool
+    included, is left as it was.
 
     k = 0 returns the dataset untouched.
     """

@@ -135,13 +135,13 @@ def zero_shot_eval(bundle: ModelBundle, datasets: DomainDataset, method: str) ->
     return table
 
 
-def gap_table(table: EvalTable, method: str | None = None) -> float:
-    """Mean over targets of (source accuracy - target accuracy), signed."""
+def gap_table(table: EvalTable) -> float:
+    """Mean over targets of (source accuracy - target accuracy), signed, of
+    a table that holds exactly one method."""
     methods = table.methods()
-    if method is None:
-        if len(methods) != 1:
-            raise DataError(f"table holds methods {methods}; pick one")
-        method = methods[0]
+    if len(methods) != 1:
+        raise DataError(f"gap_table needs a table of one method, got {methods}")
+    method = methods[0]
     src = table.get(method, table.source)
     targets = table.targets(method)
     if not targets:
@@ -212,7 +212,7 @@ def write_eval_csv(table: EvalTable, path) -> None:
 def _csv_body(path, header: list[str], what: str):
     """(line number, row) for each body row of a CSV file with `header`; a
     wrong header or a row of the wrong width raises DataError."""
-    with closing(csv_records(path, DataError)) as records:
+    with closing(csv_records(path)) as records:
         _, first = next(records, (None, None))
         if first != header:
             raise DataError(f"{path}: unexpected {what} CSV header {first}")

@@ -160,7 +160,7 @@ def _train(args) -> int:
 
 def _eval(args) -> int:
     bundle = load_checkpoint(args.model)
-    dataset = load_dataset(args.data, splits=("eval",))
+    dataset = load_dataset(args.data, eval_only=True)
     misfit = dataset.misfit(bundle.spec.input_dim, bundle.num_classes)
     if misfit:
         name, reason, split_file = misfit

@@ -42,18 +42,6 @@ SOURCE_FRACTIONS = (1, 10, 100)  # the percentages of source labels a grid may k
 _MAX_LABEL = np.iinfo(np.int64).max
 
 
-def _check_splits(splits) -> None:
-    """Raise a ParameterError unless `splits` names one or more of SPLITS,
-    each once."""
-    if not isinstance(splits, (tuple, list)) or not splits:
-        raise ParameterError(f"splits must name one or more of {SPLITS}, got {splits!r}")
-    for i, split in enumerate(splits):
-        if split not in SPLITS:
-            raise ParameterError(f"unknown split {split!r}; splits are {SPLITS}")
-        if split in splits[:i]:
-            raise ParameterError(f"splits names {split!r} twice")
-
-
 def _is_list_of(item):
     return lambda v: isinstance(v, (list, tuple)) and all(map(item, v))
 
@@ -164,15 +152,14 @@ class DomainDataset:
     def feature_dim(self) -> int:
         return self.domains[self.source].eval.X.shape[1]
 
-    def validate(self, splits: tuple[str, ...] = SPLITS) -> "DomainDataset":
-        """Check every split's width and values; then that each of `splits`
-        holds what training or scoring needs: labeled source rows, unlabeled
-        target rows, labeled eval rows in every domain.  A split left out of
-        `splits` (one `load_dataset` did not read) may be empty."""
-        _check_splits(splits)
+    def validate(self, eval_only: bool = False) -> "DomainDataset":
+        """Check every split's width and values; then that the splits hold what
+        training and scoring need: labeled source rows, unlabeled target rows,
+        labeled eval rows in every domain.  With `eval_only` (what an
+        eval-only `load_dataset` read) only the eval rows are needed."""
         if self.source not in self.domains:
             raise DataError(f"source domain {self.source!r} missing from dataset")
-        if "labeled" in splits and self.domains[self.source].labeled.n == 0:
+        if not eval_only and self.domains[self.source].labeled.n == 0:
             raise DataError(f"source domain {self.source!r} has no labeled rows")
         dim = self.feature_dim
         for dom, parts in self.domains.items():
@@ -183,9 +170,9 @@ class DomainDataset:
                 if not np.isfinite(X).all():
                     raise DataError(f"domain {dom!r} split {split} has a non-finite "
                                     f"feature value")
-            if "eval" in splits and parts.eval.n == 0:
+            if parts.eval.n == 0:
                 raise DataError(f"domain {dom!r} needs a labeled, non-empty eval split")
-            if "unlabeled" in splits and dom != self.source and parts.unlabeled.shape[0] == 0:
+            if not eval_only and dom != self.source and parts.unlabeled.shape[0] == 0:
                 raise DataError(f"target domain {dom!r} has an empty unlabeled split")
         return self
 
@@ -452,20 +439,21 @@ def write_csv(path: str | Path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
-def csv_records(path: str | Path, error: type[Exception]):
+def csv_records(path: str | Path):
     """(physical line the record ends on, row) of every record of the CSV file
-    at `path`, header first.  A record csv rejects raises `error` naming the
-    file and line; an undecodable byte, the file only (decoding runs in blocks)."""
+    at `path`, header first.  A record csv rejects raises a DataError naming
+    the file and line; an undecodable byte, the file only (decoding runs in
+    blocks)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             for row in reader:
                 yield reader.line_num, row
         except csv.Error as exc:
-            raise error(f"{path}:{reader.line_num}: {exc}") from None
+            raise DataError(f"{path}:{reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:  # its position is within a block, not the file
-            raise error(f"{path}: cannot decode {exc.object[exc.start:exc.end]!r} as "
-                        f"{exc.encoding} ({exc.reason})") from None
+            raise DataError(f"{path}: cannot decode {exc.object[exc.start:exc.end]!r} as "
+                            f"{exc.encoding} ({exc.reason})") from None
 
 
 def write_record(path: str | Path, record) -> None:
@@ -476,19 +464,17 @@ def write_record(path: str | Path, record) -> None:
         fh.write("\n")
 
 
-def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDataset:
+def load_dataset(path: str | Path, eval_only: bool = False) -> DomainDataset:
     """Load a dataset directory written by save_dataset; validates invariants.
 
-    Reads `manifest.json`, then the file of each domain's split named in
-    `splits` (all four by default; `("eval",)` is what scoring needs).  A
-    split not read is an empty block of the manifest's width, and the files
-    of such splits are never opened.  A DataError names the manifest that
-    `parse_record` rejects, the split file that `read_npy` refuses or whose
-    labels `Rows` rejects, or the directory (holding the older CSV split
-    files, or a dataset that `validate` rejects); `splits` empty, repeating
-    or naming an unknown split is a ParameterError.
+    Reads `manifest.json`, then every domain's split files, or with
+    `eval_only` (what scoring needs) only each `<domain>.eval.npy`: the other
+    splits are then empty blocks of the manifest's width, and their files
+    are never opened.  A DataError names the manifest that `parse_record`
+    rejects, the split file that `read_npy` refuses or whose labels `Rows`
+    rejects, or the directory (holding the older CSV split files, or a
+    dataset that `validate` rejects).
     """
-    _check_splits(splits)
     root = Path(path)
     manifest_path = root / "manifest.json"
     if not manifest_path.is_file():
@@ -501,7 +487,7 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
         for split in SPLITS:
             labeled = split != "unlabeled"
             split_path = root / f"{dom}.{split}.npy"
-            if split not in splits:
+            if eval_only and split != "eval":
                 X, y = np.empty((0, dim)), (np.empty(0, np.int64) if labeled else None)
             elif split_path.is_file():
                 X, y = _read_split(split_path, dim, labeled)
@@ -516,7 +502,7 @@ def load_dataset(path: str | Path, splits: tuple[str, ...] = SPLITS) -> DomainDa
                 raise DataError(f"{split_path}: {exc}") from None
         domains[dom] = DomainSplits(**blocks)
     try:
-        return DomainDataset(source=manifest.source, domains=domains).validate(splits)
+        return DomainDataset(source=manifest.source, domains=domains).validate(eval_only)
     except DataError as exc:
         raise DataError(f"{root}: {exc}") from None
 

@@ -247,7 +247,7 @@ def test_criterion_01_finite_difference_gradients():
     for case in cases:
         for _ in range(50):
             store, loss = case()
-            err = finite_diff_check(loss, store, h=1e-5)
+            err = finite_diff_check(loss, store)
             worst = max(worst, err)
 
     # the reversal op's forward is deliberately not the antiderivative of its

@@ -463,20 +463,6 @@ def test_shape_errors():
         activation(tape.constant(np.ones((2, 2))), "gelu")
 
 
-def test_finite_diff_check_rejects_bad_h():
-    store = ParamStore([("w", np.array([[1.0]]))])
-
-    def loss():
-        tape = Tape()
-        w = tape.watch(store["w"])
-        return summation(hadamard(w, w))
-
-    with pytest.raises(ParameterError):
-        finite_diff_check(loss, store, h=0.0)
-    with pytest.raises(ParameterError):
-        finite_diff_check(loss, store, h=0.1)
-
-
 def test_finite_diff_check_restores_parameter_values():
     store = ParamStore([("w", np.array([[1.5, -0.5]]))])
     before = store["w"].value.copy()
@@ -504,6 +490,22 @@ def test_finite_diff_check_flags_wrong_gradients():
         return summation(out)
 
     assert finite_diff_check(loss, store) > 1e-2
+
+
+def test_finite_diff_check_covers_every_parameter():
+    # only the last parameter's gradient is wrong; the checker must still reach it
+    store = ParamStore([("a", np.array([[0.5, -1.0]])), ("b", np.array([[2.0, 1.5]]))])
+
+    def loss():
+        tape = Tape()
+        out = hadamard(tape.watch(store["a"]), tape.watch(store["b"]))
+        orig = out.vjp
+        out.vjp = lambda g: (orig(g)[0], 2.0 * orig(g)[1])  # tamper: double b's gradient
+        return summation(out)
+
+    assert finite_diff_check(loss, store) > 1e-2
+    store["a"].value[...] = 0.0  # b's gradient is a, so zero whether doubled or not
+    assert finite_diff_check(loss, store) < 1e-6
 
 
 def test_duplicate_parameter_name_rejected():
@@ -548,7 +550,7 @@ def test_store_is_laid_out_once_from_all_of_its_values():
     view[...] = 7.0  # a view taken at any time writes through to the arena
     assert np.array_equal(store.value, [1.0, 2.0, 7.0, 7.0])
     assert not hasattr(store, "add")
-    assert len(ParamStore([])) == 0 and ParamStore([]).value.size == 0
+    assert ParamStore([]).names() == [] and ParamStore([]).value.size == 0
     with pytest.raises(TypeError):
         ParamStore()
     with pytest.raises(ShapeError):

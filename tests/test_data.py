@@ -502,15 +502,15 @@ def _split_blocks(ds, dom):
             "fewshot": (parts.fewshot.X, parts.fewshot.y), "eval": (parts.eval.X, parts.eval.y)}
 
 
-@pytest.mark.parametrize("splits", [("eval",), ("labeled", "eval"), ("eval", "unlabeled"),
-                                    ("fewshot", "labeled", "unlabeled", "eval")])
+@pytest.mark.parametrize("splits", [("eval",), ("fewshot", "labeled", "unlabeled", "eval")],
+                         ids=["splits0", "splits3"])  # an eval-only load, a full load
 def test_load_named_splits_only(tmp_path, splits):
     save_dataset(two_domain(), tmp_path)
     full = load_dataset(tmp_path)
     for dom in full.domains:
         for split in set(ditto.data.SPLITS) - set(splits):
-            (tmp_path / f"{dom}.{split}.npy").unlink()  # a split not named is never opened
-    part = load_dataset(tmp_path, splits=splits)
+            (tmp_path / f"{dom}.{split}.npy").unlink()  # a split not read is never opened
+    part = load_dataset(tmp_path, eval_only=splits == ("eval",))
     assert part.source == full.source and list(part.domains) == list(full.domains)
     for dom in full.domains:
         want, got = _split_blocks(full, dom), _split_blocks(part, dom)
@@ -524,35 +524,56 @@ def test_load_named_splits_only(tmp_path, splits):
                 assert y is None if split == "unlabeled" else (y.dtype, y.shape) == (np.int64, (0,))
 
 
-@pytest.mark.parametrize("splits,named", [
-    ((), "splits must name one or more"),
-    ("eval", "splits must name one or more"),
-    (("eval", "eval"), "splits names 'eval' twice"),
-    (("eval", "test"), "unknown split 'test'"),
-], ids=["empty", "a_string", "repeated", "unknown"])
-def test_load_rejects_bad_splits(tmp_path, splits, named):
-    save_dataset(two_domain(), tmp_path)
-    with pytest.raises(ParameterError, match=re.escape(named)):
-        load_dataset(tmp_path, splits=splits)
-
-
 def test_partial_load_keeps_the_manifest_checks(tmp_path):
     save_dataset(two_domain(), tmp_path)
     (tmp_path / "manifest.json").write_text(
         '{"source": "x", "domains": ["s", "t"], "feature_dim": 2}')
     with pytest.raises(DataError, match="source domain 'x' missing from dataset"):
-        load_dataset(tmp_path, splits=("eval",))
+        load_dataset(tmp_path, eval_only=True)
 
 
 def test_eval_only_dataset_fails_training_validation(tmp_path):
     save_dataset(two_domain(), tmp_path)
-    ds = load_dataset(tmp_path, splits=("eval",))
+    ds = load_dataset(tmp_path, eval_only=True)
     with pytest.raises(DataError, match="source domain 's' has no labeled rows"):
         ds.validate()
     cfg = TrainConfig(encoder=EncoderSpec(input_dim=2, hidden_dims=[4]), num_classes=3,
                       epochs=1)
     with pytest.raises(DataError, match="source domain 's' has no labeled rows"):
         train(cfg, ds, TrainVariant.parse("baseline", 0.0, 0.0), 0)
+
+
+@pytest.mark.parametrize("dom,split,message", [
+    ("s", "labeled", "source domain 's' has no labeled rows"),
+    ("t", "unlabeled", "target domain 't' has an empty unlabeled split"),
+], ids=["no_labeled_source", "no_unlabeled_target"])
+def test_eval_only_validation_skips_only_the_training_checks(dom, split, message):
+    ds = two_domain()
+    parts = ds.domains[dom]
+    if split == "unlabeled":
+        parts.unlabeled = np.empty((0, 2))
+    else:
+        parts.labeled = Rows(np.empty((0, 2)), np.empty(0, np.int64))
+    assert ds.validate(eval_only=True) is ds
+    with pytest.raises(DataError, match=f"^{re.escape(message)}$"):
+        ds.validate()
+
+
+@pytest.mark.parametrize("dom", ["s", "t"])
+def test_eval_only_validation_still_needs_eval_rows(dom):
+    ds = two_domain()
+    ds.domains[dom].eval = Rows(np.empty((0, 2)), np.empty(0, np.int64))
+    with pytest.raises(DataError, match=f"^domain '{dom}' needs a labeled, non-empty eval split$"):
+        ds.validate(eval_only=True)
+
+
+@pytest.mark.parametrize("split", ["labeled", "unlabeled", "fewshot", "eval"])
+def test_eval_only_validation_still_checks_every_split_for_non_finite_features(split):
+    ds = two_domain()
+    X = ds.domains["t"].unlabeled if split == "unlabeled" else getattr(ds.domains["t"], split).X
+    X[1, 0] = np.inf
+    with pytest.raises(DataError, match=f"domain 't' split {split} has a non-finite"):
+        ds.validate(eval_only=True)
 
 
 # --- split file faults ---------------------------------------------------------
@@ -822,10 +843,10 @@ def test_eval_only_load_meets_a_split_file_fault_only_in_an_eval_file(tmp_path, 
     save_dataset(two_domain(), tmp_path)
     error, message = spoil_split_file(tmp_path, "s", case)
     if SPLIT_FAULTS[case][0] != "eval":  # the spoiled file is never opened
-        assert load_dataset(tmp_path, splits=("eval",)).domains["s"].eval.X.shape == (30, 2)
+        assert load_dataset(tmp_path, eval_only=True).domains["s"].eval.X.shape == (30, 2)
         return
     with pytest.raises(error) as exc:
-        load_dataset(tmp_path, splits=("eval",))
+        load_dataset(tmp_path, eval_only=True)
     assert type(exc.value) is error and str(exc.value) == message
 
 
@@ -1062,3 +1083,15 @@ def test_only_the_data_module_imports_csv():
             if modules & {"csv", "_csv"}:
                 importers.add(path.name)
     assert importers == {"data.py"}
+
+
+@pytest.mark.parametrize("body,message", [
+    ("a,b\n1,2\n3," + "x" * 200_000 + "\n", "{path}:3: field larger than field limit (131072)"),
+    ("a,b\n1,\xe9\n", "{path}: cannot decode b'\\xe9' as utf-8 (invalid continuation byte)"),
+], ids=["csv_error", "undecodable_byte"])
+def test_csv_records_raises_one_data_error_naming_the_file(tmp_path, body, message):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(body.encode("latin-1"))
+    with pytest.raises(DataError) as exc:
+        list(ditto.data.csv_records(path))
+    assert type(exc.value) is DataError and str(exc.value) == message.format(path=path)
