@@ -11,7 +11,6 @@ from ditto import (
     CostParams,
     DomainSpec,
     EncoderSpec,
-    EvalTable,
     MixtureSpec,
     Rng,
     SizeSpec,
@@ -19,13 +18,13 @@ from ditto import (
     TrainVariant,
     annotation_cost,
     extract_features,
-    gap_table,
     generate_synthetic,
     linear_cka,
     pearson,
     relative_gain,
     spearman,
     train,
+    transfer_gap,
 )
 
 MEANS = [[0.0, 1.8], [3.0, 0.0], [-3.44, -2.409]]
@@ -59,10 +58,8 @@ def main():
     print(f"similarity tracks accuracy: pearson {pearson(ckas, accs):+.3f}, "
           f"spearman {spearman(ckas, accs):+.3f}")
 
-    table = EvalTable(source="src")
-    for dom in [dataset.source] + dataset.target_ids():
-        table.add("baseline", dom, acc[dom])
-    print(f"\nmean source-to-target gap   {gap_table(table):.2f} points")
+    gap = transfer_gap(acc, dataset.source, dataset.target_ids())
+    print(f"\nmean source-to-target gap   {gap:.2f} points")
     far = f"rot{angles[-1]}"
     print(f"a 5-point recovery on {far} would be a relative gain of "
           f"{relative_gain(acc[far], acc[far] + 5.0):.2f}%")

@@ -27,11 +27,11 @@ from .analysis import (
     CostParams,
     EvalTable,
     annotation_cost,
-    gap_table,
     linear_cka,
     pearson,
     relative_gain,
     spearman,
+    transfer_gap,
     zero_shot_eval,
 )
 from .autodiff import ParamStore, Tape, backward, finite_diff_check
@@ -110,7 +110,6 @@ __all__ = [
     "extract_features",
     "few_shot_augment",
     "finite_diff_check",
-    "gap_table",
     "generate_synthetic",
     "init_params",
     "linear_cka",
@@ -128,5 +127,6 @@ __all__ = [
     "spearman",
     "subsample_source",
     "train",
+    "transfer_gap",
     "zero_shot_eval",
 ]

@@ -1,24 +1,32 @@
 """Measurement apparatus: representation similarity, correlations, accuracy
-tables, relative gains, and the annotation cost model.
+tables, transfer gaps, relative gains, and the annotation cost model.
 
+A statistic of a non-finite input raises NumericError naming the function.
 eval.csv and cka.csv go through `data.write_csv` and `data.csv_records`; a
 table that does not parse or decode raises DataError naming the file.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .adaptation import domain_accuracies
-from .data import DomainDataset, csv_records, write_csv
-from .errors import (DataError, ShapeError, UndefinedResultError, check_fields,
-                     is_finite_number)
-from .model import ModelBundle
+from .data import csv_records, write_csv
+from .errors import (DataError, NumericError, ShapeError, UndefinedResultError, all_finite,
+                     check_fields, is_finite_number)
 
 CKA_DEGENERATE = 1e-12
+
+
+def _check_finite(fn: str, *values) -> None:
+    """NumericError naming the function `fn` unless each of `values`, a
+    number or an array, is finite throughout."""
+    for v in values:
+        if not (all_finite(v) if isinstance(v, np.ndarray) else math.isfinite(v)):
+            raise NumericError(f"{fn}: an input holds a non-finite value")
 
 
 def linear_cka(X: np.ndarray, Y: np.ndarray) -> float:
@@ -31,7 +39,8 @@ def linear_cka(X: np.ndarray, Y: np.ndarray) -> float:
 
     which lies in [0, 1] and is invariant to orthogonal right-multiplication
     and isotropic scaling of either argument.  If either self-term is
-    degenerate (< 1e-12, e.g. a constant feature matrix) the result is 0.
+    degenerate (< CKA_DEGENERATE, e.g. a constant feature matrix) CKA is
+    undefined, and UndefinedResultError is raised.
     """
     X = np.asarray(X, dtype=np.float64)
     Y = np.asarray(Y, dtype=np.float64)
@@ -41,13 +50,14 @@ def linear_cka(X: np.ndarray, Y: np.ndarray) -> float:
         raise ShapeError(f"row counts disagree: {X.shape[0]} vs {Y.shape[0]}")
     if X.shape[0] < 2:
         raise ShapeError(f"need at least 2 rows, got {X.shape[0]}")
+    _check_finite("linear_cka", X, Y)
     Xc = X - X.mean(axis=0, keepdims=True)
     Yc = Y - Y.mean(axis=0, keepdims=True)
     cross = float(np.linalg.norm(Yc.T @ Xc, "fro") ** 2)
     x_self = float(np.linalg.norm(Xc.T @ Xc, "fro"))
     y_self = float(np.linalg.norm(Yc.T @ Yc, "fro"))
     if x_self < CKA_DEGENERATE or y_self < CKA_DEGENERATE:
-        return 0.0
+        raise UndefinedResultError("CKA undefined: a feature matrix has no variance")
     return cross / (x_self * y_self)
 
 
@@ -62,6 +72,7 @@ def pearson(xs, ys) -> float:
         raise ShapeError(f"lengths disagree: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] < 2:
         raise ShapeError(f"need at least 2 points, got {x.shape[0]}")
+    _check_finite("pearson", x, y)
     xc = x - x.mean()
     yc = y - y.mean()
     sx = float(np.sqrt((xc * xc).sum()))
@@ -94,6 +105,7 @@ def spearman(xs, ys) -> float:
         raise ShapeError(f"lengths disagree: {x.shape[0]} vs {y.shape[0]}")
     if x.shape[0] < 2:
         raise ShapeError(f"need at least 2 points, got {x.shape[0]}")
+    _check_finite("spearman", x, y)  # ranking would hide a NaN
     return pearson(_mean_ranks(x), _mean_ranks(y))
 
 
@@ -105,7 +117,6 @@ def spearman(xs, ys) -> float:
 class EvalTable:
     """Accuracies in percent, keyed by (method, domain)."""
 
-    source: str
     entries: dict[tuple[str, str], float] = field(default_factory=dict)
 
     def add(self, method: str, domain: str, accuracy: float) -> None:
@@ -123,34 +134,27 @@ class EvalTable:
     def domains(self, method: str) -> list[str]:
         return sorted({d for m, d in self.entries if m == method})
 
-    def targets(self, method: str) -> list[str]:
-        return [d for d in self.domains(method) if d != self.source]
 
-
-def zero_shot_eval(bundle: ModelBundle, datasets: DomainDataset, method: str) -> EvalTable:
-    """Per-domain argmax accuracy of one trained model, tagged with `method`."""
-    table = EvalTable(source=datasets.source)
-    for dom, acc in domain_accuracies(bundle, datasets).items():
+def zero_shot_eval(method: str, accuracies: dict[str, float]) -> EvalTable:
+    """Tag one model's measured {domain: accuracy} with `method`; it evaluates nothing."""
+    table = EvalTable()
+    for dom, acc in accuracies.items():
         table.add(method, dom, acc)
     return table
 
 
-def gap_table(table: EvalTable) -> float:
-    """Mean over targets of (source accuracy - target accuracy), signed, of
-    a table that holds exactly one method."""
-    methods = table.methods()
-    if len(methods) != 1:
-        raise DataError(f"gap_table needs a table of one method, got {methods}")
-    method = methods[0]
-    src = table.get(method, table.source)
-    targets = table.targets(method)
+def transfer_gap(accuracies: dict[str, float], source: str, targets: list[str]) -> float:
+    """Mean over `targets` of (source accuracy - target accuracy), signed;
+    undefined (UndefinedResultError) without a target."""
     if not targets:
-        return 0.0
-    return float(np.mean([src - table.get(method, t) for t in targets]))
+        raise UndefinedResultError("transfer gap undefined: no target domain")
+    _check_finite("transfer_gap", *[accuracies[d] for d in [source, *targets]])
+    return float(np.mean([accuracies[source] - accuracies[t] for t in targets]))
 
 
 def relative_gain(baseline_acc: float, method_acc: float) -> float:
     """(method - baseline) / baseline * 100."""
+    _check_finite("relative_gain", baseline_acc, method_acc)
     if baseline_acc <= 0.0:
         raise UndefinedResultError(f"relative gain undefined for baseline "
                                    f"accuracy {baseline_acc}")
@@ -234,10 +238,9 @@ def _number(path, lineno: int, text: str) -> float:
 
 
 def read_eval_csv(path) -> tuple[EvalTable, dict[tuple[str, str], str]]:
-    """Load a write_eval_csv file; returns the table (source unknown -> '')
-    and the raw relative_gain strings.  A malformed file, or one that repeats
-    a (method, domain) pair, raises DataError naming it (and the line, for a
-    bad row)."""
+    """Load a write_eval_csv file; returns the table and the raw relative_gain
+    strings.  A malformed file, or one that repeats a (method, domain) pair,
+    raises DataError naming it (and the line, for a bad row)."""
     entries: dict[tuple[str, str], float] = {}
     gains: dict[tuple[str, str], str] = {}
     for lineno, (domain, method, acc, gain) in _csv_body(
@@ -246,23 +249,25 @@ def read_eval_csv(path) -> tuple[EvalTable, dict[tuple[str, str], str]]:
             raise DataError(f"{path}:{lineno}: a second {method} row for domain {domain!r}")
         entries[(method, domain)] = _number(path, lineno, acc)
         gains[(method, domain)] = gain
-    return EvalTable(source="", entries=entries), gains
+    return EvalTable(entries), gains
 
 
-def write_cka_csv(ckas: dict[str, float], accuracies: dict[str, float], path) -> None:
-    """Per-target similarity report: domain,cka,accuracy."""
+def write_cka_csv(ckas: dict[str, float | None], accuracies: dict[str, float], path) -> None:
+    """Per-target similarity report: domain,cka,accuracy; an undefined (None)
+    CKA is an empty cell."""
     write_csv(path, ["domain", "cka", "accuracy"],
-              ([domain, f"{ckas[domain]:.6f}", fmt_acc(accuracies[domain])]
-               for domain in sorted(ckas)))
+              ([domain, "" if ckas[domain] is None else f"{ckas[domain]:.6f}",
+                fmt_acc(accuracies[domain])] for domain in sorted(ckas)))
 
 
-def read_cka_csv(path) -> dict[str, tuple[float, float]]:
-    """Load a write_cka_csv file as {domain: (cka, accuracy)}; a malformed
-    file, or one that repeats a domain, raises DataError naming it (and the
-    line, for a bad row)."""
-    rows: dict[str, tuple[float, float]] = {}
+def read_cka_csv(path) -> dict[str, tuple[float | None, float]]:
+    """Load a write_cka_csv file as {domain: (cka, accuracy)}, an empty cka
+    cell as None; a malformed file, or one that repeats a domain, raises
+    DataError naming it (and the line, for a bad row)."""
+    rows: dict[str, tuple[float | None, float]] = {}
     for lineno, (domain, cka, acc) in _csv_body(path, ["domain", "cka", "accuracy"], "CKA"):
         if domain in rows:
             raise DataError(f"{path}:{lineno}: a second row for domain {domain!r}")
-        rows[domain] = (_number(path, lineno, cka), _number(path, lineno, acc))
+        rows[domain] = (None if cka == "" else _number(path, lineno, cka),
+                        _number(path, lineno, acc))
     return rows

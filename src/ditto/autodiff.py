@@ -37,7 +37,6 @@ produces a NaN/Inf raises `NumericError` immediately (`all_finite`).
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -48,6 +47,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     StateError,
+    all_finite,
 )
 
 # probabilities entering binary cross-entropy are clamped to [TAU, 1-TAU]
@@ -61,17 +61,6 @@ def _as_matrix(x) -> np.ndarray:
     if arr.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got shape {arr.shape}")
     return arr
-
-
-def all_finite(a: np.ndarray) -> bool:
-    """True when every entry of `a` is finite.
-
-    The sum of squares `np.vdot(a, a)` is the fast path: its terms are never
-    negative, so a NaN or Inf entry always makes it non-finite.  Only a
-    non-finite result, which finite entries beyond about 1e154 also reach by
-    overflow, pays for the exact elementwise check.
-    """
-    return math.isfinite(np.vdot(a, a)) or bool(np.all(np.isfinite(a)))
 
 
 class Param:

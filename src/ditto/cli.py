@@ -23,6 +23,7 @@ import functools
 import sys
 from pathlib import Path
 
+from .adaptation import domain_accuracies
 from .analysis import write_eval_csv, zero_shot_eval
 from .data import generate_synthetic, load_dataset
 from .errors import ConfigError, DataError, parse_config
@@ -166,7 +167,7 @@ def _eval(args) -> int:
         name, reason, split_file = misfit
         where = f", read from {args.data / split_file}" if split_file else ""
         raise DataError(f"{args.model}: checkpoint {name} {reason}{where}")
-    table = zero_shot_eval(bundle, dataset, method=args.method)
+    table = zero_shot_eval(args.method, domain_accuracies(bundle, dataset))
     args.out.parent.mkdir(parents=True, exist_ok=True)
     write_eval_csv(table, args.out)
     for dom in table.domains(args.method):

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one config rule.
+"""Exception types shared across the package, the finite checks, and the
+one config rule.
 
 Every failure mode raised by the library is one of these classes, so callers
 can distinguish bad shapes from bad configs from bad data without string
@@ -19,6 +20,8 @@ import types
 import typing
 from dataclasses import MISSING, fields, is_dataclass
 from functools import cache
+
+import numpy as np
 
 
 class ShapeError(ValueError):
@@ -95,6 +98,17 @@ def is_finite_number(v) -> bool:
     if not isinstance(v, numbers.Real) or isinstance(v, bool):
         return False
     return abs(v) <= sys.float_info.max if isinstance(v, numbers.Integral) else math.isfinite(v)
+
+
+def all_finite(a: np.ndarray) -> bool:
+    """True when every entry of `a` is finite.
+
+    The sum of squares `np.vdot(a, a)` is the fast path: its terms are never
+    negative, so a NaN or Inf entry always makes it non-finite.  Only a
+    non-finite result, which finite entries beyond about 1e154 also reach by
+    overflow, pays for the exact elementwise check.
+    """
+    return math.isfinite(np.vdot(a, a)) or bool(np.all(np.isfinite(a)))
 
 
 _WANTED = {int: "an integer", float: "a number", str: "a string", list: "a list",

@@ -54,6 +54,7 @@ from .analysis import (
     read_cka_csv,
     read_eval_csv,
     spearman,
+    transfer_gap,
     write_cka_csv,
     write_eval_csv,
     zero_shot_eval,
@@ -250,13 +251,14 @@ class Cell:
 
     def write_run(self, name: str, run_dir: Path) -> tuple[TrainReport, dict[str, np.ndarray]]:
         """Train variant `name` on the cell and write its run directory:
-        metrics.jsonl, eval.csv (with the cell's baseline rows once the
-        baseline has run), cka.csv, model.npz and an ok run.json.  Returns
-        the report and each domain's eval-split features, which cka.csv
-        was computed from."""
+        metrics.jsonl, eval.csv (the accuracies `train` measured, with the
+        cell's baseline rows once the baseline has run), cka.csv (an empty
+        cka cell where CKA is undefined), model.npz and an ok run.json.
+        Returns the report and each domain's eval-split features, which
+        cka.csv was computed from."""
         bundle, report = self.run(self.config.variant_of(name))
         ds, targets = self.dataset, self.dataset.target_ids()
-        table = zero_shot_eval(bundle, ds, method=name)
+        table = zero_shot_eval(name, report.final_per_domain_acc)
         for dom, acc in (self.baseline_scores or {}).items():
             table.add(BASELINE, dom, acc)
         run_dir.mkdir(parents=True, exist_ok=True)
@@ -264,8 +266,13 @@ class Cell:
         write_eval_csv(table, run_dir / "eval.csv")
         feats = {dom: extract_features(bundle, ds.domains[dom].eval.X)
                  for dom in [ds.source] + targets}
-        write_cka_csv({t: linear_cka(feats[ds.source], feats[t]) for t in targets},
-                      {t: report.final_per_domain_acc[t] for t in targets},
+        ckas = {}
+        for t in targets:
+            try:
+                ckas[t] = linear_cka(feats[ds.source], feats[t])
+            except UndefinedResultError:
+                ckas[t] = None
+        write_cka_csv(ckas, {t: report.final_per_domain_acc[t] for t in targets},
                       run_dir / "cka.csv")
         save_checkpoint(bundle, run_dir / "model.npz")
         self.write_meta(name, run_dir)
@@ -427,9 +434,8 @@ def analyze_results(results: str | Path, out_dir: str | Path) -> Path:
         targets = run.targets
         accs = _accs(table, name)
         gain = "" if name == BASELINE else mean_gain(_accs(table, BASELINE), accs, targets)
-        gap = float(np.mean([accs[run.source] - accs[t] for t in targets]))
         a_rows.append([name, frac, k, seed, fmt_acc(_mean_target_acc(run, accs)), gain,
-                       fmt_acc(gap)])
+                       fmt_acc(transfer_gap(accs, run.source, targets))])
 
         cka_path = _run_dir(results, frac, k, name, seed) / "cka.csv"
         if cka_path.exists() and len(targets) >= 3:
@@ -437,11 +443,13 @@ def analyze_results(results: str | Path, out_dir: str | Path) -> Path:
             if not set(targets) <= set(rows):
                 raise DataError(f"{cka_path}: no row for some of the targets {targets}")
             ckas, target_accs = zip(*[rows[t] for t in targets])
-            try:
-                cells = [f"{pearson(ckas, target_accs):.4f}",
-                         f"{spearman(ckas, target_accs):.4f}"]
-            except UndefinedResultError:
-                cells = ["", ""]
+            cells = ["", ""]  # empty where a CKA is undefined or an input has no variance
+            if None not in ckas:
+                try:
+                    cells = [f"{pearson(ckas, target_accs):.4f}",
+                             f"{spearman(ckas, target_accs):.4f}"]
+                except UndefinedResultError:
+                    pass
             c_rows.append([name, frac, k, seed] + cells)
     out.mkdir(parents=True, exist_ok=True)
     write_csv(out / "analysis.csv", ["variant", "S", "k", "seed", "mean_target_accuracy",

@@ -130,7 +130,8 @@ class ModelBundle:
 
     def _check_target(self, t: str) -> None:
         if t not in self.target_ids:
-            raise KeyError(f"unknown target id {t!r}; known targets: {list(self.target_ids)}")
+            raise ParameterError(f"unknown target id {t!r}; "
+                                 f"known targets: {list(self.target_ids)}")
 
 
 def init_params(

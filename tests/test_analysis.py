@@ -11,11 +11,11 @@ from ditto import (
     EvalTable,
     Rng,
     annotation_cost,
-    gap_table,
     linear_cka,
     pearson,
     relative_gain,
     spearman,
+    transfer_gap,
 )
 from ditto.analysis import (
     fmt_acc,
@@ -27,6 +27,7 @@ from ditto.analysis import (
 from ditto.errors import (
     ConfigError,
     DataError,
+    NumericError,
     ShapeError,
     UndefinedResultError,
 )
@@ -65,11 +66,13 @@ def test_cka_properties_on_random_matrices():
         assert 0.0 <= linear_cka(X, Y) <= 1.0
 
 
-def test_cka_degenerate_inputs_give_zero():
+def test_cka_degenerate_inputs_are_undefined():
     X = np.ones((8, 3))  # constant rows: centering wipes everything out
     Y = Rng(1).normal(0, 1, (8, 4))
-    assert linear_cka(X, Y) == 0.0
-    assert linear_cka(X, X) == 0.0
+    for a, b in [(X, Y), (Y, X), (X, X)]:
+        with pytest.raises(UndefinedResultError,
+                           match="^CKA undefined: a feature matrix has no variance$"):
+            linear_cka(a, b)
 
 
 def test_cka_shape_validation():
@@ -121,6 +124,34 @@ def test_correlation_validation():
         spearman([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
 
+NAN, INF = float("nan"), float("inf")
+FEATURES = np.arange(12.0).reshape(4, 3) ** 2
+
+
+def _with(a, index, value):
+    a = np.array(a, dtype=np.float64)
+    a[index] = value
+    return a
+
+
+@pytest.mark.parametrize("fn,args", [
+    (pearson, ([1.0, 2.0, NAN, 4.0], [1.0, 2.0, 3.0, 5.0])),
+    (pearson, ([1.0, 2.0, 3.0, 4.0], [1.0, INF, 3.0, 5.0])),
+    (spearman, ([1.0, 2.0, NAN, 4.0], [1.0, 2.0, 3.0, 5.0])),  # ranking would hide it
+    (spearman, ([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, -INF])),
+    (relative_gain, (NAN, 50.0)),
+    (relative_gain, (50.0, INF)),
+    (linear_cka, (_with(FEATURES, (2, 1), NAN), FEATURES)),
+    (linear_cka, (FEATURES, _with(FEATURES, (0, 0), INF))),
+    (transfer_gap, ({"s": NAN, "t": 50.0}, "s", ["t"])),
+    (transfer_gap, ({"s": 90.0, "t": 50.0, "u": -INF}, "s", ["t", "u"])),
+], ids=lambda v: getattr(v, "__name__", ""))
+def test_statistic_of_a_non_finite_input_is_a_numeric_error(fn, args):
+    # raised before any arithmetic, so numpy warns of nothing first
+    with pytest.raises(NumericError, match=f"^{fn.__name__}: an input holds a non-finite value$"):
+        fn(*args)
+
+
 def test_perfect_monotone_spearman():
     assert abs(spearman([1.0, 2.0, 3.0, 4.0], [10.0, 20.0, 25.0, 90.0]) - 1.0) < 1e-12
     assert abs(spearman([1.0, 2.0, 3.0], [5.0, 4.0, 3.0]) + 1.0) < 1e-12
@@ -137,27 +168,16 @@ XNLI_BASELINES = {
 }
 
 
-def test_gap_table_pinned_value():
-    table = EvalTable(source="en")
-    for dom, acc in XNLI_BASELINES.items():
-        table.add("baseline", dom, acc)
+def test_transfer_gap_pinned_value():
     # mean over targets of (source - target), recomputed independently
     targets = [d for d in XNLI_BASELINES if d != "en"]
     expect = sum(57.17 - XNLI_BASELINES[t] for t in targets) / len(targets)
-    gap = gap_table(table)
+    gap = transfer_gap(XNLI_BASELINES, "en", targets)
     assert abs(gap - expect) < 1e-12
     assert abs(gap - 10.2821) < 1e-3
-
-
-def test_gap_table_requires_unique_method_or_name():
-    table = EvalTable(source="s")
-    table.add("a", "s", 90.0)
-    table.add("a", "t", 80.0)
-    table.add("b", "s", 90.0)
-    table.add("b", "t", 85.0)
-    one_method = r"^gap_table needs a table of one method, got \['a', 'b'\]$"
-    with pytest.raises(DataError, match=one_method):
-        gap_table(table)
+    # a gap over no target is undefined
+    with pytest.raises(UndefinedResultError, match="^transfer gap undefined: no target domain$"):
+        transfer_gap(XNLI_BASELINES, "en", [])
 
 
 def test_relative_gain():
@@ -183,31 +203,29 @@ def test_annotation_cost_pinned_value():
 
 
 def test_eval_table_operations():
-    t = EvalTable(source="s")
+    t = EvalTable()
     t.add("m", "s", 90.0)
     t.add("m", "a", 70.0)
     t.add("m", "b", 80.0)
     assert t.get("m", "a") == 70.0
     assert t.methods() == ["m"]
     assert t.domains("m") == ["a", "b", "s"]
-    assert t.targets("m") == ["a", "b"]
 
 
 def test_missing_accuracy_is_a_data_error_naming_the_pair(tmp_path):
-    table = EvalTable(source="src")
+    table = EvalTable()
     table.add("m", "src", 90.0)
     table.add("m", "t1", 80.0)
     path = tmp_path / "eval.csv"
     write_eval_csv(table, path)
-    loaded, _ = read_eval_csv(path)  # a table read back has source ''
-    with pytest.raises(DataError, match="^no accuracy of method 'm' on domain ''$"):
-        gap_table(loaded)
+    loaded, _ = read_eval_csv(path)
+    assert loaded == table
     with pytest.raises(DataError, match="^no accuracy of method 'x' on domain 't1'$"):
         table.get("x", "t1")
 
 
 def test_eval_csv_round_trip(tmp_path):
-    table = EvalTable(source="src")
+    table = EvalTable()
     table.add("baseline", "src", 95.0)
     table.add("baseline", "t1", 47.09)
     table.add("ditto", "src", 95.5)
@@ -225,7 +243,7 @@ def test_eval_csv_round_trip(tmp_path):
 
 
 def test_eval_csv_no_baseline_leaves_gain_empty(tmp_path):
-    table = EvalTable(source="src")
+    table = EvalTable()
     table.add("ditto", "src", 95.0)
     table.add("ditto", "t1", 60.0)
     path = tmp_path / "eval.csv"
@@ -248,7 +266,7 @@ def test_cka_csv_round_trip(tmp_path):
 def test_eval_csv_bytes_pinned(tmp_path):
     # a quoted domain id, gains from the printed accuracies (94.996 prints as
     # 95.00, a gain of 0.00), a 0.00 baseline and a target with no baseline
-    table = EvalTable(source="src")
+    table = EvalTable()
     for method, domain, acc in [("baseline", "src", 95.0), ("baseline", "t,1", 47.094),
                                 ("baseline", "t2", 0.0), ("ditto", "src", 94.996),
                                 ("ditto", "t,1", 56.755), ("ditto", "t2", 12.5),

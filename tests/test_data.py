@@ -1085,6 +1085,21 @@ def test_only_the_data_module_imports_csv():
     assert importers == {"data.py"}
 
 
+def test_the_analysis_module_imports_only_data_and_errors():
+    # the measurement layer labels and combines what callers measured, so it
+    # must not grow a dependency on the model or the trainer
+    path = Path(ditto.data.__file__).parent / "analysis.py"
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level:  # from .x import ...
+            imported |= {node.module} if node.module else {a.name for a in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # an absolute ditto import
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [
+                a.name for a in node.names]
+            imported |= {name for name in names if name.split(".")[0] == "ditto"}
+    assert imported == {"data", "errors"}
+
+
 @pytest.mark.parametrize("body,message", [
     ("a,b\n1,2\n3," + "x" * 200_000 + "\n", "{path}:3: field larger than field limit (131072)"),
     ("a,b\n1,\xe9\n", "{path}: cannot decode b'\\xe9' as utf-8 (invalid continuation byte)"),

@@ -35,7 +35,8 @@ from ditto import (
 from ditto.analysis import read_eval_csv, relative_gain
 from ditto.cli import main
 from ditto.data import Manifest
-from ditto.errors import DOMAIN_ID_RULE, ConfigError, config_json, parse_config
+from ditto.errors import (DOMAIN_ID_RULE, ConfigError, UndefinedResultError, config_json,
+                          parse_config)
 from ditto.experiment import (
     Cell,
     DatasetConfig,
@@ -192,8 +193,8 @@ def test_rerun_summaries_byte_identical(grid_out, tmp_path):
 def test_checkpoint_reloads_and_scores(grid_out):
     _, dataset, out = grid_out
     bundle = load_checkpoint(out / "S100/k0/baseline/seed0/model.npz")
-    from ditto import zero_shot_eval
-    table = zero_shot_eval(bundle, dataset, method="reload")
+    from ditto import domain_accuracies, zero_shot_eval
+    table = zero_shot_eval("reload", domain_accuracies(bundle, dataset))
     eval_table, _ = read_eval_csv(out / "S100/k0/baseline/seed0/eval.csv")
     for dom in ("src", "rot15", "rot30", "rot45"):
         # CSV stores two decimals of the same accuracy
@@ -331,8 +332,8 @@ def test_cli_train_writes_features_csv_from_the_features_of_cka_csv(cli_config, 
                                                                      monkeypatch):
     # a 3-domain, 3-epoch `ditto train --variant ditto` trains the baseline and
     # ditto (4 feature passes per domain each, inside train); after training,
-    # zero_shot_eval and the one pass cka.csv and features.csv share make 2
-    # per domain
+    # eval.csv takes train's accuracies, and the one pass cka.csv and
+    # features.csv share makes 1 per domain
     cfg = json.loads(cli_config.read_text())
     cfg["experiment"]["epochs"] = 3
     config = tmp_path / "config.json"
@@ -358,7 +359,7 @@ def test_cli_train_writes_features_csv_from_the_features_of_cka_csv(cli_config, 
     monkeypatch.setattr(ditto.experiment, "train", tracked_train)
     assert main(["train", "--config", str(config), "--data", str(data_dir),
                  "--variant", "ditto", "--out", str(run_dir)]) == 0
-    assert calls == {"inside": 2 * (3 + 1) * 3, "outside": 2 * 3}
+    assert calls == {"inside": 2 * (3 + 1) * 3, "outside": 3}
     monkeypatch.undo()
     dataset = load_dataset(data_dir)  # at S100 and k0 the cell keeps every eval split
     export_features(_eval_features(load_checkpoint(run_dir / "model.npz"), dataset), dataset,
@@ -444,6 +445,46 @@ def test_cli_train_writes_the_run_directory_run_all_writes(kinds_grid, cli_confi
         assert ours.files == theirs.files
         for key in ours.files:
             assert np.array_equal(ours[key], theirs[key]), key
+
+
+def test_eval_and_cka_csv_report_the_accuracies_train_measured(kinds_grid):
+    # every ok run's eval.csv rows for its variant and cka.csv's accuracy
+    # column are metrics.jsonl's final per_domain_acc, at two decimals
+    _, results = kinds_grid
+    runs = sorted(results.glob("S*/k*/*/seed*/run.json"))
+    assert len(runs) == 4 * len(KINDS)
+    for path in runs:
+        run = json.loads(path.read_text())
+        assert run["status"] == "ok"
+        final = json.loads((path.parent / "metrics.jsonl").read_text().splitlines()[-1])
+        measured = {d: f"{a:.2f}" for d, a in final["per_domain_acc"].items()}
+        assert sorted(measured) == sorted([run["source"]] + run["targets"])
+        with open(path.parent / "eval.csv") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["method"] == run["variant"]]
+        assert {r["domain"]: r["accuracy"] for r in rows} == measured, path
+        with open(path.parent / "cka.csv") as fh:
+            cka_accs = {r["domain"]: r["accuracy"] for r in csv.DictReader(fh)}
+        assert cka_accs == {t: measured[t] for t in run["targets"]}, path
+
+
+def test_write_run_leaves_an_undefined_cka_cell_empty(cli_config, tmp_path, monkeypatch):
+    real_cka, calls = ditto.experiment.linear_cka, []
+
+    def cka(X, Y):  # the first target (rot30) as if the encoder had collapsed it
+        calls.append(Y)
+        if len(calls) == 1:
+            raise UndefinedResultError("CKA undefined: a feature matrix has no variance")
+        return real_cka(X, Y)
+
+    monkeypatch.setattr(ditto.experiment, "linear_cka", cka)
+    data_dir, run_dir = tmp_path / "data", tmp_path / "run"
+    assert main(["generate", "--config", str(cli_config), "--out", str(data_dir)]) == 0
+    assert main(["train", "--config", str(cli_config), "--data", str(data_dir),
+                 "--variant", "baseline", "--out", str(run_dir)]) == 0
+    header, first, second = (run_dir / "cka.csv").read_text().splitlines()
+    assert len(calls) == 2 and header == "domain,cka,accuracy"
+    assert re.fullmatch(r"rot30,,\d+\.\d\d", first)
+    assert re.fullmatch(r"rot60,0\.\d{6},\d+\.\d\d", second)
 
 
 def test_every_record_parses_back_to_the_dataclass_it_was_written_from(kinds_grid):

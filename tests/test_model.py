@@ -92,7 +92,8 @@ def test_param_name_layout():
         "disc.t1.layer0.W", "disc.t1.layer0.b",
         "disc.t1.head.W", "disc.t1.head.b",
     ]
-    with pytest.raises(KeyError):
+    with pytest.raises(ParameterError,
+                       match=r"^unknown target id 'nope'; known targets: \['t0', 't1'\]$"):
         bundle.disc_param_names("nope")
 
 
@@ -226,7 +227,8 @@ def test_discriminator_output_open_interval():
     probs = discriminate(bundle, "t0", encode(bundle, tape, X))
     assert probs.value.shape == (20, 1)
     assert np.all(probs.value > 0.0) and np.all(probs.value < 1.0)
-    with pytest.raises(KeyError):
+    with pytest.raises(ParameterError,
+                       match=r"^unknown target id 't9'; known targets: \['t0', 't1'\]$"):
         discriminate(bundle, "t9", encode(bundle, tape, X))
 
 

@@ -41,7 +41,7 @@ def _run(results, frac, k, variant, seed, accs=None, base=None, ckas=(0.9, 0.8, 
     (run_dir / "run.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n")
     if accs is None:
         return run_dir
-    table = EvalTable(source="src")
+    table = EvalTable()
     for method, values in ((variant, accs), ("baseline", base or ())):
         for dom, acc in zip(("src", *targets), values):
             table.add(method, dom, acc)
@@ -195,6 +195,20 @@ def test_cka_accuracy_correlation_needs_three_targets(tmp_path):
     assert (out / "analysis.csv").read_text().splitlines()[1:] == [
         "baseline,100,0,0,55.00,,35.00"]
     assert (out / "correlation.csv").read_text() == "variant,S,k,seed,pearson,spearman\n"
+
+
+def test_an_undefined_cka_leaves_its_correlation_row_empty(tmp_path):
+    # a target whose CKA is undefined has an empty cka cell, read back as None
+    results = tmp_path / "results"
+    run_dir = _run(results, 100, 0, "baseline", 0, [90.0, 60.0, 50.0, 40.0],
+                   ckas=(0.9, None, 0.7))
+    assert (run_dir / "cka.csv").read_text() == (
+        "domain,cka,accuracy\nt1,0.900000,60.00\nt2,,50.00\nt3,0.700000,40.00\n")
+    out = analyze_results(results, tmp_path / "analysis")
+    assert (out / "analysis.csv").read_text().splitlines()[1:] == [
+        "baseline,100,0,0,50.00,,40.00"]
+    assert (out / "correlation.csv").read_text() == (
+        "variant,S,k,seed,pearson,spearman\nbaseline,100,0,0,,\n")
 
 def test_each_finished_run_is_read_once(results, tmp_path, monkeypatch):
     reads = []
